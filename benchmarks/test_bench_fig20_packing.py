@@ -5,7 +5,7 @@ from repro.experiments.figures import figure20_packing
 
 def test_fig20_packing_and_violations(benchmark, packing_trace):
     rows = run_once(benchmark, figure20_packing, packing_trace,
-                    clusters=("C1", "C4", "C8"), n_estimators=4, parallelism=3)
+                    clusters=("C1", "C4", "C8"), n_estimators=4)
     print("\nFigure 20 (paper: Single +22%, Coach +38%, Aggr +47%; violations few %):")
     for name in ("none", "single", "coach", "aggr-coach"):
         row = rows[name]

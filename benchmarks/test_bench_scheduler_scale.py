@@ -7,10 +7,10 @@ Two measurements:
   plans/second against the seed per-server loop
   (:class:`ReferenceLoopScheduler`);
 * the scaling curve (PR 7, extended to 100k servers in PR 9) sweeps fleet
-  sizes and compares the incremental batched scheduler (tiered candidate
-  index + provable-run scatter commits) against the dense PR 6 baseline
-  (``incremental=False`` + sequential ``place``), asserting >=25x at the
-  largest size -- the regime the tiered index exists for.
+  sizes and compares the incremental scheduler (tiered candidate index at
+  the largest sizes) against the dense PR 6 baseline
+  (``incremental=False``), both driven by sequential ``place``, asserting
+  >=25x at the largest size -- the regime the tiered index exists for.
 
 References are timed on a prefix of the same arrival sequence -- their
 per-plan cost is dominated by the full server scan, which is independent
@@ -76,7 +76,7 @@ def test_scheduler_scaling_curve(benchmark):
     smoke = bench_smoke_enabled()
     result = run_once(benchmark, measure_scheduler_scaling, smoke=smoke)
 
-    print("\nScheduler scaling curve (incremental place_batch vs dense PR 6):")
+    print("\nScheduler scaling curve (incremental place vs dense PR 6):")
     for point in result["curve"]:
         extrapolated = (" (extrapolated from "
                         f"{point['dense_prefix_plans']}-plan prefix)"

@@ -100,7 +100,7 @@ def measure_placement(smoke: bool) -> dict:
 
 
 def measure_scaling(smoke: bool) -> dict:
-    """Scheduler scaling curve: incremental place_batch vs the dense baseline."""
+    """Scheduler scaling curve: incremental place vs the dense baseline."""
     return measure_scheduler_scaling(smoke=smoke)
 
 

@@ -35,12 +35,12 @@ _LEDGER_ARRAYS = frozenset({
     "row_available",
 })
 
-#: The sanctioned mutators: construction, the row mutators (single-row and
-#: the batched scatter), the teardown check, the failure-injection flip,
-#: and the cache refresher they all delegate to.
+#: The sanctioned mutators: construction, the row mutators, the teardown
+#: check, the failure-injection flip, and the cache refresher they all
+#: delegate to.
 _ALLOWED_FUNCTIONS = frozenset({
-    "__init__", "commit_row", "commit_rows", "release_row",
-    "assert_row_empty", "disable_row", "_refresh_row_caches",
+    "__init__", "commit_row", "release_row", "assert_row_empty",
+    "disable_row", "_refresh_row_caches",
 })
 
 

@@ -59,9 +59,8 @@ _HEAP_FUNCTIONS = frozenset({
 #: row mutators (which all funnel through the cache refresher), and the
 #: index mover the refresher delegates to.
 _ALLOWED_FUNCTIONS = frozenset({
-    "__init__", "rebuild_candidate_index", "commit_row", "commit_rows",
-    "release_row", "assert_row_empty", "_refresh_row_caches",
-    "_index_update_row",
+    "__init__", "rebuild_candidate_index", "commit_row", "release_row",
+    "assert_row_empty", "_refresh_row_caches", "_index_update_row",
 })
 
 

@@ -71,7 +71,6 @@ class ClusterManager:
     ):
         self.cluster = cluster
         self.policy = policy
-        self.class_aware = class_aware
         if prediction_model is None:
             prediction_model = NoOversubscriptionModel(policy.windows)
         self.prediction_model = prediction_model
@@ -105,49 +104,33 @@ class ClusterManager:
 
     def request_vm(self, vm: VMRecord) -> AdmissionResult:
         """Admit (or reject) one VM request."""
-        self.stats.requests += 1
-        plan = self.build_plan(vm)
-        if self.class_aware:
-            decision = self.scheduler.place(
-                plan, allocation_class=vm.allocation_class)
-        else:
-            decision = self.scheduler.place(plan)
-        return self._register(vm, plan, decision)
+        return self.request_batch((vm,))[0]
 
     def request_batch(self, vms: Sequence[VMRecord]) -> List[AdmissionResult]:
-        """Admit (or reject) an arrival batch through one scheduler call.
+        """Admit (or reject) an arrival batch, in order.
 
-        Plans are built up front (the prediction model is read-only, so each
-        plan is identical to what :meth:`request_vm` would build) and placed
-        via :meth:`ClusterScheduler.place_batch`, which amortizes the
-        per-plan preprocessing while still admitting sequentially against
-        the ledger.  Results and stats are identical to calling
-        :meth:`request_vm` on each record in order.
-
-        Under class-aware admission the batch path degrades to the
-        sequential loop: a preemption mid-batch invalidates the frozen
-        ledger snapshot the run-based batcher reasons against, so batching
-        could not stay decision-identical.
+        Every plan is built before any is placed, so a request whose plan
+        cannot be built (e.g. a prediction-model window mismatch) fails the
+        whole batch with nothing placed and nothing counted.  The prediction
+        model is read-only, so building up front yields the same plans as
+        building each one just before its placement.  Each plan then goes
+        through :meth:`ClusterScheduler.place` with the VM's allocation
+        class, which the scheduler only acts on when it is class-aware.
         """
         vms = list(vms)
-        if self.class_aware:
-            results = []
-            for vm in vms:
-                self.stats.requests += 1
-                plan = self.build_plan(vm)
-                decision = self.scheduler.place(
-                    plan, allocation_class=vm.allocation_class)
-                results.append(self._register(vm, plan, decision))
-            return results
-        self.stats.requests += len(vms)
         plans = [self.build_plan(vm) for vm in vms]
-        decisions = self.scheduler.place_batch(plans)
-        return [self._register(vm, plan, decision)
-                for vm, plan, decision in zip(vms, plans, decisions)]
+        return [self._register(vm, plan,
+                               self.scheduler.place(plan, vm.allocation_class))
+                for vm, plan in zip(vms, plans)]
 
     def _register(self, vm: VMRecord, plan: VMResourcePlan,
                   decision: PlacementDecision) -> AdmissionResult:
-        """Post-placement bookkeeping shared by the single and batch paths."""
+        """Post-placement bookkeeping for one scheduler decision.
+
+        A request is counted here, together with its accept or reject, so
+        ``requests == accepted + rejected`` holds even when a batch fails.
+        """
+        self.stats.requests += 1
         # The scheduler already released preempted spot VMs from its ledger;
         # mirror that in the manager's registries (evictions stand even when
         # the arrival itself was rejected).
@@ -173,11 +156,6 @@ class ClusterManager:
         self.stats.savings_gb += savings[Resource.MEMORY]
         self.stats.savings_cores += savings[Resource.CPU]
         return AdmissionResult(vm.vm_id, True, coach_vm, decision)
-
-    def request_many(self, vms: Sequence[VMRecord]) -> List[AdmissionResult]:
-        """Sequential reference for :meth:`request_batch` (kept for
-        differential testing)."""
-        return [self.request_vm(vm) for vm in vms]
 
     def deallocate(self, vm_id: str) -> None:
         """Release a VM's resources when it is deallocated or migrated away."""

@@ -68,9 +68,7 @@ bounds which rows can possibly win.  The shortlisted rows are then
 re-checked and re-scored with the exact dense arithmetic, which preserves
 bitwise-identical tie-breaking; whenever exactness cannot be guaranteed
 (degenerate capacities, or a band covering most of the fleet) the ledger
-falls back to the dense path wholesale.  ``ClusterScheduler.place_batch``
-amortizes the per-plan preprocessing across an arrival batch on top of the
-same row-level machinery, with decisions identical to sequential ``place``.
+falls back to the dense path wholesale.
 
 The tiered candidate index
 --------------------------
@@ -102,23 +100,6 @@ index itself is only ever written inside the sanctioned mutators
 moves the touched row between bands/heaps in the same call that refreshes
 its caches, and stale heap entries are popped eagerly by the mutator so
 the read path never mutates the index.
-
-Batched admission commits *provably independent runs* with one vectorized
-multi-row scatter (:meth:`ClusterLedger.commit_rows`):
-``ClusterScheduler.place_batch`` evaluates consecutive plans against the
-ledger state frozen at the start of the current run, and keeps extending
-the run while each accepted plan (a) chooses a row no earlier run member
-chose, and (b) cannot be overtaken by any earlier member's post-commit
-score even under worst-case rounding (rejections are always safe: commits
-only add demand, and IEEE-754 addition is monotone, so a plan rejected
-against the stale state is also rejected against the true state).  The
-first plan that fails either proof ends the run: the accumulated members
-are scatter-committed, and the plan re-evaluates against the true state as
-the start of the next run.  Every row receives at most one commit per
-scatter, so the scatter is elementwise the same additions as sequential
-``commit_row`` calls, and the caches refresh per row afterwards -- the
-decision sequence, including rejection ordering, stays bitwise-equal to
-looped ``place``.
 """
 
 # repro: hot-path  -- REP003: placement evaluates every server per VM; the
@@ -129,7 +110,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -173,24 +154,11 @@ _BAND_EDGE_SLACK = 1e-9
 #: sublinear exact answer uncertain; the caller falls back to the screened
 #: O(n_servers) path (which may itself fall back to the dense path).
 _TIERED_UNDECIDED = -2
-#: Slack added to a pending run member's reconstructed post-commit
-#: ``score_base`` upper bound (see ``place_batch``): the true refreshed base
-#: differs from ``fl(base + mean-term)`` by a handful of 2^-53 rounding
-#: steps (~1e-14 at these magnitudes), so 1e-10 is a safe over-estimate
-#: while staying far below the 2x SCORE_TOLERANCE overtake margin.
-_RUN_BASE_SLACK = 1e-10
 #: Below this fleet size the tiered scan is pure overhead: the screened
 #: path's O(n_servers) vector ops already cost less than the band-descent
 #: bookkeeping, so ``best_fit_row`` skips straight to it.  Purely a
 #: performance dispatch -- both paths reach the same decision.
 _TIERED_MIN_SERVERS = 8192
-#: Starting credit for the provable-run partition in ``place_batch``.
-#: Consolidating arrival patterns conflict on every plan (each placement
-#: makes the winning row *more* attractive to the next plan), in which case
-#: every run commits a single member and the stale evaluation that detected
-#: the conflict is wasted; the credit decays on such degenerate runs and the
-#: batch falls back to sequential admission when it runs out.
-_RUN_CREDIT = 8
 
 #: Indices of resources inside ``ALL_RESOURCES``-ordered arrays.
 _CPU_INDEX = ALL_RESOURCES.index(Resource.CPU)
@@ -208,9 +176,9 @@ def _plan_screen_stats(plan_demand: np.ndarray,
                        va_window_demand: np.ndarray) -> tuple:
     """Per-resource extrema and means feeding the screened best-fit path.
 
-    The peaks/minima are exact window maxima/minima (order-independent), so
-    precomputing them for a whole batch yields the same values as computing
-    them per plan; the means only feed the approximate scores.
+    The peaks/minima are exact window maxima/minima, computed once per plan
+    and shared by the tiered and screened links of the chain; the means only
+    feed the approximate scores.
     """
     return (plan_demand.max(axis=1), plan_demand.min(axis=1),
             plan_demand.mean(axis=1),
@@ -373,19 +341,6 @@ class ClusterLedger:
         counts = positive.sum(axis=0)
         return ratios.sum(axis=0) / np.maximum(counts, 1)
 
-    def approx_packing_scores(self, plan_mean: np.ndarray) -> np.ndarray:
-        """Approximate packing scores from the cached per-row score bases.
-
-        ``plan_mean`` is the plan's per-resource window mean; the plan's
-        contribution is one ``(n_resources,) @ (n_resources, n_servers)``
-        product on top of the cached committed-demand term.  The result
-        tracks :meth:`packing_scores` to within the bound documented at
-        :data:`SCORE_TOLERANCE` for every server the plan fits, but is *not*
-        bitwise-identical (the cached sums round ``sum_w`` before the plan
-        term is added) -- callers must re-score candidates densely.
-        """
-        return (self.score_base + plan_mean @ self._inv_capacity) * self._inv_counts
-
     def best_fit_row_dense(self, plan_demand: np.ndarray,
                            guaranteed_memory_gb: float,
                            va_window_demand: np.ndarray,
@@ -408,17 +363,23 @@ class ClusterLedger:
             mask, self.packing_scores(hypothetical=hypothetical), -np.inf)
         return int(np.argmax(scores))
 
-    def _screen_rows(self, rows: np.ndarray, guaranteed_memory_gb: float,
-                     conservative: bool, stats: tuple) -> tuple:
-        """Tri-state screen + approximate scores for a gathered row subset.
+    def _screen_rows(self, rows: Union[np.ndarray, slice],
+                     guaranteed_memory_gb: float, conservative: bool,
+                     stats: tuple) -> tuple:
+        """Tri-state screen + approximate scores for a row subset.
 
-        Elementwise the same arithmetic as the full-fleet screen in
-        :meth:`best_fit_row_screened` (no cross-row reductions), so each
-        row's surely-fits / surely-fails classification is bitwise-identical
-        to the O(n_servers) pass.  The approximate scores use a gathered
-        GEMV, which may differ from the full GEMV in the last ulp -- callers
-        must only compare them against SCORE_TOLERANCE-wide margins, never
-        bitwise across paths.
+        *rows* is a gathered index array (the tiered scan) or
+        ``slice(None)`` (the full-fleet screen of
+        :meth:`best_fit_row_screened`).  The arithmetic is elementwise (no
+        cross-row reductions), so each row's surely-fits / surely-fails
+        classification is bitwise-identical whichever subset it is screened
+        in.  The approximate scores ``(score_base + plan_mean @
+        inv_capacity) * inv_count`` track :meth:`packing_scores` to within
+        :data:`SCORE_TOLERANCE` for every row the plan fits, but are not
+        bitwise-exact (the cached sums round ``sum_w`` before the plan term
+        is added, and a gathered GEMV may differ from the full one in the
+        last ulp) -- callers must only compare them against
+        SCORE_TOLERANCE-wide margins and re-score candidates densely.
         """
         plan_peak, plan_min, plan_mean, va_peak_add, va_min_add = stats
         threshold = self._fit_threshold[:, rows]
@@ -572,8 +533,7 @@ class ClusterLedger:
             conservative)
 
     def best_fit_row(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
-                     va_window_demand: np.ndarray, conservative: bool,
-                     stats: Optional[tuple] = None) -> int:
+                     va_window_demand: np.ndarray, conservative: bool) -> int:
         """Exact best-fit via the tiered index, screened and dense fallbacks.
 
         Tries :meth:`_best_fit_row_tiered` first (sublinear in fleet size);
@@ -586,8 +546,7 @@ class ClusterLedger:
         if not self._score_safe:
             return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
                                            va_window_demand, conservative)
-        if stats is None:
-            stats = _plan_screen_stats(plan_demand, va_window_demand)
+        stats = _plan_screen_stats(plan_demand, va_window_demand)
         if self.n_servers >= _TIERED_MIN_SERVERS:
             row = self._best_fit_row_tiered(plan_demand, guaranteed_memory_gb,
                                             va_window_demand, conservative,
@@ -608,7 +567,8 @@ class ClusterLedger:
         (``fl(a + b)`` is non-decreasing in both arguments) and on the cached
         peaks being exact row maxima:
 
-        1. *Screen* in O(n_resources x n_servers): if
+        1. *Screen* (:meth:`_screen_rows` over every row) in
+           O(n_resources x n_servers): if
            ``fl(demand_peak + plan_peak) <= fl(capacity + eps)`` every window
            of the row fits that resource; if
            ``fl(demand_peak + plan_min) > fl(capacity + eps)`` the peak
@@ -638,28 +598,12 @@ class ClusterLedger:
                                            va_window_demand, conservative)
         if stats is None:
             stats = _plan_screen_stats(plan_demand, va_window_demand)
-        plan_peak, plan_min, plan_mean, va_peak_add, va_min_add = stats
-        threshold = self._fit_threshold
-        sure_ok = np.all(self.demand_peak + plan_peak[:, None] <= threshold, axis=0)
-        sure_bad = np.any(self.demand_peak + plan_min[:, None] > threshold, axis=0)
-        capacity_memory = self._memory_threshold
-        new_pa = self.pa_memory + guaranteed_memory_gb
-        pa_ok = new_pa <= capacity_memory
-        if conservative:
-            fit_hi = (pa_ok & sure_ok
-                      & (new_pa + (self.va_peak + va_peak_add) <= capacity_memory))
-            sure_fail = (~pa_ok | sure_bad
-                         | (new_pa + (self.va_peak + va_min_add) > capacity_memory))
-        else:
-            fit_hi = pa_ok & sure_ok
-            sure_fail = ~pa_ok | sure_bad
-        fit_hi &= self.row_available
-        sure_fail |= ~self.row_available
+        fit_hi, sure_fail, approx = self._screen_rows(
+            slice(None), guaranteed_memory_gb, conservative, stats)
         maybe = ~sure_fail
         # fit_hi <= true fit set <= maybe (setwise); rows outside `maybe`
         # cannot fit and rows in `fit_hi` need no window re-check to count
         # as candidates, but are still re-scored below.
-        approx = self.approx_packing_scores(plan_mean)
         if fit_hi.any():
             best_sure = approx[fit_hi].max()
             candidate_mask = maybe & (approx >= best_sure - SCORE_TOLERANCE)
@@ -765,31 +709,6 @@ class ClusterLedger:
         self.pa_memory[row] += memory_plan.guaranteed
         self.va_demand[row, :] += memory_plan.window_oversubscribed
         self._refresh_row_caches(row)
-
-    def commit_rows(self, rows: np.ndarray, plans: Sequence[VMResourcePlan],
-                    plan_demand: np.ndarray) -> None:
-        """Commit one plan per row in a single vectorized scatter.
-
-        *rows* must be distinct (each row receives exactly one plan), so
-        every ledger element gets exactly one addition -- elementwise the
-        same ``fl(committed + demand)`` as the equivalent sequence of
-        :meth:`commit_row` calls, in any order.  ``plan_demand`` is the
-        ``(n_plans, n_resources, n_windows)`` stack of the plans' demand
-        matrices (the batch path already has it; rebuilding it here would
-        repeat the preprocessing the batch amortized).  The caches refresh
-        per row: ``score_base`` deliberately stays a per-row dot product,
-        because batched GEMV and per-row ``@`` are not bitwise-equal on
-        every BLAS.
-        """
-        memory_plans = [plan.plans[Resource.MEMORY] for plan in plans]
-        self.demand[:, rows, :] += plan_demand.transpose(1, 0, 2)
-        self.pa_memory[rows] += np.fromiter(
-            (memory_plan.guaranteed for memory_plan in memory_plans),
-            float, len(memory_plans))
-        self.va_demand[rows, :] += np.stack(
-            [memory_plan.window_oversubscribed for memory_plan in memory_plans])
-        for row in rows:
-            self._refresh_row_caches(int(row))
 
     def release_row(self, row: int, plan: VMResourcePlan) -> None:
         """Subtract a plan from a row, snapping near-zero residues to zero.
@@ -1115,18 +1034,6 @@ class ClusterScheduler:
         or no spot capacity remains.  Without a class (or with
         ``class_aware=False``) the classic class-blind path runs and draws
         identical decisions -- class-awareness is strictly opt-in.
-        """
-        if plan.windows.windows_per_day != self.windows.windows_per_day:
-            raise ValueError("plan and server use different time window configurations")
-        plan_demand = plan_demand_matrix(plan)
-        if self.class_aware and allocation_class is not None:
-            return self._place_class_aware(plan, plan_demand, allocation_class)
-        return self._place_prepared(plan, plan_demand, None)
-
-    def _place_class_aware(self, plan: VMResourcePlan, plan_demand: np.ndarray,
-                           allocation_class: AllocationClass
-                           ) -> PlacementDecision:
-        """Class-aware admission: reserved arrivals may preempt spot VMs.
 
         The best-fit search itself is the class-blind arithmetic
         (:meth:`ClusterLedger.best_fit_row`); class-awareness only adds the
@@ -1136,23 +1043,26 @@ class ClusterScheduler:
         rejection: a real preemption pipeline kills the spot VM before the
         reserved VM boots, so the decision records them either way.
         """
+        if plan.windows.windows_per_day != self.windows.windows_per_day:
+            raise ValueError("plan and server use different time window configurations")
         if plan.vm_id in self._placements:
+            # Silently overwriting would leak the old server's committed
+            # demand forever; callers must deallocate first.
             raise ValueError(f"VM {plan.vm_id} is already placed on "
                              f"{self._placements[plan.vm_id]}")
+        plan_demand = plan_demand_matrix(plan)
         memory_plan = plan.plans[Resource.MEMORY]
+        best_fit_row = (self.ledger.best_fit_row if self.incremental
+                        else self.ledger.best_fit_row_dense)
 
         def find_row() -> int:
-            if self.incremental:
-                return self.ledger.best_fit_row(
-                    plan_demand, memory_plan.guaranteed,
-                    memory_plan.window_oversubscribed, self.conservative)
-            return self.ledger.best_fit_row_dense(
-                plan_demand, memory_plan.guaranteed,
-                memory_plan.window_oversubscribed, self.conservative)
+            return best_fit_row(plan_demand, memory_plan.guaranteed,
+                                memory_plan.window_oversubscribed,
+                                self.conservative)
 
         row = find_row()
         preempted: List[str] = []
-        if row < 0 and allocation_class is AllocationClass.RESERVED:
+        if self.class_aware and allocation_class is AllocationClass.RESERVED:
             while row < 0 and self._spot_vms:
                 victim = next(iter(self._spot_vms))
                 self.deallocate(victim)
@@ -1167,210 +1077,10 @@ class ClusterScheduler:
             best = self._accounts[row]
             best.commit(plan)
             self._placements[plan.vm_id] = best.server_id
-            if allocation_class is AllocationClass.SPOT:
+            if self.class_aware and allocation_class is AllocationClass.SPOT:
                 self._spot_vms[plan.vm_id] = None
             decision = PlacementDecision(plan.vm_id, True, best.server_id,
                                          preempted=tuple(preempted))
-            self._accepted += 1
-        if self.decisions.maxlen:
-            self.decisions.append(decision)
-        return decision
-
-    def place_batch(self, plans: Sequence[VMResourcePlan]) -> List[PlacementDecision]:
-        """Place an arrival batch, amortizing preprocessing and commits.
-
-        Decisions are bitwise-identical to calling :meth:`place` on each plan
-        in order, including rejection ordering: the demand tensors and the
-        screening extrema/means feeding :meth:`ClusterLedger.best_fit_row`
-        are built in one stacked pass for the whole batch, and admission runs
-        as *provably independent runs* (module docstring) whose members are
-        committed with one multi-row scatter
-        (:meth:`ClusterLedger.commit_rows`); any plan whose decision could
-        depend on a pending commit ends the run and re-evaluates against the
-        true ledger state.  The only divergence from the sequential loop is
-        on the error path: window-config mismatches are validated up front,
-        so a bad plan fails the whole batch before any commit instead of
-        after its predecessors were placed.
-        """
-        plans = list(plans)
-        for plan in plans:
-            if plan.windows.windows_per_day != self.windows.windows_per_day:
-                raise ValueError(
-                    "plan and server use different time window configurations")
-        if not plans:
-            return []
-        tensor = np.stack([plan_demand_matrix(plan) for plan in plans])
-        va = np.stack([plan.plans[Resource.MEMORY].window_oversubscribed
-                       for plan in plans])
-        # Extrema are order-independent and the means reduce the same
-        # contiguous rows as the per-plan path, so the batched stats are
-        # bitwise-equal to _plan_screen_stats on each plan.
-        peaks = tensor.max(axis=2)
-        mins = tensor.min(axis=2)
-        means = tensor.mean(axis=2)
-        va_peaks = va.max(axis=1)
-        va_mins = va.min(axis=1)
-        if self.incremental and self.ledger._score_safe:
-            return self._place_batch_runs(plans, tensor, peaks, mins, means,
-                                          va_peaks, va_mins)
-        return [
-            self._place_prepared(
-                plan, tensor[index],
-                (peaks[index], mins[index], means[index],
-                 float(va_peaks[index]), float(va_mins[index])))
-            for index, plan in enumerate(plans)
-        ]
-
-    def _place_batch_runs(self, plans: List[VMResourcePlan],
-                          tensor: np.ndarray, peaks: np.ndarray,
-                          mins: np.ndarray, means: np.ndarray,
-                          va_peaks: np.ndarray,
-                          va_mins: np.ndarray) -> List[PlacementDecision]:
-        """Admit a batch as provably independent runs with scatter commits.
-
-        Each run evaluates consecutive plans against the ledger state frozen
-        at the run's start (commits are deferred), and only keeps a plan in
-        the run when its decision provably matches sequential admission:
-
-        * a **rejection** is always safe -- commits only add demand and
-          IEEE-754 addition is monotone, so a plan no server fits on the
-          stale state fits no server on the true state either;
-        * an **acceptance** is safe when the chosen row is not pending a
-          commit in this run (its fit and score are then untouched), and no
-          pending row's post-commit score can reach the winner's score even
-          under worst-case rounding: each pending row's post-commit
-          ``score_base`` is over-estimated by ``fl(base + mean-term)`` plus
-          :data:`_RUN_BASE_SLACK`, and the resulting approximate score must
-          stay ``2 * SCORE_TOLERANCE`` below the winner's approximate score
-          -- a margin that dwarfs the ~1e-13 approximation error, so the
-          exact comparison (and its lowest-index tie-break) cannot flip.
-
-        The first plan that fails either proof ends the run: the pending
-        members are committed with one :meth:`ClusterLedger.commit_rows`
-        scatter (bitwise-equal to their sequential commits) and the plan
-        re-evaluates against the refreshed state as the start of the next
-        run, so the decision sequence stays bitwise-identical to looped
-        :meth:`place`.
-        """
-        ledger = self.ledger
-        n = len(plans)
-        decisions: List[PlacementDecision] = []
-        pending_rows = np.empty(n, dtype=np.intp)
-        pending_ub = np.empty(n)
-        index = 0
-        credit = _RUN_CREDIT
-        while index < n:
-            if credit <= 0:
-                # Degenerate arrival pattern: every placement makes its row
-                # more attractive to the next plan, so runs keep ending after
-                # one member and each conflict wastes one stale evaluation.
-                # Sequential admission is the same decision sequence without
-                # the waste.
-                decisions.append(self._place_prepared(
-                    plans[index], tensor[index],
-                    (peaks[index], mins[index], means[index],
-                     float(va_peaks[index]), float(va_mins[index]))))
-                index += 1
-                continue
-            run_members: List[int] = []
-            run_rows: Set[int] = set()
-            duplicate_vm: Optional[str] = None
-            pending = 0
-            while index < n:
-                plan = plans[index]
-                if plan.vm_id in self._placements:
-                    # Sequential _place_prepared raises here with the
-                    # predecessors already committed; flush, then raise.
-                    duplicate_vm = plan.vm_id
-                    break
-                memory_plan = plan.plans[Resource.MEMORY]
-                stats = (peaks[index], mins[index], means[index],
-                         float(va_peaks[index]), float(va_mins[index]))
-                row = ledger.best_fit_row(
-                    tensor[index], memory_plan.guaranteed,
-                    memory_plan.window_oversubscribed, self.conservative,
-                    stats=stats)
-                if row < 0:
-                    decision = PlacementDecision(plan.vm_id, False, None,
-                                                 "no server fits")
-                    self._rejected += 1
-                    if self.decisions.maxlen:
-                        self.decisions.append(decision)
-                    decisions.append(decision)
-                    index += 1
-                    continue
-                if row in run_rows:
-                    break
-                mean_term = means[index] @ ledger._inv_capacity[:, row]
-                if pending:
-                    winner_approx = float(
-                        (ledger.score_base[row] + mean_term)
-                        * ledger._inv_counts[row])
-                    rows_view = pending_rows[:pending]
-                    overtake_ub = ((pending_ub[:pending]
-                                    + means[index]
-                                    @ ledger._inv_capacity[:, rows_view])
-                                   * ledger._inv_counts[rows_view])
-                    if not np.all(overtake_ub
-                                  < winner_approx - 2.0 * SCORE_TOLERANCE):
-                        break
-                account = self._accounts[row]
-                pending_rows[pending] = row
-                pending_ub[pending] = (float(ledger.score_base[row]
-                                             + mean_term) + _RUN_BASE_SLACK)
-                pending += 1
-                run_rows.add(row)
-                run_members.append(index)
-                self._placements[plan.vm_id] = account.server_id
-                account.plans[plan.vm_id] = plan
-                decision = PlacementDecision(plan.vm_id, True,
-                                             account.server_id)
-                self._accepted += 1
-                if self.decisions.maxlen:
-                    self.decisions.append(decision)
-                decisions.append(decision)
-                index += 1
-            if pending:
-                member_index = np.fromiter(run_members, np.intp, pending)
-                ledger.commit_rows(pending_rows[:pending],
-                                   [plans[i] for i in run_members],
-                                   tensor[member_index])
-            if duplicate_vm is not None:
-                raise ValueError(f"VM {duplicate_vm} is already placed on "
-                                 f"{self._placements[duplicate_vm]}")
-            if index < n:
-                # The run ended on a conflict (not batch end): multi-member
-                # runs earn credit, single-member runs -- where the stale
-                # evaluation was pure waste -- spend it.
-                credit = min(credit + 1, 4 * _RUN_CREDIT) if pending >= 2 \
-                    else credit - 1
-        return decisions
-
-    def _place_prepared(self, plan: VMResourcePlan, plan_demand: np.ndarray,
-                        stats: Optional[tuple]) -> PlacementDecision:
-        if plan.vm_id in self._placements:
-            # Silently overwriting would leak the old server's committed
-            # demand forever; callers must deallocate first.
-            raise ValueError(f"VM {plan.vm_id} is already placed on "
-                             f"{self._placements[plan.vm_id]}")
-        memory_plan = plan.plans[Resource.MEMORY]
-        if self.incremental:
-            row = self.ledger.best_fit_row(
-                plan_demand, memory_plan.guaranteed,
-                memory_plan.window_oversubscribed, self.conservative,
-                stats=stats)
-        else:
-            row = self.ledger.best_fit_row_dense(
-                plan_demand, memory_plan.guaranteed,
-                memory_plan.window_oversubscribed, self.conservative)
-        if row < 0:
-            decision = PlacementDecision(plan.vm_id, False, None, "no server fits")
-            self._rejected += 1
-        else:
-            best = self._accounts[row]
-            best.commit(plan)
-            self._placements[plan.vm_id] = best.server_id
-            decision = PlacementDecision(plan.vm_id, True, best.server_id)
             self._accepted += 1
         if self.decisions.maxlen:
             self.decisions.append(decision)

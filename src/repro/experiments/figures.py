@@ -240,19 +240,14 @@ def figure20_packing(trace: Trace,
                      policies: Optional[Dict[str, PolicyConfig]] = None,
                      clusters: Sequence[str] = ("C1", "C4", "C8"),
                      n_estimators: int = 5,
-                     parallelism: int = 1,
                      sweep_parallelism: int = 1) -> Dict[str, Dict[str, float]]:
     """Additional capacity and performance violations per policy.
 
-    *parallelism* fans the clusters of each policy run across a thread pool;
     *sweep_parallelism* fans whole policies across worker processes (one
     policy per process, the GIL-free axis).  Results are bitwise identical
-    for any combination of the two; see
-    :func:`repro.simulator.engine.simulate_policy` and
-    :mod:`repro.simulator.sweep`.
+    for any worker count; see :mod:`repro.simulator.sweep`.
     """
     config = SimulationConfig(clusters=list(clusters), n_estimators=n_estimators,
-                              parallelism=parallelism,
                               sweep_parallelism=sweep_parallelism)
     results = evaluate_policies(trace, policies or STANDARD_POLICIES, config)
     return {

@@ -126,11 +126,11 @@ def measure_scheduler_scaling(*, smoke: bool = False,
                               seed: int = 7) -> Dict[str, object]:
     """Placement throughput across fleet sizes: incremental vs dense (PR 6).
 
-    For every fleet size in :func:`scheduler_scaling_sizes`, one batched
-    incremental scheduler (tiered index + provable-run scatter commits)
-    places the full arrival sequence while the dense PR 6 baseline
-    (``ClusterScheduler(..., incremental=False)`` driven by sequential
-    ``place`` calls) is timed on a prefix -- the dense per-call cost is
+    For every fleet size in :func:`scheduler_scaling_sizes`, one
+    incremental scheduler (tiered index at the largest sizes, screened
+    below) places the full arrival sequence while the dense PR 6 baseline
+    (``ClusterScheduler(..., incremental=False)``) is timed on a prefix,
+    both through sequential ``place`` calls -- the dense per-call cost is
     dominated by the full-fleet ``mean(axis=2)`` pass, which is independent
     of cluster fill, so a prefix rate is representative.  Each curve point
     records the extrapolation explicitly (``dense_extrapolated`` /
@@ -162,7 +162,7 @@ def measure_scheduler_scaling(*, smoke: bool = False,
 
         incremental = ClusterScheduler(cluster, BENCH_WINDOWS)
         begin = time.perf_counter()
-        batched_decisions = incremental.place_batch(plans)
+        incremental_decisions = [incremental.place(plan) for plan in plans]
         incremental_seconds = time.perf_counter() - begin
 
         dense = ClusterScheduler(cluster, BENCH_WINDOWS, incremental=False)
@@ -170,10 +170,10 @@ def measure_scheduler_scaling(*, smoke: bool = False,
         dense_decisions = [dense.place(plan) for plan in plans[:dense_prefix]]
         dense_seconds = time.perf_counter() - begin
 
-        if batched_decisions[:dense_prefix] != dense_decisions:
+        if incremental_decisions[:dense_prefix] != dense_decisions:
             raise AssertionError(
-                f"incremental place_batch diverged from the dense sequential "
-                f"baseline at {n_servers} servers")
+                f"incremental place diverged from the dense baseline at "
+                f"{n_servers} servers")
         incremental_rate = n_plans / incremental_seconds
         dense_rate = dense_prefix / dense_seconds
         curve.append({
@@ -208,19 +208,23 @@ def measure_replay_memory(servers: Iterable[ServerAccount],
     """Peak traced memory and wall-clock of dense vs. chunked replay.
 
     tracemalloc traces every allocation, so for a fixed workload the peaks
-    are deterministic.  Raises ``AssertionError`` if the chunked stats
-    diverge from the dense ones.
+    are deterministic.  Each mode is replayed twice: once untraced for the
+    wall-clock and once under tracemalloc for the peak, because tracing
+    charges every allocation and would bill the chunked mode's many small
+    per-chunk buffers for the tracer's bookkeeping.  Raises
+    ``AssertionError`` if the chunked stats diverge from the dense ones.
     """
-    # Both passes iterate the servers; materialize so a generator argument
-    # cannot arrive exhausted at the second pass.
+    # Every pass iterates the servers; materialize so a generator argument
+    # cannot arrive exhausted at a later pass.
     servers = list(servers)
 
     def replay(meter: VectorizedViolationMeter):
-        tracemalloc.start()
         begin = time.perf_counter()
         stats = meter.measure(servers, placed, 0, n_slots,
                               cpu_contention_fraction)
         seconds = time.perf_counter() - begin
+        tracemalloc.start()
+        meter.measure(servers, placed, 0, n_slots, cpu_contention_fraction)
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return stats, peak, seconds

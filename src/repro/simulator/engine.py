@@ -13,19 +13,16 @@ estimate contention.  This engine does the same against the synthetic trace:
    :mod:`repro.simulator.replay` for the vectorized and reference engines).
 
 Clusters are fully independent (each has its own manager, scheduler, and
-ledger), so :func:`simulate_policy` can fan them out across a
-``concurrent.futures`` thread pool (``SimulationConfig.parallelism``).
-Results are aggregated in cluster-id order regardless of completion order,
-so the evaluation is bitwise identical for any parallelism level.  Whole
-*policies* are fanned out across worker processes by
-:mod:`repro.simulator.sweep` (``SimulationConfig.sweep_parallelism``),
-which :func:`evaluate_policies` delegates to.
+ledger); :func:`simulate_policy` replays them one after another and
+aggregates in cluster-id order.  Whole *policies* are fanned out across
+worker processes by :mod:`repro.simulator.sweep`
+(``SimulationConfig.sweep_parallelism``), which :func:`evaluate_policies`
+delegates to.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,12 +87,9 @@ class SimulationConfig:
     #: Bounds peak replay memory at ``O(n_servers * replay_chunk_slots)``
     #: for multi-week traces; any value yields bitwise-identical results.
     replay_chunk_slots: Optional[int] = None
-    #: Number of clusters simulated concurrently by :func:`simulate_policy`
-    #: (1 = strictly serial).  Any value yields bitwise-identical results.
-    parallelism: int = 1
     #: Number of worker *processes* used by :func:`evaluate_policies` to fan
-    #: out whole policies (1 = serial).  Processes sidestep the GIL for the
-    #: forest-training phase threads cannot speed up; any value yields
+    #: out whole policies (1 = serial).  Processes sidestep the GIL that
+    #: holds forest training and replay to one core; any value yields
     #: bitwise-identical results (see :mod:`repro.simulator.sweep`).
     sweep_parallelism: int = 1
     #: How the trace reaches sweep worker processes: ``"auto"`` ships a
@@ -143,7 +137,6 @@ class ClusterSimulation:
             conservative_admission=config.conservative_admission,
             class_aware=config.class_aware_admission)
         self.placed: Dict[str, VMRecord] = {}
-        self.requested = 0
         # Stable (slot, listing order) firing order for this cluster's
         # injected failures; sorted() is stable, so ties on the slot fire
         # in config order.
@@ -187,7 +180,6 @@ class ClusterSimulation:
                 upper += 1
             batch = eval_vms[index:upper]
             index = upper
-            self.requested += len(batch)
             # Failures due by this batch's slot fire first (each drains the
             # departures due by its own slot before evacuating), so arrivals
             # always see the post-failure fleet -- deterministically, since
@@ -264,29 +256,17 @@ class ClusterSimulation:
             self.config.cpu_contention_fraction)
 
 
-def _run_cluster(trace: Trace, cluster_id: str, policy: PolicyConfig,
-                 prediction_model: object,
-                 config: SimulationConfig) -> ClusterRunResult:
-    return ClusterSimulation(trace, cluster_id, policy, prediction_model,
-                             config).run()
-
-
 def simulate_policy(trace: Trace, policy: PolicyConfig,
                     config: Optional[SimulationConfig] = None,
-                    prediction_model: Optional[object] = None,
-                    parallelism: Optional[int] = None) -> PolicyEvaluation:
+                    prediction_model: Optional[object] = None) -> PolicyEvaluation:
     """Run the full replay for one policy and aggregate across clusters.
 
-    *parallelism* overrides ``config.parallelism`` when given.  Clusters are
-    simulated on independent ledgers (the prediction model is shared
-    read-only), and the aggregation below walks the results in cluster-id
-    order, so the returned :class:`PolicyEvaluation` is bitwise identical
-    for every parallelism level.
+    Clusters are replayed one after another on independent ledgers (the
+    prediction model is shared read-only) and folded into the totals in
+    that order.
     """
     config = config or SimulationConfig()
     cluster_ids = list(config.clusters) if config.clusters else trace.cluster_ids()
-    if parallelism is None:
-        parallelism = config.parallelism
     # Fail fast on a mistyped meter name, before model training and replay.
     get_violation_meter(config.violation_meter,
                         chunk_slots=config.replay_chunk_slots)
@@ -329,18 +309,9 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
             accepted_memory_slots += overlap_slots * vm.allocated(Resource.MEMORY)
         violation_parts.append(result.violations)
 
-    n_workers = min(max(1, parallelism), max(1, len(cluster_ids)))
-    if n_workers <= 1 or len(cluster_ids) <= 1:
-        for cluster_id in cluster_ids:
-            _aggregate(_run_cluster(trace, cluster_id, policy, prediction_model,
-                                    config))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_run_cluster, trace, cluster_id, policy,
-                                   prediction_model, config)
-                       for cluster_id in cluster_ids]
-            for future in futures:
-                _aggregate(future.result())
+    for cluster_id in cluster_ids:
+        _aggregate(ClusterSimulation(trace, cluster_id, policy,
+                                     prediction_model, config).run())
 
     violations = ViolationStats.merge(violation_parts)
     return PolicyEvaluation(

@@ -2,10 +2,9 @@
 
 ``evaluate_policies`` walks a whole policy suite over one trace.  The phases
 that dominate a sweep -- random-forest training and the replay arithmetic --
-hold the GIL, so the thread pool that fans *clusters* out inside one policy
-run (``SimulationConfig.parallelism``) cannot speed the sweep itself up.
-This module fans the sweep out at the policy level instead: one
-:class:`SweepTask` per policy, dispatched to a ``ProcessPoolExecutor``
+hold the GIL, so threads cannot speed it up.  This module fans the sweep out
+across processes instead, at the policy level: one :class:`SweepTask` per
+policy, dispatched to a ``ProcessPoolExecutor``
 (``SimulationConfig.sweep_parallelism`` workers).  Callers that sweep
 repeatedly can hand ``sweep_policies`` a long-lived pool from
 :func:`create_sweep_executor`, paying the worker spawn + import bill once

@@ -47,8 +47,7 @@ def golden_trace():
 
 @pytest.fixture(scope="module")
 def golden_sim_config():
-    return SimulationConfig(clusters=["C1", "C2", "C3"], n_estimators=3,
-                            parallelism=2)
+    return SimulationConfig(clusters=["C1", "C2", "C3"], n_estimators=3)
 
 
 @pytest.fixture(scope="module")

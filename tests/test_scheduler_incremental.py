@@ -1,46 +1,59 @@
 """Differential tests for the incremental scheduler layer (PR 7).
 
-Three contracts are pinned here:
+Contracts pinned here:
 
 * the :class:`ClusterLedger` caches (``demand_sum`` / ``demand_peak`` /
   ``va_peak`` / ``score_base`` / ``row_used``) stay *bitwise* equal to a
   fresh full-matrix recompute after thousands of interleaved commit/release
   cycles -- the float-drift regression for the summation-order contract;
-* the incremental screened best-fit (``ClusterScheduler(incremental=True)``,
-  the default) and batched placement (:meth:`ClusterScheduler.place_batch`)
-  produce decision sequences identical to the dense PR 6 path and to
-  sequential :meth:`place`, including rejection ordering on saturated
-  clusters;
+* the incremental best-fit (``ClusterScheduler(incremental=True)``, the
+  default) produces decision sequences identical to the dense PR 6 path,
+  including rejection ordering on saturated clusters;
+* :meth:`ClusterManager.request_batch` admits exactly like sequential
+  :meth:`ClusterManager.request_vm` calls (class-aware preemption
+  included) and like the dense scheduler fed the same plans, and it
+  builds every plan before placing any: an empty batch is a no-op, and a
+  batch whose plan building fails places nothing and counts nothing (a
+  failed single request counts nothing either);
 * the over-release accounting fixes: :meth:`ClusterLedger.release_row`
   raises on genuinely negative residues (double release, never-committed
   plans) instead of clamping, and
   :func:`bulk_cpu_capacity_and_memory_backing` returns empty vectors for
   empty account sequences (zero-server clusters);
-* the PR 9 tiered candidate index and multi-row scatter commit: decisions
-  at 100k servers (the band-descent regime) stay bitwise equal to
-  sequential ``place`` and the dense reference, rejection ordering
-  survives batch saturation, and an index rebuilt from scratch is
-  indistinguishable -- structurally and behaviourally -- from one
-  maintained incrementally through commit/release churn.
+* the PR 9 tiered candidate index: decisions and ledgers at 100k servers
+  (the band-descent regime) stay bitwise equal to the dense reference, and
+  an index rebuilt from scratch is indistinguishable -- structurally and
+  behaviourally -- from one maintained incrementally through
+  commit/release churn.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.cluster_manager import ClusterManager
+from repro.core.policy import COACH_POLICY
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.core.scheduler import (
     _TIERED_MIN_SERVERS,
     ClusterLedger,
     ClusterScheduler,
     ServerAccount,
+    _plan_screen_stats,
     bulk_cpu_capacity_and_memory_backing,
     plan_demand_matrix,
 )
 from repro.simulator.synthetic import build_scaled_bench_cluster
 from repro.core.windows import plan_vm
-from repro.prediction.utilization_model import WindowUtilizationPrediction
+from repro.prediction.utilization_model import (
+    NoOversubscriptionModel,
+    OracleUtilizationModel,
+    WindowUtilizationPrediction,
+)
 from repro.trace.hardware import HARDWARE_GENERATIONS, ClusterConfig
 from repro.trace.timeseries import TimeWindowConfig
+from repro.trace.vm import AllocationClass
 
 WINDOWS = TimeWindowConfig(4)
 
@@ -49,7 +62,7 @@ SMALL_CLUSTER = ClusterConfig(
     (("gen4-intel", 6), ("gen5-intel", 5), ("gen6-amd", 5), ("gen7-amd", 4)))
 
 #: A cluster tiny enough that a long plan stream saturates it, so the
-#: batch-vs-sequential comparison exercises rejection ordering too.
+#: incremental-vs-dense comparison exercises rejection ordering too.
 TINY_CLUSTER = ClusterConfig("TINY", "test", (("gen4-intel", 3),))
 
 
@@ -115,109 +128,181 @@ class TestIncrementalCacheChurn:
         for i in range(200):
             scheduler.place(_random_plan(rng, f"vm-{i}"))
         ledger = scheduler.ledger
-        probe = plan_demand_matrix(_random_plan(rng, "probe"))
-        approx_input = probe.mean(axis=1)
-        approx = ledger.approx_packing_scores(approx_input)
+        probe_plan = _random_plan(rng, "probe")
+        probe = plan_demand_matrix(probe_plan)
+        memory_plan = probe_plan.plans[Resource.MEMORY]
+        stats = _plan_screen_stats(probe, memory_plan.window_oversubscribed)
+        _fit, _fail, approx = ledger._screen_rows(
+            slice(None), memory_plan.guaranteed, True, stats)
         exact = ledger.packing_scores(probe)
         # The approximation drives candidate screening only; it must stay
         # within the tolerance band the gathered exact re-score relies on.
         assert np.all(np.abs(approx - exact) < 1e-9)
 
 
+class _FailOnSecondVM:
+    """Prediction stub whose windows stop matching the policy after one VM."""
+
+    def __init__(self, windows):
+        self._models = [NoOversubscriptionModel(windows),
+                        NoOversubscriptionModel(TimeWindowConfig(8))]
+        self.calls = 0
+
+    def predict(self, vm):
+        self.calls += 1
+        return self._models[min(self.calls, 2) - 1].predict(vm)
+
+
+def _oracle_manager(cluster, **kwargs):
+    """A Coach manager whose oracle predictions make most plans
+    oversubscribed, so admission exercises the window-extended checks."""
+    oracle = OracleUtilizationModel(COACH_POLICY.windows,
+                                    COACH_POLICY.percentile)
+    return ClusterManager(cluster, COACH_POLICY, oracle, **kwargs)
+
+
 class TestBatchedPlacement:
     @pytest.mark.parametrize("cluster", [SMALL_CLUSTER, TINY_CLUSTER],
                              ids=["small", "saturating"])
-    def test_place_batch_equals_sequential_place(self, cluster):
-        rng = np.random.default_rng(3)
-        plans = [_random_plan(rng, f"vm-{i}") for i in range(400)]
-        sequential = ClusterScheduler(cluster, WINDOWS)
-        batched = ClusterScheduler(cluster, WINDOWS)
-        expected = [sequential.place(plan) for plan in plans]
-        actual = batched.place_batch(plans)
+    def test_request_batch_equals_sequential_request_vm(self, cluster,
+                                                         small_trace):
+        vms = list(small_trace.vms)
+        sequential = _oracle_manager(cluster)
+        batched = _oracle_manager(cluster)
+        expected = [sequential.request_vm(vm).decision for vm in vms]
+        actual = [result.decision for result in batched.request_batch(vms)]
         assert actual == expected
         if cluster is TINY_CLUSTER:
             # The saturating stream must genuinely exercise rejections.
             assert any(not d.accepted for d in expected)
-        assert batched.accepted_count() == sequential.accepted_count()
-        assert batched.rejected_count() == sequential.rejected_count()
-        assert np.array_equal(batched.ledger.demand, sequential.ledger.demand)
+        assert batched.stats == sequential.stats
+        assert batched.placed_vms().keys() == sequential.placed_vms().keys()
+        assert np.array_equal(batched.scheduler.ledger.demand,
+                              sequential.scheduler.ledger.demand)
 
-    def test_place_batch_equals_dense_reference(self):
-        rng = np.random.default_rng(5)
-        plans = [_random_plan(rng, f"vm-{i}") for i in range(300)]
-        dense = ClusterScheduler(SMALL_CLUSTER, WINDOWS, incremental=False)
-        batched = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
-        assert batched.place_batch(plans) == [dense.place(p) for p in plans]
+    def test_request_batch_equals_dense_reference(self, small_trace):
+        vms = list(small_trace.vms)
+        manager = _oracle_manager(SMALL_CLUSTER)
+        dense = ClusterScheduler(SMALL_CLUSTER, COACH_POLICY.windows,
+                                 incremental=False)
+        expected = [dense.place(manager.build_plan(vm)) for vm in vms]
+        actual = [result.decision for result in manager.request_batch(vms)]
+        assert actual == expected
+        assert np.array_equal(manager.scheduler.ledger.demand,
+                              dense.ledger.demand)
 
-    def test_empty_batch_is_a_noop(self):
-        scheduler = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
-        assert scheduler.place_batch([]) == []
-        assert scheduler.accepted_count() == 0
+    def test_class_aware_batch_equals_sequential_request_vm(self,
+                                                            small_trace):
+        # Spot VMs fill the tiny cluster first; the reserved arrivals that
+        # follow must preempt them mid-batch.  Building every plan up front
+        # cannot change a decision, because preemption only touches the
+        # ledger and plans depend on the prediction model alone.
+        vms = list(small_trace.vms)
+        half = len(vms) // 2
+        vms = ([replace(vm, allocation_class=AllocationClass.SPOT)
+                for vm in vms[:half]]
+               + [replace(vm, allocation_class=AllocationClass.RESERVED)
+                  for vm in vms[half:]])
+        sequential = _oracle_manager(TINY_CLUSTER, class_aware=True)
+        batched = _oracle_manager(TINY_CLUSTER, class_aware=True)
+        expected = [sequential.request_vm(vm).decision for vm in vms]
+        actual = [result.decision for result in batched.request_batch(vms)]
+        assert actual == expected
+        assert sequential.stats.preempted > 0, \
+            "reserved arrivals must preempt spot VMs"
+        assert batched.stats == sequential.stats
+        assert batched.placed_vms().keys() == sequential.placed_vms().keys()
+        assert np.array_equal(batched.scheduler.ledger.demand,
+                              sequential.scheduler.ledger.demand)
 
-    def test_window_mismatch_fails_batch_before_any_commit(self):
-        scheduler = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
-        rng = np.random.default_rng(9)
-        good = _random_plan(rng, "good")
-        bad = _random_plan(rng, "bad", windows=TimeWindowConfig(8))
+    def test_empty_batch_is_a_noop(self, tiny_trace):
+        cluster_id = tiny_trace.cluster_ids()[0]
+        manager = ClusterManager(tiny_trace.fleet.get(cluster_id),
+                                 COACH_POLICY)
+        assert manager.request_batch([]) == []
+        assert manager.stats.requests == 0
+        assert manager.scheduler.accepted_count() == 0
+
+    def test_window_mismatch_fails_batch_before_any_commit(self, tiny_trace):
+        cluster_id = tiny_trace.cluster_ids()[0]
+        model = _FailOnSecondVM(COACH_POLICY.windows)
+        manager = ClusterManager(tiny_trace.fleet.get(cluster_id),
+                                 COACH_POLICY, model)
+        vms = [vm for vm in tiny_trace.vms if vm.cluster_id == cluster_id][:4]
+        assert len(vms) == 4
         with pytest.raises(ValueError, match="different time window"):
-            scheduler.place_batch([good, bad])
-        # Fail-fast validation: the good predecessor was not committed.
-        assert scheduler.accepted_count() == 0
-        assert scheduler.servers_in_use() == 0
+            manager.request_batch(vms)
+        assert model.calls == 2
+        # Plans are built before any placement: the good first VM was not
+        # committed, and no request was counted without a decision.
+        assert manager.placed_vms() == {}
+        assert manager.scheduler.servers_in_use() == 0
+        stats = manager.stats
+        assert stats.requests == stats.accepted + stats.rejected == 0
+
+    def test_failed_request_vm_counts_nothing(self, tiny_trace):
+        cluster_id = tiny_trace.cluster_ids()[0]
+        model = _FailOnSecondVM(COACH_POLICY.windows)
+        manager = ClusterManager(tiny_trace.fleet.get(cluster_id),
+                                 COACH_POLICY, model)
+        first, second = [vm for vm in tiny_trace.vms
+                         if vm.cluster_id == cluster_id][:2]
+        result = manager.request_vm(first)
+        with pytest.raises(ValueError, match="different time window"):
+            manager.request_vm(second)
+        # Only the request that reached a decision is counted.
+        stats = manager.stats
+        assert stats.requests == stats.accepted + stats.rejected == 1
+        assert list(manager.placed_vms()) == ([first.vm_id]
+                                              if result.accepted else [])
 
 
 class TestTieredIndexDifferential:
-    """PR 9: band-descent candidate index + provable-run scatter commits."""
+    """PR 9: the band-descent candidate index."""
 
-    def test_100k_server_batch_matches_sequential_and_dense(self):
+    def test_100k_server_place_matches_dense(self):
         # Smoke-scale version of the benchmark acceptance criterion: at
-        # 100k servers every placement flows through the tiered index
-        # (batch and sequential alike) and the batch path additionally
-        # uses provable runs with multi-row scatter commits.  All three
-        # schedulers must agree bitwise -- vm ids, accept/reject order,
-        # chosen rows -- and leave bitwise-identical ledgers.
+        # 100k servers every placement flows through the tiered index.
+        # The incremental and dense schedulers must agree bitwise -- vm
+        # ids, accept/reject order, chosen rows -- and leave
+        # bitwise-identical ledgers.
         cluster = build_scaled_bench_cluster(100_000)
         rng = np.random.default_rng(17)
         plans = [_random_plan(rng, f"vm-{i}") for i in range(60)]
 
-        batched = ClusterScheduler(cluster, WINDOWS)
-        assert batched.ledger.n_servers >= _TIERED_MIN_SERVERS
-        sequential = ClusterScheduler(cluster, WINDOWS)
+        incremental = ClusterScheduler(cluster, WINDOWS)
+        assert incremental.ledger.n_servers >= _TIERED_MIN_SERVERS
         dense = ClusterScheduler(cluster, WINDOWS, incremental=False)
 
-        expected = [sequential.place(plan) for plan in plans]
-        assert batched.place_batch(plans) == expected
-        assert [dense.place(plan) for plan in plans] == expected
+        expected = [dense.place(plan) for plan in plans]
+        assert [incremental.place(plan) for plan in plans] == expected
         assert all(decision.accepted for decision in expected), \
             "a 100k-server fleet must absorb a 60-plan stream"
-        assert np.array_equal(batched.ledger.demand, sequential.ledger.demand)
-        assert np.array_equal(batched.ledger.score_base,
-                              sequential.ledger.score_base)
-        assert np.array_equal(batched.ledger.score_base,
-                              dense.ledger.score_base)
+        for name in ("demand", "pa_memory", "va_demand", "score_base"):
+            assert np.array_equal(getattr(incremental.ledger, name),
+                                  getattr(dense.ledger, name)), name
 
-    def test_saturated_batch_preserves_rejection_ordering(self):
-        # Pre-saturate the tiny cluster sequentially on both twins, then
-        # feed a batch that is mostly rejections: the provable-run
-        # protocol must reproduce the exact interleaving of residual
-        # accepts and rejects, not just the accept set.
+    def test_saturated_cluster_rejection_ordering_matches_dense(self):
+        # Pre-saturate the tiny cluster on both twins, then feed a stream
+        # that is mostly rejections: the incremental path must reproduce
+        # the exact interleaving of residual accepts and rejects, not just
+        # the accept set.
         rng = np.random.default_rng(23)
         warm = [_random_plan(rng, f"warm-{i}") for i in range(20)]
-        batch = [_random_plan(rng, f"late-{i}") for i in range(120)]
-        sequential = ClusterScheduler(TINY_CLUSTER, WINDOWS)
-        batched = ClusterScheduler(TINY_CLUSTER, WINDOWS)
+        late = [_random_plan(rng, f"late-{i}") for i in range(120)]
+        incremental = ClusterScheduler(TINY_CLUSTER, WINDOWS)
+        dense = ClusterScheduler(TINY_CLUSTER, WINDOWS, incremental=False)
         for plan in warm:
-            assert batched.place(plan) == sequential.place(plan)
+            assert incremental.place(plan) == dense.place(plan)
 
-        expected = [sequential.place(plan) for plan in batch]
-        actual = batched.place_batch(batch)
+        expected = [dense.place(plan) for plan in late]
+        actual = [incremental.place(plan) for plan in late]
         assert actual == expected
         rejected = [d.vm_id for d in expected if not d.accepted]
-        assert len(rejected) >= 60, "the batch must be rejection-dominated"
+        assert len(rejected) >= 60, "the stream must be rejection-dominated"
         assert any(d.accepted for d in expected), \
             "residual accepts must interleave with the rejections"
-        assert [d.vm_id for d in actual if not d.accepted] == rejected
-        assert np.array_equal(batched.ledger.demand, sequential.ledger.demand)
+        assert np.array_equal(incremental.ledger.demand, dense.ledger.demand)
 
     def test_rebuilt_index_matches_incrementally_maintained_twin(self):
         # Churn commits and releases through a fleet large enough for the
@@ -272,7 +357,7 @@ class TestTieredIndexDifferential:
         # Behavioural equality: the rebuilt index drives the same
         # decisions as the incrementally maintained one, bitwise.
         followup = [_random_plan(rng, f"post-{i}") for i in range(120)]
-        assert churned.place_batch(followup) \
+        assert [churned.place(plan) for plan in followup] \
             == [twin.place(plan) for plan in followup]
         assert np.array_equal(churned.ledger.score_base,
                               twin.ledger.score_base)
@@ -346,5 +431,5 @@ class TestBulkEmptyAccounts:
         rng = np.random.default_rng(8)
         decision = scheduler.place(_random_plan(rng, "vm-0"))
         assert not decision.accepted
-        assert scheduler.place_batch([_random_plan(rng, "vm-1")]) \
-            == [scheduler.decisions[-1]]
+        assert list(scheduler.decisions) == [decision]
+        assert scheduler.rejected_count() == 1

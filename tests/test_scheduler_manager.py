@@ -317,7 +317,7 @@ class TestClusterManager:
         manager = ClusterManager(tiny_trace.fleet.get(cluster_id),
                                  NO_OVERSUBSCRIPTION_POLICY)
         vms = [vm for vm in tiny_trace.vms if vm.cluster_id == cluster_id][:10]
-        results = manager.request_many(vms)
+        results = manager.request_batch(vms)
         for result in results:
             if result.accepted:
                 assert not result.coach_vm.is_oversubscribed
@@ -328,7 +328,7 @@ class TestClusterManager:
         oracle = OracleUtilizationModel(COACH_POLICY.windows, COACH_POLICY.percentile)
         manager = ClusterManager(tiny_trace.fleet.get(cluster_id), COACH_POLICY, oracle)
         vms = [vm for vm in tiny_trace.vms if vm.cluster_id == cluster_id][:10]
-        results = manager.request_many(vms)
+        results = manager.request_batch(vms)
         accepted = [r for r in results if r.accepted]
         assert accepted
         assert any(r.coach_vm.is_oversubscribed for r in accepted)
@@ -365,7 +365,7 @@ class TestClusterManager:
         manager = ClusterManager(tiny_trace.fleet.get(cluster_id),
                                  NO_OVERSUBSCRIPTION_POLICY)
         vms = [vm for vm in tiny_trace.vms if vm.cluster_id == cluster_id][:12]
-        accepted = [r for r in manager.request_many(vms) if r.accepted]
+        accepted = [r for r in manager.request_batch(vms) if r.accepted]
         assert len(accepted) >= 3
 
         def index_snapshot():

@@ -4,14 +4,12 @@ The dense :class:`VectorizedViolationMeter` must reproduce the seed
 per-server replay (:class:`ReferenceViolationMeter`) *exactly* -- identical
 ``ViolationStats`` including the per-server breakdowns -- across randomized
 workloads with truncated telemetry, VMs straddling the start of the
-evaluation period, empty servers, and stale plan entries.  The same file
-pins the parallel multi-cluster driver: ``simulate_policy`` must return
-bitwise-identical ``PolicyEvaluation`` results for any parallelism level.
+evaluation period, empty servers, and stale plan entries.
 """
 
 import pytest
 
-from repro.core.policy import COACH_POLICY, NO_OVERSUBSCRIPTION_POLICY
+from repro.core.policy import COACH_POLICY
 from repro.core.scheduler import ClusterScheduler
 from repro.simulator import SimulationConfig, ViolationStats, simulate_policy
 from repro.simulator.replay import (
@@ -117,24 +115,3 @@ class TestEngineEquivalence:
         assert evaluations["vectorized"] == evaluations["reference"]
         assert evaluations["vectorized"].violations.observed_server_slots > 0
 
-
-class TestParallelDriver:
-    def test_parallelism_is_bitwise_identical(self, small_trace):
-        """k=1 and k>1 return the same PolicyEvaluation, field for field."""
-        clusters = small_trace.cluster_ids()[:3]
-        assert len(clusters) >= 2
-        config = SimulationConfig(clusters=clusters, oracle_predictions=True)
-        serial = simulate_policy(small_trace, COACH_POLICY, config, parallelism=1)
-        threaded = simulate_policy(small_trace, COACH_POLICY, config, parallelism=4)
-        assert serial == threaded
-
-    def test_parallelism_config_knob(self, small_trace):
-        clusters = small_trace.cluster_ids()[:2]
-        serial = simulate_policy(
-            small_trace, NO_OVERSUBSCRIPTION_POLICY,
-            SimulationConfig(clusters=clusters, parallelism=1))
-        threaded = simulate_policy(
-            small_trace, NO_OVERSUBSCRIPTION_POLICY,
-            SimulationConfig(clusters=clusters, parallelism=2))
-        assert serial == threaded
-        assert serial.requested_vms > 0
