@@ -89,17 +89,10 @@ class SimulationConfig:
     replay_chunk_slots: Optional[int] = None
     #: Number of worker *processes* used by :func:`evaluate_policies` to fan
     #: out whole policies (1 = serial).  Processes sidestep the GIL that
-    #: holds forest training and replay to one core; any value yields
-    #: bitwise-identical results (see :mod:`repro.simulator.sweep`).
+    #: holds forest training and replay to one core, and attach the trace's
+    #: telemetry from shared memory instead of unpickling a copy each; any
+    #: value yields bitwise-identical results (see :mod:`repro.simulator.sweep`).
     sweep_parallelism: int = 1
-    #: How the trace reaches sweep worker processes: ``"auto"`` ships a
-    #: zero-copy shared-memory handle whenever the trace columnarizes (and
-    #: falls back to pickling otherwise), ``"shared"`` requires the
-    #: shared-memory path, ``"pickle"`` forces the seed behaviour of
-    #: unpickling a private trace copy per worker.  Workers read the same
-    #: float buffers either way, so results are bitwise identical across
-    #: transports (see :mod:`repro.simulator.sweep`).
-    sweep_trace_transport: str = "auto"
     #: Injected server failures, applied by :class:`ClusterSimulation` in
     #: deterministic ``(slot, listing order)`` order as the replay crosses
     #: each failure's slot.  Empty (the default) leaves the replay

@@ -26,19 +26,19 @@ Trace transport
 ---------------
 Shipping the trace itself is the sweep's memory bill: pickling one
 :class:`SweepTask` per policy makes every worker unpickle a private copy of
-the full telemetry (``sweep_parallelism * trace_size`` bytes at peak).  With
-``SimulationConfig.sweep_trace_transport="auto"`` (the default) the sweep
-columnarizes the trace (:class:`repro.trace.store.TraceStore`), exports the
-flat telemetry buffers to ``multiprocessing.shared_memory`` once, and ships
-workers a kilobyte-sized :class:`~repro.trace.store.SharedTraceHandle`
-instead -- workers attach zero-copy and read the exporting process's pages.
-Traces that cannot columnarize (non-uniform telemetry) fall back to
-pickling; ``"shared"`` makes that fallback an error and ``"pickle"`` forces
-the seed behaviour.  The parent owns the segments and unlinks them in a
-``finally`` around the pool, so neither a failing policy nor an abruptly
-dying worker can leak shared memory.  Workers read the exact same float
-buffers the parent holds, so every transport is bitwise identical (pinned
-in ``tests/test_golden_trace.py``).
+the full telemetry (``sweep_parallelism * trace_size`` bytes at peak).  So
+the pooled sweep exports the trace's flat telemetry buffers
+(:class:`repro.trace.store.TraceStore`, columnarizing an object trace
+first) to ``multiprocessing.shared_memory`` once, and ships workers a
+kilobyte-sized :class:`~repro.trace.store.SharedTraceHandle` instead --
+workers attach zero-copy and read the exporting process's pages.  A trace
+that cannot columnarize (non-uniform telemetry) or a platform without
+usable shared memory falls back to pickling the trace into every task.
+The parent owns the segments and unlinks them in a ``finally`` around the
+pool, so neither a failing policy nor an abruptly dying worker can leak
+shared memory.  Workers read the exact same float buffers the parent
+holds, so both paths are bitwise identical (pinned in
+``tests/test_golden_trace.py``).
 
 Failure contract
 ----------------
@@ -67,9 +67,6 @@ from repro.simulator.metrics import PolicyEvaluation, compare_policies
 from repro.simulator.replay import get_violation_meter
 from repro.trace.store import SharedTraceHandle, TraceStore
 from repro.trace.trace import Trace
-
-#: Valid values of ``SimulationConfig.sweep_trace_transport``.
-TRACE_TRANSPORTS = ("auto", "shared", "pickle")
 
 #: Start method for sweep workers.  ``spawn`` is used on every platform: it
 #: is the only method that exists everywhere, and it never inherits thread
@@ -212,16 +209,11 @@ def sweep_policies(trace: Trace,
     """
     policies = dict(policies or STANDARD_POLICIES)
     config = config or SimulationConfig()
-    # Fail fast on a mistyped meter name / bad chunk size / bad transport,
-    # before any worker is spawned (workers would each fail with the same
-    # error otherwise).
+    # Fail fast on a mistyped meter name / bad chunk size, before any
+    # worker is spawned (workers would each fail with the same error
+    # otherwise).
     get_violation_meter(config.violation_meter,
                         chunk_slots=config.replay_chunk_slots)
-    if config.sweep_trace_transport not in TRACE_TRANSPORTS:
-        raise ValueError(
-            f"unknown sweep trace transport "
-            f"{config.sweep_trace_transport!r}; expected one of "
-            f"{sorted(TRACE_TRANSPORTS)}")
 
     n_workers = min(max(1, config.sweep_parallelism), max(1, len(policies)))
     pooled = (n_workers > 1 or executor is not None) and len(policies) > 1
@@ -237,31 +229,23 @@ def sweep_policies(trace: Trace,
     return results
 
 
-def _export_shared_trace(trace: Trace,
-                         config: SimulationConfig) -> Optional[SharedTraceHandle]:
-    """Export the trace for zero-copy worker attach, per the transport knob.
+def _export_shared_trace(trace: Trace) -> Optional[SharedTraceHandle]:
+    """Export the trace for zero-copy worker attach, columnarizing it first
+    if it is an object trace.
 
-    Returns ``None`` when the sweep should fall back to pickling: transport
-    ``"pickle"``, or ``"auto"`` with a trace that cannot columnarize
-    (non-uniform telemetry) or a platform without usable shared memory.
-    With transport ``"shared"`` those fallbacks raise instead.
+    Returns ``None`` when the sweep should fall back to pickling: the trace
+    cannot columnarize (``ValueError``: non-uniform telemetry) or the
+    platform has no usable shared memory (``OSError``).
     """
-    transport = config.sweep_trace_transport
-    if transport == "pickle":
-        return None
-    store: Optional[TraceStore] = trace.store
+    store = trace.store
     if store is None:
         try:
             store = TraceStore.from_trace(trace)
         except ValueError:
-            if transport == "shared":
-                raise
             return None
     try:
         return store.export_shared()
     except OSError:
-        if transport == "shared":
-            raise
         return None
 
 
@@ -310,9 +294,9 @@ def _run_sweep_tasks(pool: ProcessPoolExecutor,
 def _sweep_with_pool(trace: Trace, policies: Dict[str, PolicyConfig],
                      config: SimulationConfig, n_workers: int,
                      executor: Optional[ProcessPoolExecutor] = None) -> Dict[str, PolicyEvaluation]:
-    handle = _export_shared_trace(trace, config)
+    handle = _export_shared_trace(trace)
     if handle is None:
-        # The pickle transport must carry exactly the seed payload -- one
+        # The pickle fallback must carry exactly the seed payload -- one
         # object trace per worker, not the store's buffers on top of it.
         trace = trace.without_store()
     tasks = [SweepTask(name, policy, None if handle is not None else trace,

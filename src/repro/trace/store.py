@@ -34,15 +34,18 @@ Two backends sit on top of the columns:
   ``.npz`` plus one raw ``.npy`` buffer per resource.  Opening with
   ``mmap=True`` memory-maps the buffers, so the chunked replay meter reads
   only the slot-chunk it is accumulating -- a trace whose telemetry exceeds
-  RAM stays replayable end to end.
+  RAM stays replayable end to end.  ``open`` checks every file against
+  ``meta.json`` first, so a damaged store fails there, by name.
 
 The write side has a streaming counterpart: :class:`TraceStoreBuilder`
 appends VM metadata rows and telemetry chunks directly to the on-disk
 layout, so a trace larger than RAM can be *ingested* without ever holding
 an object trace (or the flat buffers) in memory.  Builder output is
-byte-identical to ``from_trace(...).save(...)`` for any append chunking --
-both paths share the deterministic writers below -- so ``open(mmap=True)``
-reads it unchanged.
+byte-identical to ``from_trace(...).save(...)`` for any append chunking,
+so ``open(mmap=True)`` reads it unchanged: both paths turn VMs into rows
+with one encoder (:class:`_RowEncoder`) and write ``meta.json`` and
+``columns.npz`` with one serializer (:func:`_write_metadata`), and every
+per-row column is listed once, in the schema (``_METADATA_COLUMNS``).
 
 Exactness contract
 ------------------
@@ -290,6 +293,35 @@ _COLUMNS_FILE = "columns.npz"
 _OFFERING_VALUES: Tuple[str, ...] = tuple(o.value for o in Offering)
 _SUBTYPE_VALUES: Tuple[str, ...] = tuple(t.value for t in SubscriptionType)
 _ALLOC_CLASS_VALUES: Tuple[str, ...] = tuple(c.value for c in AllocationClass)
+#: Enum member -> code (its position in the table above).
+_OFFERING_CODES = {Offering(v): i for i, v in enumerate(_OFFERING_VALUES)}
+_SUBTYPE_CODES = {SubscriptionType(v): i for i, v in enumerate(_SUBTYPE_VALUES)}
+_ALLOC_CLASS_CODES = {AllocationClass(v): i
+                      for i, v in enumerate(_ALLOC_CLASS_VALUES)}
+
+#: The per-row metadata schema, in ``columns.npz`` order:
+#: ``name -> (dtype, table)``, where ``table`` is the ``meta.json`` list an
+#: index or code column points into.  Identifier columns hold Python
+#: strings; ``server_ids`` may hold ``None``, persisted as ``""`` plus a
+#: ``has_server_id`` mask written right after it.
+_METADATA_COLUMNS: Dict[str, Tuple[type, Optional[str]]] = {
+    "vm_ids": (object, None),
+    "subscription_ids": (object, None),
+    "server_ids": (object, None),
+    "config_index": (np.int32, "configs"),
+    "cluster_index": (np.int32, "cluster_ids"),
+    "start_slot": (np.int64, None),
+    "end_slot": (np.int64, None),
+    "offering_code": (np.int8, "offering_values"),
+    "subtype_code": (np.int8, "subscription_type_values"),
+    "alloc_class_code": (np.int8, "allocation_class_values"),
+    "series_start": (np.int64, None),
+}
+#: Every per-row column of a store: the metadata plus where each row's
+#: samples sit in the flat telemetry buffers (persisted as one canonical
+#: ``(n_vms + 1,)`` ``offsets`` member).  Construction, selection, the
+#: shared-memory state, the serializer and ``open`` all iterate this list.
+_ROW_COLUMNS: Tuple[str, ...] = (*_METADATA_COLUMNS, "row_offset", "row_length")
 
 
 # --------------------------------------------------------------------------- #
@@ -297,8 +329,9 @@ _ALLOC_CLASS_VALUES: Tuple[str, ...] = tuple(c.value for c in AllocationClass)
 #
 # ``TraceStore.save`` and ``TraceStoreBuilder.finalize`` must emit
 # byte-identical files for equal contents (the builder's differential
-# contract), so both go through the helpers below instead of ``np.savez``,
-# whose zip members carry wall-clock timestamps.
+# contract), so both write ``meta.json`` and ``columns.npz`` through
+# :func:`_write_metadata`, never through ``np.savez``, whose zip members
+# carry wall-clock timestamps.
 # --------------------------------------------------------------------------- #
 def _write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
     """``np.savez`` with deterministic bytes.
@@ -326,26 +359,46 @@ def _npy_header_bytes(dtype: np.dtype, n_samples: int) -> bytes:
     return header.getvalue()
 
 
-def _meta_jsonable(*, n_vms: int, n_slots: int, util_dtype: np.dtype,
-                   resources: Sequence[Resource], cluster_ids: Sequence[str],
-                   configs: Sequence[VMConfig], fleet: Fleet,
-                   subscriptions: Dict[str, Subscription]) -> Dict[str, object]:
-    """The ``meta.json`` payload, shared by ``save`` and the builder."""
-    return {
+def _write_metadata(path: Path, state: Dict[str, object],
+                    resources: Sequence[Resource], util_dtype: np.dtype) -> None:
+    """Write ``meta.json`` and ``columns.npz`` -- everything but the buffers.
+
+    *state* has the shape of :meth:`TraceStore._meta_state` for a
+    contiguous store; the telemetry buffers are the caller's to write
+    (``save`` writes them whole, the builder streams them).
+    """
+    row_length = state["row_length"]
+    meta = {
         "format_version": STORE_FORMAT_VERSION,
-        "n_vms": int(n_vms),
-        "n_slots": int(n_slots),
+        "n_vms": len(row_length),
+        "n_slots": int(state["n_slots"]),
         "util_dtype": np.dtype(util_dtype).str,
         "resources": [r.value for r in resources],
         "offering_values": list(_OFFERING_VALUES),
         "subscription_type_values": list(_SUBTYPE_VALUES),
         "allocation_class_values": list(_ALLOC_CLASS_VALUES),
-        "cluster_ids": list(cluster_ids),
-        "configs": [asdict(cfg) for cfg in configs],
-        "fleet": _fleet_to_jsonable(fleet),
+        "cluster_ids": list(state["cluster_ids"]),
+        "configs": [asdict(cfg) for cfg in state["configs"]],
+        "fleet": _fleet_to_jsonable(state["fleet"]),
         "subscriptions": [_subscription_to_jsonable(sub)
-                          for sub in subscriptions.values()],
+                          for sub in state["subscriptions"].values()],
     }
+    (path / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
+    members: Dict[str, np.ndarray] = {}
+    for name, (dtype, _table) in _METADATA_COLUMNS.items():
+        if dtype is not object:
+            members[name] = state[name]
+            continue
+        ids = state[name].tolist()
+        members[name] = np.asarray(["" if v is None else v for v in ids],
+                                   dtype=np.str_)
+        if name == "server_ids":
+            members["has_server_id"] = np.asarray(
+                [v is not None for v in ids], dtype=bool)
+    offsets = np.zeros(len(row_length) + 1, dtype=np.int64)
+    np.cumsum(row_length, out=offsets[1:])
+    members["offsets"] = offsets
+    _write_npz(path / _COLUMNS_FILE, members)
 
 
 class SharedTraceHandle:
@@ -486,108 +539,26 @@ class TraceStore:
         replay/characterization result -- is bitwise identical to the object
         path.  Passing ``np.float32`` halves the buffers at a precision cost.
 
-        Raises ``ValueError`` for non-uniform telemetry: every VM must carry
-        the same resource set, and within one VM every resource's series must
-        share one start slot and length (the single offsets array is what
-        makes the flat layout sliceable).
+        Raises ``ValueError`` for a repeated VM id or non-uniform telemetry:
+        every VM must carry the same resource set, and within one VM every
+        resource's series must share one start slot and length (the single
+        offsets array is what makes the flat layout sliceable).  Rows go
+        through the same encoder as :meth:`TraceStoreBuilder.append`, so
+        both reject the same VMs.
         """
-        vms = trace.vms
-        n = len(vms)
-        resources: Tuple[Resource, ...] = ()
-        if n:
-            present = set(vms[0].utilization)
-            resources = tuple(r for r in ALL_RESOURCES if r in present)
-
-        vm_ids = np.empty(n, dtype=object)
-        subscription_ids = np.empty(n, dtype=object)
-        server_ids = np.empty(n, dtype=object)
-        config_table: Dict[VMConfig, int] = {}
-        configs: List[VMConfig] = []
-        config_index = np.zeros(n, dtype=np.int32)
-        cluster_ids = list(trace.fleet.cluster_ids())
-        cluster_table = {cid: i for i, cid in enumerate(cluster_ids)}
-        cluster_index = np.zeros(n, dtype=np.int32)
-        start_slot = np.zeros(n, dtype=np.int64)
-        end_slot = np.zeros(n, dtype=np.int64)
-        offering_code = np.zeros(n, dtype=np.int8)
-        subtype_code = np.zeros(n, dtype=np.int8)
-        alloc_class_code = np.zeros(n, dtype=np.int8)
-        series_start = np.zeros(n, dtype=np.int64)
-        row_length = np.zeros(n, dtype=np.int64)
-
-        offering_codes = {value: i for i, value in enumerate(_OFFERING_VALUES)}
-        subtype_codes = {value: i for i, value in enumerate(_SUBTYPE_VALUES)}
-        alloc_class_codes = {value: i
-                             for i, value in enumerate(_ALLOC_CLASS_VALUES)}
-
-        chunks: Dict[Resource, List[np.ndarray]] = {r: [] for r in resources}
-        for i, vm in enumerate(vms):
-            if set(vm.utilization) != set(resources):
-                raise ValueError(
-                    f"VM {vm.vm_id} carries telemetry for "
-                    f"{sorted(r.value for r in vm.utilization)}, expected "
-                    f"{sorted(r.value for r in resources)}: a columnar store "
-                    f"needs a uniform resource set")
-            vm_ids[i] = vm.vm_id
-            subscription_ids[i] = vm.subscription_id
-            server_ids[i] = vm.server_id
-            config = vm.config
-            index = config_table.get(config)
-            if index is None:
-                index = config_table[config] = len(configs)
-                configs.append(config)
-            config_index[i] = index
-            cluster = cluster_table.get(vm.cluster_id)
-            if cluster is None:
-                cluster = cluster_table[vm.cluster_id] = len(cluster_ids)
-                cluster_ids.append(vm.cluster_id)
-            cluster_index[i] = cluster
-            start_slot[i] = vm.start_slot
-            end_slot[i] = vm.end_slot
-            offering_code[i] = offering_codes[vm.offering.value]
-            subtype_code[i] = subtype_codes[vm.subscription_type.value]
-            alloc_class_code[i] = alloc_class_codes[vm.allocation_class.value]
-            first = None
-            for resource in resources:
-                series = vm.utilization[resource]
-                if first is None:
-                    first = series
-                    series_start[i] = series.start_slot
-                    row_length[i] = len(series)
-                elif (series.start_slot != first.start_slot
-                      or len(series) != len(first)):
-                    raise ValueError(
-                        f"VM {vm.vm_id}: {resource.value} series covers "
-                        f"[{series.start_slot}, {series.start_slot + len(series)}) "
-                        f"but {resources[0].value} covers "
-                        f"[{first.start_slot}, {first.start_slot + len(first)}); "
-                        f"a single offsets array needs equal coverage")
-                chunks[resource].append(series.values)
-
+        encoder = _RowEncoder(trace.fleet.cluster_ids(),
+                              capacity=len(trace.vms))
+        samples = [encoder.encode(vm) for vm in trace.vms]
         util: Dict[Resource, np.ndarray] = {}
-        for resource in resources:
-            if chunks[resource]:
-                buffer = np.concatenate(chunks[resource])
-            else:
-                buffer = np.empty(0, dtype=np.float64)
+        for k, resource in enumerate(encoder.resources or ()):
+            # Concatenation promotes mixed source dtypes to a common one.
+            buffer = np.concatenate([row[k] for row in samples])
             if util_dtype is not None:
                 buffer = buffer.astype(util_dtype, copy=False)
             util[resource] = buffer
-
-        row_offset = np.zeros(n, dtype=np.int64)
-        if n:
-            np.cumsum(row_length[:-1], out=row_offset[1:])
-        return cls(
-            vm_ids=vm_ids, subscription_ids=subscription_ids,
-            server_ids=server_ids, configs=configs, config_index=config_index,
-            cluster_ids=cluster_ids, cluster_index=cluster_index,
-            start_slot=start_slot, end_slot=end_slot,
-            offering_code=offering_code, subtype_code=subtype_code,
-            alloc_class_code=alloc_class_code,
-            series_start=series_start, row_offset=row_offset,
-            row_length=row_length, util=util, n_slots=trace.n_slots,
-            fleet=trace.fleet, subscriptions=dict(trace.subscriptions),
-            contiguous=True)
+        return cls(**encoder.rows(), util=util, n_slots=trace.n_slots,
+                   fleet=trace.fleet, subscriptions=dict(trace.subscriptions),
+                   contiguous=True, validate_ids=False)
 
     def _validate_unique_ids(self) -> None:
         if len(set(self.vm_ids.tolist())) != len(self.vm_ids):
@@ -829,20 +800,11 @@ class TraceStore:
         if idx.size > 1 and np.unique(idx).size != idx.size:
             raise ValueError("select() indices must be unique (a repeated "
                              "row would duplicate its VM id)")
-        return TraceStore(
-            vm_ids=self.vm_ids[idx], subscription_ids=self.subscription_ids[idx],
-            server_ids=self.server_ids[idx], configs=self.configs,
-            config_index=self.config_index[idx], cluster_ids=self.cluster_ids,
-            cluster_index=self.cluster_index[idx],
-            start_slot=self.start_slot[idx], end_slot=self.end_slot[idx],
-            offering_code=self.offering_code[idx],
-            subtype_code=self.subtype_code[idx],
-            alloc_class_code=self.alloc_class_code[idx],
-            series_start=self.series_start[idx],
-            row_offset=self.row_offset[idx], row_length=self.row_length[idx],
-            util=self.util, n_slots=self.n_slots, fleet=self.fleet,
-            subscriptions=self.subscriptions, contiguous=False,
-            validate_ids=False)
+        state = self._meta_state()
+        for name in _ROW_COLUMNS:
+            state[name] = state[name][idx]
+        return TraceStore(**state, util=self.util, contiguous=False,
+                          validate_ids=False)
 
     def compact(self) -> "TraceStore":
         """A contiguous copy of a selection (no-op for contiguous stores)."""
@@ -862,19 +824,12 @@ class TraceStore:
                 length = self.row_length[i]
                 packed[dst:dst + length] = buffer[src:src + length]
             util[resource] = packed
-        return TraceStore(
-            vm_ids=self.vm_ids.copy(), subscription_ids=self.subscription_ids.copy(),
-            server_ids=self.server_ids.copy(), configs=list(self.configs),
-            config_index=self.config_index.copy(), cluster_ids=list(self.cluster_ids),
-            cluster_index=self.cluster_index.copy(),
-            start_slot=self.start_slot.copy(), end_slot=self.end_slot.copy(),
-            offering_code=self.offering_code.copy(),
-            subtype_code=self.subtype_code.copy(),
-            alloc_class_code=self.alloc_class_code.copy(),
-            series_start=self.series_start.copy(), row_offset=row_offset,
-            row_length=self.row_length.copy(), util=util, n_slots=self.n_slots,
-            fleet=self.fleet, subscriptions=self.subscriptions, contiguous=True,
-            validate_ids=False)
+        state = self._meta_state()
+        for name in _ROW_COLUMNS:
+            state[name] = state[name].copy()
+        state["row_offset"] = row_offset
+        return TraceStore(**state, util=util, contiguous=True,
+                          validate_ids=False)
 
     # ------------------------------------------------------------------ #
     # Object views
@@ -924,31 +879,8 @@ class TraceStore:
         store = self.compact()
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        meta = _meta_jsonable(
-            n_vms=len(store), n_slots=store.n_slots,
-            util_dtype=store.util_dtype, resources=store.resources,
-            cluster_ids=store.cluster_ids, configs=store.configs,
-            fleet=store.fleet, subscriptions=store.subscriptions)
-        (path / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
-        _write_npz(path / _COLUMNS_FILE, {
-            "vm_ids": np.asarray(store.vm_ids.tolist(), dtype=np.str_),
-            "subscription_ids": np.asarray(store.subscription_ids.tolist(),
-                                           dtype=np.str_),
-            "server_ids": np.asarray(
-                [sid if sid is not None else "" for sid in store.server_ids],
-                dtype=np.str_),
-            "has_server_id": np.asarray(
-                [sid is not None for sid in store.server_ids], dtype=bool),
-            "config_index": store.config_index,
-            "cluster_index": store.cluster_index,
-            "start_slot": store.start_slot,
-            "end_slot": store.end_slot,
-            "offering_code": store.offering_code,
-            "subtype_code": store.subtype_code,
-            "alloc_class_code": store.alloc_class_code,
-            "series_start": store.series_start,
-            "offsets": store.offsets,
-        })
+        _write_metadata(path, store._meta_state(), store.resources,
+                        store.util_dtype)
         for resource, buffer in store.util.items():
             np.save(path / f"util_{resource.value}.npy", buffer)
         return path
@@ -961,9 +893,24 @@ class TraceStore:
         VM); with ``mmap=True`` the per-resource buffers stay on disk and
         pages are only faulted in as slices are actually read -- which, with
         the chunked replay meter, bounds replay RAM to the slot-chunk.
+
+        The files are checked against ``meta.json`` before the store is
+        built: every ``columns.npz`` member has one entry per VM
+        (``offsets`` one more), ``offsets`` start at 0 and never decrease,
+        index and code columns stay inside their tables, and each buffer
+        holds exactly ``offsets[-1]`` samples.  A damaged store raises
+        ``ValueError`` naming the store and the file or column at fault.
         """
         path = Path(path)
-        meta = json.loads((path / _META_FILE).read_text())
+
+        def damaged(part: str, problem: str) -> ValueError:
+            return ValueError(f"trace store at {path} is damaged: "
+                              f"{part} {problem}")
+
+        try:
+            meta = json.loads((path / _META_FILE).read_text())
+        except (OSError, ValueError) as exc:
+            raise damaged(_META_FILE, f"cannot be read ({exc})") from exc
         if meta["format_version"] != STORE_FORMAT_VERSION:
             raise ValueError(
                 f"trace store at {path} has format version "
@@ -981,40 +928,60 @@ class TraceStore:
                     f"trace store at {path} was written with {key} "
                     f"{list(persisted)}, but this build uses {list(current)}; "
                     f"refusing to re-label the persisted codes")
-        columns = np.load(path / _COLUMNS_FILE)
-        offsets = columns["offsets"]
-        server_raw = columns["server_ids"].tolist()
-        has_server = columns["has_server_id"].tolist()
-        server_ids = np.empty(len(server_raw), dtype=object)
-        for i, (sid, present) in enumerate(zip(server_raw, has_server)):
-            server_ids[i] = sid if present else None
+        try:
+            with np.load(path / _COLUMNS_FILE) as npz:
+                members = {name: npz[name] for name in npz.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise damaged(_COLUMNS_FILE, f"cannot be read ({exc})") from exc
+        n_vms = int(meta["n_vms"])
+        lengths = dict.fromkeys((*_METADATA_COLUMNS, "has_server_id"), n_vms)
+        lengths["offsets"] = n_vms + 1
+        for name, length in lengths.items():
+            if name not in members:
+                raise damaged(_COLUMNS_FILE, f"has no {name!r} column")
+            if members[name].shape != (length,):
+                raise damaged(f"{_COLUMNS_FILE} column {name!r}",
+                              f"has shape {members[name].shape}, expected "
+                              f"({length},) for {n_vms} VMs")
+        offsets = members["offsets"]
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise damaged(f"{_COLUMNS_FILE} column 'offsets'",
+                          "must start at 0 and never decrease")
+        for name, (_dtype, table) in _METADATA_COLUMNS.items():
+            column = members[name]
+            if table is not None and n_vms and (
+                    column.min() < 0 or column.max() >= len(meta[table])):
+                raise damaged(f"{_COLUMNS_FILE} column {name!r}",
+                              f"points outside the {len(meta[table])}-entry "
+                              f"{table!r} table")
         util: Dict[Resource, np.ndarray] = {}
         for resource_value in meta["resources"]:
-            util[Resource(resource_value)] = np.load(
-                path / f"util_{resource_value}.npy",
-                mmap_mode="r" if mmap else None)
-        fleet = _fleet_from_jsonable(meta["fleet"])
-        subscriptions = {
-            sub["subscription_id"]: _subscription_from_jsonable(sub)
-            for sub in meta["subscriptions"]}
+            name = f"util_{resource_value}.npy"
+            try:
+                buffer = np.load(path / name, mmap_mode="r" if mmap else None)
+            except (OSError, ValueError) as exc:
+                raise damaged(name, f"cannot be read ({exc})") from exc
+            if buffer.shape != (offsets[-1],):
+                raise damaged(name, f"has shape {buffer.shape}, but offsets "
+                                    f"end at {offsets[-1]} samples")
+            util[Resource(resource_value)] = buffer
+
+        state: Dict[str, object] = {}
+        for name, (dtype, _table) in _METADATA_COLUMNS.items():
+            state[name] = members[name] if dtype is not object else \
+                np.asarray(members[name].tolist(), dtype=object)
+        state["server_ids"][~members["has_server_id"]] = None
+        state["row_offset"] = offsets[:-1].astype(np.int64, copy=True)
+        state["row_length"] = np.diff(offsets).astype(np.int64, copy=False)
         return cls(
-            vm_ids=np.asarray(columns["vm_ids"].tolist(), dtype=object),
-            subscription_ids=np.asarray(columns["subscription_ids"].tolist(),
-                                        dtype=object),
-            server_ids=server_ids,
-            configs=[VMConfig(**cfg) for cfg in meta["configs"]],
-            config_index=columns["config_index"],
-            cluster_ids=list(meta["cluster_ids"]),
-            cluster_index=columns["cluster_index"],
-            start_slot=columns["start_slot"], end_slot=columns["end_slot"],
-            offering_code=columns["offering_code"],
-            subtype_code=columns["subtype_code"],
-            alloc_class_code=columns["alloc_class_code"],
-            series_start=columns["series_start"],
-            row_offset=offsets[:-1].astype(np.int64, copy=True),
-            row_length=np.diff(offsets).astype(np.int64, copy=False),
-            util=util, n_slots=int(meta["n_slots"]), fleet=fleet,
-            subscriptions=subscriptions, contiguous=True)
+            **state, configs=[VMConfig(**cfg) for cfg in meta["configs"]],
+            cluster_ids=list(meta["cluster_ids"]), util=util,
+            n_slots=int(meta["n_slots"]),
+            fleet=_fleet_from_jsonable(meta["fleet"]),
+            subscriptions={sub["subscription_id"]:
+                           _subscription_from_jsonable(sub)
+                           for sub in meta["subscriptions"]},
+            contiguous=True)
 
     # ------------------------------------------------------------------ #
     # Shared-memory backend
@@ -1055,19 +1022,12 @@ class TraceStore:
 
     def _meta_state(self) -> Dict[str, object]:
         """Everything except the telemetry buffers, as a picklable dict."""
-        return {
-            "vm_ids": self.vm_ids, "subscription_ids": self.subscription_ids,
-            "server_ids": self.server_ids, "configs": self.configs,
-            "config_index": self.config_index, "cluster_ids": self.cluster_ids,
-            "cluster_index": self.cluster_index, "start_slot": self.start_slot,
-            "end_slot": self.end_slot, "offering_code": self.offering_code,
-            "subtype_code": self.subtype_code,
-            "alloc_class_code": self.alloc_class_code,
-            "series_start": self.series_start,
-            "row_offset": self.row_offset, "row_length": self.row_length,
-            "n_slots": self.n_slots, "fleet": self.fleet,
-            "subscriptions": self.subscriptions,
-        }
+        state: Dict[str, object] = {name: getattr(self, name)
+                                    for name in _ROW_COLUMNS}
+        state.update(configs=self.configs, cluster_ids=self.cluster_ids,
+                     n_slots=self.n_slots, fleet=self.fleet,
+                     subscriptions=self.subscriptions)
+        return state
 
     @classmethod
     def _from_state(cls, state: Dict[str, object],
@@ -1075,24 +1035,132 @@ class TraceStore:
         return cls(util=util, contiguous=True, **state)  # type: ignore[arg-type]
 
 
-class _GrowableColumn:
-    """An append-only numpy column with amortized-doubling growth."""
+class _RowEncoder:
+    """Turns VM records into store rows: the one encoder behind
+    ``TraceStore.from_trace`` and :class:`TraceStoreBuilder`.
 
-    def __init__(self, dtype):
-        self._data = np.empty(16, dtype=dtype)
-        self._size = 0
+    :meth:`encode` checks a VM completely before it changes any state -- a
+    new VM id, the resource set fixed by the first VM, one coverage (start
+    slot and length) shared by all of the VM's series and, with
+    ``fixed_dtypes``, the first VM's sample dtypes -- so a rejected VM
+    leaves no trace.  Only then does it intern the config and cluster,
+    assign the enum codes and append the row to columns that grow by
+    doubling.
+    """
 
-    def append(self, value) -> None:
-        if self._size == self._data.size:
-            grown = np.empty(2 * self._data.size, dtype=self._data.dtype)
-            grown[:self._size] = self._data[:self._size]
-            self._data = grown
-        self._data[self._size] = value
-        self._size += 1
+    def __init__(self, cluster_ids: Sequence[str], *, capacity: int = 16,
+                 fixed_dtypes: bool = False):
+        self.cluster_ids = list(cluster_ids)
+        self._cluster_table = {cid: i for i, cid in enumerate(self.cluster_ids)}
+        self.configs: List[VMConfig] = []
+        self._config_table: Dict[VMConfig, int] = {}
+        #: Fixed by the first encoded VM, like its sample dtypes when
+        #: ``fixed_dtypes`` is set.
+        self.resources: Optional[Tuple[Resource, ...]] = None
+        self._fixed_dtypes = fixed_dtypes
+        self._dtypes: Optional[Tuple[np.dtype, ...]] = None
+        self._seen_ids: set = set()
+        self.n = 0
+        self._capacity = max(1, capacity)
+        dtypes = {name: dtype for name, (dtype, _table)
+                  in _METADATA_COLUMNS.items()}
+        dtypes["row_length"] = np.int64
+        self._columns = {name: np.empty(self._capacity, dtype=dtype)
+                         for name, dtype in dtypes.items()}
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._data[:self._size]
+    def encode(self, vm: VMRecord) -> List[np.ndarray]:
+        """Check *vm* and append its row; returns its samples, one array per
+        resource in :attr:`resources` order."""
+        if vm.vm_id in self._seen_ids:
+            raise ValueError(f"duplicate VM id {vm.vm_id!r} in trace store")
+        utilization = vm.utilization
+        resources = self.resources
+        if resources is None:
+            resources = tuple(r for r in ALL_RESOURCES if r in utilization)
+        if utilization.keys() != set(resources):
+            raise ValueError(
+                f"VM {vm.vm_id} carries telemetry for "
+                f"{sorted(r.value for r in utilization)}, expected "
+                f"{sorted(r.value for r in resources)}: a columnar store "
+                f"needs a uniform resource set")
+        series = [utilization[r] for r in resources]
+        start = length = 0
+        if series:
+            start, length = series[0].start_slot, len(series[0])
+        for resource, other in zip(resources, series):
+            if other.start_slot != start or len(other) != length:
+                raise ValueError(
+                    f"VM {vm.vm_id}: {resource.value} series covers "
+                    f"[{other.start_slot}, {other.start_slot + len(other)}) "
+                    f"but {resources[0].value} covers "
+                    f"[{start}, {start + length}); "
+                    f"a single offsets array needs equal coverage")
+        samples = [s.values for s in series]
+        for resource, values, dtype in zip(resources, samples,
+                                           self._dtypes or ()):
+            if values.dtype != dtype:
+                raise ValueError(
+                    f"VM {vm.vm_id}: {resource.value} series has dtype "
+                    f"{values.dtype.str}, but this builder streams "
+                    f"{dtype.str} (fixed by the first appended VM); pass "
+                    f"util_dtype= to cast, or use TraceStore.from_trace "
+                    f"for mixed-dtype sources")
+        offering = _OFFERING_CODES[vm.offering]
+        subtype = _SUBTYPE_CODES[vm.subscription_type]
+        alloc_class = _ALLOC_CLASS_CODES[vm.allocation_class]
+
+        # Every check passed: commit the row.
+        if self.resources is None:
+            self.resources = resources
+            if self._fixed_dtypes:
+                self._dtypes = tuple(values.dtype for values in samples)
+        self._seen_ids.add(vm.vm_id)
+        config = self._config_table.get(vm.config)
+        if config is None:
+            config = self._config_table[vm.config] = len(self.configs)
+            self.configs.append(vm.config)
+        cluster = self._cluster_table.get(vm.cluster_id)
+        if cluster is None:
+            cluster = self._cluster_table[vm.cluster_id] = len(self.cluster_ids)
+            self.cluster_ids.append(vm.cluster_id)
+        i = self.n
+        if i == self._capacity:
+            self._grow()
+        columns = self._columns
+        columns["vm_ids"][i] = vm.vm_id
+        columns["subscription_ids"][i] = vm.subscription_id
+        columns["server_ids"][i] = vm.server_id
+        columns["config_index"][i] = config
+        columns["cluster_index"][i] = cluster
+        columns["start_slot"][i] = vm.start_slot
+        columns["end_slot"][i] = vm.end_slot
+        columns["offering_code"][i] = offering
+        columns["subtype_code"][i] = subtype
+        columns["alloc_class_code"][i] = alloc_class
+        columns["series_start"][i] = start
+        columns["row_length"][i] = length
+        self.n = i + 1
+        return samples
+
+    def _grow(self) -> None:
+        self._capacity *= 2
+        for name, column in self._columns.items():
+            grown = np.empty(self._capacity, dtype=column.dtype)
+            grown[:self.n] = column
+            self._columns[name] = grown
+
+    def rows(self) -> Dict[str, object]:
+        """The encoded rows as :class:`TraceStore` keyword arguments: every
+        per-row column plus the config and cluster tables they index."""
+        n = self.n
+        rows: Dict[str, object] = {name: column[:n]
+                                   for name, column in self._columns.items()}
+        row_offset = np.zeros(n, dtype=np.int64)
+        if n:
+            np.cumsum(rows["row_length"][:-1], out=row_offset[1:])
+        rows.update(row_offset=row_offset, configs=self.configs,
+                    cluster_ids=self.cluster_ids)
+        return rows
 
 
 class TraceStoreBuilder:
@@ -1107,9 +1175,13 @@ class TraceStoreBuilder:
     Byte-identity contract: for any append chunking, ``finalize()`` produces
     exactly the files ``TraceStore.from_trace(trace).save(path)`` would --
     same ``meta.json``, same ``columns.npz``, same raw buffers -- because
-    both paths share :func:`_meta_jsonable` / :func:`_write_npz` and the
-    ``.npy`` writer below patches the very header ``np.save`` emits.
-    ``tests/test_trace_store_builder.py`` pins this differentially.
+    both paths encode rows with :class:`_RowEncoder`, write metadata with
+    :func:`_write_metadata`, and the ``.npy`` writer below patches the very
+    header ``np.save`` emits.  ``tests/test_trace_store_builder.py`` pins
+    this differentially.  The encoder checks every VM before it commits
+    anything, so an append that raises ``ValueError`` leaves the builder as
+    it was: later appends and ``finalize()`` proceed as if the rejected VM
+    had never been offered.
 
     Usage::
 
@@ -1122,7 +1194,8 @@ class TraceStoreBuilder:
     The context manager finalizes on clean exit and aborts (removing the
     partial staging directory) if the body raises.  Files are staged in a
     ``<path>.building`` sibling and moved into *path* only at the end, so a
-    crashed ingest never leaves a half-written store behind at *path*.
+    crashed ingest never leaves a half-written store behind at *path*; the
+    next builder for *path* discards the stale sibling.
 
     Streaming restrictions (vs ``from_trace``): the resource set and buffer
     dtypes are fixed by the first appended VM, and with ``util_dtype=None``
@@ -1144,209 +1217,86 @@ class TraceStoreBuilder:
         self._subscriptions: Dict[str, Subscription] = \
             dict(subscriptions) if subscriptions else {}
         self._util_dtype = None if util_dtype is None else np.dtype(util_dtype)
-        # Discovered from the first appended VM (from_trace reads vms[0]).
-        self._resources: Optional[Tuple[Resource, ...]] = None
+        self._encoder = _RowEncoder(fleet.cluster_ids(),
+                                    fixed_dtypes=self._util_dtype is None)
         self._buffer_dtypes: Dict[Resource, np.dtype] = {}
         self._files: Dict[Resource, BinaryIO] = {}
-        self._header_sizes: Dict[Resource, int] = {}
         self._n_samples = 0
-        self._vm_ids: List[str] = []
-        self._seen_ids: set = set()
-        self._subscription_ids: List[str] = []
-        self._server_ids: List[Optional[str]] = []
-        self._config_table: Dict[VMConfig, int] = {}
-        self._configs: List[VMConfig] = []
-        self._cluster_ids: List[str] = list(fleet.cluster_ids())
-        self._cluster_table = {cid: i for i, cid in enumerate(self._cluster_ids)}
-        self._config_index = _GrowableColumn(np.int32)
-        self._cluster_index = _GrowableColumn(np.int32)
-        self._start_slot = _GrowableColumn(np.int64)
-        self._end_slot = _GrowableColumn(np.int64)
-        self._offering_code = _GrowableColumn(np.int8)
-        self._subtype_code = _GrowableColumn(np.int8)
-        self._alloc_class_code = _GrowableColumn(np.int8)
-        self._series_start = _GrowableColumn(np.int64)
-        self._row_length = _GrowableColumn(np.int64)
-        self._offering_codes = {v: i for i, v in enumerate(_OFFERING_VALUES)}
-        self._subtype_codes = {v: i for i, v in enumerate(_SUBTYPE_VALUES)}
-        self._alloc_class_codes = {v: i
-                                   for i, v in enumerate(_ALLOC_CLASS_VALUES)}
         self._closed = False
 
     @property
     def n_vms(self) -> int:
-        return len(self._vm_ids)
+        return self._encoder.n
 
     @property
     def n_samples(self) -> int:
         """Telemetry samples written so far (per resource)."""
         return self._n_samples
 
-    def _open_buffers(self, vm: VMRecord) -> None:
-        present = set(vm.utilization)
-        self._resources = tuple(r for r in ALL_RESOURCES if r in present)
-        for resource in self._resources:
-            if self._util_dtype is not None:
-                dtype = self._util_dtype
-            else:
-                dtype = np.dtype(vm.utilization[resource].values.dtype)
-            self._buffer_dtypes[resource] = dtype
-            handle = (self._staging / f"util_{resource.value}.npy").open("wb")
-            self._files[resource] = handle
-            # Placeholder header for shape (0,); patched in finalize() once
-            # the sample count is known.  The header is padded to a fixed
-            # 64-byte alignment, so the patched header almost always has the
-            # same length (asserted there, with a rewrite fallback).
-            header = _npy_header_bytes(dtype, 0)
-            self._header_sizes[resource] = len(header)
-            handle.write(header)
-
-    def append(self, vm: VMRecord) -> None:
-        """Append one VM's metadata row and telemetry samples.
-
-        Mirrors ``from_trace`` validation exactly: uniform resource set
-        across VMs, equal per-VM series coverage, unique VM ids.
-        """
+    def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(
                 "TraceStoreBuilder is already finalized/aborted; "
                 "create a new builder to write another store")
-        if vm.vm_id in self._seen_ids:
-            raise ValueError(f"duplicate VM id {vm.vm_id!r} in trace store")
-        if self._resources is None:
-            self._open_buffers(vm)
-        resources = self._resources
-        if set(vm.utilization) != set(resources):
-            raise ValueError(
-                f"VM {vm.vm_id} carries telemetry for "
-                f"{sorted(r.value for r in vm.utilization)}, expected "
-                f"{sorted(r.value for r in resources)}: a columnar store "
-                f"needs a uniform resource set")
-        self._vm_ids.append(vm.vm_id)
-        self._seen_ids.add(vm.vm_id)
-        self._subscription_ids.append(vm.subscription_id)
-        self._server_ids.append(vm.server_id)
-        config = vm.config
-        index = self._config_table.get(config)
-        if index is None:
-            index = self._config_table[config] = len(self._configs)
-            self._configs.append(config)
-        self._config_index.append(index)
-        cluster = self._cluster_table.get(vm.cluster_id)
-        if cluster is None:
-            cluster = self._cluster_table[vm.cluster_id] = len(self._cluster_ids)
-            self._cluster_ids.append(vm.cluster_id)
-        self._cluster_index.append(cluster)
-        self._start_slot.append(vm.start_slot)
-        self._end_slot.append(vm.end_slot)
-        self._offering_code.append(self._offering_codes[vm.offering.value])
-        self._subtype_code.append(self._subtype_codes[vm.subscription_type.value])
-        self._alloc_class_code.append(
-            self._alloc_class_codes[vm.allocation_class.value])
-        first = None
-        for resource in resources:
-            series = vm.utilization[resource]
-            if first is None:
-                first = series
-                self._series_start.append(series.start_slot)
-                self._row_length.append(len(series))
-            elif (series.start_slot != first.start_slot
-                  or len(series) != len(first)):
-                raise ValueError(
-                    f"VM {vm.vm_id}: {resource.value} series covers "
-                    f"[{series.start_slot}, {series.start_slot + len(series)}) "
-                    f"but {resources[0].value} covers "
-                    f"[{first.start_slot}, {first.start_slot + len(first)}); "
-                    f"a single offsets array needs equal coverage")
-            values = series.values
-            dtype = self._buffer_dtypes[resource]
+
+    def _open_buffers(self, samples: Sequence[np.ndarray]) -> None:
+        for resource, values in zip(self._encoder.resources, samples):
+            dtype = values.dtype if self._util_dtype is None \
+                else self._util_dtype
+            self._buffer_dtypes[resource] = dtype
+            handle = (self._staging / f"util_{resource.value}.npy").open("wb")
+            self._files[resource] = handle
+            # Placeholder header for shape (0,); finalize() patches in the
+            # sample count, which leaves the header length unchanged.
+            handle.write(_npy_header_bytes(dtype, 0))
+
+    def append(self, vm: VMRecord) -> None:
+        """Append one VM's metadata row and telemetry samples.
+
+        Raises ``ValueError`` -- and changes nothing -- on exactly what
+        ``from_trace`` rejects (a repeated id, a non-uniform resource set,
+        unequal series coverage) plus a dtype that differs from the stream's.
+        """
+        self._check_open()
+        samples = self._encoder.encode(vm)
+        if self._encoder.n == 1:  # the first row fixes the buffers
+            self._open_buffers(samples)
+        for resource, values in zip(self._encoder.resources, samples):
             if self._util_dtype is not None:
-                values = values.astype(dtype, copy=False)
-            elif values.dtype != dtype:
-                raise ValueError(
-                    f"VM {vm.vm_id}: {resource.value} series has dtype "
-                    f"{values.dtype.str}, but this builder streams "
-                    f"{dtype.str} (fixed by the first appended VM); pass "
-                    f"util_dtype= to cast, or use TraceStore.from_trace "
-                    f"for mixed-dtype sources")
+                values = values.astype(self._util_dtype, copy=False)
             self._files[resource].write(values.tobytes())
-        if first is None:
-            self._series_start.append(0)
-            self._row_length.append(0)
-        else:
-            self._n_samples += len(first)
+        if samples:
+            self._n_samples += len(samples[0])
 
     def append_many(self, vms: Sequence[VMRecord]) -> None:
         """Append a batch of VMs (chunking never changes the output bytes)."""
         for vm in vms:
             self.append(vm)
 
-    def _rewrite_with_header(self, path: Path, header: bytes,
-                             old_header_size: int) -> None:
-        """Fallback when the final header outgrows the placeholder: stream
-        the samples into a fresh file behind the new header."""
-        temp = path.with_name(path.name + ".rewrite")
-        with path.open("rb") as src, temp.open("wb") as dst:
-            src.seek(old_header_size)
-            dst.write(header)
-            shutil.copyfileobj(src, dst, 1 << 20)
-        os.replace(temp, path)
-
     def finalize(self) -> Path:
         """Patch headers, write ``meta.json``/``columns.npz``, move the
         staging directory's files into *path*, and return *path*."""
-        if self._closed:
-            raise RuntimeError(
-                "TraceStoreBuilder is already finalized/aborted; "
-                "create a new builder to write another store")
+        self._check_open()
         self._closed = True
-        resources = self._resources or ()
-        for resource in resources:
-            handle = self._files[resource]
-            header = _npy_header_bytes(self._buffer_dtypes[resource],
-                                       self._n_samples)
-            if len(header) == self._header_sizes[resource]:
-                handle.seek(0)
-                handle.write(header)
-                handle.close()
-            else:  # pragma: no cover - needs a >10^15-sample buffer
-                handle.close()
-                self._rewrite_with_header(
-                    self._staging / f"util_{resource.value}.npy", header,
-                    self._header_sizes[resource])
+        for resource, handle in self._files.items():
+            dtype = self._buffer_dtypes[resource]
+            header = _npy_header_bytes(dtype, self._n_samples)
+            if len(header) != len(_npy_header_bytes(dtype, 0)):
+                # numpy pads every header with room for a 21-digit length.
+                raise ValueError(
+                    f"{self._n_samples} samples outgrow the .npy header of "
+                    f"util_{resource.value}.npy")
+            handle.seek(0)
+            handle.write(header)
+            handle.close()
         self._files = {}
-        n = len(self._vm_ids)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._row_length.values, out=offsets[1:])
-        if self._buffer_dtypes:
-            util_dtype = next(iter(self._buffer_dtypes.values()))
-        else:  # no telemetry: from_trace yields util={} -> float64 meta
-            util_dtype = np.dtype(np.float64)
-        meta = _meta_jsonable(
-            n_vms=n, n_slots=self._n_slots, util_dtype=util_dtype,
-            resources=resources, cluster_ids=self._cluster_ids,
-            configs=self._configs, fleet=self._fleet,
-            subscriptions=self._subscriptions)
-        (self._staging / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
-        _write_npz(self._staging / _COLUMNS_FILE, {
-            "vm_ids": np.asarray(self._vm_ids, dtype=np.str_),
-            "subscription_ids": np.asarray(self._subscription_ids,
-                                           dtype=np.str_),
-            "server_ids": np.asarray(
-                [sid if sid is not None else "" for sid in self._server_ids],
-                dtype=np.str_),
-            "has_server_id": np.asarray(
-                [sid is not None for sid in self._server_ids], dtype=bool),
-            "config_index": self._config_index.values,
-            "cluster_index": self._cluster_index.values,
-            "start_slot": self._start_slot.values,
-            "end_slot": self._end_slot.values,
-            "offering_code": self._offering_code.values,
-            "subtype_code": self._subtype_code.values,
-            "alloc_class_code": self._alloc_class_code.values,
-            "series_start": self._series_start.values,
-            "offsets": offsets,
-        })
+        state = dict(self._encoder.rows(), n_slots=self._n_slots,
+                     fleet=self._fleet, subscriptions=self._subscriptions)
+        # Without telemetry, report float64 like TraceStore.util_dtype does.
+        util_dtype = next(iter(self._buffer_dtypes.values()),
+                          np.dtype(np.float64))
+        _write_metadata(self._staging, state, self._encoder.resources or (),
+                        util_dtype)
         self._path.mkdir(parents=True, exist_ok=True)
         for name in sorted(os.listdir(self._staging)):
             os.replace(self._staging / name, self._path / name)

@@ -7,8 +7,10 @@ Three contracts are pinned here:
   and every vectorized filter selects exactly what the seed's Python loop
   selects.  Replay and characterization on top of it are bitwise identical.
 * **Persistence** -- save -> open round-trips everything (dense and mmap),
-  and the shared-memory export/attach/unlink lifecycle never leaks a
-  segment, including when the attaching worker dies without cleanup.
+  open() rejects a damaged store by name instead of returning one that
+  fails later, and the shared-memory export/attach/unlink lifecycle never
+  leaks a segment, including when the attaching worker dies without
+  cleanup.
 * **Validation** -- non-uniform telemetry and duplicate VM ids fail loudly
   at construction, not silently downstream.
 """
@@ -224,6 +226,62 @@ class TestDifferential:
         assert streamed == reference
 
 
+def _edit_columns(edit):
+    """A damage that rewrites ``columns.npz`` after *edit* mutates it."""
+    def damage(path):
+        with np.load(path / "columns.npz") as npz:
+            members = {name: npz[name] for name in npz.files}
+        edit(members)
+        np.savez(path / "columns.npz", **members)
+    return damage
+
+
+def _set_first(column, value):
+    def edit(members):
+        members[column][0] = value
+    return edit
+
+
+def _decrease_offsets(members):
+    members["offsets"][1] = members["offsets"][-1] + 1
+
+
+def _truncate(name):
+    """A damage that cuts file *name* in half."""
+    def damage(path):
+        data = (path / name).read_bytes()
+        (path / name).write_bytes(data[:len(data) // 2])
+    return damage
+
+
+def _shorten_buffer(path):
+    """A well-formed ``.npy`` buffer one sample short of the offsets."""
+    np.save(path / "util_cpu.npy", np.load(path / "util_cpu.npy")[:-1])
+
+
+#: Damage applied to a saved store, and the file or column open() must name.
+STORE_DAMAGE = [
+    pytest.param(_shorten_buffer, "util_cpu.npy", id="short-buffer"),
+    pytest.param(_truncate("util_ssd.npy"), "util_ssd.npy",
+                 id="truncated-buffer"),
+    pytest.param(lambda path: (path / "util_memory.npy").unlink(),
+                 "util_memory.npy", id="missing-buffer"),
+    pytest.param(_truncate("meta.json"), "meta.json", id="truncated-meta"),
+    pytest.param(_edit_columns(lambda m: m.update(
+        start_slot=m["start_slot"][:-1])), "'start_slot'", id="short-column"),
+    pytest.param(_edit_columns(lambda m: m.pop("alloc_class_code")),
+                 "'alloc_class_code'", id="missing-column"),
+    pytest.param(_edit_columns(lambda m: m.update(offsets=m["offsets"] + 1)),
+                 "'offsets'", id="offsets-not-at-zero"),
+    pytest.param(_edit_columns(_decrease_offsets), "'offsets'",
+                 id="offsets-decrease"),
+    pytest.param(_edit_columns(_set_first("config_index", -1)),
+                 "'config_index'", id="index-outside-table"),
+    pytest.param(_edit_columns(_set_first("offering_code", 99)),
+                 "'offering_code'", id="code-outside-table"),
+]
+
+
 class TestPersistence:
     def test_save_open_round_trip(self, tiny_trace, store, tmp_path):
         store.save(tmp_path / "store")
@@ -275,6 +333,20 @@ class TestPersistence:
             '"format_version": 99'))
         with pytest.raises(ValueError, match="format version"):
             TraceStore.open(tmp_path / "store")
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("damage, culprit", STORE_DAMAGE)
+    def test_damaged_store_rejected(self, store, tmp_path, damage, culprit,
+                                    mmap):
+        """open() checks every file against meta.json and names the store
+        and the file or column at fault, instead of returning a store that
+        fails later in replay."""
+        path = store.save(tmp_path / "store")
+        damage(path)
+        with pytest.raises(ValueError) as info:
+            TraceStore.open(path, mmap=mmap)
+        assert str(path) in str(info.value)
+        assert culprit in str(info.value)
 
     def test_reordered_enum_tables_rejected(self, store, tmp_path):
         """A store written with different enum code tables must not be
@@ -373,6 +445,10 @@ class TestSharedMemory:
         assert all(segment_is_gone(name) for name in handle.segment_names)
 
 
+def _no_shared_memory(self):
+    raise OSError("no usable shared memory")
+
+
 class TestSweepTransports:
     @pytest.fixture(scope="class")
     def sweep_config(self, tiny_trace):
@@ -380,24 +456,16 @@ class TestSweepTransports:
                                 n_estimators=2)
 
     def test_transports_bitwise_identical(self, tiny_trace, store_trace,
-                                          sweep_config):
+                                          sweep_config, monkeypatch):
+        """Shared-memory workers and the pickle fallback (reached when the
+        platform has no usable shared memory) compute the serial bits."""
         policies = {"coach": COACH_POLICY}
+        pooled = replace(sweep_config, sweep_parallelism=2)
         serial = sweep_policies(tiny_trace, policies, sweep_config)
-        shared = sweep_policies(
-            store_trace, policies,
-            replace(sweep_config, sweep_parallelism=2,
-                    sweep_trace_transport="shared"))
-        pickled = sweep_policies(
-            tiny_trace, policies,
-            replace(sweep_config, sweep_parallelism=2,
-                    sweep_trace_transport="pickle"))
+        shared = sweep_policies(store_trace, policies, pooled)
+        monkeypatch.setattr(TraceStore, "export_shared", _no_shared_memory)
+        pickled = sweep_policies(tiny_trace, policies, pooled)
         assert serial == shared == pickled
-
-    def test_unknown_transport_fails_fast(self, tiny_trace, sweep_config):
-        with pytest.raises(ValueError, match="sweep trace transport"):
-            sweep_policies(tiny_trace, {"coach": COACH_POLICY},
-                           replace(sweep_config, sweep_parallelism=2,
-                                   sweep_trace_transport="carrier-pigeon"))
 
     def test_failing_policy_unlinks_segments(self, store_trace, sweep_config,
                                              monkeypatch):
@@ -405,8 +473,8 @@ class TestSweepTransports:
         captured = {}
         original = sweep_module._export_shared_trace
 
-        def spy(trace, config):
-            handle = original(trace, config)
+        def spy(trace):
+            handle = original(trace)
             captured["names"] = handle.segment_names if handle else []
             return handle
 
@@ -415,9 +483,8 @@ class TestSweepTransports:
         with pytest.raises(PolicySweepError):
             sweep_policies(store_trace,
                            {"broken": broken, "coach": COACH_POLICY},
-                           replace(sweep_config, sweep_parallelism=2,
-                                   sweep_trace_transport="shared"))
-        assert captured["names"], "the shared transport should have exported"
+                           replace(sweep_config, sweep_parallelism=2))
+        assert captured["names"], "a store-backed trace should be shared"
         assert all(segment_is_gone(name) for name in captured["names"])
 
     def test_successful_sweep_unlinks_segments(self, store_trace, sweep_config,
@@ -425,8 +492,8 @@ class TestSweepTransports:
         captured = {}
         original = sweep_module._export_shared_trace
 
-        def spy(trace, config):
-            handle = original(trace, config)
+        def spy(trace):
+            handle = original(trace)
             captured["names"] = handle.segment_names if handle else []
             return handle
 
@@ -436,7 +503,7 @@ class TestSweepTransports:
             {"none": NO_OVERSUBSCRIPTION_POLICY, "coach": COACH_POLICY},
             replace(sweep_config, sweep_parallelism=2))
         assert set(results) == {"none", "coach"}
-        assert captured["names"], "auto transport should share a store-backed trace"
+        assert captured["names"], "a store-backed trace should be shared"
         assert all(segment_is_gone(name) for name in captured["names"])
 
 

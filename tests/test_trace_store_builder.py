@@ -10,16 +10,25 @@ The builder's contract has three parts, each pinned here:
 * **Validation parity** -- the streaming path raises on exactly what the
   eager path raises on (duplicate ids, non-uniform resource sets, unequal
   series coverage), plus the documented streaming restriction (mixed
-  source dtypes need an explicit ``util_dtype``).
+  source dtypes need an explicit ``util_dtype``).  A rejected VM leaves no
+  row behind: the builder goes on as if it had never been offered.
 * **Lifecycle** -- an abandoned builder leaves no partial directory
-  behind, and a finalized/aborted builder refuses further appends.
+  behind, a killed writer leaves only its ``.building`` staging sibling
+  (which the next builder replaces), and a finalized/aborted builder
+  refuses further appends.
 """
+
+import signal
+import time
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
+from repro.core.resources import Resource
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.store import TraceStore, TraceStoreBuilder
+from repro.trace.timeseries import UtilizationSeries
 from repro.trace.trace import Trace
 from repro.trace.vm import VMRecord
 
@@ -41,19 +50,54 @@ def assert_dirs_byte_identical(reference, candidate):
             (candidate / name).read_bytes(), f"{name} differs byte-wise"
 
 
-def float32_clone(vm: VMRecord) -> VMRecord:
-    """The same VM with float32 telemetry (``from_validated`` keeps dtype)."""
-    from repro.trace.timeseries import UtilizationSeries
+def clone_with(vm: VMRecord, utilization) -> VMRecord:
+    """The same VM carrying *utilization* (assigned unchecked)."""
     clone = VMRecord(
         vm_id=vm.vm_id, subscription_id=vm.subscription_id, config=vm.config,
         cluster_id=vm.cluster_id, start_slot=vm.start_slot,
         end_slot=vm.end_slot, offering=vm.offering,
         subscription_type=vm.subscription_type, server_id=vm.server_id)
-    clone.utilization = {
+    clone.utilization = utilization
+    return clone
+
+
+def float32_clone(vm: VMRecord) -> VMRecord:
+    """The same VM with float32 telemetry (``from_validated`` keeps dtype)."""
+    return clone_with(vm, {
         resource: UtilizationSeries.from_validated(
             series.values.astype(np.float32), series.start_slot)
-        for resource, series in vm.utilization.items()}
-    return clone
+        for resource, series in vm.utilization.items()})
+
+
+def assert_rejected_vm_leaves_no_row(trace, tmp_path, rejected, match):
+    """Append one VM, offer *rejected*, append eight more and finalize: the
+    store must be byte-identical to the eager store of the nine accepted
+    VMs.  The rejected VMs below are damaged clones of the second accepted
+    one, so a leaked id would also reject that VM as a duplicate."""
+    accepted = trace.vms[:9]
+    streamed = tmp_path / "streamed"
+    builder = TraceStoreBuilder(streamed, fleet=trace.fleet,
+                                n_slots=trace.n_slots,
+                                subscriptions=trace.subscriptions)
+    builder.append(accepted[0])
+    with pytest.raises(ValueError, match=match):
+        builder.append(rejected)
+    builder.append_many(accepted[1:])
+    builder.finalize()
+    eager = tmp_path / "eager"
+    TraceStore.from_trace(Trace(vms=accepted, fleet=trace.fleet,
+                                n_slots=trace.n_slots,
+                                subscriptions=trace.subscriptions)).save(eager)
+    assert_dirs_byte_identical(eager, streamed)
+
+
+def ingest_until_killed(path, trace, ready) -> None:
+    """Spawned writer: stage part of a store, signal, wait to be killed."""
+    builder = TraceStoreBuilder(path, fleet=trace.fleet, n_slots=trace.n_slots,
+                                subscriptions=trace.subscriptions)
+    builder.append_many(trace.vms[:20])
+    ready.set()
+    time.sleep(600)
 
 
 @pytest.fixture(scope="module")
@@ -149,34 +193,30 @@ class TestEdgeCases:
 
     def test_mixed_source_dtype_raises_without_util_dtype(self, tiny_trace,
                                                           tmp_path):
-        builder = TraceStoreBuilder(tmp_path / "store",
-                                    fleet=tiny_trace.fleet,
-                                    n_slots=tiny_trace.n_slots)
-        builder.append(tiny_trace.vms[0])  # float64 fixes the stream dtype
-        with pytest.raises(ValueError, match="pass util_dtype"):
-            builder.append(float32_clone(tiny_trace.vms[1]))
-        builder.abort()
+        # The float64 first VM fixes the stream dtype.
+        assert_rejected_vm_leaves_no_row(
+            tiny_trace, tmp_path, float32_clone(tiny_trace.vms[1]),
+            "pass util_dtype")
 
     def test_non_uniform_resource_set_raises(self, tiny_trace, tmp_path):
-        builder = TraceStoreBuilder(tmp_path / "store",
-                                    fleet=tiny_trace.fleet,
-                                    n_slots=tiny_trace.n_slots)
-        builder.append(tiny_trace.vms[0])
-        stripped = float32_clone(tiny_trace.vms[1])
-        stripped.utilization = dict(
-            list(tiny_trace.vms[1].utilization.items())[:1])
-        with pytest.raises(ValueError, match="uniform resource set"):
-            builder.append(stripped)
-        builder.abort()
+        source = tiny_trace.vms[1]
+        stripped = clone_with(source, dict(list(source.utilization.items())[:1]))
+        assert_rejected_vm_leaves_no_row(tiny_trace, tmp_path, stripped,
+                                         "uniform resource set")
+
+    def test_unequal_series_coverage_raises(self, tiny_trace, tmp_path):
+        source = tiny_trace.vms[1]
+        utilization = dict(source.utilization)
+        cpu = utilization[Resource.CPU]
+        utilization[Resource.MEMORY] = UtilizationSeries.from_validated(
+            cpu.values[:-1], cpu.start_slot)
+        assert_rejected_vm_leaves_no_row(tiny_trace, tmp_path,
+                                         clone_with(source, utilization),
+                                         "equal coverage")
 
     def test_duplicate_vm_id_raises(self, tiny_trace, tmp_path):
-        builder = TraceStoreBuilder(tmp_path / "store",
-                                    fleet=tiny_trace.fleet,
-                                    n_slots=tiny_trace.n_slots)
-        builder.append(tiny_trace.vms[0])
-        with pytest.raises(ValueError, match="duplicate VM id"):
-            builder.append(tiny_trace.vms[0])
-        builder.abort()
+        assert_rejected_vm_leaves_no_row(tiny_trace, tmp_path,
+                                         tiny_trace.vms[0], "duplicate VM id")
 
 
 class TestLifecycle:
@@ -199,6 +239,29 @@ class TestLifecycle:
                 raise RuntimeError("mid-ingest failure")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_killed_writer_leaves_only_the_staging_directory(
+            self, tiny_trace, eager_dir, tmp_path):
+        """A writer SIGKILLed mid-ingest runs no cleanup: only its
+        ``<path>.building`` sibling remains, and the next builder for the
+        same path replaces it and writes the eager store's bytes."""
+        target = tmp_path / "store"
+        context = get_context("spawn")
+        ready = context.Event()
+        writer = context.Process(target=ingest_until_killed,
+                                 args=(target, tiny_trace, ready))
+        writer.start()
+        try:
+            staged = ready.wait(timeout=120)
+        finally:
+            writer.kill()
+            writer.join(timeout=60)
+        assert staged, "the writer never staged its first VMs"
+        assert writer.exitcode == -signal.SIGKILL
+        assert [p.name for p in tmp_path.iterdir()] == ["store.building"]
+        build_streamed(tiny_trace, target, 7)
+        assert_dirs_byte_identical(eager_dir, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
     def test_append_after_finalize_raises(self, tiny_trace, tmp_path):
         builder = TraceStoreBuilder(tmp_path / "store",
