@@ -2,9 +2,9 @@
 
 Three claims, each against the object-based seed representation:
 
-* a process-pool sweep worker receives a kilobyte-scale shared-memory
-  handle instead of unpickling a private multi-megabyte trace copy (>= 5x
-  smaller per worker -- measured at several hundred x);
+* a process-pool sweep worker receives the path of a staged on-disk store
+  instead of unpickling a private multi-megabyte trace copy (>= 5x
+  smaller per worker -- orders of magnitude smaller in practice);
 * the columnar filters (``alive_at`` / ``arriving_in`` / ``long_running``)
   and the O(1) ``vm_by_id`` beat the seed's Python loops;
 * an mmap-backed store replays end to end while staying under an in-RAM
@@ -41,23 +41,23 @@ def _time(fn, repeats=5):
 
 
 def test_bench_sweep_worker_footprint(benchmark):
-    """Shared-memory sweep tasks are >= 5x smaller than pickled-trace tasks."""
+    """Staged-store sweep tasks are >= 5x smaller than pickled-trace tasks."""
     trace = generate_store_bench_trace(smoke=bench_smoke_enabled())
     outcome = run_once(benchmark, measure_sweep_task_footprint, trace)
     print(f"\nsweep task: pickled {outcome['pickled_task_bytes'] / 1e6:.1f} MB"
-          f" vs shared {outcome['shared_task_bytes'] / 1e3:.1f} KB"
+          f" vs staged {outcome['staged_task_bytes'] / 1e3:.1f} KB"
           f" ({outcome['footprint_reduction']:.0f}x);"
           f" unpickle {outcome['unpickle_seconds'] * 1e3:.1f} ms"
-          f" vs attach {outcome['attach_seconds'] * 1e3:.1f} ms")
+          f" vs open {outcome['open_seconds'] * 1e3:.1f} ms")
     # Byte counts are deterministic for a fixed workload: hard assertion.
     assert outcome["footprint_reduction"] >= 5.0, (
-        "shared-memory sweep tasks should be at least 5x smaller than "
+        "staged-store sweep tasks should be at least 5x smaller than "
         f"pickled-trace tasks, got {outcome['footprint_reduction']:.1f}x")
     # Wall-clock ratio is machine-dependent: relaxed under smoke.
     assert_perf(
-        outcome["attach_seconds"] * 2 <= outcome["unpickle_seconds"],
-        "attaching the shared store should be >= 2x faster than unpickling "
-        f"the trace (attach {outcome['attach_seconds'] * 1e3:.1f} ms, "
+        outcome["open_seconds"] * 2 <= outcome["unpickle_seconds"],
+        "opening the staged store should be >= 2x faster than unpickling "
+        f"the trace (open {outcome['open_seconds'] * 1e3:.1f} ms, "
         f"unpickle {outcome['unpickle_seconds'] * 1e3:.1f} ms)")
 
 

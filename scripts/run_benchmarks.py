@@ -16,7 +16,7 @@ performance numbers tracked PR over PR:
 * peak replay memory (tracemalloc bytes) for dense vs. chunked streaming
   replay, plus the process high-water RSS,
 * trace-store numbers: per-worker sweep-task bytes (pickled trace vs.
-  shared-memory handle) and mmap-backed streaming replay peak vs. the
+  staged-store path) and mmap-backed streaming replay peak vs. the
   full in-RAM load.
 
 The workloads are the same builders the ``benchmarks/`` suite uses
@@ -257,8 +257,8 @@ def print_summary(record: dict) -> None:
     store = record["trace_store"]
     mmap_replay = store["mmap_replay"]
     pickled_mb = store["pickled_task_bytes"] / 1e6
-    shared_kb = store["shared_task_bytes"] / 1e3
-    print(f"  sweep task {pickled_mb:10.1f} MB pickled vs {shared_kb:.1f} KB shared", end="")
+    staged_kb = store["staged_task_bytes"] / 1e3
+    print(f"  sweep task {pickled_mb:10.1f} MB pickled vs {staged_kb:.1f} KB staged", end="")
     print(f"  ({store['footprint_reduction']:.0f}x smaller per worker)")
     mmap_mb = mmap_replay["mmap_peak_bytes"] / 1e6
     budget_mb = mmap_replay["budget_bytes"] / 1e6

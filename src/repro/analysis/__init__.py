@@ -2,7 +2,7 @@
 
 PRs 1-5 built correctness on conventions that lived only in docs and
 reviewer memory: seeded determinism end to end (golden-trace pins),
-zero-copy hot paths, single-owner shared-memory cleanup, and the
+zero-copy hot paths, single-owner cleanup of sweep staging, and the
 reference-vs-vectorized twin contract.  This package turns those
 conventions into machine-checked rules over the repo's own source --
 plain :mod:`ast`, no third-party dependencies:
@@ -10,7 +10,7 @@ plain :mod:`ast`, no third-party dependencies:
 * :mod:`repro.analysis.engine` -- one AST walk per module, dispatching
   nodes to registered rules; ``# repro: <tag>`` pragma extraction.
 * :mod:`repro.analysis.rules` -- the rule catalog (REP001 unseeded-rng,
-  REP002 shm-hygiene, REP003 hot-path-copy, REP004 wall-clock-in-results,
+  REP002 staging-hygiene, REP003 hot-path-copy, REP004 wall-clock-in-results,
   REP005 dispatch-twin).
 * :mod:`repro.analysis.baseline` -- justified suppression of intentional
   violations (``analysis_baseline.json`` at the repo root).

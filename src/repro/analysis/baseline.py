@@ -1,8 +1,8 @@
 """Baseline file: explicit, justified suppression of pre-existing findings.
 
 The analyzer must be able to land on a tree with known, *intentional*
-violations (a factory that transfers shared-memory ownership, a measurement
-harness that reads the wall clock) without either failing forever or the
+violations (a cold-path copy in a hot-path module, a measurement harness
+that reads the wall clock) without either failing forever or the
 rules growing ad-hoc escape hatches.  The baseline is that pressure valve:
 a checked-in JSON file where every suppressed finding carries a one-line
 justification, so each exemption is visible in review rather than silent in

@@ -61,7 +61,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="AST-based invariant linter for the repro conventions "
-                    "(determinism, zero-copy, shm hygiene).")
+                    "(determinism, zero-copy, staging hygiene).")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyze "
                              "(default: src/repro)")

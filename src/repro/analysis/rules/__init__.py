@@ -6,7 +6,7 @@ import it here, document it in ``docs/static_analysis.md``.
 
 from repro.analysis.rules import (  # noqa: F401
     rep001_rng,
-    rep002_shm,
+    rep002_staging,
     rep003_hotpath,
     rep004_wallclock,
     rep005_twins,

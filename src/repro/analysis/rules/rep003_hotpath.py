@@ -3,7 +3,7 @@
 Modules carrying a ``# repro: hot-path`` pragma (the scheduler ledger, the
 replay meter, the trace store, the columnar characterization kernels) earn
 their throughput by never copying telemetry: views slice the shared flat
-buffer, workers attach shared memory zero-copy, and mmap replay streams
+buffer, sweep workers memory-map one staged store, and mmap replay streams
 pages on demand.  A stray ``.copy()`` / ``.tolist()`` /
 ``np.ascontiguousarray`` on one of those paths silently turns an O(1) view
 into an O(n) materialization -- no test fails, the perf trajectory just

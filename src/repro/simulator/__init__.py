@@ -21,11 +21,9 @@ from repro.simulator.metrics import (
     compare_policies,
 )
 from repro.simulator.replay import (
-    VIOLATION_METERS,
     ReferenceViolationMeter,
     VectorizedViolationMeter,
     chunk_slots_for_budget,
-    get_violation_meter,
 )
 from repro.simulator.sweep import (
     PolicySweepError,
@@ -47,13 +45,11 @@ __all__ = [
     "ServerMemoryModel",
     "SimulationConfig",
     "SweepTask",
-    "VIOLATION_METERS",
     "VectorizedViolationMeter",
     "ViolationStats",
     "chunk_slots_for_budget",
     "compare_policies",
     "evaluate_policies",
-    "get_violation_meter",
     "simulate_policy",
     "sweep_policies",
 ]

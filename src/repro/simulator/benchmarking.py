@@ -15,6 +15,7 @@ import dataclasses
 import filecmp
 import os
 import pickle
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
@@ -386,30 +387,31 @@ def measure_characterization_throughput(trace: Trace) -> Dict[str, object]:
 def measure_sweep_task_footprint(trace: Trace,
                                  config: Optional[SimulationConfig] = None
                                  ) -> Dict[str, object]:
-    """Per-worker bytes shipped by a sweep task: pickled trace vs shared handle.
+    """Per-worker bytes shipped by a sweep task: pickled trace vs staged store.
 
     A pickle-transport :class:`SweepTask` carries the whole trace, so every
-    worker unpickles (and then owns) a private copy of the telemetry; the
-    shared-memory transport ships a handle of a few kilobytes and workers
-    attach the parent's buffers zero-copy.  The pickled task size is the
-    exact number of bytes each worker must receive *and materialize*, which
-    makes it the deterministic proxy for per-worker sweep memory tracked in
-    ``BENCH_<date>.json``.  Also times unpickling the trace task against
-    attaching the handle (the per-worker startup cost the transports trade).
+    worker unpickles (and then owns) a private copy of the telemetry; a
+    staged task carries only the path of the store the pooled sweep saves
+    once, and workers memory-map it, sharing one page-cache copy.  The
+    pickled task size is the exact number of bytes each worker must
+    receive *and materialize*, which makes it the deterministic proxy for
+    per-worker sweep memory tracked in ``BENCH_<date>.json``.  Also times
+    unpickling the trace task against a worker's open of the staged store
+    (the per-worker startup cost the transports trade).
     """
     config = config or SimulationConfig()
     # The pickled baseline must model the seed transport -- the same
     # store-stripped payload the sweep's pickle fallback ships -- or a
-    # store-backed input would flatter the shared-memory reduction.
+    # store-backed input would flatter the staged reduction.
     pickled_task = pickle.dumps(
         SweepTask("coach", COACH_POLICY, trace.without_store(), config),
         protocol=pickle.HIGHEST_PROTOCOL)
 
     store = trace.store if trace.store is not None else TraceStore.from_trace(trace)
-    handle = store.export_shared()
-    try:
-        shared_task = pickle.dumps(
-            SweepTask("coach", COACH_POLICY, None, config, shared_trace=handle),
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as staging:
+        store.save(staging)
+        staged_task = pickle.dumps(
+            SweepTask("coach", COACH_POLICY, None, config, store_path=staging),
             protocol=pickle.HIGHEST_PROTOCOL)
 
         begin = time.perf_counter()
@@ -418,23 +420,20 @@ def measure_sweep_task_footprint(trace: Trace,
         n_vms = len(unpickled.trace.vms)
 
         begin = time.perf_counter()
-        attached = pickle.loads(shared_task).shared_trace.attach()
-        attach_trace = attached.as_trace()
-        attach_seconds = time.perf_counter() - begin
-        if [vm.vm_id for vm in attach_trace.vms] != \
+        opened = TraceStore.open(pickle.loads(staged_task).store_path,
+                                 mmap=True).as_trace()
+        open_seconds = time.perf_counter() - begin
+        if [vm.vm_id for vm in opened.vms] != \
                 [vm.vm_id for vm in unpickled.trace.vms]:
-            raise AssertionError("attached trace diverged from pickled trace")
-        attached.close_shared()
-    finally:
-        handle.unlink()
+            raise AssertionError("staged trace diverged from pickled trace")
     return {
         "n_vms": n_vms,
         "util_nbytes": store.util_nbytes,
         "pickled_task_bytes": len(pickled_task),
-        "shared_task_bytes": len(shared_task),
-        "footprint_reduction": len(pickled_task) / max(1, len(shared_task)),
+        "staged_task_bytes": len(staged_task),
+        "footprint_reduction": len(pickled_task) / max(1, len(staged_task)),
         "unpickle_seconds": unpickle_seconds,
-        "attach_seconds": attach_seconds,
+        "open_seconds": open_seconds,
     }
 
 

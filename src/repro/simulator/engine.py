@@ -9,8 +9,9 @@ estimate contention.  This engine does the same against the synthetic trace:
 3. replay the evaluation VMs' arrivals and departures through a per-cluster
    :class:`ClusterManager` (which plans and places CoachVMs);
 4. replay the actual utilization of the placed VMs against each server's
-   committed physical resources to count CPU and memory violations (see
-   :mod:`repro.simulator.replay` for the vectorized and reference engines).
+   committed physical resources to count CPU and memory violations with the
+   :class:`~repro.simulator.replay.VectorizedViolationMeter` (its seed loop
+   stays in :mod:`repro.simulator.replay` as the test oracle).
 
 Clusters are fully independent (each has its own manager, scheduler, and
 ledger); :func:`simulate_policy` replays them one after another and
@@ -30,7 +31,7 @@ from repro.core.cluster_manager import ClusterManager, build_prediction_model
 from repro.core.policy import PolicyConfig
 from repro.core.resources import Resource
 from repro.simulator.metrics import PolicyEvaluation, ViolationStats
-from repro.simulator.replay import get_violation_meter
+from repro.simulator.replay import VectorizedViolationMeter
 from repro.trace.timeseries import SLOTS_PER_DAY
 from repro.trace.trace import Trace
 from repro.trace.vm import VMRecord
@@ -79,18 +80,16 @@ class SimulationConfig:
     n_estimators: int = 10
     #: Use the oracle predictor instead of the learned one (ablation).
     oracle_predictions: bool = False
-    #: Violation replay engine: ``"vectorized"`` (default) or ``"reference"``
-    #: (the seed per-server loop, kept for differential testing).
-    violation_meter: str = "vectorized"
-    #: Slot-axis tile width for the vectorized meter's chunked streaming
+    #: Slot-axis tile width for the violation meter's chunked streaming
     #: mode (``None`` = dense, the full evaluation window in one tile).
     #: Bounds peak replay memory at ``O(n_servers * replay_chunk_slots)``
-    #: for multi-week traces; any value yields bitwise-identical results.
+    #: for multi-week traces; any positive value yields bitwise-identical
+    #: results.
     replay_chunk_slots: Optional[int] = None
     #: Number of worker *processes* used by :func:`evaluate_policies` to fan
     #: out whole policies (1 = serial).  Processes sidestep the GIL that
-    #: holds forest training and replay to one core, and attach the trace's
-    #: telemetry from shared memory instead of unpickling a copy each; any
+    #: holds forest training and replay to one core, and memory-map one
+    #: staged copy of the trace instead of unpickling a copy each; any
     #: value yields bitwise-identical results (see :mod:`repro.simulator.sweep`).
     sweep_parallelism: int = 1
     #: Injected server failures, applied by :class:`ClusterSimulation` in
@@ -102,6 +101,14 @@ class SimulationConfig:
     #: preempt spot VMs (see :meth:`ClusterScheduler.place`).  Off by
     #: default; the classic class-blind path stays bitwise-identical.
     class_aware_admission: bool = False
+
+    def __post_init__(self) -> None:
+        # Reject a bad tile width here, before any model training or sweep
+        # worker spawn could run on it.
+        if self.replay_chunk_slots is not None and self.replay_chunk_slots < 1:
+            raise ValueError(
+                f"replay_chunk_slots must be a positive slot count, "
+                f"got {self.replay_chunk_slots}")
 
 
 @dataclass
@@ -121,10 +128,8 @@ class ClusterSimulation:
         self.cluster_id = cluster_id
         self.policy = policy
         self.config = config
-        # Resolve the replay engine up front so a mistyped meter name or a
-        # bad chunk size fails before any (expensive) arrival replay runs.
-        self._violation_meter = get_violation_meter(
-            config.violation_meter, chunk_slots=config.replay_chunk_slots)
+        self._violation_meter = VectorizedViolationMeter(
+            chunk_slots=config.replay_chunk_slots)
         self.manager = ClusterManager(
             trace.fleet.get(cluster_id), policy, prediction_model,
             conservative_admission=config.conservative_admission,
@@ -260,9 +265,6 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
     """
     config = config or SimulationConfig()
     cluster_ids = list(config.clusters) if config.clusters else trace.cluster_ids()
-    # Fail fast on a mistyped meter name, before model training and replay.
-    get_violation_meter(config.violation_meter,
-                        chunk_slots=config.replay_chunk_slots)
 
     if prediction_model is None:
         history, _future = trace.split_at(config.history_end_slot)

@@ -427,32 +427,3 @@ def chunk_slots_for_budget(n_servers: int, budget_bytes: int) -> int:
     if budget_bytes <= 0:
         raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
     return max(1, int(budget_bytes // (n_servers * CHUNK_BYTES_PER_SERVER_SLOT)))
-
-
-#: Registry of the available replay engines (``SimulationConfig.violation_meter``).
-VIOLATION_METERS = {
-    "vectorized": VectorizedViolationMeter,
-    "reference": ReferenceViolationMeter,
-}
-
-
-def get_violation_meter(name: str, chunk_slots: Optional[int] = None):
-    """Instantiate a violation meter by registry name.
-
-    *chunk_slots* selects the chunked streaming mode and is only supported
-    by the vectorized meter (the reference loop is deliberately kept
-    verbatim as the seed implementation).
-    """
-    try:
-        meter_cls = VIOLATION_METERS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown violation meter {name!r}; expected one of "
-            f"{sorted(VIOLATION_METERS)}") from exc
-    if chunk_slots is not None:
-        if meter_cls is not VectorizedViolationMeter:
-            raise ValueError(
-                f"violation meter {name!r} does not support chunked replay; "
-                f"use 'vectorized' with chunk_slots or unset replay_chunk_slots")
-        return meter_cls(chunk_slots=chunk_slots)
-    return meter_cls()

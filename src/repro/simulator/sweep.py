@@ -27,18 +27,20 @@ Trace transport
 Shipping the trace itself is the sweep's memory bill: pickling one
 :class:`SweepTask` per policy makes every worker unpickle a private copy of
 the full telemetry (``sweep_parallelism * trace_size`` bytes at peak).  So
-the pooled sweep exports the trace's flat telemetry buffers
-(:class:`repro.trace.store.TraceStore`, columnarizing an object trace
-first) to ``multiprocessing.shared_memory`` once, and ships workers a
-kilobyte-sized :class:`~repro.trace.store.SharedTraceHandle` instead --
-workers attach zero-copy and read the exporting process's pages.  A trace
-that cannot columnarize (non-uniform telemetry) or a platform without
-usable shared memory falls back to pickling the trace into every task.
-The parent owns the segments and unlinks them in a ``finally`` around the
-pool, so neither a failing policy nor an abruptly dying worker can leak
-shared memory.  Workers read the exact same float buffers the parent
-holds, so both paths are bitwise identical (pinned in
-``tests/test_golden_trace.py``).
+the pooled sweep saves the trace once as an on-disk
+:class:`~repro.trace.store.TraceStore` (columnarizing an object trace
+first) in a private ``tempfile.mkdtemp`` directory, and every task carries
+only that store's path.  Workers ``TraceStore.open(path, mmap=True)`` it,
+so their input passes ``open``'s file checks and all of them read one
+copy through the page cache.  A trace that cannot columnarize
+(non-uniform telemetry, ``ValueError``) or a temp directory that cannot be
+created or written (``OSError``) falls back to pickling the trace into
+every task.  The parent removes the directory in a ``finally`` around the
+pool, so neither a failing policy nor an abruptly dying worker leaves it
+behind; only a SIGKILL of the sweeping process itself does (a
+``repro-sweep-*`` directory in the temp dir).  Workers read the exact
+float values the parent holds, so both paths are bitwise identical (pinned
+in ``tests/test_golden_trace.py``).
 
 Failure contract
 ----------------
@@ -54,6 +56,8 @@ wins (deterministic error reporting).
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import traceback
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -64,8 +68,7 @@ from typing import Dict, Optional
 from repro.core.policy import STANDARD_POLICIES, PolicyConfig
 from repro.simulator.engine import SimulationConfig, simulate_policy
 from repro.simulator.metrics import PolicyEvaluation, compare_policies
-from repro.simulator.replay import get_violation_meter
-from repro.trace.store import SharedTraceHandle, TraceStore
+from repro.trace.store import TraceStore
 from repro.trace.trace import Trace
 
 #: Start method for sweep workers.  ``spawn`` is used on every platform: it
@@ -80,19 +83,18 @@ class SweepTask:
     """One unit of sweep work: evaluate a single policy on a trace.
 
     The task is fully self-contained and picklable -- the trace (or the
-    shared-memory handle standing in for it), the policy, and the
+    path of the on-disk store standing in for it), the policy, and the
     simulation knobs travel together -- so it can be shipped to a spawned
     worker process that shares no state with the parent.  Exactly one of
-    ``trace`` / ``shared_trace`` is set: with a handle, the worker attaches
-    the exported telemetry buffers zero-copy instead of unpickling a
-    private copy of the trace.
+    ``trace`` / ``store_path`` is set: with a path, the worker memory-maps
+    the staged store instead of unpickling a private copy of the trace.
     """
 
     policy_name: str
     policy: PolicyConfig
     trace: Optional[Trace]
     config: SimulationConfig
-    shared_trace: Optional[SharedTraceHandle] = None
+    store_path: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -140,18 +142,12 @@ def run_sweep_task(task: SweepTask) -> _SweepOutcome:
     captured into the outcome instead of propagating: a raised exception
     would be pickled by ``concurrent.futures`` machinery, and exception
     classes with non-trivial constructors round-trip poorly, turning the
-    real failure into an opaque ``BrokenProcessPool``.
-
-    Shared-memory tasks attach the exported buffers for the duration of the
-    evaluation and release the mapping before returning; the evaluation
-    result carries only counts and floats, never buffer views, so nothing
-    outlives the mapping.
+    real failure into an opaque ``BrokenProcessPool``.  That includes a
+    damaged staged store: ``open`` raises ``ValueError`` naming the file.
     """
-    attached = None
     try:
-        if task.shared_trace is not None:
-            attached = task.shared_trace.attach()
-            trace = attached.as_trace()
+        if task.store_path is not None:
+            trace = TraceStore.open(task.store_path, mmap=True).as_trace()
         else:
             trace = task.trace
         evaluation = simulate_policy(trace, task.policy, task.config)
@@ -160,9 +156,6 @@ def run_sweep_task(task: SweepTask) -> _SweepOutcome:
         failure = _SweepFailure(type(exc).__name__, str(exc),
                                 traceback.format_exc())
         return _SweepOutcome(task.policy_name, failure=failure)
-    finally:
-        if attached is not None:
-            attached.close_shared()
 
 
 def _evaluate_serial(trace: Trace, name: str, policy: PolicyConfig,
@@ -209,12 +202,6 @@ def sweep_policies(trace: Trace,
     """
     policies = dict(policies or STANDARD_POLICIES)
     config = config or SimulationConfig()
-    # Fail fast on a mistyped meter name / bad chunk size, before any
-    # worker is spawned (workers would each fail with the same error
-    # otherwise).
-    get_violation_meter(config.violation_meter,
-                        chunk_slots=config.replay_chunk_slots)
-
     n_workers = min(max(1, config.sweep_parallelism), max(1, len(policies)))
     pooled = (n_workers > 1 or executor is not None) and len(policies) > 1
     if not pooled:
@@ -229,26 +216,6 @@ def sweep_policies(trace: Trace,
     return results
 
 
-def _export_shared_trace(trace: Trace) -> Optional[SharedTraceHandle]:
-    """Export the trace for zero-copy worker attach, columnarizing it first
-    if it is an object trace.
-
-    Returns ``None`` when the sweep should fall back to pickling: the trace
-    cannot columnarize (``ValueError``: non-uniform telemetry) or the
-    platform has no usable shared memory (``OSError``).
-    """
-    store = trace.store
-    if store is None:
-        try:
-            store = TraceStore.from_trace(trace)
-        except ValueError:
-            return None
-    try:
-        return store.export_shared()
-    except OSError:
-        return None
-
-
 def _run_sweep_tasks(pool: ProcessPoolExecutor,
                      tasks: list) -> Dict[str, PolicyEvaluation]:
     """Submit every task and collect outcomes in declaration order.
@@ -256,9 +223,9 @@ def _run_sweep_tasks(pool: ProcessPoolExecutor,
     Declaration-order collection gives a deterministic merge AND
     deterministic error attribution when several policies fail at once.
     On any failure the outstanding futures are cancelled and the running
-    ones drained before the exception propagates, so the caller can
-    unlink shared memory immediately -- even when the pool it handed in
-    keeps living after the sweep.
+    ones drained before the exception propagates, so the caller can remove
+    the staged store immediately -- even when the pool it handed in keeps
+    living after the sweep.
     """
     futures = [(task.policy_name, pool.submit(run_sweep_task, task))
                for task in tasks]
@@ -294,19 +261,31 @@ def _run_sweep_tasks(pool: ProcessPoolExecutor,
 def _sweep_with_pool(trace: Trace, policies: Dict[str, PolicyConfig],
                      config: SimulationConfig, n_workers: int,
                      executor: Optional[ProcessPoolExecutor] = None) -> Dict[str, PolicyEvaluation]:
-    handle = _export_shared_trace(trace)
-    if handle is None:
-        # The pickle fallback must carry exactly the seed payload -- one
-        # object trace per worker, not the store's buffers on top of it.
-        trace = trace.without_store()
-    tasks = [SweepTask(name, policy, None if handle is not None else trace,
-                       config, shared_trace=handle)
-             for name, policy in policies.items()]
+    staging: Optional[str] = None
     try:
+        store_path: Optional[str] = None
+        try:
+            store = trace.store if trace.store is not None \
+                else TraceStore.from_trace(trace)
+        except ValueError:  # non-uniform telemetry cannot columnarize
+            store = None
+        if store is not None:
+            try:
+                staging = tempfile.mkdtemp(prefix="repro-sweep-")
+                store_path = str(store.save(staging))
+            except OSError:
+                pass  # no writable temp dir: pickle instead
+        if store_path is None:
+            # The pickle fallback must carry exactly the seed payload -- one
+            # object trace per worker, not the store's buffers on top of it.
+            trace = trace.without_store()
+        tasks = [SweepTask(name, policy, None if store_path else trace, config,
+                           store_path=store_path)
+                 for name, policy in policies.items()]
         if executor is not None:
             # Caller-owned pool: reuse its warm workers, never shut it
             # down.  _run_sweep_tasks drains in-flight tasks on failure,
-            # so the unlink below cannot race a worker still attached.
+            # so the removal below cannot race a worker still opening it.
             results = _run_sweep_tasks(executor, tasks)
         else:
             with ProcessPoolExecutor(max_workers=n_workers,
@@ -315,8 +294,8 @@ def _sweep_with_pool(trace: Trace, policies: Dict[str, PolicyConfig],
     finally:
         # Every exit path reaches here with the workers drained (the
         # executor's __exit__ or _run_sweep_tasks' failure wait), so
-        # unlinking on *every* path is what guarantees no shared-memory
-        # segment outlives the sweep.
-        if handle is not None:
-            handle.unlink()
+        # removing the directory on *every* path -- success, a failing
+        # policy, a dead worker, a failed save -- leaves nothing behind.
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     return results

@@ -20,7 +20,7 @@ from repro.trace.timeseries import (
     slots_for_days,
     slots_for_hours,
 )
-from repro.trace.store import SharedTraceHandle, TraceStore, TraceStoreBuilder
+from repro.trace.store import TraceStore, TraceStoreBuilder
 from repro.trace.trace import Trace, merge_traces
 from repro.trace.vm import (
     TYPICAL_VM_CONFIG,
@@ -45,7 +45,6 @@ __all__ = [
     "SLOTS_PER_HOUR",
     "SWEEP_WINDOW_HOURS",
     "ServerConfig",
-    "SharedTraceHandle",
     "Subscription",
     "SubscriptionProfile",
     "SubscriptionType",

@@ -23,19 +23,16 @@ materializes ordinary :class:`VMRecord` objects whose ``UtilizationSeries``
 ``ClusterLedger`` pattern).  A store-backed :class:`Trace` carries its store
 in ``Trace.store`` and routes the hot filters through the columns.
 
-Two backends sit on top of the columns:
-
-* **Shared memory** (:meth:`export_shared` / :class:`SharedTraceHandle`):
-  the buffers are copied once into ``multiprocessing.shared_memory``
-  segments and workers attach zero-copy, so a process-pool sweep ships a
-  handle of a few kilobytes instead of pickling megabytes of telemetry per
-  worker (see :mod:`repro.simulator.sweep`).
-* **On-disk store** (:meth:`save` / :meth:`open`): columns land in an
-  ``.npz`` plus one raw ``.npy`` buffer per resource.  Opening with
-  ``mmap=True`` memory-maps the buffers, so the chunked replay meter reads
-  only the slot-chunk it is accumulating -- a trace whose telemetry exceeds
-  RAM stays replayable end to end.  ``open`` checks every file against
-  ``meta.json`` first, so a damaged store fails there, by name.
+The columns have one on-disk format (:meth:`save` / :meth:`open`): an
+``.npz`` of metadata columns plus one raw ``.npy`` buffer per resource.
+Opening with ``mmap=True`` memory-maps the buffers, so the chunked replay
+meter reads only the slot-chunk it is accumulating -- a trace whose
+telemetry exceeds RAM stays replayable end to end.  The same format is the
+sweep's cross-process transport: a pooled sweep saves the trace once and
+every worker opens it with ``mmap=True``, reading one copy through the page
+cache instead of unpickling its own (see :mod:`repro.simulator.sweep`).
+``open`` checks every file against ``meta.json`` first, so a damaged store
+fails there, by name -- in a sweep worker as anywhere else.
 
 The write side has a streaming counterpart: :class:`TraceStoreBuilder`
 appends VM metadata rows and telemetry chunks directly to the on-disk
@@ -53,7 +50,7 @@ Exactness contract
 traces), so a store-backed replay is *bitwise* identical to the object-based
 path -- ``tests/test_trace_store.py`` and the golden-trace pins assert this.
 Passing ``util_dtype=np.float32`` halves the buffer for storage and
-shared-memory fan-out at a documented precision cost; both paths over the
+sweep staging at a documented precision cost; both paths over the
 *same* store always agree bitwise because they read the same buffer.
 """
 
@@ -68,7 +65,6 @@ import os
 import shutil
 import zipfile
 from dataclasses import asdict
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
@@ -141,69 +137,6 @@ def segment_reduce(ufunc: np.ufunc, buffer: np.ndarray, starts: np.ndarray,
     return ufunc.reduceat(buffer, idx)[0::2]
 
 
-def segment_sort(buffer: np.ndarray, starts: np.ndarray,
-                 lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort every segment independently in one pass.
-
-    Returns ``(values, offsets)`` where ``values`` packs the segments
-    contiguously (each one sorted ascending) and ``offsets`` is the
-    canonical ``(n + 1,)`` boundary array of the packed layout.  One
-    ``lexsort`` over (segment id, value) replaces one ``np.sort`` call per
-    VM; sorted *values* are identical either way, which is all the
-    percentile kernel below reads.
-    """
-    n = int(starts.size)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    if n == 0:
-        return np.empty(0, dtype=buffer.dtype), offsets
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    ids = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    positions = np.repeat(starts, lengths) + (np.arange(total, dtype=np.int64)
-                                              - np.repeat(offsets[:-1], lengths))
-    packed = buffer[positions]
-    order = np.lexsort((packed, ids))
-    return packed[order], offsets
-
-
-def segment_percentile(sorted_values: np.ndarray, offsets: np.ndarray,
-                       pct: float) -> np.ndarray:
-    """Per-segment percentile over pre-sorted packed segments.
-
-    Replicates ``np.percentile(..., method="linear")`` step for step --
-    ``virtual = (n - 1) * (pct / 100)``, neighbour clamping, and the
-    two-branch linear interpolation (``a + diff * t`` below ``t = 0.5``,
-    ``b - diff * (1 - t)`` at or above) -- so float64 results are bitwise
-    identical to calling ``np.percentile`` on every segment.  float32
-    segments agree to rounding (numpy's scalar path keeps intermediates in
-    float32 where this vectorized path promotes to float64).
-    """
-    lengths = np.diff(offsets)
-    n = int(lengths.size)
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
-    quantile = np.true_divide(pct, 100)
-    virtual = (lengths - 1) * quantile
-    previous = np.floor(virtual)
-    nxt = previous + 1
-    above = virtual >= lengths - 1
-    previous[above] = lengths[above] - 1
-    nxt[above] = lengths[above] - 1
-    below = virtual < 0
-    previous[below] = 0
-    nxt[below] = 0
-    previous = previous.astype(np.intp)
-    nxt = nxt.astype(np.intp)
-    gamma = virtual - previous
-    left = sorted_values[offsets[:-1] + previous]
-    right = sorted_values[offsets[:-1] + nxt]
-    diff = right - left
-    result = left + diff * gamma
-    high = gamma >= 0.5
-    result[high] = right[high] - diff[high] * (1 - gamma[high])
-    return result
-
-
 def segment_percentiles(buffer: np.ndarray, starts: np.ndarray,
                         lengths: np.ndarray,
                         pcts: Sequence[float]) -> Dict[float, np.ndarray]:
@@ -211,10 +144,13 @@ def segment_percentiles(buffer: np.ndarray, starts: np.ndarray,
 
     Segments of equal length share their interpolation ranks, so they are
     gathered into one matrix and *partitioned* (O(n) selection) at exactly
-    the neighbour ranks every requested percentile reads -- the values at
-    those ranks match a full sort, so results equal
-    :func:`segment_percentile` (and therefore per-VM ``np.percentile``)
-    bitwise on float64 while doing a fraction of the comparisons.
+    the neighbour ranks every requested percentile reads; the values at
+    those ranks match a full sort.  The interpolation replicates
+    ``np.percentile(..., method="linear")`` step for step --
+    ``virtual = (n - 1) * (pct / 100)``, neighbour clamping, and the
+    two-branch lerp (``a + diff * t`` below ``t = 0.5``, ``b - diff * (1 - t)``
+    at or above) -- so float64 results are bitwise identical to calling
+    ``np.percentile`` on every segment.
     """
     n = int(starts.size)
     out = {pct: np.empty(n, dtype=np.float64) for pct in pcts}
@@ -320,7 +256,7 @@ _METADATA_COLUMNS: Dict[str, Tuple[type, Optional[str]]] = {
 #: Every per-row column of a store: the metadata plus where each row's
 #: samples sit in the flat telemetry buffers (persisted as one canonical
 #: ``(n_vms + 1,)`` ``offsets`` member).  Construction, selection, the
-#: shared-memory state, the serializer and ``open`` all iterate this list.
+#: serializer and ``open`` all iterate this list.
 _ROW_COLUMNS: Tuple[str, ...] = (*_METADATA_COLUMNS, "row_offset", "row_length")
 
 
@@ -401,88 +337,11 @@ def _write_metadata(path: Path, state: Dict[str, object],
     _write_npz(path / _COLUMNS_FILE, members)
 
 
-class SharedTraceHandle:
-    """A picklable, kilobyte-sized reference to an exported :class:`TraceStore`.
-
-    Created by :meth:`TraceStore.export_shared` in the parent process; the
-    handle travels to workers through pickle carrying only the small metadata
-    columns and the *names* of the shared-memory segments holding the
-    telemetry buffers.  Workers call :meth:`attach` to map the segments
-    zero-copy and :meth:`TraceStore.close_shared` when done; the exporting
-    process calls :meth:`unlink` exactly once after the pool has drained.
-    """
-
-    def __init__(self, state: Dict[str, object],
-                 segments: List[Tuple[str, str, int]], util_dtype: str,
-                 owned: Optional[List[shared_memory.SharedMemory]] = None):
-        self._state = state
-        self._segments = segments  # (resource value, segment name, n_samples)
-        self._util_dtype = util_dtype
-        self._owned = owned or []
-
-    @property
-    def segment_names(self) -> List[str]:
-        return [name for _resource, name, _size in self._segments]
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The owner's SharedMemory objects must not travel to workers: each
-        # process manages its own mappings, and only the owner may unlink.
-        return {"state": self._state, "segments": self._segments,
-                "util_dtype": self._util_dtype}
-
-    def __setstate__(self, payload: Dict[str, object]) -> None:
-        self._state = payload["state"]
-        self._segments = payload["segments"]
-        self._util_dtype = payload["util_dtype"]
-        self._owned = []
-
-    def attach(self) -> "TraceStore":
-        """Map the exported buffers and rebuild the store around them.
-
-        The returned store's telemetry arrays are views of the shared pages
-        (no copy); call :meth:`TraceStore.close_shared` on it once the work
-        is done so the mapping is released promptly.
-        """
-        dtype = np.dtype(self._util_dtype)
-        shms: List[shared_memory.SharedMemory] = []
-        util: Dict[Resource, np.ndarray] = {}
-        # Note on the resource tracker: spawned pool workers inherit the
-        # exporting process's tracker, so the attach-side registration below
-        # is a no-op and cleanup stays solely with the owner's unlink() --
-        # including when a worker dies without running any cleanup.  (An
-        # *unrelated* process attaching by name would bring its own tracker,
-        # which unlinks registered segments at exit; handles are meant to
-        # travel to children of the exporter.)
-        try:
-            for resource_value, name, n_samples in self._segments:
-                shm = shared_memory.SharedMemory(name=name)
-                shms.append(shm)
-                util[Resource(resource_value)] = np.ndarray(
-                    (n_samples,), dtype=dtype, buffer=shm.buf)
-        except Exception:
-            for shm in shms:
-                shm.close()
-            raise
-        store = TraceStore._from_state(self._state, util)
-        store._shared_segments = shms
-        return store
-
-    def unlink(self) -> None:
-        """Release and destroy the segments (exporting process only)."""
-        for shm in self._owned:
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # already unlinked (idempotent)
-                pass
-        self._owned = []
-
-
 class TraceStore:
     """Struct-of-arrays trace: metadata columns plus flat telemetry buffers.
 
-    Build one with :meth:`from_trace` (from an object trace), :meth:`open`
-    (from disk), or :meth:`SharedTraceHandle.attach` (from shared memory).
+    Build one with :meth:`from_trace` (from an object trace) or
+    :meth:`open` (from disk).
     Row ``i`` of every column describes the same VM, and a store-backed
     :class:`Trace` keeps ``trace.vms[i]`` in lockstep with row ``i``.
     """
@@ -518,7 +377,6 @@ class TraceStore:
         self.fleet = fleet
         self.subscriptions = subscriptions
         self._contiguous = contiguous
-        self._shared_segments: List[shared_memory.SharedMemory] = []
         self._id_index: Optional[Dict[str, int]] = None
         self._alloc: Optional[np.ndarray] = None
         # Row selections of an already-validated store stay duplicate-free,
@@ -659,11 +517,6 @@ class TraceStore:
     def segment_max(self, resource: Resource) -> np.ndarray:
         """Per-VM ``series.maximum()`` for one resource, in one reduceat."""
         return segment_reduce(np.maximum, self.util[resource],
-                              self.row_offset, self.row_length)
-
-    def segment_min(self, resource: Resource) -> np.ndarray:
-        """Per-VM ``series.minimum()`` for one resource, in one reduceat."""
-        return segment_reduce(np.minimum, self.util[resource],
                               self.row_offset, self.row_length)
 
     def segment_mean(self, resource: Resource) -> np.ndarray:
@@ -892,7 +745,8 @@ class TraceStore:
         The metadata columns always load into RAM (they are a few bytes per
         VM); with ``mmap=True`` the per-resource buffers stay on disk and
         pages are only faulted in as slices are actually read -- which, with
-        the chunked replay meter, bounds replay RAM to the slot-chunk.
+        the chunked replay meter, bounds replay RAM to the slot-chunk, and
+        lets every sweep worker read one page-cache copy of a staged store.
 
         The files are checked against ``meta.json`` before the store is
         built: every ``columns.npz`` member has one entry per VM
@@ -964,7 +818,11 @@ class TraceStore:
             if buffer.shape != (offsets[-1],):
                 raise damaged(name, f"has shape {buffer.shape}, but offsets "
                                     f"end at {offsets[-1]} samples")
-            util[Resource(resource_value)] = buffer
+            # A plain ndarray view over the map (its .base keeps the map
+            # alive): np.memmap slices in Python, which would make the
+            # per-VM row views of as_trace() several times slower.
+            util[Resource(resource_value)] = buffer.view(np.ndarray) \
+                if mmap else buffer
 
         state: Dict[str, object] = {}
         for name, (dtype, _table) in _METADATA_COLUMNS.items():
@@ -983,56 +841,14 @@ class TraceStore:
                            for sub in meta["subscriptions"]},
             contiguous=True)
 
-    # ------------------------------------------------------------------ #
-    # Shared-memory backend
-    # ------------------------------------------------------------------ #
-    def export_shared(self) -> SharedTraceHandle:
-        """Copy the telemetry buffers into shared-memory segments.
-
-        Returns the :class:`SharedTraceHandle` to ship to workers.  The
-        caller owns the segments and must call :meth:`SharedTraceHandle.unlink`
-        exactly once after every worker is done (a ``finally`` around the
-        pool is the right shape -- see ``repro.simulator.sweep``).
-        """
-        store = self.compact()
-        owned: List[shared_memory.SharedMemory] = []
-        segments: List[Tuple[str, str, int]] = []
-        try:
-            for resource, buffer in store.util.items():
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, buffer.nbytes))
-                owned.append(shm)
-                view = np.ndarray(buffer.shape, dtype=buffer.dtype,
-                                  buffer=shm.buf)
-                view[:] = buffer
-                segments.append((resource.value, shm.name, int(buffer.size)))
-        except Exception:
-            for shm in owned:
-                shm.close()
-                shm.unlink()
-            raise
-        return SharedTraceHandle(store._meta_state(), segments,
-                                 store.util_dtype.str, owned=owned)
-
-    def close_shared(self) -> None:
-        """Release this process's mapping of attached segments (workers)."""
-        for shm in self._shared_segments:
-            shm.close()
-        self._shared_segments = []
-
     def _meta_state(self) -> Dict[str, object]:
-        """Everything except the telemetry buffers, as a picklable dict."""
+        """Everything except the telemetry buffers, as constructor keywords."""
         state: Dict[str, object] = {name: getattr(self, name)
                                     for name in _ROW_COLUMNS}
         state.update(configs=self.configs, cluster_ids=self.cluster_ids,
                      n_slots=self.n_slots, fleet=self.fleet,
                      subscriptions=self.subscriptions)
         return state
-
-    @classmethod
-    def _from_state(cls, state: Dict[str, object],
-                    util: Dict[Resource, np.ndarray]) -> "TraceStore":
-        return cls(util=util, contiguous=True, **state)  # type: ignore[arg-type]
 
 
 class _RowEncoder:

@@ -51,7 +51,7 @@ class Trace:
         # validation at construction time (a duplicate would otherwise hide
         # one of the two records from every id-based lookup).  Store-backed
         # traces skip the eager build: every store entry point
-        # (from_trace / open / attach) already validated uniqueness, row
+        # (from_trace / open) already validated uniqueness, row
         # selections cannot introduce duplicates, and the store keeps its
         # own lazily-built index -- so filters stay free of O(n) dict
         # rebuilds.

@@ -47,10 +47,8 @@ from repro.trace.hardware import ClusterConfig, Fleet
 from repro.trace.store import (
     TraceStore,
     rowwise_mean,
-    segment_percentile,
     segment_percentiles,
     segment_reduce,
-    segment_sort,
 )
 from repro.trace.timeseries import (
     SLOTS_PER_DAY,
@@ -264,18 +262,6 @@ class TestKernels:
                                  for s, l in zip(starts, lengths)])
             assert np.array_equal(got, expected)
 
-    def test_segment_sort_and_percentile(self, random_segments):
-        buffer, starts, lengths = random_segments
-        values, offsets = segment_sort(buffer, starts, lengths)
-        for start, length, lo in zip(starts, lengths, offsets[:-1]):
-            assert np.array_equal(values[lo:lo + length],
-                                  np.sort(buffer[start:start + length]))
-        for pct in (0.0, 5.0, 50.0, 95.0, 100.0):
-            got = segment_percentile(values, offsets, pct)
-            expected = np.array([np.percentile(buffer[s:s + l], pct)
-                                 for s, l in zip(starts, lengths)])
-            assert np.array_equal(got, expected)
-
     def test_segment_percentiles_partitioned(self, random_segments):
         buffer, starts, lengths = random_segments
         results = segment_percentiles(buffer, starts, lengths,
@@ -304,9 +290,6 @@ class TestKernels:
         empty = np.empty(0, dtype=np.int64)
         buffer = np.empty(0)
         assert segment_reduce(np.maximum, buffer, empty, empty).size == 0
-        values, offsets = segment_sort(buffer, empty, empty)
-        assert values.size == 0 and offsets.tolist() == [0]
-        assert segment_percentile(values, offsets, 95.0).size == 0
         assert segment_percentiles(buffer, empty, empty, (95.0,))[95.0].size == 0
         assert rowwise_mean(buffer, empty, empty).size == 0
 

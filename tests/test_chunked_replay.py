@@ -9,15 +9,14 @@ split VM demand segments, chunk widths that do not divide the evaluation
 window, and evaluation windows starting mid-trace.
 """
 
+from dataclasses import replace
+
 import pytest
 
+import repro.simulator.engine as engine
 from repro.core.policy import COACH_POLICY
 from repro.simulator import SimulationConfig, simulate_policy
-from repro.simulator.replay import (
-    ReferenceViolationMeter,
-    VectorizedViolationMeter,
-    get_violation_meter,
-)
+from repro.simulator.replay import ReferenceViolationMeter, VectorizedViolationMeter
 from repro.simulator.synthetic import build_placed_replay_state
 from repro.trace.hardware import ClusterConfig
 from repro.trace.timeseries import TimeWindowConfig
@@ -107,20 +106,38 @@ class TestChunkedConfiguration:
         with pytest.raises(ValueError):
             VectorizedViolationMeter(chunk_slots=bad)
 
-    def test_registry_forwards_chunk_slots(self):
-        meter = get_violation_meter("vectorized", chunk_slots=24)
-        assert isinstance(meter, VectorizedViolationMeter)
-        assert meter.chunk_slots == 24
-
-    def test_reference_meter_rejects_chunking(self):
-        with pytest.raises(ValueError):
-            get_violation_meter("reference", chunk_slots=24)
-
     def test_engine_fails_fast_on_bad_chunk_config(self, tiny_trace):
-        config = SimulationConfig(clusters=tiny_trace.cluster_ids()[:1],
-                                  replay_chunk_slots=0)
-        with pytest.raises(ValueError):
-            simulate_policy(tiny_trace, COACH_POLICY, config)
+        """A bad tile width fails at config construction, before any model
+        training or sweep worker spawn."""
+        with pytest.raises(ValueError, match="replay_chunk_slots"):
+            SimulationConfig(clusters=tiny_trace.cluster_ids()[:1],
+                             replay_chunk_slots=0)
+
+    def test_replaced_config_fails_fast_on_bad_chunk_config(self):
+        """``dataclasses.replace`` re-runs the check, so a config derived
+        from a valid one (as sweeps and benchmarks derive theirs) cannot
+        carry a bad tile width into a replay either."""
+        with pytest.raises(ValueError, match="replay_chunk_slots"):
+            replace(SimulationConfig(replay_chunk_slots=24),
+                    replay_chunk_slots=-1)
+
+    def test_engine_replays_with_the_configured_chunk_width(self, tiny_trace,
+                                                            monkeypatch):
+        """``replay_chunk_slots`` reaches the meter the engine replays with;
+        bitwise equality with the dense run cannot show that."""
+        widths = []
+
+        class RecordingMeter(VectorizedViolationMeter):
+            def measure(self, *args, **kwargs):
+                widths.append(self.chunk_slots)
+                return super().measure(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "VectorizedViolationMeter", RecordingMeter)
+        simulate_policy(tiny_trace, COACH_POLICY,
+                        SimulationConfig(clusters=tiny_trace.cluster_ids()[:1],
+                                         oracle_predictions=True,
+                                         replay_chunk_slots=24))
+        assert widths == [24]
 
 
 class TestEngineChunkedEquivalence:

@@ -95,7 +95,7 @@ def test_process_pool_sweep_matches_golden(golden_trace, golden_sim_config,
     golden trace, for multiple worker counts: same policies in the same
     order, every PolicyEvaluation equal field for field (including the
     per-server violation breakdowns and the relative capacity columns).
-    (This also exercises the shared-memory trace export on a plain object
+    (This also exercises the staged-store transport on a plain object
     trace, which the sweep columnarizes first.)"""
     sim = replace(golden_sim_config, sweep_parallelism=sweep_workers)
     pooled = evaluate_policies(golden_trace, config=sim)
@@ -122,20 +122,20 @@ def test_store_backed_serial_matches_golden(golden_store_trace,
         assert results[name] == evaluation, f"policy {name} diverged"
 
 
-@pytest.mark.parametrize("transport", ["shared", "pickle"])
+@pytest.mark.parametrize("transport", ["staged", "pickle"])
 def test_store_backed_pool_sweep_matches_golden(golden_store_trace,
                                                 golden_sim_config,
                                                 golden_results, transport,
                                                 monkeypatch):
     """Process-pool sweeps over the store-backed golden trace hit the pins
-    for both trace transports: workers reading the parent's shared-memory
-    buffers and workers unpickling private copies (the fallback when the
-    platform has no usable shared memory) see the same bits."""
+    for both trace transports: workers memory-mapping the store the parent
+    staged on disk and workers unpickling private copies (the fallback when
+    the store cannot be written) see the same bits."""
     if transport == "pickle":
-        def no_shared_memory(store):
-            raise OSError("no usable shared memory")
+        def unwritable(store, path):
+            raise OSError("no writable temp dir")
 
-        monkeypatch.setattr(TraceStore, "export_shared", no_shared_memory)
+        monkeypatch.setattr(TraceStore, "save", unwritable)
     sim = replace(golden_sim_config, sweep_parallelism=2)
     pooled = evaluate_policies(golden_store_trace, config=sim)
     assert list(pooled) == list(golden_results)

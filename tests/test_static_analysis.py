@@ -93,59 +93,118 @@ class TestRep001UnseededRng:
 
 
 # --------------------------------------------------------------------------- #
-# REP002: shared-memory hygiene
+# REP002: staging hygiene
 # --------------------------------------------------------------------------- #
-class TestRep002ShmHygiene:
+class TestRep002StagingHygiene:
     def test_flags_creation_without_finally(self):
         findings = run("""
-            from multiprocessing import shared_memory
+            import shutil
+            import tempfile
 
-            def leaky(n):
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                shm.buf[0] = 1
-        """)
-        assert rule_ids(findings) == ["REP002"]
-        assert "SharedMemory(create=True)" in findings[0].message
-
-    def test_flags_export_shared_without_cleanup(self):
-        findings = run("""
             def leaky(store):
-                handle = store.export_shared()
-                handle.attach()
+                staging = tempfile.mkdtemp(prefix="repro-sweep-")
+                store.save(staging)
+                run_workers(staging)
+                shutil.rmtree(staging)
         """)
+        # The rmtree on the success path does not count: an exception in
+        # between would leave the directory behind.
         assert rule_ids(findings) == ["REP002"]
-        assert "export_shared()" in findings[0].message
+        assert "`mkdtemp()` in `leaky`" in findings[0].message
 
-    def test_finally_unlink_is_clean(self):
+    def test_finally_rmtree_is_clean(self):
         findings = run("""
+            import shutil
+            from tempfile import mkdtemp
+
             def tidy(store):
-                handle = store.export_shared()
+                staging = None
                 try:
-                    return handle.attach()
+                    staging = mkdtemp()
+                    store.save(staging)
+                    return run_workers(staging)
                 finally:
-                    handle.unlink()
+                    if staging is not None:
+                        shutil.rmtree(staging, ignore_errors=True)
         """)
         assert findings == []
 
-    def test_returning_the_handle_transfers_ownership(self):
+    def test_returning_the_path_transfers_ownership(self):
         findings = run("""
-            def factory_direct(store):
-                return store.export_shared()
+            import tempfile
+            from pathlib import Path
+
+            def factory_direct():
+                return tempfile.mkdtemp()
 
             def factory_bound(store):
-                handle = store.export_shared()
-                register(handle)
-                return handle
+                workdir = Path(tempfile.mkdtemp(prefix="stage-"))
+                store.save(workdir)
+                return workdir
         """)
         assert findings == []
 
-    def test_attach_by_name_is_not_a_creation(self):
+    def test_cleanup_only_in_except_is_flagged(self):
         findings = run("""
-            from multiprocessing import shared_memory
+            import shutil
+            import tempfile
 
-            def attach(name):
-                shm = shared_memory.SharedMemory(name=name)
-                return shm
+            def half_tidy(store):
+                staging = tempfile.mkdtemp()
+                try:
+                    store.save(staging)
+                except OSError:
+                    shutil.rmtree(staging)
+                    raise
+                results = run_workers(staging)
+                return results
+        """)
+        # The except handler never runs on the success path, which leaks.
+        assert rule_ids(findings) == ["REP002"]
+        assert "`half_tidy`" in findings[0].message
+
+    def test_nested_functions_are_judged_on_their_own(self):
+        findings = run("""
+            import shutil
+            import tempfile
+
+            def outer_leaks(store):
+                staging = tempfile.mkdtemp()
+                store.save(staging)
+
+                def cleanup():
+                    try:
+                        pass
+                    finally:
+                        shutil.rmtree(staging)
+
+                register(cleanup)
+
+            def outer_tidy(store):
+                def stage():
+                    return tempfile.mkdtemp()
+
+                staging = stage()
+                try:
+                    store.save(staging)
+                finally:
+                    shutil.rmtree(staging)
+        """)
+        # The nested finally does not clean `outer_leaks`; the nested
+        # `stage` hands its path to `outer_tidy`, which removes it.
+        assert rule_ids(findings) == ["REP002"]
+        assert len(findings) == 1
+        assert "`outer_leaks`" in findings[0].message
+
+    def test_temporary_directory_is_not_a_creation(self):
+        findings = run("""
+            import tempfile
+
+            def scoped(store):
+                with tempfile.TemporaryDirectory(prefix="stage-") as staging:
+                    store.save(staging)
+                    results = run_workers(staging)
+                return results
         """)
         assert findings == []
 
@@ -610,11 +669,12 @@ class TestTreeClean:
         findings = engine.analyze_paths([REPO_ROOT / "src" / "repro"],
                                         rel_root=REPO_ROOT)
         by_rule = {f.rule_id for f in findings}
-        # REP002/REP003/REP004 have known, justified baselined findings.
-        assert {"REP002", "REP003", "REP004"} <= by_rule
-        # REP001/REP005/REP006/REP007/REP008 must stay at zero findings
-        # tree-wide.
+        # REP003/REP004 have known, justified baselined findings.
+        assert {"REP003", "REP004"} <= by_rule
+        # REP001/REP002/REP005/REP006/REP007/REP008 must stay at zero
+        # findings tree-wide.
         assert "REP001" not in by_rule
+        assert "REP002" not in by_rule
         assert "REP005" not in by_rule
         assert "REP006" not in by_rule
         assert "REP007" not in by_rule

@@ -1,4 +1,4 @@
-"""Columnar trace store: views, filters, persistence, shared memory.
+"""Columnar trace store: views, filters, persistence, sweep staging.
 
 Three contracts are pinned here:
 
@@ -8,23 +8,21 @@ Three contracts are pinned here:
   selects.  Replay and characterization on top of it are bitwise identical.
 * **Persistence** -- save -> open round-trips everything (dense and mmap),
   open() rejects a damaged store by name instead of returning one that
-  fails later, and the shared-memory export/attach/unlink lifecycle never
-  leaks a segment, including when the attaching worker dies without
-  cleanup.
+  fails later, and the store a pooled sweep stages for its workers never
+  outlives the sweep: not on success, a failing policy, a dead worker, or
+  a damaged staged file.
 * **Validation** -- non-uniform telemetry and duplicate VM ids fail loudly
   at construction, not silently downstream.
 """
 
 import os
+import tempfile
 from dataclasses import replace
-from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
 
-import repro.simulator.sweep as sweep_module
-from repro.core.policy import COACH_POLICY, NO_OVERSUBSCRIPTION_POLICY
+from repro.core.policy import COACH_POLICY, NO_OVERSUBSCRIPTION_POLICY, PolicyConfig
 from repro.core.resources import Resource
 from repro.experiments.figures import figure02_duration
 from repro.simulator import (
@@ -37,15 +35,6 @@ from repro.trace.store import STORE_FORMAT_VERSION, TraceStore
 from repro.trace.timeseries import UtilizationSeries
 from repro.trace.trace import Trace
 from repro.trace.vm import VM_CATALOG, VMRecord
-
-
-def segment_is_gone(name: str) -> bool:
-    try:
-        segment = SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    segment.close()
-    return False
 
 
 @pytest.fixture(scope="module")
@@ -301,9 +290,20 @@ class TestPersistence:
         store.save(tmp_path / "store")
         mapped = TraceStore.open(tmp_path / "store", mmap=True)
         for resource, buffer in mapped.util.items():
-            assert isinstance(buffer, np.memmap)
+            assert isinstance(buffer.base, np.memmap)
             np.testing.assert_array_equal(np.asarray(buffer),
                                           store.util[resource])
+
+    def test_open_mmap_rows_are_plain_views(self, store, tmp_path):
+        """A mapped store's row series are plain ndarray slices of the
+        mapping, not np.memmap slices: those run Python-level code per row,
+        which made a sweep worker's open + as_trace several times slower."""
+        store.save(tmp_path / "store")
+        mapped = TraceStore.open(tmp_path / "store", mmap=True)
+        for view in mapped.as_trace().vms[:20]:
+            for resource, series in view.utilization.items():
+                assert type(series.values) is np.ndarray
+                assert series.values.base is mapped.util[resource]
 
     def test_float32_round_trip_preserves_dtype(self, tiny_trace, tmp_path):
         compact = TraceStore.from_trace(tiny_trace, util_dtype=np.float32)
@@ -372,81 +372,37 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.util[resource], buffer)
 
 
-def _attach_and_crash(handle) -> None:
-    """Child entry point: attach the shared store, then die uncleanly."""
-    attached = handle.attach()
-    assert attached.util_nbytes > 0
-    os._exit(1)
+class _PoolKillingPolicy(PolicyConfig):
+    """A policy whose unpickling kills the sweep worker outright (no Python
+    exception, just a broken pool), as in ``tests/test_sweep.py``."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
 
 
-class TestSharedMemory:
-    def test_export_attach_round_trip(self, store):
-        handle = store.export_shared()
-        try:
-            attached = handle.attach()
-            for resource, buffer in store.util.items():
-                np.testing.assert_array_equal(
-                    np.asarray(attached.util[resource]), buffer)
-            trace = attached.as_trace()
-            assert len(trace) == len(store)
-            attached.close_shared()
-        finally:
-            handle.unlink()
-        assert all(segment_is_gone(name) for name in handle.segment_names)
-
-    def test_unlink_is_idempotent(self, store):
-        handle = store.export_shared()
-        handle.unlink()
-        handle.unlink()
-        assert all(segment_is_gone(name) for name in handle.segment_names)
-
-    def test_unlink_after_attached_use_is_still_a_noop_for_workers(self, store):
-        """REP002's model: the owner's unlink is the single cleanup point;
-        a second unlink after a worker attached and closed stays a no-op."""
-        handle = store.export_shared()
-        attached = handle.attach()
-        attached.close_shared()
-        handle.unlink()
-        handle.unlink()
-        assert all(segment_is_gone(name) for name in handle.segment_names)
-
-    def test_attach_after_owner_unlink_raises_cleanly(self, store):
-        """Attaching a handle whose owner already unlinked must fail with
-        FileNotFoundError (no half-built store, no segment resurrection)."""
-        handle = store.export_shared()
-        handle.unlink()
-        with pytest.raises(FileNotFoundError):
-            handle.attach()
-        # The failed attach must not have re-created anything.
-        assert all(segment_is_gone(name) for name in handle.segment_names)
-
-    def test_close_shared_is_idempotent(self, store):
-        handle = store.export_shared()
-        try:
-            attached = handle.attach()
-            attached.close_shared()
-            attached.close_shared()
-        finally:
-            handle.unlink()
-        assert all(segment_is_gone(name) for name in handle.segment_names)
-
-    def test_worker_crash_does_not_leak_segments(self, store):
-        """A worker dying mid-attach must not leak: the exporting process
-        owns the segments and its unlink is the single cleanup point."""
-        handle = store.export_shared()
-        try:
-            worker = get_context("spawn").Process(
-                target=_attach_and_crash, args=(handle,))
-            worker.start()
-            worker.join(timeout=60)
-            assert worker.exitcode == 1
-        finally:
-            handle.unlink()
-        assert all(segment_is_gone(name) for name in handle.segment_names)
+def _raise_oserror(*args, **kwargs):
+    raise OSError("no writable temp dir")
 
 
-def _no_shared_memory(self):
-    raise OSError("no usable shared memory")
+@pytest.fixture
+def staged_dirs(monkeypatch):
+    """Every directory a pooled sweep stages its store in, as created."""
+    created = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording_mkdtemp(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        if os.path.basename(path).startswith("repro-sweep-"):
+            created.append(path)
+        return path
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+    return created
+
+
+def assert_staged_and_removed(staged_dirs):
+    assert staged_dirs, "a store-backed trace should be staged"
+    assert not any(os.path.exists(path) for path in staged_dirs)
 
 
 class TestSweepTransports:
@@ -455,56 +411,114 @@ class TestSweepTransports:
         return SimulationConfig(clusters=tiny_trace.cluster_ids()[:2],
                                 n_estimators=2)
 
+    @pytest.fixture(scope="class")
+    def policies(self):
+        return {"none": NO_OVERSUBSCRIPTION_POLICY, "coach": COACH_POLICY}
+
+    @pytest.mark.parametrize("unwritable", [
+        pytest.param(None, id="staged"),
+        pytest.param("mkdtemp", id="pickle-no-temp-dir"),
+        pytest.param("save", id="pickle-unwritable-temp-dir"),
+    ])
     def test_transports_bitwise_identical(self, tiny_trace, store_trace,
-                                          sweep_config, monkeypatch):
-        """Shared-memory workers and the pickle fallback (reached when the
-        platform has no usable shared memory) compute the serial bits."""
-        policies = {"coach": COACH_POLICY}
-        pooled = replace(sweep_config, sweep_parallelism=2)
+                                          sweep_config, policies, staged_dirs,
+                                          monkeypatch, unwritable):
+        """Workers opening the staged store and the pickle fallback (reached
+        when the temp dir cannot be created or written) compute the serial
+        bits, and no staging directory outlives a successful sweep."""
         serial = sweep_policies(tiny_trace, policies, sweep_config)
-        shared = sweep_policies(store_trace, policies, pooled)
-        monkeypatch.setattr(TraceStore, "export_shared", _no_shared_memory)
-        pickled = sweep_policies(tiny_trace, policies, pooled)
-        assert serial == shared == pickled
+        if unwritable is not None:
+            owner = tempfile if unwritable == "mkdtemp" else TraceStore
+            monkeypatch.setattr(owner, unwritable, _raise_oserror)
+        pooled = sweep_policies(store_trace, policies,
+                                replace(sweep_config, sweep_parallelism=2))
+        assert pooled == serial
+        if unwritable != "mkdtemp":  # a directory was made: it must be gone
+            assert_staged_and_removed(staged_dirs)
 
-    def test_failing_policy_unlinks_segments(self, store_trace, sweep_config,
-                                             monkeypatch):
-        """PolicySweepError paths must still unlink the exported segments."""
-        captured = {}
-        original = sweep_module._export_shared_trace
-
-        def spy(trace):
-            handle = original(trace)
-            captured["names"] = handle.segment_names if handle else []
-            return handle
-
-        monkeypatch.setattr(sweep_module, "_export_shared_trace", spy)
+    def test_failing_policy_removes_staging(self, store_trace, sweep_config,
+                                            staged_dirs):
+        """PolicySweepError paths must still remove the staged store."""
         broken = COACH_POLICY.with_percentile(-5.0)
         with pytest.raises(PolicySweepError):
             sweep_policies(store_trace,
                            {"broken": broken, "coach": COACH_POLICY},
                            replace(sweep_config, sweep_parallelism=2))
-        assert captured["names"], "a store-backed trace should be shared"
-        assert all(segment_is_gone(name) for name in captured["names"])
+        assert_staged_and_removed(staged_dirs)
 
-    def test_successful_sweep_unlinks_segments(self, store_trace, sweep_config,
-                                               monkeypatch):
-        captured = {}
-        original = sweep_module._export_shared_trace
+    def test_dead_worker_removes_staging(self, store_trace, sweep_config,
+                                         staged_dirs):
+        """A worker dying without any cleanup leaves nothing behind: the
+        sweeping process owns the directory and removes it."""
+        killer = _PoolKillingPolicy(
+            kind=COACH_POLICY.kind, windows=COACH_POLICY.windows,
+            percentile=COACH_POLICY.percentile, oversubscribe=True)
+        with pytest.raises(PolicySweepError, match="died abruptly"):
+            sweep_policies(store_trace,
+                           {"killer": killer, "coach": COACH_POLICY},
+                           replace(sweep_config, sweep_parallelism=2))
+        assert_staged_and_removed(staged_dirs)
 
-        def spy(trace):
-            handle = original(trace)
-            captured["names"] = handle.segment_names if handle else []
-            return handle
+    @pytest.mark.parametrize("damage, culprit", [
+        pytest.param(_truncate("util_cpu.npy"), "util_cpu.npy",
+                     id="truncated-buffer"),
+        pytest.param(_truncate("meta.json"), "meta.json", id="truncated-meta"),
+        pytest.param(_edit_columns(lambda m: m.update(
+            start_slot=m["start_slot"][:-1])), "'start_slot'",
+            id="short-column"),
+    ])
+    def test_damaged_staged_store_fails_loudly(self, store_trace, sweep_config,
+                                               policies, staged_dirs,
+                                               monkeypatch, damage, culprit):
+        """Workers go through open()'s checks: a staged buffer, meta.json or
+        column damaged after staging fails the sweep by name instead of
+        replaying garbage, and the directory is still removed."""
+        save = TraceStore.save
 
-        monkeypatch.setattr(sweep_module, "_export_shared_trace", spy)
-        results = sweep_policies(
-            store_trace,
-            {"none": NO_OVERSUBSCRIPTION_POLICY, "coach": COACH_POLICY},
-            replace(sweep_config, sweep_parallelism=2))
-        assert set(results) == {"none", "coach"}
-        assert captured["names"], "a store-backed trace should be shared"
-        assert all(segment_is_gone(name) for name in captured["names"])
+        def save_then_damage(store, path):
+            saved = save(store, path)
+            damage(saved)
+            return saved
+
+        monkeypatch.setattr(TraceStore, "save", save_then_damage)
+        with pytest.raises(PolicySweepError) as info:
+            sweep_policies(store_trace, policies,
+                           replace(sweep_config, sweep_parallelism=2))
+        assert info.value.original_type == "ValueError"
+        assert culprit in info.value.original_message
+        assert_staged_and_removed(staged_dirs)
+
+    def test_object_trace_is_columnarized_and_staged(self, tiny_trace,
+                                                     sweep_config, policies,
+                                                     staged_dirs):
+        """A plain object trace travels like a store-backed one: the sweep
+        columnarizes and stages it, workers compute the serial bits, and
+        the directory is removed afterwards."""
+        serial = sweep_policies(tiny_trace, policies, sweep_config)
+        pooled = sweep_policies(tiny_trace, policies,
+                                replace(sweep_config, sweep_parallelism=2))
+        assert pooled == serial
+        assert_staged_and_removed(staged_dirs)
+
+    def test_non_uniform_trace_falls_back_to_pickle(self, tiny_trace,
+                                                    sweep_config, policies,
+                                                    staged_dirs):
+        """A trace that cannot columnarize (one VM without SSD telemetry) is
+        pickled into every task instead: nothing is staged and the workers
+        still compute the serial bits."""
+        first = tiny_trace.vms[0]
+        stripped = replace(first, utilization={
+            resource: series for resource, series in first.utilization.items()
+            if resource is not Resource.SSD})
+        ragged = Trace(vms=[stripped] + list(tiny_trace.vms[1:]),
+                       fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
+        with pytest.raises(ValueError, match="uniform resource set"):
+            TraceStore.from_trace(ragged)
+        serial = sweep_policies(ragged, policies, sweep_config)
+        pooled = sweep_policies(ragged, policies,
+                                replace(sweep_config, sweep_parallelism=2))
+        assert pooled == serial
+        assert staged_dirs == []
 
 
 class TestMiscStore:

@@ -9,14 +9,11 @@ evaluation period, empty servers, and stale plan entries.
 
 import pytest
 
+from repro.core.cluster_manager import build_prediction_model
 from repro.core.policy import COACH_POLICY
 from repro.core.scheduler import ClusterScheduler
-from repro.simulator import SimulationConfig, ViolationStats, simulate_policy
-from repro.simulator.replay import (
-    ReferenceViolationMeter,
-    VectorizedViolationMeter,
-    get_violation_meter,
-)
+from repro.simulator import ClusterSimulation, SimulationConfig, ViolationStats
+from repro.simulator.replay import ReferenceViolationMeter, VectorizedViolationMeter
 from repro.simulator.synthetic import build_placed_replay_state
 from repro.trace.hardware import ClusterConfig
 from repro.trace.timeseries import TimeWindowConfig
@@ -91,10 +88,6 @@ class TestMeterEquivalence:
             assert stats.per_server_cpu_violations[server_id] <= observed
             assert stats.per_server_memory_violations[server_id] <= observed
 
-    def test_unknown_meter_name_raises(self):
-        with pytest.raises(KeyError):
-            get_violation_meter("bogus")
-
     def test_merge_rejects_duplicate_server_ids(self):
         """Merging the same cluster twice must fail loudly, not drop counts."""
         part = ViolationStats.from_counts({"C1-s000": 10}, {"C1-s000": 2},
@@ -105,13 +98,21 @@ class TestMeterEquivalence:
 
 class TestEngineEquivalence:
     def test_full_simulation_matches_across_meters(self, small_trace):
-        """End to end: the engine's two replay paths agree on a real trace."""
+        """End to end: the state one cluster simulation placed on a real
+        trace measures the same with the engine's meter and the seed loop."""
         cluster = small_trace.cluster_ids()[0]
-        evaluations = {}
-        for meter in ("vectorized", "reference"):
-            config = SimulationConfig(clusters=[cluster], oracle_predictions=True,
-                                      violation_meter=meter)
-            evaluations[meter] = simulate_policy(small_trace, COACH_POLICY, config)
-        assert evaluations["vectorized"] == evaluations["reference"]
-        assert evaluations["vectorized"].violations.observed_server_slots > 0
+        config = SimulationConfig(clusters=[cluster], oracle_predictions=True)
+        history, _future = small_trace.split_at(config.history_end_slot)
+        model = build_prediction_model(COACH_POLICY, history.long_running().vms,
+                                       oracle=True,
+                                       n_estimators=config.n_estimators)
+        simulation = ClusterSimulation(small_trace, cluster, COACH_POLICY, model,
+                                       config)
+        vectorized = simulation.run().violations
+        reference = ReferenceViolationMeter().measure(
+            simulation.manager.scheduler.servers.values(), simulation.placed,
+            config.placement_start_slot, small_trace.n_slots,
+            config.cpu_contention_fraction)
+        assert vectorized == reference
+        assert vectorized.observed_server_slots > 0
 
