@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-# Re-exported for the benchmark modules: the knob parser lives beside the
-# shared measurement harnesses so scripts/run_benchmarks.py reads it
-# identically.  Shared CI runners cannot guarantee speedup ratios (noisy
-# neighbours, 1-2 vCPUs), so the smoke run keeps exercising every benchmark
-# code path and printing the observed numbers but only *warns* when a ratio
-# misses its local threshold.
+# Re-exported for the benchmark modules, so assert_perf and the smoke-sized
+# workloads read the knob through one parser.  Shared CI runners cannot
+# guarantee speedup ratios (noisy neighbours, 1-2 vCPUs), so the smoke run
+# keeps exercising every benchmark code path and printing the observed
+# numbers but only *warns* when a ratio misses its local threshold.
 from repro.simulator.benchmarking import bench_smoke_enabled  # noqa: F401
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.store import TraceStore

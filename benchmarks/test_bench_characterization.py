@@ -6,10 +6,10 @@ through the seed per-VM ``UtilizationSeries`` loops, while every statistic
 stays bitwise identical (the harness hard-asserts equality before the ratio
 is even considered).
 
-Workload and measurement harness are shared with
-``scripts/run_benchmarks.py`` via :mod:`repro.simulator.synthetic` and
-:mod:`repro.simulator.benchmarking`, so the tracked numbers cannot drift
-from this benchmark.
+The harness (:mod:`repro.simulator.benchmarking`) times
+``run_characterization_suite``, which ``perfbench/`` also times as its
+characterization stage, so this gate and the end-to-end stage time the
+same statistics.
 """
 
 from conftest import assert_perf, bench_smoke_enabled, run_once

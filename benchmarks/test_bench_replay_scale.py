@@ -39,8 +39,8 @@ def _best_of(func, rounds):
 
 
 def test_vectorized_replay_scale_throughput(benchmark):
-    # The smoke knob shrinks the workload the same way for this benchmark
-    # and scripts/run_benchmarks.py, so the two stay comparable per CI run.
+    # The smoke knob shrinks the workload so shared CI runners finish the
+    # bench job; the correctness asserts below hold at either size.
     smoke = bench_smoke_enabled()
     servers, placed, n_slots = build_replay_scale_state(smoke=smoke)
     assert SCALE_CLUSTER.server_count >= 200

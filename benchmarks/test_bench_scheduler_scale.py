@@ -43,8 +43,8 @@ def _place_all(plans):
 
 
 def test_vectorized_scheduler_scale_throughput(benchmark):
-    # The smoke knob shrinks the workload the same way for this benchmark
-    # and scripts/run_benchmarks.py, so the two stay comparable per CI run.
+    # The smoke knob shrinks the workload so shared CI runners finish the
+    # bench job; the correctness asserts below hold at either size.
     plans = build_placement_bench_plans(smoke=bench_smoke_enabled())
     n_plans = len(plans)
     assert SCALE_CLUSTER.server_count >= 200

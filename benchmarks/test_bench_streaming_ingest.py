@@ -7,11 +7,9 @@ on-disk columnar layout peaks at a fraction of the eager
 month-scale workload -- while producing byte-identical files for any batch
 size.
 
-Workload and measurement harness are shared with
-``scripts/run_benchmarks.py`` via :func:`repro.simulator.synthetic
-.streaming_ingest_config` and :func:`repro.simulator.benchmarking
-.measure_streaming_ingest`, so the tracked numbers cannot drift from this
-benchmark.
+The workload is :func:`repro.simulator.synthetic.streaming_ingest_config`;
+the harness, :func:`repro.simulator.benchmarking.measure_streaming_ingest`,
+byte-compares the two stores before any ratio is read.
 """
 
 from conftest import assert_perf, bench_smoke_enabled, run_once

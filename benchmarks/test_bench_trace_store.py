@@ -10,10 +10,9 @@ Three claims, each against the object-based seed representation:
 * an mmap-backed store replays end to end while staying under an in-RAM
   budget its utilization buffer exceeds (the streaming-trace ROADMAP item).
 
-Workloads and measurement harnesses are shared with
-``scripts/run_benchmarks.py`` via :mod:`repro.simulator.synthetic` and
-:mod:`repro.simulator.benchmarking`, so the tracked numbers cannot drift
-from these.
+The footprint and streaming-replay claims run on one workload
+(:func:`repro.simulator.synthetic.generate_store_bench_trace`), through the
+harnesses in :mod:`repro.simulator.benchmarking`.
 """
 
 import time

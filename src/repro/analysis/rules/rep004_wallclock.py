@@ -6,7 +6,7 @@ that embeds ``time.time()`` / ``datetime.now()`` (or any other clock read)
 can never satisfy those equality pins, and worse, fails only occasionally.
 All timing therefore lives in ``repro.simulator.benchmarking``, whose
 measurement dicts are reporting-only and excluded from equivalence checks;
-``scripts/`` (outside the package) may also stamp records freely.
+code outside the package (``benchmarks/``, ``perfbench/``) is not scanned.
 
 Flagged anywhere else in ``src/repro``: ``time.time/_ns``,
 ``time.perf_counter/_ns``, ``time.monotonic/_ns``, ``time.process_time/_ns``,

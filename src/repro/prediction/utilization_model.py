@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -169,9 +169,6 @@ class LongTermUtilizationModel:
         return WindowUtilizationPrediction(
             self.windows, percentile, maximum, oversubscribable).clipped()
 
-    def predict_many(self, vms: Sequence[VMRecord]) -> List[WindowUtilizationPrediction]:
-        return [self.predict(vm) for vm in vms]
-
 
 class OracleUtilizationModel:
     """Perfect-knowledge predictor computed from the VM's actual future telemetry.
@@ -199,9 +196,6 @@ class OracleUtilizationModel:
             maximum[resource] = np.clip(mx, 0.0, 1.0)
         return WindowUtilizationPrediction(self.windows, percentile, maximum, True).clipped()
 
-    def predict_many(self, vms: Sequence[VMRecord]) -> List[WindowUtilizationPrediction]:
-        return [self.predict(vm) for vm in vms]
-
 
 class NoOversubscriptionModel:
     """Baseline "predictor" that always requests the full allocation.
@@ -221,6 +215,3 @@ class NoOversubscriptionModel:
             {r: ones.copy() for r in ALL_RESOURCES},
             oversubscribable=False,
         )
-
-    def predict_many(self, vms: Sequence[VMRecord]) -> List[WindowUtilizationPrediction]:
-        return [self.predict(vm) for vm in vms]

@@ -6,7 +6,7 @@ A :class:`Scenario` is pure configuration: it yields a generator config
 expected to satisfy -- :mod:`repro.scenarios.runner` executes it and
 :mod:`tests.test_golden_scenarios` pins its fingerprint.  Scenarios are
 sized to finish in seconds so the whole registry can run in one test
-session and in the ``scenario_matrix`` bench section.
+session.
 
 All randomness derives from ``seed`` via :func:`repro.scenarios.axes.derive_seed`
 (REP008): the trace uses the ``"trace"`` sub-stream, failure injection the

@@ -1,12 +1,13 @@
-"""Shared measurement harnesses for the perf-tracking benchmarks.
+"""Measurement harnesses for the per-subsystem benchmark gates.
 
-``benchmarks/test_bench_sweep_scale.py`` and ``scripts/run_benchmarks.py``
-must measure the same thing the same way, or the ``BENCH_<date>.json``
-trajectory silently stops being comparable with the pytest benchmark
-numbers.  The workload *builders* live in :mod:`repro.simulator.synthetic`
-for that reason; the measurement *harnesses* (worker sizing, wall-clock
-pairing, tracemalloc peaks, and the bitwise divergence checks) live here
-for the same one.
+The ``benchmarks/`` suite gates each subsystem through these harnesses:
+worker sizing, wall-clock pairing, tracemalloc peaks, and the bitwise
+divergence checks that make every timed run a differential test too.
+They live in the package, not in ``benchmarks/``, because this is the one
+module where REP004 allows clock reads, and because the end-to-end
+benchmark (``perfbench/``) times :func:`run_characterization_suite` as its
+characterization stage.  The workload *builders* live in
+:mod:`repro.simulator.synthetic`, shared with the differential tests.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ _SMOKE_TRUTHY = frozenset({"1", "true", "yes", "on"})
 def bench_smoke_enabled() -> bool:
     """Whether benchmark smoke mode is on (``REPRO_BENCH_SMOKE=1``).
 
-    The single source of truth for the knob: the pytest benchmarks (via
-    ``benchmarks/conftest.py``) and ``scripts/run_benchmarks.py`` must
-    parse it identically or the two would measure different workload sizes
-    in the same CI run.
+    The single source of truth for the knob: ``benchmarks/conftest.py``
+    relaxes perf thresholds on it, and the benchmark modules shrink their
+    workloads on it, so both halves of a smoke run must parse it
+    identically.
     """
     return os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in _SMOKE_TRUTHY
 
@@ -141,7 +142,7 @@ def measure_scheduler_scaling(*, smoke: bool = False,
     run in ascending order).  Raises ``AssertionError`` if the two paths'
     decisions diverge on the shared prefix (they are contractually
     bitwise-identical).  Returns the curve plus the speedup at the largest
-    size, the number tracked by the BENCH JSON.
+    size, the number the scheduler-scale benchmark gates.
     """
     import resource as _resource
     from repro.core.scheduler import ClusterScheduler
@@ -309,10 +310,11 @@ def run_characterization_suite(trace: Trace) -> Dict[str, object]:
 
     One call per rewired statistic family (Figures 2-12), with the window
     sweeps trimmed to representative lengths so the reference pass stays
-    benchmarkable.  Both the pytest benchmark and
-    ``scripts/run_benchmarks.py`` time exactly this function, once over the
-    columnar dispatch and once over the per-VM reference, so the tracked
-    speedup cannot drift between the two.
+    benchmarkable.  :func:`measure_characterization_throughput` times
+    exactly this function, once over the columnar dispatch and once over
+    the per-VM reference, and ``perfbench/`` times it as its
+    characterization stage, so the gated speedup and the end-to-end stage
+    measure the same suite.
     """
     # Imported here (not module level): characterization sits above the
     # simulator in the layering, and only this harness needs it.
@@ -395,7 +397,7 @@ def measure_sweep_task_footprint(trace: Trace,
     once, and workers memory-map it, sharing one page-cache copy.  The
     pickled task size is the exact number of bytes each worker must
     receive *and materialize*, which makes it the deterministic proxy for
-    per-worker sweep memory tracked in ``BENCH_<date>.json``.  Also times
+    per-worker sweep memory that the trace-store benchmark gates.  Also times
     unpickling the trace task against a worker's open of the staged store
     (the per-worker startup cost the transports trade).
     """
@@ -469,8 +471,8 @@ def measure_streaming_ingest(config: TraceGeneratorConfig, workdir,
     buffers), each under tracemalloc.  Asserts the two stores are
     byte-identical and that the streaming one opens via
     ``TraceStore.open(mmap=True)`` -- the correctness half of the claim --
-    then reports the peak-memory ratio and ingest rate, the numbers
-    ``BENCH_<date>.json`` tracks.
+    then reports the peak-memory ratio and ingest rate, the numbers the
+    streaming-ingest benchmark gates.
     """
     workdir = Path(workdir)
     stream_path = workdir / "stream-store"
@@ -575,49 +577,3 @@ def measure_mmap_bounded_replay(trace: Trace, workdir,
         "bitwise_identical": True,
     }
 
-
-def measure_scenario_matrix(*, smoke: bool = False) -> Dict[str, object]:
-    """Wall-clock the scenario registry end to end (repro.scenarios).
-
-    Runs every registered scenario (a smoke run keeps only the cheapest
-    and the most loaded one), asserts its expected invariants held, and
-    reports per-scenario wall-clock plus the aggregate admission rate
-    ``vms_per_second`` -- the headline number ``BENCH_<date>.json``
-    tracks for the scenario engine.  Fingerprints ride along so a perf
-    regression can be told apart from a behaviour change at a glance.
-    """
-    from repro.scenarios.registry import scenario_names
-    from repro.scenarios.runner import run_scenario
-
-    names = scenario_names()
-    if smoke:
-        names = ["baseline", "spot-churn-with-crashes"]
-    per_scenario: Dict[str, Dict[str, object]] = {}
-    total_requested = 0
-    total_seconds = 0.0
-    for name in names:
-        begin = time.perf_counter()
-        result = run_scenario(name)
-        seconds = time.perf_counter() - begin
-        if result.invariant_failures:
-            raise AssertionError(
-                f"scenario {name!r} violated invariants: "
-                f"{result.invariant_failures}")
-        requested = int(result.fingerprint["requested"])  # type: ignore[arg-type]
-        per_scenario[name] = {
-            "seconds": seconds,
-            "requested": requested,
-            "accepted": result.fingerprint["accepted"],
-            "preempted": result.fingerprint["preempted"],
-            "decision_ring_sha256": result.fingerprint["decision_ring_sha256"],
-        }
-        total_requested += requested
-        total_seconds += seconds
-    return {
-        "scenarios": len(names),
-        "per_scenario": per_scenario,
-        "total_requested": total_requested,
-        "total_seconds": total_seconds,
-        "vms_per_second": total_requested / max(total_seconds, 1e-9),
-        "invariants_ok": True,
-    }

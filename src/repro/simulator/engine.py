@@ -56,6 +56,10 @@ class FailureEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("drain", "crash"):
             raise ValueError(f"unknown failure kind: {self.kind!r}")
+        if self.server_index < 0:
+            raise ValueError(
+                f"failure server_index must be non-negative, "
+                f"got {self.server_index}")
 
 
 @dataclass
@@ -135,6 +139,18 @@ class ClusterSimulation:
             conservative_admission=config.conservative_admission,
             class_aware=config.class_aware_admission)
         self.placed: Dict[str, VMRecord] = {}
+        # Every event is checked, not just this cluster's, so a failure
+        # outside the fleet stops the run before any cluster replays.
+        server_counts = {cluster.cluster_id: cluster.server_count
+                         for cluster in trace.fleet.clusters}
+        for event in config.failure_events:
+            if event.cluster_id not in server_counts:
+                raise ValueError(f"{event} names a cluster that is not in "
+                                 f"the trace's fleet")
+            if event.server_index >= server_counts[event.cluster_id]:
+                raise ValueError(
+                    f"{event} names a server past the "
+                    f"{server_counts[event.cluster_id]} servers of its cluster")
         # Stable (slot, listing order) firing order for this cluster's
         # injected failures; sorted() is stable, so ties on the slot fire
         # in config order.

@@ -32,9 +32,9 @@ DEFAULT_CONFIG_NAMES: Tuple[str, ...] = ("D1_v5", "D2_v5", "D4_v5", "F2_v2", "E2
 #: Window configuration shared by every benchmark workload below.
 BENCH_WINDOWS = TimeWindowConfig(4)
 
-#: 200-server cluster timed by the placement/replay scale benchmarks AND
-#: ``scripts/run_benchmarks.py`` -- one definition, so the tracked plans/s
-#: and server-slots/s trajectories cannot silently diverge between the two.
+#: 200-server cluster timed by the placement and replay scale benchmarks --
+#: one definition, so the plans/s and server-slots/s they gate are measured
+#: on the same fleet.
 SCALE_BENCH_CLUSTER = ClusterConfig(
     "SCALE", "bench",
     (("gen4-intel", 60), ("gen5-intel", 50), ("gen6-amd", 50), ("gen7-amd", 40)))
@@ -164,10 +164,12 @@ def build_placement_plans(
 ) -> List[object]:
     """Randomized VM resource plans for placement-throughput measurements.
 
-    The scheduler-scale benchmark and ``scripts/run_benchmarks.py`` must
-    time the *same* workload shape or the tracked plans/s trajectory would
-    silently drift, so the builder lives here rather than in either
-    harness.
+    The single-size placement benchmark (:func:`build_placement_bench_plans`)
+    and the scaling curve
+    (:func:`repro.simulator.benchmarking.measure_scheduler_scaling`) must
+    time the *same* workload shape, or the curve's first point would stop
+    being comparable with the single-size gate, so the builder lives here
+    rather than in either harness.
     """
     rng = np.random.default_rng(seed)
     w = windows.windows_per_day
@@ -240,9 +242,9 @@ def generate_store_bench_trace(*, smoke: bool = False,
     Telemetry-dense on purpose: a long horizon with a moderate VM count, so
     the flat utilization buffer dwarfs the per-VM metadata the way a
     production trace does -- that is the regime where per-worker pickled
-    copies and full in-RAM loads visibly hurt.  Shared by
-    ``benchmarks/test_bench_trace_store.py`` and
-    ``scripts/run_benchmarks.py`` so the tracked numbers agree.
+    copies and full in-RAM loads visibly hurt.  Shared by the footprint
+    and mmap-replay benchmarks in ``benchmarks/test_bench_trace_store.py``,
+    so both gate the same trace.
     """
     return generate_multiweek_trace(n_days=42 if smoke else 84,
                                     n_vms=250 if smoke else 500,
@@ -286,11 +288,10 @@ def streaming_ingest_config(*, smoke: bool = False) -> TraceGeneratorConfig:
 
     Sized so the eager path (object trace + concatenated buffers, all in
     RAM at once) visibly dwarfs the streaming builder's bounded batches --
-    the regime ``generate_to_store`` exists for.  Shared by
-    ``benchmarks/test_bench_streaming_ingest.py`` and
-    ``scripts/run_benchmarks.py``; ingests of the ~1M-VM scale documented
-    in ``docs/trace_store.md`` use the same code path with a larger
-    ``n_vms``, they are just too slow to regenerate per benchmark run.
+    the regime ``generate_to_store`` exists for.  Ingests of the ~1M-VM
+    scale documented in ``docs/trace_store.md`` use the same code path
+    with a larger ``n_vms``, they are just too slow to regenerate per
+    benchmark run.
     """
     return TraceGeneratorConfig(
         n_vms=1200 if smoke else 6000,

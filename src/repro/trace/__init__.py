@@ -21,7 +21,7 @@ from repro.trace.timeseries import (
     slots_for_hours,
 )
 from repro.trace.store import TraceStore, TraceStoreBuilder
-from repro.trace.trace import Trace, merge_traces
+from repro.trace.trace import Trace
 from repro.trace.vm import (
     TYPICAL_VM_CONFIG,
     VM_CATALOG,
@@ -62,7 +62,6 @@ __all__ = [
     "default_clusters",
     "generate_trace",
     "generate_trace_to_store",
-    "merge_traces",
     "slots_for_days",
     "slots_for_hours",
     "small_trace",

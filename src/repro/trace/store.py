@@ -223,6 +223,11 @@ def rowwise_mean(buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
 #: File names of the on-disk layout.
 _META_FILE = "meta.json"
 _COLUMNS_FILE = "columns.npz"
+#: Every ``meta.json`` key :meth:`TraceStore.open` reads.
+_META_KEYS: Tuple[str, ...] = (
+    "format_version", "n_vms", "n_slots", "resources", "offering_values",
+    "subscription_type_values", "allocation_class_values", "cluster_ids",
+    "configs", "fleet", "subscriptions")
 
 #: Stable code tables for the enum columns (persisted in ``meta.json`` so a
 #: reordering of the enums cannot silently re-label old stores).
@@ -749,10 +754,12 @@ class TraceStore:
         lets every sweep worker read one page-cache copy of a staged store.
 
         The files are checked against ``meta.json`` before the store is
-        built: every ``columns.npz`` member has one entry per VM
-        (``offsets`` one more), ``offsets`` start at 0 and never decrease,
-        index and code columns stay inside their tables, and each buffer
-        holds exactly ``offsets[-1]`` samples.  A damaged store raises
+        built: ``meta.json`` is an object carrying every key read here,
+        every ``columns.npz`` member has one entry per VM (``offsets`` one
+        more), ``offsets`` start at 0 and never decrease -- and, when the
+        store has telemetry, give every VM at least one sample -- index and
+        code columns stay inside their tables, and each buffer holds
+        exactly ``offsets[-1]`` samples.  A damaged store raises
         ``ValueError`` naming the store and the file or column at fault.
         """
         path = Path(path)
@@ -765,11 +772,19 @@ class TraceStore:
             meta = json.loads((path / _META_FILE).read_text())
         except (OSError, ValueError) as exc:
             raise damaged(_META_FILE, f"cannot be read ({exc})") from exc
-        if meta["format_version"] != STORE_FORMAT_VERSION:
+        if not isinstance(meta, dict):
+            raise damaged(_META_FILE, "is not a JSON object")
+        # The version goes first: another format version may carry other
+        # keys, and what its reader needs to hear is the version.
+        if "format_version" in meta and \
+                meta["format_version"] != STORE_FORMAT_VERSION:
             raise ValueError(
                 f"trace store at {path} has format version "
                 f"{meta['format_version']}; this build reads "
                 f"{STORE_FORMAT_VERSION}")
+        missing = [key for key in _META_KEYS if key not in meta]
+        if missing:
+            raise damaged(_META_FILE, f"lacks the key(s) {missing}")
         # The enum code columns are only meaningful against the tables they
         # were written with; a reordered or extended enum must fail loudly
         # instead of silently re-labelling every VM.
@@ -801,6 +816,11 @@ class TraceStore:
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise damaged(f"{_COLUMNS_FILE} column 'offsets'",
                           "must start at 0 and never decrease")
+        # Every UtilizationSeries holds at least one sample, and the row
+        # views rely on it; only a store without telemetry has empty rows.
+        if meta["resources"] and np.any(offsets[1:] == offsets[:-1]):
+            raise damaged(f"{_COLUMNS_FILE} column 'offsets'",
+                          "gives a VM no telemetry samples")
         for name, (_dtype, table) in _METADATA_COLUMNS.items():
             column = members[name]
             if table is not None and n_vms and (

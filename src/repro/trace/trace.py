@@ -21,7 +21,7 @@ A trace comes in two physical layouts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -184,12 +184,6 @@ class Trace:
             groups.setdefault(vm.subscription_id, []).append(vm)
         return groups
 
-    def by_config(self) -> Dict[str, List[VMRecord]]:
-        groups: Dict[str, List[VMRecord]] = {}
-        for vm in self.vms:
-            groups.setdefault(vm.config.name, []).append(vm)
-        return groups
-
     # ------------------------------------------------------------------ #
     # Aggregate statistics
     # ------------------------------------------------------------------ #
@@ -261,23 +255,3 @@ class Trace:
             "fraction_core_hours_long_running": long_core_hours / max(core_hours, 1e-9),
         }
 
-
-def merge_traces(traces: Sequence[Trace]) -> Trace:
-    """Concatenate traces that share a fleet and horizon (e.g. per-cluster shards).
-
-    The merged trace is object-backed even when the inputs are store-backed
-    (their stores may live over unrelated buffers); columnarize the result
-    with ``TraceStore.from_trace`` when the dense layout is needed again.
-    """
-    if not traces:
-        raise ValueError("need at least one trace to merge")
-    first = traces[0]
-    vms: List[VMRecord] = []
-    subscriptions: Dict[str, Subscription] = {}
-    for trace in traces:
-        if trace.n_slots != first.n_slots:
-            raise ValueError("cannot merge traces with different horizons")
-        vms.extend(trace.vms)
-        subscriptions.update(trace.subscriptions)
-    return Trace(vms=vms, fleet=first.fleet, n_slots=first.n_slots,
-                 subscriptions=subscriptions)

@@ -185,6 +185,39 @@ class TestFailureInjection:
         with pytest.raises(ValueError):
             FailureEvent(slot=0, cluster_id="C", server_index=0, kind="flood")
 
+    def test_negative_server_index_rejected(self):
+        with pytest.raises(ValueError, match="server_index"):
+            FailureEvent(slot=0, cluster_id="C", server_index=-1)
+
+    @pytest.mark.parametrize("entry", ["cluster-simulation", "simulate-policy"])
+    @pytest.mark.parametrize("where", ["unknown-cluster", "index-past-cluster"])
+    def test_failure_outside_the_fleet_fails_before_replay(
+            self, small_trace, monkeypatch, where, entry):
+        """A failure naming a cluster or server the fleet lacks is rejected
+        by name before any cluster replays, instead of being dropped or
+        raising a bare KeyError after earlier clusters replayed."""
+        first, last = small_trace.fleet.clusters[0], small_trace.fleet.clusters[-1]
+        if where == "unknown-cluster":
+            event = FailureEvent(SLOTS_PER_DAY, "no-such-cluster", 0)
+        else:
+            event = FailureEvent(SLOTS_PER_DAY, last.cluster_id,
+                                 last.server_count)
+        config = SimulationConfig(failure_events=(event,))
+        replayed = []
+        run = ClusterSimulation.run
+        monkeypatch.setattr(ClusterSimulation, "run",
+                            lambda sim: replayed.append(sim) or run(sim))
+        policy = NO_OVERSUBSCRIPTION_POLICY
+        model = NoOversubscriptionModel(policy.windows)
+        with pytest.raises(ValueError) as info:
+            if entry == "cluster-simulation":
+                ClusterSimulation(small_trace, first.cluster_id, policy,
+                                  model, config)
+            else:
+                simulate_policy(small_trace, policy, config, model)
+        assert str(event) in str(info.value)
+        assert replayed == []
+
 
 class TestClassAwareAdmission:
     def test_on_demand_only_trace_matches_class_blind_run(self, small_trace):

@@ -15,6 +15,7 @@ Three contracts are pinned here:
   at construction, not silently downstream.
 """
 
+import json
 import os
 import tempfile
 from dataclasses import replace
@@ -235,6 +236,19 @@ def _decrease_offsets(members):
     members["offsets"][1] = members["offsets"][-1] + 1
 
 
+def _empty_row(members):
+    """VM 1 keeps its offset but hands all its samples to VM 2."""
+    members["offsets"][2] = members["offsets"][1]
+
+
+def _edit_meta(edit):
+    """A damage that rewrites ``meta.json`` as *edit* of the parsed one."""
+    def damage(path):
+        meta = json.loads((path / "meta.json").read_text())
+        (path / "meta.json").write_text(json.dumps(edit(meta)))
+    return damage
+
+
 def _truncate(name):
     """A damage that cuts file *name* in half."""
     def damage(path):
@@ -264,6 +278,13 @@ STORE_DAMAGE = [
                  "'offsets'", id="offsets-not-at-zero"),
     pytest.param(_edit_columns(_decrease_offsets), "'offsets'",
                  id="offsets-decrease"),
+    pytest.param(_edit_columns(_empty_row), "'offsets'",
+                 id="zero-length-row"),
+    pytest.param(_edit_meta(lambda meta: {key: value
+                                          for key, value in meta.items()
+                                          if key != "format_version"}),
+                 "meta.json", id="meta-missing-key"),
+    pytest.param(_edit_meta(list), "meta.json", id="meta-not-an-object"),
     pytest.param(_edit_columns(_set_first("config_index", -1)),
                  "'config_index'", id="index-outside-table"),
     pytest.param(_edit_columns(_set_first("offering_code", 99)),
@@ -326,12 +347,19 @@ class TestPersistence:
                 vm.utilization[Resource.CPU].values)
 
     def test_unknown_format_version_rejected(self, store, tmp_path):
+        """Another format version is reported as such, even when its
+        ``meta.json`` lacks keys this version reads."""
         store.save(tmp_path / "store")
         meta = (tmp_path / "store" / "meta.json")
         meta.write_text(meta.read_text().replace(
             f'"format_version": {STORE_FORMAT_VERSION}',
             '"format_version": 99'))
         with pytest.raises(ValueError, match="format version"):
+            TraceStore.open(tmp_path / "store")
+        _edit_meta(lambda meta: {key: value for key, value in meta.items()
+                                 if key != "allocation_class_values"})(
+            tmp_path / "store")
+        with pytest.raises(ValueError, match="format version 99"):
             TraceStore.open(tmp_path / "store")
 
     @pytest.mark.parametrize("mmap", [False, True])
@@ -466,6 +494,8 @@ class TestSweepTransports:
         pytest.param(_edit_columns(lambda m: m.update(
             start_slot=m["start_slot"][:-1])), "'start_slot'",
             id="short-column"),
+        pytest.param(_edit_columns(_empty_row), "'offsets'",
+                     id="zero-length-row"),
     ])
     def test_damaged_staged_store_fails_loudly(self, store_trace, sweep_config,
                                                policies, staged_dirs,
