@@ -26,6 +26,42 @@ from repro.trace.vm import Offering, SubscriptionType, VMRecord
 _FAMILIES = ("general-purpose", "memory-optimized", "compute-optimized")
 
 
+@dataclass(frozen=True)
+class LifetimeStats:
+    """One training VM's lifetime utilization statistics for one resource.
+
+    Computed once per VM (:func:`lifetime_stats`) and shared by every
+    :class:`HistoryIndex` group the VM belongs to and by the training
+    targets of :class:`~repro.prediction.utilization_model.LongTermUtilizationModel`.
+    """
+
+    #: Lifetime peak (``series.maximum()``).
+    peak: float
+    #: Lifetime percentile (``series.percentile(percentile)``).
+    percentile: float
+    #: Per-window-of-day maximum (``series.lifetime_window_max(windows)``).
+    window_peaks: np.ndarray
+
+
+def lifetime_stats(vm: VMRecord, windows: TimeWindowConfig,
+                   percentile: float) -> Dict[Resource, LifetimeStats]:
+    """Per-resource :class:`LifetimeStats` of one VM."""
+    stats: Dict[Resource, LifetimeStats] = {}
+    for resource in ALL_RESOURCES:
+        series = vm.series(resource)
+        stats[resource] = LifetimeStats(series.maximum(),
+                                        series.percentile(percentile),
+                                        series.lifetime_window_max(windows))
+    return stats
+
+
+def training_vms(history_vms: Sequence[VMRecord],
+                 min_lifetime_days: float) -> List[VMRecord]:
+    """The history VMs a model learns from: long-lived, with telemetry."""
+    return [vm for vm in history_vms
+            if vm.lifetime_days >= min_lifetime_days and vm.has_utilization()]
+
+
 @dataclass
 class GroupHistory:
     """Aggregated utilization history of one (subscription, config) group."""
@@ -40,6 +76,25 @@ class GroupHistory:
     window_mean_peak: Dict[Resource, np.ndarray] = field(default_factory=dict)
     #: Mean lifetime-percentile (e.g. P95) utilization, per resource.
     mean_percentile: Dict[Resource, float] = field(default_factory=dict)
+
+    @classmethod
+    def summarize(cls, members: Sequence[Dict[Resource, LifetimeStats]]) -> "GroupHistory":
+        """Aggregate the member VMs' statistics (in member order)."""
+        history = cls(n_vms=len(members))
+        for resource in ALL_RESOURCES:
+            peaks = np.asarray([stats[resource].peak for stats in members])
+            history.mean_peak[resource] = float(peaks.mean())
+            history.peak_range[resource] = float(peaks.max() - peaks.min())
+            history.mean_percentile[resource] = float(
+                np.mean([stats[resource].percentile for stats in members]))
+            window_stack = np.vstack([stats[resource].window_peaks
+                                      for stats in members])
+            with np.errstate(all="ignore"):
+                mean_windows = np.nanmean(window_stack, axis=0)
+            # Windows never observed fall back to the overall mean peak.
+            mean_windows = np.where(np.isnan(mean_windows), peaks.mean(), mean_windows)
+            history.window_mean_peak[resource] = mean_windows
+        return history
 
 
 class HistoryIndex:
@@ -61,37 +116,6 @@ class HistoryIndex:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _accumulate(groups: Dict, key, vm: VMRecord, windows: TimeWindowConfig,
-                    percentile: float, scratch: Dict) -> None:
-        entry = scratch.setdefault(key, {r: {"peaks": [], "percentiles": [],
-                                             "window_peaks": []}
-                                         for r in ALL_RESOURCES})
-        for resource in ALL_RESOURCES:
-            series = vm.series(resource)
-            stats = entry[resource]
-            stats["peaks"].append(series.maximum())
-            stats["percentiles"].append(series.percentile(percentile))
-            stats["window_peaks"].append(series.lifetime_window_max(windows))
-
-    @staticmethod
-    def _finalize(scratch_entry: Dict, windows: TimeWindowConfig) -> GroupHistory:
-        history = GroupHistory()
-        any_resource = next(iter(scratch_entry.values()))
-        history.n_vms = len(any_resource["peaks"])
-        for resource, stats in scratch_entry.items():
-            peaks = np.asarray(stats["peaks"])
-            history.mean_peak[resource] = float(peaks.mean())
-            history.peak_range[resource] = float(peaks.max() - peaks.min())
-            history.mean_percentile[resource] = float(np.mean(stats["percentiles"]))
-            window_stack = np.vstack(stats["window_peaks"])
-            with np.errstate(all="ignore"):
-                mean_windows = np.nanmean(window_stack, axis=0)
-            # Windows never observed fall back to the overall mean peak.
-            mean_windows = np.where(np.isnan(mean_windows), peaks.mean(), mean_windows)
-            history.window_mean_peak[resource] = mean_windows
-        return history
-
     @classmethod
     def build(cls, history_vms: Sequence[VMRecord], windows: TimeWindowConfig,
               percentile: float = 95.0, min_lifetime_days: float = 1.0) -> "HistoryIndex":
@@ -101,25 +125,30 @@ class HistoryIndex:
         carry little temporal signal and the paper's oversubscription targets
         are the long-running ones.
         """
-        index = cls(windows, percentile)
-        scratch_sub_config: Dict = {}
-        scratch_sub: Dict = {}
-        scratch_global: Dict = {}
-        for vm in history_vms:
-            if vm.lifetime_days < min_lifetime_days or not vm.has_utilization():
-                continue
-            cls._accumulate(index._by_sub_config, (vm.subscription_id, vm.config.name),
-                            vm, windows, percentile, scratch_sub_config)
-            cls._accumulate(index._by_sub, vm.subscription_id, vm, windows,
-                            percentile, scratch_sub)
-            cls._accumulate({}, "__global__", vm, windows, percentile, scratch_global)
+        vms = training_vms(history_vms, min_lifetime_days)
+        return cls.from_stats(vms, [lifetime_stats(vm, windows, percentile)
+                                    for vm in vms], windows, percentile)
 
-        index._by_sub_config = {key: cls._finalize(val, windows)
-                                for key, val in scratch_sub_config.items()}
-        index._by_sub = {key: cls._finalize(val, windows)
-                         for key, val in scratch_sub.items()}
-        if scratch_global:
-            index._global = cls._finalize(scratch_global["__global__"], windows)
+    @classmethod
+    def from_stats(cls, vms: Sequence[VMRecord],
+                   stats: Sequence[Dict[Resource, LifetimeStats]],
+                   windows: TimeWindowConfig,
+                   percentile: float) -> "HistoryIndex":
+        """Build the index from training VMs and their precomputed
+        :func:`lifetime_stats` (``stats[i]`` belongs to ``vms[i]``)."""
+        index = cls(windows, percentile)
+        by_sub_config: Dict[Tuple[str, str], List[Dict[Resource, LifetimeStats]]] = {}
+        by_sub: Dict[str, List[Dict[Resource, LifetimeStats]]] = {}
+        for vm, vm_stats in zip(vms, stats):
+            by_sub_config.setdefault((vm.subscription_id, vm.config.name),
+                                     []).append(vm_stats)
+            by_sub.setdefault(vm.subscription_id, []).append(vm_stats)
+        index._by_sub_config = {key: GroupHistory.summarize(members)
+                                for key, members in by_sub_config.items()}
+        index._by_sub = {key: GroupHistory.summarize(members)
+                         for key, members in by_sub.items()}
+        if stats:
+            index._global = GroupHistory.summarize(stats)
         return index
 
     # ------------------------------------------------------------------ #
@@ -184,26 +213,20 @@ class FeatureEncoder:
 
     def encode(self, vm: VMRecord, window_index: int,
                history: Optional[HistoryIndex]) -> np.ndarray:
+        return np.array(self._rows(vm, (window_index,), history)[0])
+
+    def encode_all_windows(self, vm: VMRecord,
+                           history: Optional[HistoryIndex]) -> np.ndarray:
+        """Feature matrix with one row per window of the day."""
+        return np.array(self._rows(vm, range(self.windows.windows_per_day), history))
+
+    def _rows(self, vm: VMRecord, window_indices: Sequence[int],
+              history: Optional[HistoryIndex]) -> List[List[float]]:
+        """One feature row per window in *window_indices*; the VM's own
+        features and its history lookup are shared by every row."""
         config = vm.config
         family_ordinal = float(_FAMILIES.index(config.family)) if config.family in _FAMILIES else -1.0
-        center_hour = (window_index + 0.5) * self.windows.window_hours
-        angle = 2.0 * np.pi * center_hour / 24.0
-
-        if history is not None:
-            group, level = history.lookup(vm)
-            n_vms = float(group.n_vms)
-            mean_peak = group.mean_peak.get(self.resource, 0.5)
-            peak_range = group.peak_range.get(self.resource, 1.0)
-            mean_percentile = group.mean_percentile.get(self.resource, 0.5)
-            window_peaks = group.window_mean_peak.get(self.resource)
-            window_mean_peak = (float(window_peaks[window_index])
-                                if window_peaks is not None and window_peaks.size > window_index
-                                else mean_peak)
-        else:
-            level, n_vms = 0, 0.0
-            mean_peak, peak_range, mean_percentile, window_mean_peak = 0.5, 1.0, 0.5, 0.5
-
-        return np.array([
+        vm_features = [
             float(config.cores),
             float(config.memory_gb),
             float(config.gb_per_core),
@@ -215,19 +238,36 @@ class FeatureEncoder:
                                             SubscriptionType.INTERNAL_TEST) else 0.0,
             float(vm.creation_weekday),
             1.0 if vm.creation_weekday >= 5 else 0.0,
-            float(window_index),
-            float(np.sin(angle)),
-            float(np.cos(angle)),
-            float(level),
-            n_vms,
-            float(mean_peak),
-            float(peak_range),
-            float(mean_percentile),
-            float(window_mean_peak),
-        ])
+        ]
 
-    def encode_all_windows(self, vm: VMRecord,
-                           history: Optional[HistoryIndex]) -> np.ndarray:
-        """Feature matrix with one row per window of the day."""
-        return np.vstack([self.encode(vm, w, history)
-                          for w in range(self.windows.windows_per_day)])
+        if history is not None:
+            group, level = history.lookup(vm)
+            n_vms = float(group.n_vms)
+            mean_peak = group.mean_peak.get(self.resource, 0.5)
+            peak_range = group.peak_range.get(self.resource, 1.0)
+            mean_percentile = group.mean_percentile.get(self.resource, 0.5)
+            window_peaks = group.window_mean_peak.get(self.resource)
+        else:
+            level, n_vms = 0, 0.0
+            mean_peak, peak_range, mean_percentile, window_peaks = 0.5, 1.0, 0.5, None
+
+        rows = []
+        for window_index in window_indices:
+            center_hour = (window_index + 0.5) * self.windows.window_hours
+            angle = 2.0 * np.pi * center_hour / 24.0
+            window_mean_peak = (float(window_peaks[window_index])
+                                if window_peaks is not None and window_peaks.size > window_index
+                                else mean_peak)
+            rows.append([
+                *vm_features,
+                float(window_index),
+                float(np.sin(angle)),
+                float(np.cos(angle)),
+                float(level),
+                n_vms,
+                float(mean_peak),
+                float(peak_range),
+                float(mean_percentile),
+                float(window_mean_peak),
+            ])
+        return rows

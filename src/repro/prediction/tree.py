@@ -39,48 +39,58 @@ def _best_split(
     Returns ``(feature, threshold, score)``; ``feature`` is -1 when no valid
     split exists.  The score is the total sum of squared errors after the
     split (lower is better).
+
+    Every candidate feature is scored in one 2-D pass (one column each);
+    the columns are then compared in ``feature_indices`` order with a
+    strict ``<``, so ties go to the earliest candidate.  Column-wise
+    ``cumsum`` adds in the same order as a per-column one, so the scores
+    equal a per-feature loop bit for bit.
     """
     n = y.shape[0]
+    if n < 2:
+        return -1, 0.0, np.inf
+    columns = x[:, feature_indices]
+    order = np.argsort(columns, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(columns, order, axis=0)
+    sorted_y = y[order]
+
+    # Cumulative statistics allow evaluating every split point in O(n).
+    csum = np.cumsum(sorted_y, axis=0)
+    csum_sq = np.cumsum(sorted_y ** 2, axis=0)
+    total_sum = csum[-1]
+    total_sq = csum_sq[-1]
+
+    # Candidate split after position i puts i+1 samples left.
+    counts_left = np.arange(1, n)[:, None]
+    counts_right = n - counts_left
+    sum_left = csum[:-1]
+    sum_right = total_sum - sum_left
+    sq_left = csum_sq[:-1]
+    sq_right = total_sq - sq_left
+
+    sse_left = sq_left - sum_left ** 2 / counts_left
+    sse_right = sq_right - sum_right ** 2 / counts_right
+    scores = sse_left + sse_right
+
+    # A split is only valid between distinct feature values and when both
+    # children satisfy the minimum leaf size.
+    distinct = sorted_x[1:] != sorted_x[:-1]
+    valid = distinct & (counts_left >= min_samples_leaf) & (counts_right >= min_samples_leaf)
+    scores = np.where(valid, scores, np.inf)
+    best_rows = np.argmin(scores, axis=0)
+    has_split = valid.any(axis=0)
+
     best_feature = -1
     best_threshold = 0.0
     best_score = np.inf
-
-    for feature in feature_indices:
-        column = x[:, feature]
-        order = np.argsort(column, kind="stable")
-        sorted_x = column[order]
-        sorted_y = y[order]
-
-        # Cumulative statistics allow evaluating every split point in O(n).
-        csum = np.cumsum(sorted_y)
-        csum_sq = np.cumsum(sorted_y ** 2)
-        total_sum = csum[-1]
-        total_sq = csum_sq[-1]
-
-        # Candidate split after position i puts i+1 samples left.
-        counts_left = np.arange(1, n)
-        counts_right = n - counts_left
-        sum_left = csum[:-1]
-        sum_right = total_sum - sum_left
-        sq_left = csum_sq[:-1]
-        sq_right = total_sq - sq_left
-
-        sse_left = sq_left - sum_left ** 2 / counts_left
-        sse_right = sq_right - sum_right ** 2 / counts_right
-        scores = sse_left + sse_right
-
-        # A split is only valid between distinct feature values and when both
-        # children satisfy the minimum leaf size.
-        distinct = sorted_x[1:] != sorted_x[:-1]
-        valid = distinct & (counts_left >= min_samples_leaf) & (counts_right >= min_samples_leaf)
-        if not np.any(valid):
+    for column, feature in enumerate(feature_indices):
+        if not has_split[column]:
             continue
-        scores = np.where(valid, scores, np.inf)
-        idx = int(np.argmin(scores))
-        if scores[idx] < best_score:
-            best_score = float(scores[idx])
+        idx = int(best_rows[column])
+        if scores[idx, column] < best_score:
+            best_score = float(scores[idx, column])
             best_feature = int(feature)
-            best_threshold = float((sorted_x[idx] + sorted_x[idx + 1]) / 2.0)
+            best_threshold = float((sorted_x[idx, column] + sorted_x[idx + 1, column]) / 2.0)
 
     return best_feature, best_threshold, best_score
 
@@ -119,6 +129,9 @@ class DecisionTreeRegressor:
         self._rng = (random_state if isinstance(random_state, np.random.Generator)
                      else np.random.default_rng(random_state))
         self._nodes: List[_Node] = []
+        #: ``(feature, threshold, left, right, value)`` per-node lists that
+        #: :meth:`predict` walks; rebuilt from ``_nodes`` at the end of fit.
+        self._flat: tuple[list, list, list, list, list] = ([], [], [], [], [])
         self.n_features_: int = 0
 
     # ------------------------------------------------------------------ #
@@ -156,9 +169,9 @@ class DecisionTreeRegressor:
         while stack:
             node_index, sample_indices, depth = stack.pop()
             node = self._nodes[node_index]
+            # _new_leaf already set the node's value and size from these
+            # very targets.
             targets = y[sample_indices]
-            node.value = float(targets.mean())
-            node.n_samples = int(sample_indices.shape[0])
 
             if (self.max_depth is not None and depth >= self.max_depth) or \
                sample_indices.shape[0] < self.min_samples_split or \
@@ -188,6 +201,10 @@ class DecisionTreeRegressor:
             node.right = self._new_leaf(y[right_indices])
             stack.append((node.left, left_indices, depth + 1))
             stack.append((node.right, right_indices, depth + 1))
+        # predict() walks these per-node lists instead of the _Node objects:
+        # plain list reads are several times cheaper than attribute reads.
+        self._flat = tuple([getattr(node, name) for node in self._nodes]
+                           for name in ("feature", "threshold", "left", "right", "value"))
         return self
 
     def _new_leaf(self, targets: np.ndarray) -> int:
@@ -207,15 +224,14 @@ class DecisionTreeRegressor:
             raise ValueError(
                 f"expected {self.n_features_} features, got {x.shape[1]}")
 
-        out = np.empty(x.shape[0])
-        for row in range(x.shape[0]):
+        feature, threshold, left, right, value = self._flat
+        out = []
+        for row in x.tolist():
             index = 0
-            node = self._nodes[0]
-            while node.feature >= 0:
-                index = node.left if x[row, node.feature] <= node.threshold else node.right
-                node = self._nodes[index]
-            out[row] = node.value
-        return out
+            while feature[index] >= 0:
+                index = left[index] if row[feature[index]] <= threshold[index] else right[index]
+            out.append(value[index])
+        return np.array(out)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -23,7 +23,12 @@ import numpy as np
 
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.prediction.buckets import bucketize_array
-from repro.prediction.features import FeatureEncoder, HistoryIndex
+from repro.prediction.features import (
+    FeatureEncoder,
+    HistoryIndex,
+    lifetime_stats,
+    training_vms,
+)
 from repro.prediction.forest import RandomForestRegressor
 from repro.trace.timeseries import DEFAULT_WINDOWS, TimeWindowConfig
 from repro.trace.vm import VMRecord
@@ -94,37 +99,33 @@ class LongTermUtilizationModel:
             min_lifetime_days: float = 1.0) -> "LongTermUtilizationModel":
         """Train on the VMs observed during the history window."""
         start = time.perf_counter()
-        self._history = HistoryIndex.build(history_vms, self.windows,
-                                           self.percentile, min_lifetime_days)
-        training_vms = [vm for vm in history_vms
-                        if vm.lifetime_days >= min_lifetime_days and vm.has_utilization()]
-        if not training_vms:
+        vms = training_vms(history_vms, min_lifetime_days)
+        # Each VM's lifetime statistics are computed once: the history
+        # index's three group levels and the targets below all share them.
+        stats = [lifetime_stats(vm, self.windows, self.percentile) for vm in vms]
+        self._history = HistoryIndex.from_stats(vms, stats, self.windows,
+                                                self.percentile)
+        if not vms:
             raise ValueError("no long-running VMs with utilization to train on")
 
         n_windows = self.windows.windows_per_day
-        rows_per_vm = n_windows
-        total_rows = len(training_vms) * rows_per_vm
+        total_rows = len(vms) * n_windows
 
         for resource in ALL_RESOURCES:
             encoder = self._encoders[resource]
             features = np.zeros((total_rows, encoder.n_features))
             target_percentile = np.zeros(total_rows)
             target_maximum = np.zeros(total_rows)
-            row = 0
-            for vm in training_vms:
-                series = vm.series(resource)
-                window_pct = series.lifetime_window_percentile(self.windows, self.percentile)
-                window_max = series.lifetime_window_max(self.windows)
-                overall_pct = series.percentile(self.percentile)
-                overall_max = series.maximum()
-                vm_features = encoder.encode_all_windows(vm, self._history)
-                for window in range(n_windows):
-                    features[row] = vm_features[window]
-                    pct = window_pct[window]
-                    mx = window_max[window]
-                    target_percentile[row] = overall_pct if np.isnan(pct) else pct
-                    target_maximum[row] = overall_max if np.isnan(mx) else mx
-                    row += 1
+            for i, (vm, vm_stats) in enumerate(zip(vms, stats)):
+                rows = slice(i * n_windows, (i + 1) * n_windows)
+                own = vm_stats[resource]
+                window_pct = vm.series(resource).lifetime_window_percentile(
+                    self.windows, self.percentile)
+                features[rows] = encoder.encode_all_windows(vm, self._history)
+                target_percentile[rows] = np.where(
+                    np.isnan(window_pct), own.percentile, window_pct)
+                target_maximum[rows] = np.where(
+                    np.isnan(own.window_peaks), own.peak, own.window_peaks)
 
             pct_model = RandomForestRegressor(**self._forest_params)
             max_model = RandomForestRegressor(**self._forest_params)
@@ -141,7 +142,7 @@ class LongTermUtilizationModel:
             self.report.model_size_bytes += (pct_model.estimate_model_size_bytes()
                                              + max_model.estimate_model_size_bytes())
 
-        self.report.n_training_vms = len(training_vms)
+        self.report.n_training_vms = len(vms)
         self.report.n_training_rows = total_rows * len(ALL_RESOURCES)
         self.report.training_seconds = time.perf_counter() - start
         return self

@@ -32,6 +32,7 @@ from repro.core.policy import PolicyConfig
 from repro.core.resources import Resource
 from repro.simulator.metrics import PolicyEvaluation, ViolationStats
 from repro.simulator.replay import VectorizedViolationMeter
+from repro.trace.hardware import Fleet
 from repro.trace.timeseries import SLOTS_PER_DAY
 from repro.trace.trace import Trace
 from repro.trace.vm import VMRecord
@@ -115,6 +116,30 @@ class SimulationConfig:
                 f"got {self.replay_chunk_slots}")
 
 
+def check_fleet_references(fleet: Fleet, config: SimulationConfig) -> None:
+    """Reject a config naming a cluster or server that *fleet* lacks.
+
+    Covers ``config.clusters`` and every failure event (not only one
+    cluster's), and raises ``ValueError`` naming the culprit, so the bad
+    input fails before any model trains or cluster replays.
+    """
+    server_counts = {cluster.cluster_id: cluster.server_count
+                     for cluster in fleet.clusters}
+    for cluster_id in config.clusters or ():
+        if cluster_id not in server_counts:
+            raise ValueError(f"SimulationConfig.clusters names cluster "
+                             f"{cluster_id!r}, which is not in the trace's "
+                             f"fleet {list(server_counts)}")
+    for event in config.failure_events:
+        if event.cluster_id not in server_counts:
+            raise ValueError(f"{event} names a cluster that is not in "
+                             f"the trace's fleet {list(server_counts)}")
+        if event.server_index >= server_counts[event.cluster_id]:
+            raise ValueError(
+                f"{event} names a server past the "
+                f"{server_counts[event.cluster_id]} servers of its cluster")
+
+
 @dataclass
 class ClusterRunResult:
     cluster_id: str
@@ -128,6 +153,9 @@ class ClusterSimulation:
 
     def __init__(self, trace: Trace, cluster_id: str, policy: PolicyConfig,
                  prediction_model: object, config: SimulationConfig):
+        # The whole config is checked, not just this cluster's part, so a
+        # bad one stops the run before any cluster replays.
+        check_fleet_references(trace.fleet, config)
         self.trace = trace
         self.cluster_id = cluster_id
         self.policy = policy
@@ -139,18 +167,6 @@ class ClusterSimulation:
             conservative_admission=config.conservative_admission,
             class_aware=config.class_aware_admission)
         self.placed: Dict[str, VMRecord] = {}
-        # Every event is checked, not just this cluster's, so a failure
-        # outside the fleet stops the run before any cluster replays.
-        server_counts = {cluster.cluster_id: cluster.server_count
-                         for cluster in trace.fleet.clusters}
-        for event in config.failure_events:
-            if event.cluster_id not in server_counts:
-                raise ValueError(f"{event} names a cluster that is not in "
-                                 f"the trace's fleet")
-            if event.server_index >= server_counts[event.cluster_id]:
-                raise ValueError(
-                    f"{event} names a server past the "
-                    f"{server_counts[event.cluster_id]} servers of its cluster")
         # Stable (slot, listing order) firing order for this cluster's
         # injected failures; sorted() is stable, so ties on the slot fire
         # in config order.
@@ -280,6 +296,7 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
     that order.
     """
     config = config or SimulationConfig()
+    check_fleet_references(trace.fleet, config)
     cluster_ids = list(config.clusters) if config.clusters else trace.cluster_ids()
 
     if prediction_model is None:

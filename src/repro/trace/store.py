@@ -229,6 +229,29 @@ _META_KEYS: Tuple[str, ...] = (
     "subscription_type_values", "allocation_class_values", "cluster_ids",
     "configs", "fleet", "subscriptions")
 
+
+def _is_json_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_json_list_of(kind: type):
+    return lambda value: isinstance(value, list) and all(
+        isinstance(item, kind) for item in value)
+
+
+#: The JSON type of every ``meta.json`` value :meth:`TraceStore.open` reads
+#: (``format_version`` is compared by value): ``key -> (type, check)``.
+_META_TYPES = {
+    "n_vms": ("an integer", _is_json_int),
+    "n_slots": ("an integer", _is_json_int),
+    **{key: ("a list of strings", _is_json_list_of(str))
+       for key in ("resources", "offering_values", "subscription_type_values",
+                   "allocation_class_values", "cluster_ids")},
+    **{key: ("a list of objects", _is_json_list_of(dict))
+       for key in ("configs", "subscriptions")},
+    "fleet": ("an object", lambda value: isinstance(value, dict)),
+}
+
 #: Stable code tables for the enum columns (persisted in ``meta.json`` so a
 #: reordering of the enums cannot silently re-label old stores).
 _OFFERING_VALUES: Tuple[str, ...] = tuple(o.value for o in Offering)
@@ -759,8 +782,11 @@ class TraceStore:
         more), ``offsets`` start at 0 and never decrease -- and, when the
         store has telemetry, give every VM at least one sample -- index and
         code columns stay inside their tables, and each buffer holds
-        exactly ``offsets[-1]`` samples.  A damaged store raises
-        ``ValueError`` naming the store and the file or column at fault.
+        exactly ``offsets[-1]`` samples.  Every ``meta.json`` value read
+        has its JSON type, and the resources, configs, fleet and
+        subscriptions rebuild from it.
+        A damaged store raises ``ValueError`` naming the store and the
+        file, key or column at fault.
         """
         path = Path(path)
 
@@ -785,6 +811,23 @@ class TraceStore:
         missing = [key for key in _META_KEYS if key not in meta]
         if missing:
             raise damaged(_META_FILE, f"lacks the key(s) {missing}")
+        for key, (expected, is_expected) in _META_TYPES.items():
+            if not is_expected(meta[key]):
+                shown = json.dumps(meta[key])
+                shown = shown if len(shown) <= 60 else shown[:57] + "..."
+                raise damaged(f"{_META_FILE} key {key!r}",
+                              f"is {shown}, expected {expected}")
+
+        def rebuilt(key: str, build):
+            """``build(meta[key])``, its failure reported as damage."""
+            try:
+                return build(meta[key])
+            except (TypeError, ValueError, KeyError) as exc:
+                raise damaged(f"{_META_FILE} key {key!r}",
+                              f"cannot be rebuilt ({exc!r})") from exc
+
+        resources = rebuilt("resources", lambda values: [
+            Resource(value) for value in values])
         # The enum code columns are only meaningful against the tables they
         # were written with; a reordered or extended enum must fail loudly
         # instead of silently re-labelling every VM.
@@ -802,7 +845,7 @@ class TraceStore:
                 members = {name: npz[name] for name in npz.files}
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise damaged(_COLUMNS_FILE, f"cannot be read ({exc})") from exc
-        n_vms = int(meta["n_vms"])
+        n_vms = meta["n_vms"]
         lengths = dict.fromkeys((*_METADATA_COLUMNS, "has_server_id"), n_vms)
         lengths["offsets"] = n_vms + 1
         for name, length in lengths.items():
@@ -829,8 +872,8 @@ class TraceStore:
                               f"points outside the {len(meta[table])}-entry "
                               f"{table!r} table")
         util: Dict[Resource, np.ndarray] = {}
-        for resource_value in meta["resources"]:
-            name = f"util_{resource_value}.npy"
+        for resource in resources:
+            name = f"util_{resource.value}.npy"
             try:
                 buffer = np.load(path / name, mmap_mode="r" if mmap else None)
             except (OSError, ValueError) as exc:
@@ -841,8 +884,7 @@ class TraceStore:
             # A plain ndarray view over the map (its .base keeps the map
             # alive): np.memmap slices in Python, which would make the
             # per-VM row views of as_trace() several times slower.
-            util[Resource(resource_value)] = buffer.view(np.ndarray) \
-                if mmap else buffer
+            util[resource] = buffer.view(np.ndarray) if mmap else buffer
 
         state: Dict[str, object] = {}
         for name, (dtype, _table) in _METADATA_COLUMNS.items():
@@ -852,13 +894,15 @@ class TraceStore:
         state["row_offset"] = offsets[:-1].astype(np.int64, copy=True)
         state["row_length"] = np.diff(offsets).astype(np.int64, copy=False)
         return cls(
-            **state, configs=[VMConfig(**cfg) for cfg in meta["configs"]],
+            **state,
+            configs=rebuilt("configs", lambda configs: [
+                VMConfig(**cfg) for cfg in configs]),
             cluster_ids=list(meta["cluster_ids"]), util=util,
-            n_slots=int(meta["n_slots"]),
-            fleet=_fleet_from_jsonable(meta["fleet"]),
-            subscriptions={sub["subscription_id"]:
-                           _subscription_from_jsonable(sub)
-                           for sub in meta["subscriptions"]},
+            n_slots=meta["n_slots"],
+            fleet=rebuilt("fleet", _fleet_from_jsonable),
+            subscriptions=rebuilt("subscriptions", lambda subs: {
+                sub["subscription_id"]: _subscription_from_jsonable(sub)
+                for sub in subs}),
             contiguous=True)
 
     def _meta_state(self) -> Dict[str, object]:

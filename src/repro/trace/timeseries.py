@@ -213,15 +213,16 @@ class UtilizationSeries:
             out[day - first_day, window] = samples.max()
         return out
 
-    def window_percentile_per_day(self, config: TimeWindowConfig, pct: float) -> np.ndarray:
-        """Per-(day, window) percentile of per-slot maxima (shape as above)."""
+    def _day_cube(self, config: TimeWindowConfig) -> np.ndarray:
+        """The series laid on whole days: shape ``(n_days, windows_per_day,
+        slots_per_window)`` over the days the VM overlaps, with ``-inf`` in
+        the slots before its start and after its end."""
         first_day = slot_to_day(self.start_slot)
-        last_day = slot_to_day(self.end_slot - 1)
-        n_days = last_day - first_day + 1
-        out = np.full((n_days, config.windows_per_day), np.nan)
-        for day, window, samples in self._window_groups(config):
-            out[day - first_day, window] = np.percentile(samples, pct)
-        return out
+        n_days = slot_to_day(self.end_slot - 1) - first_day + 1
+        padded = np.full(n_days * SLOTS_PER_DAY, -np.inf, dtype=self.values.dtype)
+        offset = self.start_slot - first_day * SLOTS_PER_DAY
+        padded[offset:offset + len(self)] = self.values
+        return padded.reshape(n_days, config.windows_per_day, config.slots_per_window)
 
     def lifetime_window_max(self, config: TimeWindowConfig) -> np.ndarray:
         """Maximum utilization per window-of-day across the whole lifetime.
@@ -229,27 +230,30 @@ class UtilizationSeries:
         This is the "lifetime time window max" of Figure 7: for each of the
         day's windows, the largest utilization the VM ever reached in that
         window on any day.  Windows never observed are ``nan``.
+
+        One reduction over the day cube; equal to the per-day loop
+        (:meth:`window_max_per_day`, then a max over days) bit for bit,
+        because a maximum does not depend on the order it is taken in.
         """
-        per_day = self.window_max_per_day(config)
-        # Windows the VM never observed are all-NaN columns and are meant to
-        # stay NaN.  ``np.nanmax`` computes exactly that but emits a
-        # RuntimeWarning per all-NaN slice (fatal under the suite's
-        # ``filterwarnings = error``), so reduce through a -inf sentinel:
-        # identical values, no warning machinery.
-        missing = np.isnan(per_day)
-        result = np.where(missing, -np.inf, per_day).max(axis=0)
-        result[missing.all(axis=0)] = np.nan
+        result = self._day_cube(config).max(axis=(0, 2)).astype(np.float64)
+        result[result == -np.inf] = np.nan
         return result
 
     def lifetime_window_percentile(self, config: TimeWindowConfig, pct: float) -> np.ndarray:
-        """Percentile of per-slot maxima per window-of-day over the lifetime."""
+        """Percentile of per-slot maxima per window-of-day over the lifetime.
+
+        One ``np.percentile`` per window-of-day over that window's samples
+        from every day.  ``np.percentile`` depends only on the multiset of
+        its input, so this equals concatenating the window's per-day
+        samples first (the :meth:`_window_groups` order) bit for bit.
+        """
+        cube = self._day_cube(config)
         out = np.full(config.windows_per_day, np.nan)
-        buckets: List[List[np.ndarray]] = [[] for _ in range(config.windows_per_day)]
-        for _day, window, samples in self._window_groups(config):
-            buckets[window].append(samples)
-        for window, chunks in enumerate(buckets):
-            if chunks:
-                out[window] = np.percentile(np.concatenate(chunks), pct)
+        for window in range(config.windows_per_day):
+            samples = cube[:, window, :]
+            samples = samples[samples != -np.inf]
+            if samples.size:
+                out[window] = np.percentile(samples, pct)
         return out
 
     # ------------------------------------------------------------------ #

@@ -14,7 +14,8 @@ from repro.prediction.buckets import (
 from repro.prediction.ewma import EWMAPredictor, ewma_series, one_step_errors
 from repro.prediction.forest import RandomForestRegressor
 from repro.prediction.lstm import LSTMConfig, LSTMPredictor, build_sequences
-from repro.prediction.tree import DecisionTreeRegressor
+from repro.prediction import tree as tree_module
+from repro.prediction.tree import DecisionTreeRegressor, _best_split
 
 
 class TestDecisionTree:
@@ -66,6 +67,130 @@ class TestDecisionTree:
         importances = tree.feature_importances()
         assert importances.sum() == pytest.approx(1.0)
         assert importances.argmax() == 2
+
+
+def _reference_best_split(x, y, feature_indices, min_samples_leaf):
+    """The per-feature loop the 2-D split search replaced: one stable sort
+    and one cumulative pass per candidate feature, compared in
+    ``feature_indices`` order with a strict ``<``."""
+    n = y.shape[0]
+    best_feature, best_threshold, best_score = -1, 0.0, np.inf
+    for feature in feature_indices:
+        column = x[:, feature]
+        order = np.argsort(column, kind="stable")
+        sorted_x = column[order]
+        sorted_y = y[order]
+        csum = np.cumsum(sorted_y)
+        csum_sq = np.cumsum(sorted_y ** 2)
+        counts_left = np.arange(1, n)
+        counts_right = n - counts_left
+        sum_left = csum[:-1]
+        sum_right = csum[-1] - sum_left
+        sq_left = csum_sq[:-1]
+        sq_right = csum_sq[-1] - sq_left
+        scores = (sq_left - sum_left ** 2 / counts_left) \
+            + (sq_right - sum_right ** 2 / counts_right)
+        valid = (sorted_x[1:] != sorted_x[:-1]) \
+            & (counts_left >= min_samples_leaf) & (counts_right >= min_samples_leaf)
+        if not np.any(valid):
+            continue
+        scores = np.where(valid, scores, np.inf)
+        idx = int(np.argmin(scores))
+        if scores[idx] < best_score:
+            best_score = float(scores[idx])
+            best_feature = int(feature)
+            best_threshold = float((sorted_x[idx] + sorted_x[idx + 1]) / 2.0)
+    return best_feature, best_threshold, best_score
+
+
+def _reference_predict(tree, x):
+    """The per-row walk over the ``_Node`` objects that the flat per-node
+    lists replaced."""
+    out = np.empty(x.shape[0])
+    for row in range(x.shape[0]):
+        node = tree._nodes[0]
+        while node.feature >= 0:
+            node = tree._nodes[node.left if x[row, node.feature] <= node.threshold
+                               else node.right]
+        out[row] = node.value
+    return out
+
+
+class TestTreeKernelsMatchLoops:
+    """The 2-D split search and the flat-list predict equal the loops they
+    replaced bit for bit (the references above are those loops)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_split_matches_per_feature_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        x = rng.random((n, 6))
+        x[:, 1] = np.round(x[:, 1] * 3)       # few distinct values
+        x[:, 4] = 0.5                          # a constant column
+        y = np.round(rng.random(n) * 10) / 10  # duplicate targets
+        for min_samples_leaf in (1, 2, 5):
+            for features in (np.arange(6), rng.permutation(6)[:4],
+                             np.array([4])):
+                assert _best_split(x, y, features, min_samples_leaf) == \
+                    _reference_best_split(x, y, features, min_samples_leaf)
+
+    def test_tied_scores_across_features_go_to_the_first_candidate(self):
+        rng = np.random.default_rng(9)
+        x = rng.random((40, 3))
+        x[:, 2] = x[:, 0]  # two features with identical scores
+        y = np.where(x[:, 0] > 0.5, 1.0, 0.0)
+        for order, winner in (([0, 2, 1], 0), ([2, 0, 1], 2), ([1, 2, 0], 2)):
+            features = np.array(order)
+            result = _best_split(x, y, features, 1)
+            assert result == _reference_best_split(x, y, features, 1)
+            assert result[0] == winner
+
+    def test_leaf_size_that_forbids_every_split(self):
+        rng = np.random.default_rng(10)
+        x = rng.random((10, 3))
+        y = rng.random(10)
+        assert _best_split(x, y, np.arange(3), 6) == (-1, 0.0, np.inf)
+        assert _reference_best_split(x, y, np.arange(3), 6) == (-1, 0.0, np.inf)
+
+    def test_two_samples(self):
+        x = np.array([[0.2, 0.3], [0.7, 0.3]])
+        y = np.array([0.0, 1.0])
+        result = _best_split(x, y, np.array([1, 0]), 1)
+        assert result == _reference_best_split(x, y, np.array([1, 0]), 1)
+        assert result == (0, (0.2 + 0.7) / 2.0, 0.0)
+        assert _best_split(x, y, np.array([1]), 1) == (-1, 0.0, np.inf)
+
+    def test_fit_matches_per_feature_loop(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.random((300, 8))
+        x[:, 3] = np.round(x[:, 3] * 5)
+        y = x[:, 0] + (x[:, 3] > 2) * 0.5 + rng.normal(0, 0.05, 300)
+        fast = DecisionTreeRegressor(max_depth=8, min_samples_leaf=3,
+                                     max_features="sqrt", random_state=4).fit(x, y)
+        monkeypatch.setattr(tree_module, "_best_split", _reference_best_split)
+        slow = DecisionTreeRegressor(max_depth=8, min_samples_leaf=3,
+                                     max_features="sqrt", random_state=4).fit(x, y)
+        assert fast.node_count > 10
+        assert fast._nodes == slow._nodes
+
+    def test_predict_matches_node_walk(self):
+        rng = np.random.default_rng(12)
+        x = rng.random((200, 5))
+        x[:, 2] = np.round(x[:, 2] * 4)
+        y = x[:, 0] * 2 + x[:, 2] + rng.normal(0, 0.1, 200)
+        tree = DecisionTreeRegressor(max_depth=7, random_state=0).fit(x, y)
+        # Training rows, fresh rows, rows sitting exactly on every
+        # threshold, and a NaN row (every comparison false: always right).
+        on_threshold = np.tile(x[0], (tree.node_count, 1))
+        for row, node in enumerate(tree._nodes):
+            if node.feature >= 0:
+                on_threshold[row, node.feature] = node.threshold
+        queries = np.vstack([x, rng.random((50, 5)), on_threshold,
+                             np.full((1, 5), np.nan)])
+        predicted = tree.predict(queries)
+        expected = _reference_predict(tree, queries)
+        assert predicted.dtype == expected.dtype
+        assert predicted.tobytes() == expected.tobytes()
 
 
 class TestRandomForest:

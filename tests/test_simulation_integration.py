@@ -28,6 +28,7 @@ from repro.simulator import (
     evaluate_policies,
     simulate_policy,
 )
+from repro.simulator import engine
 from repro.simulator.engine import ClusterSimulation
 from repro.trace.hardware import ClusterConfig, Fleet
 from repro.trace.timeseries import SLOTS_PER_DAY
@@ -189,34 +190,50 @@ class TestFailureInjection:
         with pytest.raises(ValueError, match="server_index"):
             FailureEvent(slot=0, cluster_id="C", server_index=-1)
 
-    @pytest.mark.parametrize("entry", ["cluster-simulation", "simulate-policy"])
-    @pytest.mark.parametrize("where", ["unknown-cluster", "index-past-cluster"])
+    @pytest.mark.parametrize("entry", ["cluster-simulation", "simulate-policy",
+                                       "simulate-policy-untrained"])
+    @pytest.mark.parametrize("where", ["unknown-cluster", "index-past-cluster",
+                                       "unknown-clusters-entry"])
     def test_failure_outside_the_fleet_fails_before_replay(
             self, small_trace, monkeypatch, where, entry):
-        """A failure naming a cluster or server the fleet lacks is rejected
-        by name before any cluster replays, instead of being dropped or
-        raising a bare KeyError after earlier clusters replayed."""
+        """A failure or a ``clusters`` entry naming a cluster or server the
+        fleet lacks is rejected by name before any model trains or cluster
+        replays, instead of being dropped or raising a bare KeyError after
+        earlier clusters replayed."""
         first, last = small_trace.fleet.clusters[0], small_trace.fleet.clusters[-1]
-        if where == "unknown-cluster":
-            event = FailureEvent(SLOTS_PER_DAY, "no-such-cluster", 0)
+        if where == "unknown-clusters-entry":
+            config = SimulationConfig(clusters=[first.cluster_id, "no-such-cluster"])
+            culprits = ["'no-such-cluster'", str(small_trace.cluster_ids())]
         else:
-            event = FailureEvent(SLOTS_PER_DAY, last.cluster_id,
-                                 last.server_count)
-        config = SimulationConfig(failure_events=(event,))
-        replayed = []
+            if where == "unknown-cluster":
+                event = FailureEvent(SLOTS_PER_DAY, "no-such-cluster", 0)
+            else:
+                event = FailureEvent(SLOTS_PER_DAY, last.cluster_id,
+                                     last.server_count)
+            config = SimulationConfig(failure_events=(event,))
+            culprits = [str(event)]
+        replayed, trained = [], []
         run = ClusterSimulation.run
         monkeypatch.setattr(ClusterSimulation, "run",
                             lambda sim: replayed.append(sim) or run(sim))
+        build = engine.build_prediction_model
+        monkeypatch.setattr(engine, "build_prediction_model",
+                            lambda *args, **kwargs: trained.append(args)
+                            or build(*args, **kwargs))
         policy = NO_OVERSUBSCRIPTION_POLICY
         model = NoOversubscriptionModel(policy.windows)
         with pytest.raises(ValueError) as info:
             if entry == "cluster-simulation":
                 ClusterSimulation(small_trace, first.cluster_id, policy,
                                   model, config)
-            else:
+            elif entry == "simulate-policy":
                 simulate_policy(small_trace, policy, config, model)
-        assert str(event) in str(info.value)
+            else:
+                simulate_policy(small_trace, policy, config)
+        for culprit in culprits:
+            assert culprit in str(info.value)
         assert replayed == []
+        assert trained == []
 
 
 class TestClassAwareAdmission:

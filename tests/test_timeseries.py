@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.trace.timeseries import (
     SLOTS_PER_DAY,
     SLOTS_PER_HOUR,
+    SLOTS_PER_WEEK,
+    SWEEP_WINDOW_HOURS,
     TimeWindowConfig,
     UtilizationSeries,
     slots_for_days,
@@ -169,3 +171,56 @@ def test_lifetime_window_max_dominates_window_percentiles(values):
     p95 = series.lifetime_window_percentile(config, 95)
     mask = ~np.isnan(maxima)
     assert np.all(maxima[mask] + 1e-9 >= p95[mask])
+
+
+def _reference_lifetime_window_max(series, config):
+    """The loop the day-cube reduction replaced: one max per (day, window)
+    from ``_window_groups``, folded per window-of-day."""
+    out = np.full(config.windows_per_day, -np.inf)
+    for _day, window, samples in series._window_groups(config):
+        out[window] = max(out[window], samples.max())
+    out[out == -np.inf] = np.nan
+    return out
+
+
+def _reference_lifetime_window_percentile(series, config, pct):
+    """The loop the day-cube percentile replaced: concatenate each
+    window-of-day's per-day samples, then one ``np.percentile``."""
+    buckets = [[] for _ in range(config.windows_per_day)]
+    for _day, window, samples in series._window_groups(config):
+        buckets[window].append(samples)
+    out = np.full(config.windows_per_day, np.nan)
+    for window, chunks in enumerate(buckets):
+        if chunks:
+            out[window] = np.percentile(np.concatenate(chunks), pct)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(min_value=0, max_value=2 * SLOTS_PER_DAY),
+       length=st.one_of(st.integers(min_value=1, max_value=2 * SLOTS_PER_HOUR),
+                        st.integers(min_value=1, max_value=3 * SLOTS_PER_WEEK)),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       tied=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       pct=st.one_of(st.sampled_from([0.0, 50.0, 95.0, 100.0]),
+                     st.floats(min_value=0.0, max_value=100.0)))
+def test_lifetime_window_stats_match_window_group_loop(start, length, seed,
+                                                       tied, dtype, pct):
+    """The day-cube reductions equal the ``_window_groups`` loops bit for
+    bit, for any start, partial first and last days, lifetimes shorter than
+    one window, every swept window length, and float32 store buffers."""
+    values = np.random.default_rng(seed).random(length)
+    if tied:
+        values = np.round(values * 20) / 20
+    series = UtilizationSeries.from_validated(values.astype(dtype), start)
+    for hours in SWEEP_WINDOW_HOURS:
+        config = TimeWindowConfig(hours)
+        maxima = series.lifetime_window_max(config)
+        expected = _reference_lifetime_window_max(series, config)
+        assert maxima.dtype == expected.dtype == np.float64
+        assert np.array_equal(maxima, expected, equal_nan=True)
+        percentiles = series.lifetime_window_percentile(config, pct)
+        expected = _reference_lifetime_window_percentile(series, config, pct)
+        assert percentiles.dtype == expected.dtype == np.float64
+        assert np.array_equal(percentiles, expected, equal_nan=True)

@@ -285,6 +285,19 @@ STORE_DAMAGE = [
                                           if key != "format_version"}),
                  "meta.json", id="meta-missing-key"),
     pytest.param(_edit_meta(list), "meta.json", id="meta-not-an-object"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "resources": 5}),
+                 "meta.json key 'resources'", id="meta-resources-not-a-list"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "fleet": None}),
+                 "meta.json key 'fleet'", id="meta-fleet-null"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "n_slots": None}),
+                 "meta.json key 'n_slots'", id="meta-n-slots-null"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "n_vms": "x"}),
+                 "meta.json key 'n_vms'", id="meta-n-vms-not-an-int"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "fleet": {}}),
+                 "meta.json key 'fleet'", id="meta-fleet-without-clusters"),
+    pytest.param(_edit_meta(lambda meta: {**meta,
+                                          "resources": ["cpu", "gpu"]}),
+                 "meta.json key 'resources'", id="meta-unknown-resource"),
     pytest.param(_edit_columns(_set_first("config_index", -1)),
                  "'config_index'", id="index-outside-table"),
     pytest.param(_edit_columns(_set_first("offering_code", 99)),

@@ -1,8 +1,12 @@
 """Tests for the long-term utilization model, history index, and features."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core.cluster_manager import build_prediction_model
+from repro.core.policy import STANDARD_POLICIES
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.prediction.features import FeatureEncoder, HistoryIndex
 from repro.prediction.utilization_model import (
@@ -10,6 +14,7 @@ from repro.prediction.utilization_model import (
     NoOversubscriptionModel,
     OracleUtilizationModel,
 )
+from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.timeseries import SLOTS_PER_DAY, TimeWindowConfig
 
 
@@ -77,6 +82,17 @@ class TestFeatureEncoder:
         # Window index column differs across rows.
         window_column = encoder.feature_names().index("window_index")
         assert list(matrix[:, window_column]) == list(range(windows.windows_per_day))
+
+    def test_all_windows_rows_equal_single_window_encodes(self, small_trace):
+        windows = TimeWindowConfig(4)
+        index = HistoryIndex.build(small_trace.long_running().vms, windows)
+        encoder = FeatureEncoder(windows, Resource.MEMORY)
+        for vm in small_trace.vms[:20]:
+            for history in (index, None):
+                matrix = encoder.encode_all_windows(vm, history)
+                for window in range(windows.windows_per_day):
+                    assert matrix[window].tobytes() == \
+                        encoder.encode(vm, window, history).tobytes()
 
 
 class TestLongTermModel:
@@ -149,3 +165,49 @@ class TestBaselineModels:
         assert not prediction.oversubscribable
         for resource in ALL_RESOURCES:
             assert np.all(prediction.percentile[resource] == 1.0)
+
+
+#: SHA-256 over every golden-trace VM's learned prediction arrays and the
+#: models' out-of-bag errors, per learned policy (see
+#: ``_prediction_digest``).  Unlike the GOLDEN table, which pins counts
+#: exactly but floats only to rel 1e-9, this pins the learned predictions
+#: bit for bit: a change to training or prediction arithmetic fails here.
+PREDICTION_DIGESTS = {
+    "single": "1aa99d8dae797c4c076c87790c9630ee07f4d3a2ddaa9e6bdebefdde9e405477",
+    "coach": "99b5303df96a9063331a589338e99c27001558b8e559feab1acfc0bebc8a1b97",
+    "aggr-coach": "dc9b8ffb48a06be69a10d8672f6fc6f8cb887dd186297b842e1b0dc0a43485b1",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_trace():
+    """The fixed-seed trace of ``tests/test_golden_trace.py``."""
+    config = TraceGeneratorConfig(n_vms=500, n_days=10, seed=1234,
+                                  n_subscriptions=30, servers_per_cluster=1)
+    return TraceGenerator(config).generate()
+
+
+def _prediction_digest(trace, policy):
+    """Train *policy*'s model as ``simulate_policy`` does for the golden
+    config (7-day history, three trees) and hash its out-of-bag errors and
+    every VM's prediction."""
+    history, _future = trace.split_at(7 * SLOTS_PER_DAY)
+    model = build_prediction_model(policy, history.long_running().vms,
+                                   n_estimators=3)
+    digest = hashlib.sha256()
+    for key, error in sorted(model.report.oob_error.items()):
+        digest.update(f"{key}={error!r};".encode())
+    for vm in trace.vms:
+        prediction = model.predict(vm)
+        digest.update(f"{vm.vm_id}:{prediction.oversubscribable};".encode())
+        for resource in ALL_RESOURCES:
+            for values in (prediction.percentile[resource],
+                           prediction.maximum[resource]):
+                digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("policy", sorted(PREDICTION_DIGESTS))
+def test_learned_predictions_are_pinned_bitwise(golden_trace, policy):
+    assert _prediction_digest(golden_trace, STANDARD_POLICIES[policy]) == \
+        PREDICTION_DIGESTS[policy]
