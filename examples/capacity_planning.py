@@ -7,14 +7,14 @@ contention.  Run with ``python examples/capacity_planning.py``.
 
 from repro import generate_trace
 from repro.core.policy import STANDARD_POLICIES
-from repro.simulator import SimulationConfig, evaluate_policies
+from repro.simulator import SimulationConfig, sweep_policies
 
 
 def main() -> None:
     trace = generate_trace(n_vms=900, n_days=14, seed=11, n_subscriptions=60,
                            servers_per_cluster=2)
     config = SimulationConfig(clusters=["C1", "C4", "C8"], n_estimators=5)
-    results = evaluate_policies(trace, STANDARD_POLICIES, config)
+    results = sweep_policies(trace, STANDARD_POLICIES, config)
 
     print(f"{'policy':12s} {'hosted cores':>12s} {'additional':>10s} "
           f"{'CPU viol.':>10s} {'MEM viol.':>10s} {'servers':>8s}")

@@ -20,7 +20,6 @@ from repro.core.windows import VMResourcePlan, plan_vm
 from repro.prediction.utilization_model import (
     LongTermUtilizationModel,
     NoOversubscriptionModel,
-    OracleUtilizationModel,
     WindowUtilizationPrediction,
 )
 from repro.trace.hardware import ClusterConfig
@@ -42,7 +41,7 @@ class AdmissionResult:
 
     @property
     def preempted(self) -> Tuple[str, ...]:
-        """Spot VMs evicted while admitting this request (class-aware only)."""
+        """Spot VMs evicted while admitting this (reserved) request."""
         return self.decision.preempted if self.decision else ()
 
 
@@ -66,23 +65,15 @@ class ClusterManager:
         cluster: ClusterConfig,
         policy: PolicyConfig,
         prediction_model: Optional[object] = None,
-        conservative_admission: bool = True,
-        class_aware: bool = False,
     ):
         self.cluster = cluster
         self.policy = policy
         if prediction_model is None:
             prediction_model = NoOversubscriptionModel(policy.windows)
         self.prediction_model = prediction_model
-        self.scheduler = ClusterScheduler(cluster, policy.windows,
-                                          conservative=conservative_admission,
-                                          class_aware=class_aware)
+        self.scheduler = ClusterScheduler(cluster, policy.windows)
         self.stats = ClusterManagerStats()
         self._vms: Dict[str, CoachVM] = {}
-        #: server id -> ordered set of resident VM ids (dict used as an
-        #: ordered set), maintained on admit/deallocate so
-        #: :meth:`vms_on_server` does not scan every placed VM.
-        self._server_vms: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------ #
     # Request handling
@@ -115,7 +106,7 @@ class ClusterManager:
         model is read-only, so building up front yields the same plans as
         building each one just before its placement.  Each plan then goes
         through :meth:`ClusterScheduler.place` with the VM's allocation
-        class, which the scheduler only acts on when it is class-aware.
+        class (reserved arrivals may preempt spot VMs).
         """
         vms = list(vms)
         plans = [self.build_plan(vm) for vm in vms]
@@ -132,12 +123,10 @@ class ClusterManager:
         """
         self.stats.requests += 1
         # The scheduler already released preempted spot VMs from its ledger;
-        # mirror that in the manager's registries (evictions stand even when
+        # mirror that in the manager's registry (evictions stand even when
         # the arrival itself was rejected).
         for victim in decision.preempted:
-            coach_vm = self._vms.pop(victim, None)
-            if coach_vm is not None:
-                self._unindex(victim, coach_vm.server_id)
+            self._vms.pop(victim, None)
             self.stats.preempted += 1
         if not decision.accepted:
             self.stats.rejected += 1
@@ -146,7 +135,6 @@ class ClusterManager:
         coach_vm = CoachVM.from_plan(vm, plan, self.policy.va_backing_fraction)
         coach_vm.server_id = decision.server_id
         self._vms[vm.vm_id] = coach_vm
-        self._server_vms.setdefault(decision.server_id, {})[vm.vm_id] = None
         self.stats.accepted += 1
         if plan.oversubscribed:
             self.stats.oversubscribed += 1
@@ -160,9 +148,7 @@ class ClusterManager:
     def deallocate(self, vm_id: str) -> None:
         """Release a VM's resources when it is deallocated or migrated away."""
         self.scheduler.deallocate(vm_id)
-        coach_vm = self._vms.pop(vm_id, None)
-        if coach_vm is not None:
-            self._unindex(vm_id, coach_vm.server_id)
+        self._vms.pop(vm_id, None)
 
     def disable_server(self, server_id: str) -> None:
         """Remove a failed server from the placement pool (residents stay).
@@ -173,15 +159,6 @@ class ClusterManager:
         """
         self.scheduler.disable_server(server_id)
 
-    def _unindex(self, vm_id: str, server_id: Optional[str]) -> None:
-        if server_id is None:
-            return
-        residents = self._server_vms.get(server_id)
-        if residents is not None:
-            residents.pop(vm_id, None)
-            if not residents:
-                del self._server_vms[server_id]
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -189,9 +166,16 @@ class ClusterManager:
         return dict(self._vms)
 
     def vms_on_server(self, server_id: str) -> List[CoachVM]:
-        """Resident CoachVMs of one server, via the maintained index (O(residents))."""
-        return [self._vms[vm_id]
-                for vm_id in self._server_vms.get(server_id, ())]
+        """Resident CoachVMs of one server in acceptance order (O(residents)).
+
+        Reads the scheduler account's plans, which are committed on accept
+        and released on deallocate or preemption; an unknown server has no
+        residents.
+        """
+        account = self.scheduler.servers.get(server_id)
+        if account is None:
+            return []
+        return [self._vms[vm_id] for vm_id in account.plans]
 
     def capacity_summary(self) -> Dict[str, float]:
         """Headline packing numbers for the cluster."""
@@ -210,19 +194,18 @@ class ClusterManager:
 
 
 def build_prediction_model(policy: PolicyConfig, history_vms: Sequence[VMRecord],
-                           oracle: bool = False,
                            n_estimators: int = 15) -> object:
     """Construct the prediction model appropriate for a policy.
 
     * ``NONE`` policy -> :class:`NoOversubscriptionModel`.
-    * otherwise -> a :class:`LongTermUtilizationModel` trained on the history
-      (or an :class:`OracleUtilizationModel` when ``oracle`` is requested,
-      used by ablations and the ideal-allocation baseline).
+    * otherwise -> a :class:`LongTermUtilizationModel` trained on the history.
+
+    Ablations and the ideal-allocation baseline that want perfect foresight
+    build an :class:`~repro.prediction.utilization_model.OracleUtilizationModel`
+    themselves and pass it as ``simulate_policy(prediction_model=...)``.
     """
     if not policy.oversubscribe:
         return NoOversubscriptionModel(policy.windows)
-    if oracle:
-        return OracleUtilizationModel(policy.windows, policy.percentile)
     model = LongTermUtilizationModel(
         windows=policy.windows,
         percentile=policy.percentile,

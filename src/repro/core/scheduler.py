@@ -6,14 +6,16 @@ window (plus one for the static guaranteed portion of non-fungible
 resources), so VMs with complementary temporal patterns can share the same
 oversubscribed capacity.
 
-Two admission checks are provided:
+A VM is admitted onto a server only when it passes both checks:
 
 * ``fits_vector_check`` -- the paper's formulation: per-window summed demand
   and the summed PA portions must each fit the server's capacity.
-* ``fits_backing_check`` -- the physically conservative variant: the PA pool
-  plus the multiplexed VA pool (Eq. 3 + Eq. 4) must fit.  This is the default
-  because it guarantees the server never commits more physical memory than it
-  has.
+* ``fits_backing_check`` -- the physical one: the PA pool plus the
+  multiplexed VA pool (Eq. 3 + Eq. 4) must fit, so the server never commits
+  more physical memory than it has.
+
+Placement also reads the VM's allocation class when ``place()`` is given
+one: a reserved VM that fits nowhere preempts spot VMs.
 
 Matrix-form bookkeeping
 -----------------------
@@ -28,7 +30,7 @@ Scheduling-time state lives in a :class:`ClusterLedger` owned by the
 * ``va_demand`` -- an ``(n_servers, n_windows)`` matrix of committed
   oversubscribed (VA) demand.
 
-``ClusterScheduler.place`` evaluates both admission checks and the best-fit
+``ClusterScheduler.place`` evaluates the admission checks and the best-fit
 packing score for *every server at once* with a handful of broadcasted numpy
 operations, instead of looping over servers and re-running per-resource
 checks.  ``commit``/``release`` are row updates.  The arithmetic is the same
@@ -163,8 +165,6 @@ _TIERED_MIN_SERVERS = 8192
 #: Indices of resources inside ``ALL_RESOURCES``-ordered arrays.
 _CPU_INDEX = ALL_RESOURCES.index(Resource.CPU)
 _MEMORY_INDEX = ALL_RESOURCES.index(Resource.MEMORY)
-_NON_MEMORY_INDICES = np.array(
-    [i for i, r in enumerate(ALL_RESOURCES) if r is not Resource.MEMORY])
 
 
 def plan_demand_matrix(plan: VMResourcePlan) -> np.ndarray:
@@ -295,32 +295,29 @@ class ClusterLedger:
         """Committed demand as if *plan_demand* were placed on every server.
 
         The ``(n_resources, n_servers, n_windows)`` array is the dominant
-        per-placement allocation, so ``place()`` computes it once and feeds
-        it to both the admission masks and the packing scores.
+        per-placement allocation, so the dense path computes it once and
+        feeds it to both the admission mask and the packing scores.
         """
         return self.demand + plan_demand[:, None, :]
 
-    def fit_masks(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
-                  va_window_demand: np.ndarray,
-                  hypothetical: Optional[np.ndarray] = None) -> tuple:
-        """Evaluate both admission checks for every server at once.
+    def fit_mask(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
+                 va_window_demand: np.ndarray,
+                 hypothetical: Optional[np.ndarray] = None) -> np.ndarray:
+        """Evaluate the admission rule for every server at once.
 
-        Returns ``(vector_ok, backing_ok)`` boolean arrays of shape
-        ``(n_servers,)`` with the same semantics as
-        :meth:`ServerAccount.fits_vector_check` and
-        :meth:`ServerAccount.fits_backing_check`.
+        Returns a boolean array of shape ``(n_servers,)``, true where
+        :meth:`ServerAccount.can_fit` holds: every window of every resource
+        fits, and so do the PA portion and the PA + VA backing.
         """
         if hypothetical is None:
             hypothetical = self.hypothetical_demand(plan_demand)
-        window_ok = np.all(hypothetical <= self.capacity[:, :, None] + FIT_EPSILON,
-                           axis=2)
-        capacity_memory = self.capacity[_MEMORY_INDEX]
+        window_ok = np.all(hypothetical <= self._fit_threshold[:, :, None],
+                           axis=(0, 2))
+        capacity_memory = self._memory_threshold
         new_pa = self.pa_memory + guaranteed_memory_gb
-        vector_ok = window_ok.all(axis=0) & (new_pa <= capacity_memory + FIT_EPSILON)
         new_va = (self.va_demand + va_window_demand[None, :]).max(axis=1)
-        backing_ok = (np.all(window_ok[_NON_MEMORY_INDICES], axis=0)
-                      & (new_pa + new_va <= capacity_memory + FIT_EPSILON))
-        return vector_ok, backing_ok
+        return (window_ok & (new_pa <= capacity_memory)
+                & (new_pa + new_va <= capacity_memory))
 
     def packing_scores(self, plan_demand: Optional[np.ndarray] = None,
                        hypothetical: Optional[np.ndarray] = None) -> np.ndarray:
@@ -343,19 +340,16 @@ class ClusterLedger:
 
     def best_fit_row_dense(self, plan_demand: np.ndarray,
                            guaranteed_memory_gb: float,
-                           va_window_demand: np.ndarray,
-                           conservative: bool) -> int:
-        """Reference best-fit: full-matrix admission masks + dense scores.
+                           va_window_demand: np.ndarray) -> int:
+        """Reference best-fit: full-matrix admission mask + dense scores.
 
         Returns the winning row index, or ``-1`` when no server fits.  This
         is the pre-incremental placement arithmetic, kept as the exactness
         fallback of :meth:`best_fit_row` and as the scaling-bench baseline.
         """
         hypothetical = self.hypothetical_demand(plan_demand)
-        vector_ok, backing_ok = self.fit_masks(
-            plan_demand, guaranteed_memory_gb, va_window_demand,
-            hypothetical=hypothetical)
-        mask = (vector_ok & backing_ok) if conservative else vector_ok
+        mask = self.fit_mask(plan_demand, guaranteed_memory_gb,
+                             va_window_demand, hypothetical=hypothetical)
         mask &= self.row_available
         if not mask.any():
             return -1
@@ -364,8 +358,7 @@ class ClusterLedger:
         return int(np.argmax(scores))
 
     def _screen_rows(self, rows: Union[np.ndarray, slice],
-                     guaranteed_memory_gb: float, conservative: bool,
-                     stats: tuple) -> tuple:
+                     guaranteed_memory_gb: float, stats: tuple) -> tuple:
         """Tri-state screen + approximate scores for a row subset.
 
         *rows* is a gathered index array (the tiered scan) or
@@ -389,15 +382,11 @@ class ClusterLedger:
         capacity_memory = self._memory_threshold[rows]
         new_pa = self.pa_memory[rows] + guaranteed_memory_gb
         pa_ok = new_pa <= capacity_memory
-        if conservative:
-            va_peak = self.va_peak[rows]
-            fit_hi = (pa_ok & sure_ok
-                      & (new_pa + (va_peak + va_peak_add) <= capacity_memory))
-            sure_fail = (~pa_ok | sure_bad
-                         | (new_pa + (va_peak + va_min_add) > capacity_memory))
-        else:
-            fit_hi = pa_ok & sure_ok
-            sure_fail = ~pa_ok | sure_bad
+        va_peak = self.va_peak[rows]
+        fit_hi = (pa_ok & sure_ok
+                  & (new_pa + (va_peak + va_peak_add) <= capacity_memory))
+        sure_fail = (~pa_ok | sure_bad
+                     | (new_pa + (va_peak + va_min_add) > capacity_memory))
         available = self.row_available[rows]
         fit_hi &= available
         sure_fail |= ~available
@@ -408,8 +397,7 @@ class ClusterLedger:
 
     def _verify_candidate_rows(self, rows: np.ndarray, plan_demand: np.ndarray,
                                guaranteed_memory_gb: float,
-                               va_window_demand: np.ndarray,
-                               conservative: bool) -> int:
+                               va_window_demand: np.ndarray) -> int:
         """Exact admission + scoring over a sorted candidate shortlist.
 
         Gathered rows are C-contiguous, so the window mean and resource sum
@@ -423,14 +411,12 @@ class ClusterLedger:
         window_ok = np.all(hypothetical <= capacity[:, :, None] + FIT_EPSILON,
                            axis=2)
         new_pa_rows = self.pa_memory[rows] + guaranteed_memory_gb
-        capacity_memory = capacity[_MEMORY_INDEX]
+        new_va = (self.va_demand[rows] + va_window_demand[None, :]).max(axis=1)
+        capacity_memory = self._memory_threshold[rows]
         fit = (window_ok.all(axis=0)
-               & (new_pa_rows <= capacity_memory + FIT_EPSILON)
+               & (new_pa_rows <= capacity_memory)
+               & (new_pa_rows + new_va <= capacity_memory)
                & self.row_available[rows])
-        if conservative:
-            new_va = (self.va_demand[rows] + va_window_demand[None, :]).max(axis=1)
-            fit &= (np.all(window_ok[_NON_MEMORY_INDICES], axis=0)
-                    & (new_pa_rows + new_va <= capacity_memory + FIT_EPSILON))
         if not fit.any():
             return -1
         means = hypothetical.mean(axis=2)
@@ -443,7 +429,7 @@ class ClusterLedger:
     def _best_fit_row_tiered(self, plan_demand: np.ndarray,
                              guaranteed_memory_gb: float,
                              va_window_demand: np.ndarray,
-                             conservative: bool, stats: tuple) -> int:
+                             stats: tuple) -> int:
         """Band-descent candidate search over the tiered index.
 
         Returns the winning row, ``-1`` when no server fits, or
@@ -503,7 +489,7 @@ class ClusterLedger:
                 return _TIERED_UNDECIDED
             rows = np.fromiter(buffered, np.intp, len(buffered))
             fit_hi, sure_fail, approx = self._screen_rows(
-                rows, guaranteed_memory_gb, conservative, stats)
+                rows, guaranteed_memory_gb, stats)
             chunks.append((rows, sure_fail, approx))
             if fit_hi.any():
                 best_sure = max(best_sure, float(approx[fit_hi].max()))
@@ -529,11 +515,10 @@ class ClusterLedger:
         if candidates.size > budget:
             return _TIERED_UNDECIDED
         return self._verify_candidate_rows(
-            candidates, plan_demand, guaranteed_memory_gb, va_window_demand,
-            conservative)
+            candidates, plan_demand, guaranteed_memory_gb, va_window_demand)
 
     def best_fit_row(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
-                     va_window_demand: np.ndarray, conservative: bool) -> int:
+                     va_window_demand: np.ndarray) -> int:
         """Exact best-fit via the tiered index, screened and dense fallbacks.
 
         Tries :meth:`_best_fit_row_tiered` first (sublinear in fleet size);
@@ -545,21 +530,19 @@ class ClusterLedger:
         """
         if not self._score_safe:
             return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand, conservative)
+                                           va_window_demand)
         stats = _plan_screen_stats(plan_demand, va_window_demand)
         if self.n_servers >= _TIERED_MIN_SERVERS:
             row = self._best_fit_row_tiered(plan_demand, guaranteed_memory_gb,
-                                            va_window_demand, conservative,
-                                            stats)
+                                            va_window_demand, stats)
             if row != _TIERED_UNDECIDED:
                 return row
         return self.best_fit_row_screened(plan_demand, guaranteed_memory_gb,
-                                          va_window_demand, conservative,
-                                          stats=stats)
+                                          va_window_demand, stats=stats)
 
     def best_fit_row_screened(self, plan_demand: np.ndarray,
                               guaranteed_memory_gb: float,
-                              va_window_demand: np.ndarray, conservative: bool,
+                              va_window_demand: np.ndarray,
                               stats: Optional[tuple] = None) -> int:
         """Screened best-fit over the cached row sums, exact by construction.
 
@@ -595,11 +578,11 @@ class ClusterLedger:
         """
         if not self._score_safe:
             return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand, conservative)
+                                           va_window_demand)
         if stats is None:
             stats = _plan_screen_stats(plan_demand, va_window_demand)
         fit_hi, sure_fail, approx = self._screen_rows(
-            slice(None), guaranteed_memory_gb, conservative, stats)
+            slice(None), guaranteed_memory_gb, stats)
         maybe = ~sure_fail
         # fit_hi <= true fit set <= maybe (setwise); rows outside `maybe`
         # cannot fit and rows in `fit_hi` need no window re-check to count
@@ -630,10 +613,10 @@ class ClusterLedger:
                 rows = rows[keep]
         if rows.size > max(_DENSE_FALLBACK_MIN, self.n_servers // 8):
             return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand, conservative)
+                                           va_window_demand)
         return self._verify_candidate_rows(rows, plan_demand,
                                            guaranteed_memory_gb,
-                                           va_window_demand, conservative)
+                                           va_window_demand)
 
     # ------------------------------------------------------------------ #
     # Row updates
@@ -880,12 +863,11 @@ class ServerAccount:
         new_va = float((self.va_window_demand + memory_plan.window_oversubscribed).max())
         return new_pa + new_va <= capacity[Resource.MEMORY] + FIT_EPSILON
 
-    def can_fit(self, plan: VMResourcePlan, conservative: bool = True) -> bool:
+    def can_fit(self, plan: VMResourcePlan) -> bool:
+        """The admission rule: the plan passes both checks."""
         if plan.windows.windows_per_day != self.windows.windows_per_day:
             raise ValueError("plan and server use different time window configurations")
-        if conservative:
-            return self.fits_backing_check(plan) and self.fits_vector_check(plan)
-        return self.fits_vector_check(plan)
+        return self.fits_backing_check(plan) and self.fits_vector_check(plan)
 
     # ------------------------------------------------------------------ #
     # Commit / release
@@ -963,9 +945,9 @@ def bulk_cpu_capacity_and_memory_backing(accounts: Sequence[ServerAccount]):
 class PlacementDecision:
     """Result of asking the scheduler to place one VM.
 
-    ``preempted`` lists the spot VMs evicted while admitting this VM under
-    class-aware admission, in eviction order; evictions stand even when the
-    arrival is ultimately rejected (real preemption is not transactional).
+    ``preempted`` lists the spot VMs evicted while admitting a reserved VM,
+    in eviction order; evictions stand even when the arrival is ultimately
+    rejected (real preemption is not transactional).
     """
 
     vm_id: str
@@ -978,7 +960,7 @@ class PlacementDecision:
 class ClusterScheduler:
     """Best-fit scheduler over the servers of one cluster.
 
-    Placement is fully vectorized: both admission checks and the best-fit
+    Placement is fully vectorized: the admission checks and the best-fit
     packing score are evaluated for all servers in one pass over the
     :class:`ClusterLedger` matrices.  Ties on the packing score resolve to
     the lowest server index, matching the reference per-server loop.
@@ -995,13 +977,10 @@ class ClusterScheduler:
     """
 
     def __init__(self, cluster: ClusterConfig, windows: TimeWindowConfig,
-                 conservative: bool = True, decision_history: int = 256,
-                 incremental: bool = True, class_aware: bool = False):
+                 decision_history: int = 256, incremental: bool = True):
         self.cluster = cluster
         self.windows = windows
-        self.conservative = conservative
         self.incremental = incremental
-        self.class_aware = class_aware
         server_configs = cluster.server_configs()
         self.ledger = ClusterLedger(server_configs, windows)
         self.servers: Dict[str, ServerAccount] = {}
@@ -1013,7 +992,7 @@ class ClusterScheduler:
             self.servers[server_id] = account
             self._accounts.append(account)
         self._placements: Dict[str, str] = {}
-        # Insertion-ordered spot registry: class-aware admission evicts the
+        # Insertion-ordered spot registry: a reserved arrival evicts the
         # oldest surviving spot VM first (dict preserves acceptance order).
         self._spot_vms: Dict[str, None] = {}
         self._accepted = 0
@@ -1028,20 +1007,19 @@ class ClusterScheduler:
               ) -> PlacementDecision:
         """Place a VM plan on the best-fitting server (fullest that still fits).
 
-        With ``class_aware=True`` and an *allocation_class*, admission
-        becomes class-aware: a ``RESERVED`` arrival that finds no fitting
-        server preempts ``SPOT`` VMs (oldest accepted first) until it fits
-        or no spot capacity remains.  Without a class (or with
-        ``class_aware=False``) the classic class-blind path runs and draws
-        identical decisions -- class-awareness is strictly opt-in.
+        The *allocation_class* only matters for two classes: a ``SPOT`` VM
+        joins the eviction queue when accepted, and a ``RESERVED`` arrival
+        that finds no fitting server preempts spot VMs (oldest accepted
+        first) until it fits or no spot VM remains.  Any other class, or
+        none, places exactly as the class-blind best-fit search does.
 
-        The best-fit search itself is the class-blind arithmetic
-        (:meth:`ClusterLedger.best_fit_row`); class-awareness only adds the
+        The best-fit search itself is the same arithmetic for every class
+        (:meth:`ClusterLedger.best_fit_row`); the class only adds the
         eviction loop around it, so the differential twin
-        (:class:`ReferenceLoopScheduler` with ``class_aware=True``) stays a
-        line-for-line mirror.  Evictions are not rolled back on final
-        rejection: a real preemption pipeline kills the spot VM before the
-        reserved VM boots, so the decision records them either way.
+        (:class:`ReferenceLoopScheduler`) stays a line-for-line mirror.
+        Evictions are not rolled back on final rejection: a real preemption
+        pipeline kills the spot VM before the reserved VM boots, so the
+        decision records them either way.
         """
         if plan.windows.windows_per_day != self.windows.windows_per_day:
             raise ValueError("plan and server use different time window configurations")
@@ -1057,12 +1035,11 @@ class ClusterScheduler:
 
         def find_row() -> int:
             return best_fit_row(plan_demand, memory_plan.guaranteed,
-                                memory_plan.window_oversubscribed,
-                                self.conservative)
+                                memory_plan.window_oversubscribed)
 
         row = find_row()
         preempted: List[str] = []
-        if self.class_aware and allocation_class is AllocationClass.RESERVED:
+        if allocation_class is AllocationClass.RESERVED:
             while row < 0 and self._spot_vms:
                 victim = next(iter(self._spot_vms))
                 self.deallocate(victim)
@@ -1077,7 +1054,7 @@ class ClusterScheduler:
             best = self._accounts[row]
             best.commit(plan)
             self._placements[plan.vm_id] = best.server_id
-            if self.class_aware and allocation_class is AllocationClass.SPOT:
+            if allocation_class is AllocationClass.SPOT:
                 self._spot_vms[plan.vm_id] = None
             decision = PlacementDecision(plan.vm_id, True, best.server_id,
                                          preempted=tuple(preempted))
@@ -1142,12 +1119,9 @@ class ReferenceLoopScheduler:
     :class:`ClusterScheduler` must produce identical placement decisions.
     """
 
-    def __init__(self, cluster: ClusterConfig, windows: TimeWindowConfig,
-                 conservative: bool = True, class_aware: bool = False):
+    def __init__(self, cluster: ClusterConfig, windows: TimeWindowConfig):
         self.cluster = cluster
         self.windows = windows
-        self.conservative = conservative
-        self.class_aware = class_aware
         self.servers: Dict[str, ServerAccount] = {}
         for index, server_config in enumerate(cluster.server_configs()):
             server_id = f"{cluster.cluster_id}-s{index:03d}"
@@ -1162,7 +1136,7 @@ class ReferenceLoopScheduler:
         for server in self.servers.values():
             if server.server_id in self._disabled:
                 continue
-            if not server.can_fit(plan, self.conservative):
+            if not server.can_fit(plan):
                 continue
             score = server.packing_score(plan)
             if score > best_score:
@@ -1178,9 +1152,7 @@ class ReferenceLoopScheduler:
                              f"{self._placements[plan.vm_id]}")
         best_server = self._find_best(plan)
         preempted: List[str] = []
-        if (self.class_aware and allocation_class is not None
-                and best_server is None
-                and allocation_class is AllocationClass.RESERVED):
+        if allocation_class is AllocationClass.RESERVED:
             while best_server is None and self._spot_vms:
                 victim = next(iter(self._spot_vms))
                 self.deallocate(victim)
@@ -1191,7 +1163,7 @@ class ReferenceLoopScheduler:
                                      preempted=tuple(preempted))
         best_server.commit(plan)
         self._placements[plan.vm_id] = best_server.server_id
-        if (self.class_aware and allocation_class is AllocationClass.SPOT):
+        if allocation_class is AllocationClass.SPOT:
             self._spot_vms[plan.vm_id] = None
         return PlacementDecision(plan.vm_id, True, best_server.server_id,
                                  preempted=tuple(preempted))

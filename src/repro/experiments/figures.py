@@ -34,8 +34,9 @@ from repro.prediction.utilization_model import (
     LongTermUtilizationModel,
     OracleUtilizationModel,
 )
-from repro.simulator.engine import SimulationConfig, evaluate_policies
+from repro.simulator.engine import SimulationConfig
 from repro.simulator.metrics import PredictionAccuracy, ViolationStats
+from repro.simulator.sweep import sweep_policies
 from repro.trace.timeseries import SLOTS_PER_DAY, SWEEP_WINDOW_HOURS, TimeWindowConfig
 from repro.trace.trace import Trace
 from repro.workloads.base import summarize_results
@@ -249,7 +250,7 @@ def figure20_packing(trace: Trace,
     """
     config = SimulationConfig(clusters=list(clusters), n_estimators=n_estimators,
                               sweep_parallelism=sweep_parallelism)
-    results = evaluate_policies(trace, policies or STANDARD_POLICIES, config)
+    results = sweep_policies(trace, policies or STANDARD_POLICIES, config)
     return {
         name: {
             "additional_capacity_pct": float(evaluation.additional_capacity_pct or 0.0),

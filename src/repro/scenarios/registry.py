@@ -45,9 +45,9 @@ class Scenario:
     #: Explicit fleet (fleet-shape axis); ``None`` = the default C1-C10 mix.
     fleet: Optional[Tuple[ClusterConfig, ...]] = None
     #: Allocation-class mix (workload-mix axis); ``None`` = all on-demand.
+    #: The scheduler reads each VM's class: reserved arrivals may preempt
+    #: spot VMs.
     allocation_class_weights: Optional[Dict[str, float]] = None
-    #: Thread allocation classes into admission (reserved preempts spot).
-    class_aware: bool = False
     #: Demand-dynamics axis: deterministic surge overlay + arrival bursts.
     surge: Optional[SurgeConfig] = None
     flash_crowd_slots: Tuple[int, ...] = ()
@@ -88,11 +88,11 @@ class Scenario:
             placement_start_slot=0,
             failure_events=self.failures.materialize(
                 self.seed, self.clusters(), self.n_slots),
-            class_aware_admission=self.class_aware,
         )
 
 
-_CLASS_BLIND_INVARIANTS = _BASE_INVARIANTS + ("no-preemptions",)
+#: All-on-demand scenarios have no spot VM to preempt.
+_ON_DEMAND_INVARIANTS = _BASE_INVARIANTS + ("no-preemptions",)
 _FAILURE_INVARIANTS = _BASE_INVARIANTS + ("failed-servers-empty",)
 
 _SPOT_HEAVY_MIX = {
@@ -111,32 +111,30 @@ SCENARIOS: Dict[str, Scenario] = {
             name="baseline",
             description="All axes off: default fleet, on-demand only, "
                         "no dynamics, no failures.",
-            expected_invariants=_CLASS_BLIND_INVARIANTS,
+            expected_invariants=_ON_DEMAND_INVARIANTS,
         ),
         Scenario(
             name="heterogeneous-fleet",
             description="Skewed three-cluster fleet mixing all hardware "
                         "generations (fleet-shape axis only).",
             fleet=tuple(skewed_fleet(8)),
-            expected_invariants=_CLASS_BLIND_INVARIANTS,
+            expected_invariants=_ON_DEMAND_INVARIANTS,
         ),
         Scenario(
             name="reserved-heavy",
-            description="Class-aware admission with a reserved-dominated "
-                        "mix: preemption pressure without churn.",
+            description="Reserved-dominated workload mix: preemption "
+                        "pressure without churn.",
             n_vms=500,
             allocation_class_weights=_RESERVED_HEAVY_MIX,
-            class_aware=True,
         ),
         Scenario(
             name="spot-market",
-            description="Class-aware admission with a spot-dominated mix "
-                        "on a small memory-rich fleet: reserved arrivals "
-                        "must preempt to land.",
+            description="Spot-dominated workload mix on a small "
+                        "memory-rich fleet: reserved arrivals must preempt "
+                        "to land.",
             n_vms=600,
             fleet=tuple(memory_rich_fleet(4)),
             allocation_class_weights=_SPOT_HEAVY_MIX,
-            class_aware=True,
         ),
         Scenario(
             name="diurnal-surge",
@@ -144,7 +142,7 @@ SCENARIOS: Dict[str, Scenario] = {
                         "(demand-dynamics axis, deterministic in the slot).",
             surge=SurgeConfig(daily_amplitude=0.6, peak_hour=14.0,
                               weekly_amplitude=0.3, peak_weekday=1),
-            expected_invariants=_CLASS_BLIND_INVARIANTS,
+            expected_invariants=_ON_DEMAND_INVARIANTS,
         ),
         Scenario(
             name="flash-crowd",
@@ -152,7 +150,7 @@ SCENARIOS: Dict[str, Scenario] = {
                         "instants (demand-dynamics axis).",
             flash_crowd_slots=(2 * 288 + 150, 5 * 288 + 60),
             flash_crowd_fraction=0.35,
-            expected_invariants=_CLASS_BLIND_INVARIANTS,
+            expected_invariants=_ON_DEMAND_INVARIANTS,
         ),
         Scenario(
             name="drain-storm",
@@ -170,13 +168,12 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             name="spot-churn-with-crashes",
-            description="Everything on: spot-heavy class-aware admission, "
+            description="Everything on: spot-heavy workload mix, "
                         "surge + flash crowd, drains and crashes on a "
                         "skewed fleet.",
             n_vms=600,
             fleet=tuple(skewed_fleet(6)),
             allocation_class_weights=_SPOT_HEAVY_MIX,
-            class_aware=True,
             surge=SurgeConfig(daily_amplitude=0.5, peak_hour=13.0,
                               weekly_amplitude=0.25, peak_weekday=2),
             flash_crowd_slots=(3 * 288 + 96,),

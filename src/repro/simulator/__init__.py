@@ -5,7 +5,6 @@ from repro.simulator.engine import (
     ClusterSimulation,
     FailureEvent,
     SimulationConfig,
-    evaluate_policies,
     simulate_policy,
 )
 from repro.simulator.memory import (
@@ -49,7 +48,6 @@ __all__ = [
     "ViolationStats",
     "chunk_slots_for_budget",
     "compare_policies",
-    "evaluate_policies",
     "simulate_policy",
     "sweep_policies",
 ]

@@ -16,9 +16,8 @@ estimate contention.  This engine does the same against the synthetic trace:
 Clusters are fully independent (each has its own manager, scheduler, and
 ledger); :func:`simulate_policy` replays them one after another and
 aggregates in cluster-id order.  Whole *policies* are fanned out across
-worker processes by :mod:`repro.simulator.sweep`
-(``SimulationConfig.sweep_parallelism``), which :func:`evaluate_policies`
-delegates to.
+worker processes by :func:`repro.simulator.sweep.sweep_policies`
+(``SimulationConfig.sweep_parallelism``).
 """
 
 from __future__ import annotations
@@ -65,7 +64,15 @@ class FailureEvent:
 
 @dataclass
 class SimulationConfig:
-    """Knobs of the cluster-scale replay."""
+    """Knobs of the cluster-scale replay.
+
+    Admission has no knob: every cluster admits by the scheduler's one rule
+    (vector and backing check) and reads each VM's allocation class, so
+    reserved arrivals may preempt spot VMs (:meth:`ClusterScheduler.place`).
+    To replay with perfect foresight, pass an
+    :class:`~repro.prediction.utilization_model.OracleUtilizationModel` as
+    ``simulate_policy(prediction_model=...)``.
+    """
 
     #: Slot at which the evaluation period starts (history before it).
     history_end_slot: int = 7 * SLOTS_PER_DAY
@@ -79,19 +86,15 @@ class SimulationConfig:
     cpu_contention_fraction: float = 0.5
     #: Only clusters listed here are simulated (``None`` = all).
     clusters: Optional[Sequence[str]] = None
-    #: Use the conservative (physical backing) admission check.
-    conservative_admission: bool = True
     #: Forest size for the learned prediction model.
     n_estimators: int = 10
-    #: Use the oracle predictor instead of the learned one (ablation).
-    oracle_predictions: bool = False
     #: Slot-axis tile width for the violation meter's chunked streaming
     #: mode (``None`` = dense, the full evaluation window in one tile).
     #: Bounds peak replay memory at ``O(n_servers * replay_chunk_slots)``
     #: for multi-week traces; any positive value yields bitwise-identical
     #: results.
     replay_chunk_slots: Optional[int] = None
-    #: Number of worker *processes* used by :func:`evaluate_policies` to fan
+    #: Number of worker *processes* used by :func:`sweep_policies` to fan
     #: out whole policies (1 = serial).  Processes sidestep the GIL that
     #: holds forest training and replay to one core, and memory-map one
     #: staged copy of the trace instead of unpickling a copy each; any
@@ -102,10 +105,6 @@ class SimulationConfig:
     #: each failure's slot.  Empty (the default) leaves the replay
     #: bitwise-identical to a failure-free run.
     failure_events: Tuple[FailureEvent, ...] = ()
-    #: Thread VM allocation classes into admission: reserved arrivals may
-    #: preempt spot VMs (see :meth:`ClusterScheduler.place`).  Off by
-    #: default; the classic class-blind path stays bitwise-identical.
-    class_aware_admission: bool = False
 
     def __post_init__(self) -> None:
         # Reject a bad tile width here, before any model training or sweep
@@ -163,9 +162,7 @@ class ClusterSimulation:
         self._violation_meter = VectorizedViolationMeter(
             chunk_slots=config.replay_chunk_slots)
         self.manager = ClusterManager(
-            trace.fleet.get(cluster_id), policy, prediction_model,
-            conservative_admission=config.conservative_admission,
-            class_aware=config.class_aware_admission)
+            trace.fleet.get(cluster_id), policy, prediction_model)
         self.placed: Dict[str, VMRecord] = {}
         # Stable (slot, listing order) firing order for this cluster's
         # injected failures; sorted() is stable, so ties on the slot fire
@@ -244,11 +241,12 @@ class ClusterSimulation:
 
         Departures due by the failure's slot are released first so only VMs
         actually alive at the failure are touched.  Residents leave in
-        acceptance order (the manager's per-server index preserves it); a
-        drain then re-requests the still-alive ones as one batch through
-        normal admission -- re-placements count as new requests, may preempt
-        spot VMs under class-aware admission, and land on other servers or
-        get rejected (a rejected evacuee is lost, like a crash victim).
+        acceptance order (:meth:`ClusterManager.vms_on_server` preserves
+        it); a drain then re-requests the still-alive ones as one batch
+        through normal admission -- re-placements count as new requests,
+        reserved evacuees may preempt spot VMs, and each lands on another
+        server or is rejected (a rejected evacuee is lost, like a crash
+        victim).
         """
         while pending_departures and pending_departures[0][0] <= event.slot:
             _end_slot, vm_id = heapq.heappop(pending_departures)
@@ -303,8 +301,7 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
         history, _future = trace.split_at(config.history_end_slot)
         history_vms = history.long_running().vms
         prediction_model = build_prediction_model(
-            policy, history_vms, oracle=config.oracle_predictions,
-            n_estimators=config.n_estimators)
+            policy, history_vms, n_estimators=config.n_estimators)
 
     requested = accepted = rejected = servers_in_use = servers_total = 0
     accepted_cores = accepted_memory = 0.0
@@ -356,21 +353,3 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
         average_concurrent_memory_gb=accepted_memory_slots / eval_slots,
         violations=violations,
     )
-
-
-def evaluate_policies(trace: Trace,
-                      policies: Optional[Dict[str, PolicyConfig]] = None,
-                      config: Optional[SimulationConfig] = None) -> Dict[str, PolicyEvaluation]:
-    """Evaluate several policies on the same trace (Figure 20).
-
-    Returns a mapping from policy name to its evaluation, with additional
-    capacity computed relative to the ``none`` policy when present.  The
-    sweep fans one policy per worker process when
-    ``config.sweep_parallelism > 1`` and is bitwise identical to the serial
-    walk for any worker count; see :mod:`repro.simulator.sweep` for the
-    orchestration (the import is deferred because sweep builds on this
-    module's :func:`simulate_policy`).
-    """
-    from repro.simulator.sweep import sweep_policies
-
-    return sweep_policies(trace, policies, config)

@@ -1,6 +1,6 @@
 """Process-parallel policy sweep orchestration.
 
-``evaluate_policies`` walks a whole policy suite over one trace.  The phases
+:func:`sweep_policies` walks a whole policy suite over one trace.  The phases
 that dominate a sweep -- random-forest training and the replay arithmetic --
 hold the GIL, so threads cannot speed it up.  This module fans the sweep out
 across processes instead, at the policy level: one :class:`SweepTask` per

@@ -783,8 +783,8 @@ class TraceStore:
         store has telemetry, give every VM at least one sample -- index and
         code columns stay inside their tables, and each buffer holds
         exactly ``offsets[-1]`` samples.  Every ``meta.json`` value read
-        has its JSON type, and the resources, configs, fleet and
-        subscriptions rebuild from it.
+        has its JSON type, ``n_slots`` is at least one, and the resources,
+        configs, fleet and subscriptions rebuild from it.
         A damaged store raises ``ValueError`` naming the store and the
         file, key or column at fault.
         """
@@ -817,6 +817,9 @@ class TraceStore:
                 shown = shown if len(shown) <= 60 else shown[:57] + "..."
                 raise damaged(f"{_META_FILE} key {key!r}",
                               f"is {shown}, expected {expected}")
+        if meta["n_slots"] < 1:
+            raise damaged(f"{_META_FILE} key 'n_slots'",
+                          f"is {meta['n_slots']}, expected at least one slot")
 
         def rebuilt(key: str, build):
             """``build(meta[key])``, its failure reported as damage."""

@@ -108,7 +108,8 @@ class UtilizationSeries:
             raise ValueError("utilization series must be one-dimensional")
         if arr.size == 0:
             raise ValueError("utilization series must not be empty")
-        if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
+        # min and max propagate NaN, which then fails both comparisons.
+        if not (arr.min() >= -1e-9 and arr.max() <= 1.0 + 1e-9):
             raise ValueError("utilization values must lie in [0, 1]")
         self.values = np.clip(arr, 0.0, 1.0)
         self.start_slot = int(start_slot)

@@ -35,9 +35,9 @@ class SubscriptionType(str, Enum):
 class AllocationClass(str, Enum):
     """Commercial allocation class of a VM, ordered by eviction priority.
 
-    ``RESERVED`` capacity may preempt ``SPOT`` VMs under class-aware
-    admission (see :meth:`repro.core.scheduler.ClusterScheduler.place`);
-    ``ON_DEMAND`` and ``BURSTABLE`` neither preempt nor get preempted.
+    ``RESERVED`` capacity may preempt ``SPOT`` VMs at admission (see
+    :meth:`repro.core.scheduler.ClusterScheduler.place`); ``ON_DEMAND``
+    and ``BURSTABLE`` neither preempt nor get preempted.
     """
 
     RESERVED = "reserved"

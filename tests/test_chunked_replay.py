@@ -15,6 +15,7 @@ import pytest
 
 import repro.simulator.engine as engine
 from repro.core.policy import COACH_POLICY
+from repro.prediction.utilization_model import OracleUtilizationModel
 from repro.simulator import SimulationConfig, simulate_policy
 from repro.simulator.replay import ReferenceViolationMeter, VectorizedViolationMeter
 from repro.simulator.synthetic import build_placed_replay_state
@@ -25,6 +26,9 @@ WINDOWS = TimeWindowConfig(4)
 N_SLOTS = 200
 
 SMALL_CLUSTER = ClusterConfig("CQ", "test", (("gen4-intel", 4), ("gen6-amd", 2)))
+
+#: Perfect-foresight predictions: the engine tests replay without training.
+ORACLE = OracleUtilizationModel(COACH_POLICY.windows, COACH_POLICY.percentile)
 
 #: Chunk widths swept by the differential tests: one-slot tiles, widths that
 #: split every multi-slot demand segment, widths that do not divide N_SLOTS,
@@ -135,8 +139,8 @@ class TestChunkedConfiguration:
         monkeypatch.setattr(engine, "VectorizedViolationMeter", RecordingMeter)
         simulate_policy(tiny_trace, COACH_POLICY,
                         SimulationConfig(clusters=tiny_trace.cluster_ids()[:1],
-                                         oracle_predictions=True,
-                                         replay_chunk_slots=24))
+                                         replay_chunk_slots=24),
+                        prediction_model=ORACLE)
         assert widths == [24]
 
 
@@ -146,12 +150,13 @@ class TestEngineChunkedEquivalence:
         memory, never the PolicyEvaluation."""
         cluster = tiny_trace.cluster_ids()[:1]
         dense = simulate_policy(
-            tiny_trace, COACH_POLICY,
-            SimulationConfig(clusters=cluster, oracle_predictions=True))
+            tiny_trace, COACH_POLICY, SimulationConfig(clusters=cluster),
+            prediction_model=ORACLE)
         for chunk_slots in (50, 288):
             chunked = simulate_policy(
                 tiny_trace, COACH_POLICY,
-                SimulationConfig(clusters=cluster, oracle_predictions=True,
-                                 replay_chunk_slots=chunk_slots))
+                SimulationConfig(clusters=cluster,
+                                 replay_chunk_slots=chunk_slots),
+                prediction_model=ORACLE)
             assert chunked == dense, f"replay_chunk_slots={chunk_slots}"
         assert dense.violations.observed_server_slots > 0

@@ -21,6 +21,8 @@ If a deliberate behaviour change shifts these numbers, regenerate with::
 and update the table in the same commit that changes the behaviour.
 """
 
+import json
+
 import pytest
 
 from repro.scenarios import (
@@ -30,6 +32,7 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
+from repro.scenarios.__main__ import main
 from repro.simulator.benchmarking import assert_store_dirs_identical
 from repro.trace.generator import TraceGenerator
 
@@ -157,3 +160,32 @@ def test_repeated_run_reproduces_fingerprint(scenario_results):
     fingerprint exactly -- no cross-run state in the registry or engine."""
     again = run_scenario("drain-storm")
     assert again.fingerprint == scenario_results("drain-storm").fingerprint
+
+
+# ---------------------------------------------------------------------- #
+# The command line: python -m repro.scenarios
+# ---------------------------------------------------------------------- #
+def test_cli_lists_every_scenario(capsys):
+    assert main(["--list"]) == 0
+    listed = [line.split()[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == scenario_names()
+
+
+def test_cli_rejects_unknown_scenario(capsys):
+    assert main(["nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown scenario 'nope'" in captured.err
+    assert "baseline" in captured.err
+
+
+def test_cli_json_prints_the_golden_fingerprint(capsys):
+    assert main(["baseline", "--json"]) == 0
+    out = capsys.readouterr().out
+    fingerprint, end = json.JSONDecoder().raw_decode(out)
+    assert {field: fingerprint[field] for field in _FINGERPRINT_FIELDS} \
+        == dict(zip(_FINGERPRINT_FIELDS, GOLDEN["baseline"]))
+    assert out[end:].split() == [
+        word for name in SCENARIOS["baseline"].expected_invariants
+        for word in ("invariant", f"{name}:", "ok")]

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.simulator import SimulationConfig, evaluate_policies
+from repro.simulator import SimulationConfig, sweep_policies
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.store import TraceStore
 
@@ -53,10 +53,10 @@ def golden_sim_config():
 @pytest.fixture(scope="module")
 def golden_results(golden_trace, golden_sim_config):
     """Regenerate the GOLDEN table by printing the result of
-    ``evaluate_policies(golden_trace, config=golden_sim_config)`` with the
+    ``sweep_policies(golden_trace, config=golden_sim_config)`` with the
     fixture configs above, and update the table in the same commit that
     changes the behaviour."""
-    return evaluate_policies(golden_trace, config=golden_sim_config)
+    return sweep_policies(golden_trace, config=golden_sim_config)
 
 
 def test_all_standard_policies_present(golden_results):
@@ -98,7 +98,7 @@ def test_process_pool_sweep_matches_golden(golden_trace, golden_sim_config,
     (This also exercises the staged-store transport on a plain object
     trace, which the sweep columnarizes first.)"""
     sim = replace(golden_sim_config, sweep_parallelism=sweep_workers)
-    pooled = evaluate_policies(golden_trace, config=sim)
+    pooled = sweep_policies(golden_trace, config=sim)
     assert list(pooled) == list(golden_results)
     for name, evaluation in golden_results.items():
         assert pooled[name] == evaluation, f"policy {name} diverged"
@@ -116,7 +116,7 @@ def test_store_backed_serial_matches_golden(golden_store_trace,
     """A TraceStore-backed serial evaluation reproduces the pinned numbers
     bitwise: the columnar filters and zero-copy views are an invisible
     representation change, not a behaviour change."""
-    results = evaluate_policies(golden_store_trace, config=golden_sim_config)
+    results = sweep_policies(golden_store_trace, config=golden_sim_config)
     assert list(results) == list(golden_results)
     for name, evaluation in golden_results.items():
         assert results[name] == evaluation, f"policy {name} diverged"
@@ -137,7 +137,7 @@ def test_store_backed_pool_sweep_matches_golden(golden_store_trace,
 
         monkeypatch.setattr(TraceStore, "save", unwritable)
     sim = replace(golden_sim_config, sweep_parallelism=2)
-    pooled = evaluate_policies(golden_store_trace, config=sim)
+    pooled = sweep_policies(golden_store_trace, config=sim)
     assert list(pooled) == list(golden_results)
     for name, evaluation in golden_results.items():
         assert pooled[name] == evaluation, f"policy {name} diverged"

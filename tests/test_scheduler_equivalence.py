@@ -39,12 +39,11 @@ def random_plan(rng, vm_id, windows=WINDOWS):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-@pytest.mark.parametrize("conservative", [True, False])
-def test_vectorized_matches_reference_loop(seed, conservative):
-    """Same decisions on a random arrival/departure sequence, both checks."""
+def test_vectorized_matches_reference_loop(seed):
+    """Same decisions on a random arrival/departure sequence."""
     rng = np.random.default_rng(seed)
-    vectorized = ClusterScheduler(MIXED_CLUSTER, WINDOWS, conservative=conservative)
-    reference = ReferenceLoopScheduler(MIXED_CLUSTER, WINDOWS, conservative=conservative)
+    vectorized = ClusterScheduler(MIXED_CLUSTER, WINDOWS)
+    reference = ReferenceLoopScheduler(MIXED_CLUSTER, WINDOWS)
 
     live = []
     accepted = rejected = 0
@@ -112,8 +111,8 @@ def random_class(rng):
 def test_class_aware_matches_reference_loop(seed):
     """Identical decisions AND identical eviction lists under preemption."""
     rng = np.random.default_rng(seed)
-    vectorized = ClusterScheduler(MIXED_CLUSTER, WINDOWS, class_aware=True)
-    reference = ReferenceLoopScheduler(MIXED_CLUSTER, WINDOWS, class_aware=True)
+    vectorized = ClusterScheduler(MIXED_CLUSTER, WINDOWS)
+    reference = ReferenceLoopScheduler(MIXED_CLUSTER, WINDOWS)
 
     live = []
     preemptions = 0
@@ -152,8 +151,8 @@ def test_reserved_rejection_keeps_evictions_in_order():
     VM (oldest first) before rejecting -- identically in both twins."""
     rng = np.random.default_rng(5)
     small = ClusterConfig("EQ1", "test", (("gen4-intel", 1),))
-    vectorized = ClusterScheduler(small, WINDOWS, class_aware=True)
-    reference = ReferenceLoopScheduler(small, WINDOWS, class_aware=True)
+    vectorized = ClusterScheduler(small, WINDOWS)
+    reference = ReferenceLoopScheduler(small, WINDOWS)
 
     spot_ids = []
     for i in range(100):
@@ -183,17 +182,25 @@ def test_reserved_rejection_keeps_evictions_in_order():
 
 
 def test_class_aware_flag_without_class_is_class_blind():
-    """place() without an allocation class draws the classic decisions even
-    on a class-aware scheduler: class-awareness is strictly opt-in."""
+    """Classes that neither preempt nor get preempted place exactly like
+    place() without a class, rejections included."""
     rng = np.random.default_rng(17)
     plans = [random_plan(rng, f"vm-{i}") for i in range(150)]
     blind = ClusterScheduler(MIXED_CLUSTER, WINDOWS)
-    aware = ClusterScheduler(MIXED_CLUSTER, WINDOWS, class_aware=True)
+    classed = {allocation_class: ClusterScheduler(MIXED_CLUSTER, WINDOWS)
+               for allocation_class in (AllocationClass.ON_DEMAND,
+                                        AllocationClass.BURSTABLE)}
+    rejected = 0
     for plan in plans:
         expected = blind.place(plan)
-        actual = aware.place(plan)
-        assert (actual.accepted, actual.server_id, actual.preempted) == \
-            (expected.accepted, expected.server_id, expected.preempted)
+        rejected += not expected.accepted
+        for allocation_class, scheduler in classed.items():
+            actual = scheduler.place(plan, allocation_class=allocation_class)
+            assert (actual.accepted, actual.server_id, actual.preempted) == \
+                (expected.accepted, expected.server_id, expected.preempted)
+    assert rejected > 0
+    for scheduler in classed.values():
+        assert np.array_equal(scheduler.ledger.demand, blind.ledger.demand)
 
 
 # ---------------------------------------------------------------------- #

@@ -133,7 +133,7 @@ class TestIncrementalCacheChurn:
         memory_plan = probe_plan.plans[Resource.MEMORY]
         stats = _plan_screen_stats(probe, memory_plan.window_oversubscribed)
         _fit, _fail, approx = ledger._screen_rows(
-            slice(None), memory_plan.guaranteed, True, stats)
+            slice(None), memory_plan.guaranteed, stats)
         exact = ledger.packing_scores(probe)
         # The approximation drives candidate screening only; it must stay
         # within the tolerance band the gathered exact re-score relies on.
@@ -153,12 +153,12 @@ class _FailOnSecondVM:
         return self._models[min(self.calls, 2) - 1].predict(vm)
 
 
-def _oracle_manager(cluster, **kwargs):
+def _oracle_manager(cluster):
     """A Coach manager whose oracle predictions make most plans
     oversubscribed, so admission exercises the window-extended checks."""
     oracle = OracleUtilizationModel(COACH_POLICY.windows,
                                     COACH_POLICY.percentile)
-    return ClusterManager(cluster, COACH_POLICY, oracle, **kwargs)
+    return ClusterManager(cluster, COACH_POLICY, oracle)
 
 
 class TestBatchedPlacement:
@@ -203,8 +203,8 @@ class TestBatchedPlacement:
                 for vm in vms[:half]]
                + [replace(vm, allocation_class=AllocationClass.RESERVED)
                   for vm in vms[half:]])
-        sequential = _oracle_manager(TINY_CLUSTER, class_aware=True)
-        batched = _oracle_manager(TINY_CLUSTER, class_aware=True)
+        sequential = _oracle_manager(TINY_CLUSTER)
+        batched = _oracle_manager(TINY_CLUSTER)
         expected = [sequential.request_vm(vm).decision for vm in vms]
         actual = [result.decision for result in batched.request_batch(vms)]
         assert actual == expected

@@ -1,5 +1,7 @@
 """Tests for the scheduler, policies, and cluster manager."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,14 @@ from repro.core.scheduler import (
 )
 from repro.core.windows import plan_vm
 from repro.prediction.utilization_model import (
+    LongTermUtilizationModel,
     NoOversubscriptionModel,
     OracleUtilizationModel,
     WindowUtilizationPrediction,
 )
 from repro.trace.hardware import ClusterConfig, HARDWARE_GENERATIONS
 from repro.trace.timeseries import TimeWindowConfig
+from repro.trace.vm import AllocationClass
 
 
 class TestPolicies:
@@ -394,9 +398,36 @@ class TestClusterManager:
         # Unknown server ids simply report no residents.
         assert manager.vms_on_server("no-such-server") == []
 
+    def test_default_manager_preempts_spot_for_reserved(self, tiny_trace):
+        """A default manager reads each VM's class: once spot VMs fill the
+        cluster, a reserved arrival that fits nowhere evicts the oldest of
+        them until it lands."""
+        cluster = ClusterConfig("CP", "test", (("gen4-intel", 1),))
+        manager = ClusterManager(cluster, NO_OVERSUBSCRIPTION_POLICY)
+        spot = [replace(vm, allocation_class=AllocationClass.SPOT)
+                for vm in tiny_trace.vms]
+        results = manager.request_batch(spot)
+        placed = [result.vm_id for result in results if result.accepted]
+        rejected = [vm for vm, result in zip(spot, results)
+                    if not result.accepted]
+        assert placed and rejected, "the spot VMs must fill the server"
+        server_id = results[0].server_id
+
+        arrival = replace(min(rejected, key=lambda vm: vm.allocated(Resource.MEMORY)),
+                          allocation_class=AllocationClass.RESERVED)
+        result = manager.request_vm(arrival)
+        assert result.accepted and result.server_id == server_id
+        # Oldest accepted first, and only as many as the arrival needed.
+        assert result.preempted == tuple(placed[:len(result.preempted)])
+        assert result.preempted
+        assert manager.stats.preempted == len(result.preempted)
+        survivors = placed[len(result.preempted):] + [arrival.vm_id]
+        assert list(manager.placed_vms()) == survivors
+        assert [vm.vm_id for vm in manager.vms_on_server(server_id)] == survivors
+
     def test_build_prediction_model_variants(self, tiny_trace):
         history = tiny_trace.long_running().vms
         none_model = build_prediction_model(NO_OVERSUBSCRIPTION_POLICY, history)
         assert isinstance(none_model, NoOversubscriptionModel)
-        oracle = build_prediction_model(COACH_POLICY, history, oracle=True)
-        assert isinstance(oracle, OracleUtilizationModel)
+        learned = build_prediction_model(COACH_POLICY, history, n_estimators=1)
+        assert isinstance(learned, LongTermUtilizationModel)

@@ -25,8 +25,8 @@ from repro.prediction.utilization_model import NoOversubscriptionModel
 from repro.simulator import (
     FailureEvent,
     SimulationConfig,
-    evaluate_policies,
     simulate_policy,
+    sweep_policies,
 )
 from repro.simulator import engine
 from repro.simulator.engine import ClusterSimulation
@@ -52,7 +52,7 @@ class TestClusterSimulation:
         assert result.average_concurrent_cores >= 0
 
     def test_oversubscription_hosts_at_least_as_much(self, small_trace, sim_config):
-        results = evaluate_policies(
+        results = sweep_policies(
             small_trace,
             {"none": NO_OVERSUBSCRIPTION_POLICY, "coach": COACH_POLICY},
             sim_config)
@@ -234,23 +234,6 @@ class TestFailureInjection:
             assert culprit in str(info.value)
         assert replayed == []
         assert trained == []
-
-
-class TestClassAwareAdmission:
-    def test_on_demand_only_trace_matches_class_blind_run(self, small_trace):
-        """With every VM on-demand (the generator default), the class-aware
-        path must reproduce the classic decisions bitwise: no spot exists to
-        preempt, so the extra machinery is a strict no-op."""
-        config = SimulationConfig(clusters=list(small_trace.cluster_ids()),
-                                  class_aware_admission=True, n_estimators=3)
-        blind_config = SimulationConfig(
-            clusters=list(small_trace.cluster_ids()), n_estimators=3)
-        aware = simulate_policy(small_trace, NO_OVERSUBSCRIPTION_POLICY, config)
-        blind = simulate_policy(small_trace, NO_OVERSUBSCRIPTION_POLICY,
-                                blind_config)
-        assert aware.accepted_vms == blind.accepted_vms
-        assert aware.rejected_vms == blind.rejected_vms
-        assert aware.violations == blind.violations
 
 
 class TestExperimentsRegistry:

@@ -51,6 +51,8 @@ class TestUtilizationSeries:
             UtilizationSeries([0.5, 1.5])
         with pytest.raises(ValueError):
             UtilizationSeries([])
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            UtilizationSeries([0.2, float("nan"), 0.5])
 
     def test_value_at_and_covers(self):
         series = UtilizationSeries([0.2, 0.4], start_slot=5)

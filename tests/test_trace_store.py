@@ -291,6 +291,10 @@ STORE_DAMAGE = [
                  "meta.json key 'fleet'", id="meta-fleet-null"),
     pytest.param(_edit_meta(lambda meta: {**meta, "n_slots": None}),
                  "meta.json key 'n_slots'", id="meta-n-slots-null"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "n_slots": 0}),
+                 "meta.json key 'n_slots'", id="meta-n-slots-zero"),
+    pytest.param(_edit_meta(lambda meta: {**meta, "n_slots": -5}),
+                 "meta.json key 'n_slots'", id="meta-n-slots-negative"),
     pytest.param(_edit_meta(lambda meta: {**meta, "n_vms": "x"}),
                  "meta.json key 'n_vms'", id="meta-n-vms-not-an-int"),
     pytest.param(_edit_meta(lambda meta: {**meta, "fleet": {}}),

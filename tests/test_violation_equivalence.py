@@ -9,9 +9,9 @@ evaluation period, empty servers, and stale plan entries.
 
 import pytest
 
-from repro.core.cluster_manager import build_prediction_model
 from repro.core.policy import COACH_POLICY
 from repro.core.scheduler import ClusterScheduler
+from repro.prediction.utilization_model import OracleUtilizationModel
 from repro.simulator import ClusterSimulation, SimulationConfig, ViolationStats
 from repro.simulator.replay import ReferenceViolationMeter, VectorizedViolationMeter
 from repro.simulator.synthetic import build_placed_replay_state
@@ -101,11 +101,9 @@ class TestEngineEquivalence:
         """End to end: the state one cluster simulation placed on a real
         trace measures the same with the engine's meter and the seed loop."""
         cluster = small_trace.cluster_ids()[0]
-        config = SimulationConfig(clusters=[cluster], oracle_predictions=True)
-        history, _future = small_trace.split_at(config.history_end_slot)
-        model = build_prediction_model(COACH_POLICY, history.long_running().vms,
-                                       oracle=True,
-                                       n_estimators=config.n_estimators)
+        config = SimulationConfig(clusters=[cluster])
+        model = OracleUtilizationModel(COACH_POLICY.windows,
+                                       COACH_POLICY.percentile)
         simulation = ClusterSimulation(small_trace, cluster, COACH_POLICY, model,
                                        config)
         vectorized = simulation.run().violations
