@@ -4,8 +4,7 @@ The claim behind the ``TraceStoreBuilder`` (the write half of the
 larger-than-RAM pipeline): streaming a generated trace straight to the
 on-disk columnar layout peaks at a fraction of the eager
 ``generate() -> from_trace -> save`` path's memory -- >= 5x lower on the
-month-scale workload -- while producing byte-identical files for any batch
-size.
+month-scale workload -- while producing byte-identical files.
 
 The workload is :func:`repro.simulator.synthetic.streaming_ingest_config`;
 the harness, :func:`repro.simulator.benchmarking.measure_streaming_ingest`,
@@ -15,18 +14,14 @@ byte-compares the two stores before any ratio is read.
 from conftest import assert_perf, bench_smoke_enabled, run_once
 
 from repro.simulator.benchmarking import measure_streaming_ingest
-from repro.simulator.synthetic import (
-    streaming_ingest_batch_vms,
-    streaming_ingest_config,
-)
+from repro.simulator.synthetic import streaming_ingest_config
 
 
 def test_bench_streaming_ingest(benchmark, tmp_path):
     """Streaming ingest peaks >= 5x below the eager from_trace path."""
     smoke = bench_smoke_enabled()
     config = streaming_ingest_config(smoke=smoke)
-    outcome = run_once(benchmark, measure_streaming_ingest, config, tmp_path,
-                       batch_vms=streaming_ingest_batch_vms(smoke=smoke))
+    outcome = run_once(benchmark, measure_streaming_ingest, config, tmp_path)
     print(f"\nstreaming ingest: {outcome['n_vms']} VMs / {outcome['n_days']} "
           f"days ({outcome['store_bytes'] / 1e6:.1f} MB on disk), peak "
           f"{outcome['stream_peak_bytes'] / 1e6:.1f} MB vs eager "

@@ -5,7 +5,7 @@ holds the whole object trace and the concatenated telemetry buffers in RAM
 at once.  This example runs the same pipeline without ever doing that:
 
 1. **Generate + ingest, streaming.**  ``generate_trace_to_store`` drives the
-   synthetic generator through a ``TraceStoreBuilder`` in bounded batches,
+   synthetic generator through a ``TraceStoreBuilder`` one VM at a time,
    appending telemetry straight to the on-disk columnar layout.
 2. **Replay, memory-mapped.**  ``TraceStore.open(mmap=True)`` loads only the
    metadata columns; the chunked violation meter faults telemetry pages in
@@ -60,7 +60,7 @@ def main() -> None:
     _, stream_peak = traced(
         "streaming generate_to_store",
         lambda: generate_trace_to_store(store_path, n_vms=N_VMS, n_days=N_DAYS,
-                                        seed=SEED, batch_vms=256))
+                                        seed=SEED))
 
     def eager():
         trace = generate_trace(n_vms=N_VMS, n_days=N_DAYS, seed=SEED)

@@ -21,17 +21,15 @@ reference implementation for differential testing (the
 
 Exactness contract
 ------------------
-On float64 store-backed traces every result is *bitwise* identical to the
-per-VM path (``tests/test_characterization_columnar.py`` pins this on
-dense, mmap and float32 backends).  The kernels earn that the same way the
-replay meter did: order-independent reductions (max/min) vectorize freely;
-order-dependent ones either preserve the reference's accumulation order
-exactly (stranding's sequential per-VM adds, which mirror the seed's
+On store-backed traces every result is *bitwise* identical to the per-VM
+path (``tests/test_characterization_columnar.py`` pins this on dense and
+mmap backends).  The kernels earn that the same way the replay meter did:
+order-independent reductions (max/min) vectorize freely; order-dependent
+ones either preserve the reference's accumulation order exactly
+(stranding's sequential per-VM adds, which mirror the seed's
 ``used[r] += ...`` loop) or reproduce numpy's own per-slice algorithm on
 identical inputs (length-bucketed ``mean(axis=1)``, the replicated
-``np.percentile`` linear interpolation).  float32 stores agree to rounding
-on percentile-and-mean statistics (numpy's scalar path keeps float32
-intermediates where the vectorized path promotes) and bitwise elsewhere.
+``np.percentile`` linear interpolation).
 """
 
 # repro: hot-path  -- REP003: statistics reduce over the store's flat
@@ -89,12 +87,6 @@ def window_entries(store: TraceStore, resource: Resource,
     they share one store object), and the entries only depend on the
     store's rows and buffer.  Cached arrays are marked read-only; callers
     must treat them as immutable.
-
-    Maxima come back as float64 regardless of the buffer dtype: the
-    reference path stores ``samples.max()`` into a float64 NaN matrix
-    (``window_max_per_day``), so every downstream comparison runs in
-    float64 there -- widening here keeps reduced-precision stores bitwise
-    identical on the window statistics too.
     """
     per_store = _WINDOW_ENTRY_CACHE.get(store)
     if per_store is None:
@@ -132,8 +124,7 @@ def _compute_window_entries(store: TraceStore, resource: Resource,
     window_start = first_window[row] + k * spw
     lo = offset[row] + np.maximum(window_start, series_start[row]) - series_start[row]
     hi = offset[row] + np.minimum(window_start + spw, series_end[row]) - series_start[row]
-    window_max = segment_reduce(np.maximum, store.util[resource], lo, hi - lo) \
-        .astype(np.float64, copy=False)
+    window_max = segment_reduce(np.maximum, store.util[resource], lo, hi - lo)
     day = window_start // SLOTS_PER_DAY
     window_of_day = (window_start % SLOTS_PER_DAY) // spw
     return row, day, window_of_day, window_max
@@ -346,7 +337,7 @@ def maybe_cluster_savings(trace: Trace, cluster_id: Optional[str],
     sweep: List[Optional[int]] = list(window_hours_sweep)
     if include_ideal:
         sweep.append(None)
-    lifetime_max = {r: store.segment_max(r).astype(np.float64, copy=False)
+    lifetime_max = {r: store.segment_max(r)
                     for r in (Resource.CPU, Resource.MEMORY)}
     results: Dict[str, Dict[str, float]] = {}
     for window_hours in sweep:
@@ -375,7 +366,7 @@ def maybe_weekly_savings_profile(trace: Trace, cluster_id: Optional[str],
         return None
     store = _select_cluster(store, cluster_id)
     n_days = int(np.ceil(trace.n_days))
-    lifetime_max = {r: store.segment_max(r).astype(np.float64, copy=False)
+    lifetime_max = {r: store.segment_max(r)
                     for r in (Resource.CPU, Resource.MEMORY)}
 
     results: Dict[str, Dict[str, List[float]]] = {}

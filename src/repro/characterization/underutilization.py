@@ -16,7 +16,7 @@ def utilization_scatter(trace: Trace, min_days: float = 1.0) -> Dict[str, List[f
 
     Store-backed traces take the columnar path (segment means plus one
     sorted-segment percentile pass); the per-VM loop below is the reference
-    implementation and stays bitwise-identical on float64 stores.
+    implementation, and the two agree bitwise.
     """
     result = columnar.maybe_utilization_scatter(trace, min_days)
     if result is not None:

@@ -181,12 +181,3 @@ class MitigationEngine:
 
         self.history.append(result)
         return result
-
-    def total_trimmed_gb(self) -> float:
-        return sum(r.trimmed_gb for r in self.history)
-
-    def total_extended_gb(self) -> float:
-        return sum(r.extended_gb for r in self.history)
-
-    def migrations(self) -> List[str]:
-        return [r.migrated_vm for r in self.history if r.migrated_vm]

@@ -10,7 +10,7 @@ signals the mitigation component to run *reactive* mitigations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.resources import Resource
 
@@ -117,17 +117,6 @@ class MonitoringComponent:
                 Resource.MEMORY, sample.oversub_pressure,
                 f"oversubscribed pool {sample.oversub_pressure:.0%} consumed"))
         return signals
-
-    # ------------------------------------------------------------------ #
-    # Derived utilization feeds for the prediction component
-    # ------------------------------------------------------------------ #
-    def recent_memory_utilization(self, n: Optional[int] = None) -> List[float]:
-        samples = self.history if n is None else self.history[-n:]
-        return [s.memory_utilization for s in samples]
-
-    def recent_cpu_utilization(self, n: Optional[int] = None) -> List[float]:
-        samples = self.history if n is None else self.history[-n:]
-        return [s.cpu_utilization for s in samples]
 
     def summary(self) -> Dict[str, float]:
         if not self.history:

@@ -173,9 +173,6 @@ class ResourceVector:
     def keys(self) -> Iterable[Resource]:
         return self._values.keys()
 
-    def as_dict(self) -> Dict[Resource, float]:
-        return dict(self._values)
-
     # ------------------------------------------------------------------ #
     # Arithmetic
     # ------------------------------------------------------------------ #

@@ -142,6 +142,3 @@ class OversubscriptionAgent:
 
     def total_page_faults_gb(self) -> float:
         return sum(r.page_fault_gb for r in self.reports)
-
-    def mitigation_count(self) -> int:
-        return sum(1 for r in self.reports if r.mitigation and r.mitigation.actions)

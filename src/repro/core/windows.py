@@ -44,10 +44,6 @@ class ResourcePlan:
     window_oversubscribed: np.ndarray
 
     @property
-    def peak_demand(self) -> float:
-        return float(self.window_demand.max())
-
-    @property
     def oversubscription_savings(self) -> float:
         """Resources not guaranteed compared to the requested allocation."""
         return max(0.0, self.requested - self.guaranteed)
@@ -78,11 +74,6 @@ class VMResourcePlan:
     @property
     def guaranteed_memory_gb(self) -> float:
         return self.plans[Resource.MEMORY].guaranteed
-
-    @property
-    def oversubscribed_memory_gb(self) -> float:
-        plan = self.plans[Resource.MEMORY]
-        return max(0.0, plan.requested - plan.guaranteed)
 
     def total_savings(self) -> Dict[Resource, float]:
         return {r: plan.oversubscription_savings for r, plan in self.plans.items()}

@@ -8,7 +8,7 @@ to be stable over short periods.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class EWMAPredictor:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
         self._level: Optional[float] = initial
-        self._history: List[float] = []
 
     @property
     def level(self) -> Optional[float]:
@@ -39,14 +38,7 @@ class EWMAPredictor:
             self._level = value
         else:
             self._level = self.alpha * value + (1.0 - self.alpha) * self._level
-        self._history.append(value)
         return self._level
-
-    def update_many(self, observations: Iterable[float]) -> float:
-        last = self._level if self._level is not None else 0.0
-        for obs in observations:
-            last = self.update(obs)
-        return last
 
     def predict(self, horizon: int = 1) -> float:
         """Predict the utilization *horizon* steps ahead.
@@ -60,20 +52,6 @@ class EWMAPredictor:
 
     def reset(self) -> None:
         self._level = None
-        self._history.clear()
-
-    def error_history(self) -> np.ndarray:
-        """One-step-ahead absolute errors over the observed history."""
-        if len(self._history) < 2:
-            return np.empty(0)
-        values = np.asarray(self._history)
-        estimates = np.empty(len(values))
-        level = values[0]
-        estimates[0] = level
-        for i in range(1, len(values)):
-            estimates[i] = level  # prediction for step i is the level before it
-            level = self.alpha * values[i] + (1.0 - self.alpha) * level
-        return np.abs(values[1:] - estimates[1:])
 
 
 def ewma_series(values: np.ndarray, alpha: float = 0.5) -> np.ndarray:

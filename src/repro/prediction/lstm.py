@@ -188,11 +188,6 @@ class LSTMPredictor:
             self._adam_step(grads)
         return self
 
-    def partial_fit(self, sequences: np.ndarray, targets: np.ndarray) -> float:
-        """Single online update (the agent retrains every 5 minutes)."""
-        self.fit(sequences, targets, epochs=1)
-        return self.training_loss_[-1]
-
     def predict(self, sequences: np.ndarray) -> np.ndarray:
         sequences = np.asarray(sequences, dtype=np.float64)
         if sequences.ndim == 2:

@@ -6,6 +6,9 @@ for an unknown scenario name), so the command slots into shell checks:
     python -m repro.scenarios --list
     python -m repro.scenarios spot-churn-with-crashes
     python -m repro.scenarios baseline --json
+
+With ``--json``, stdout carries exactly one JSON document (the
+fingerprint) and the ``invariant <name>: ok|FAIL`` lines go to stderr.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for key, value in result.fingerprint.items():
             print(f"{key}: {value}")
+    invariant_stream = sys.stderr if args.json else sys.stdout
     for name in result.scenario.expected_invariants:
         print(f"invariant {name}: "
               + ("FAIL" if any(failure.startswith(f"{name}:")
                                for failure in result.invariant_failures)
-                 else "ok"))
+                 else "ok"), file=invariant_stream)
     for failure in result.invariant_failures:
         print(f"FAIL {failure}", file=sys.stderr)
     return 0 if result.ok else 1

@@ -248,15 +248,13 @@ def measure_replay_memory(servers: Iterable[ServerAccount],
 
 
 def assert_results_identical(reference: object, candidate: object, *,
-                             rtol: float = 0.0, path: str = "result") -> None:
+                             path: str = "result") -> None:
     """Structural equality of two characterization/figure results.
 
-    Walks dataclasses, dicts, sequences and arrays side by side.  With the
-    default ``rtol=0`` every float must match *bitwise* (NaNs compare equal
-    positionally) -- the differential contract of the columnar layer; a
-    nonzero ``rtol`` relaxes floats to ``np.isclose`` for reduced-precision
-    (float32) stores.  Raises ``AssertionError`` naming the first diverging
-    path.
+    Walks dataclasses, dicts, sequences and arrays side by side.  Every
+    float must match *bitwise* (NaNs compare equal positionally) -- the
+    differential contract of the columnar layer.  Raises
+    ``AssertionError`` naming the first diverging path.
     """
     if dataclasses.is_dataclass(reference) and not isinstance(reference, type):
         assert type(reference) is type(candidate), \
@@ -264,35 +262,28 @@ def assert_results_identical(reference: object, candidate: object, *,
         for field in dataclasses.fields(reference):
             assert_results_identical(getattr(reference, field.name),
                                      getattr(candidate, field.name),
-                                     rtol=rtol, path=f"{path}.{field.name}")
+                                     path=f"{path}.{field.name}")
         return
     if isinstance(reference, dict):
         assert set(reference) == set(candidate), \
             f"{path}: key mismatch {set(reference) ^ set(candidate)}"
         for key in reference:
             assert_results_identical(reference[key], candidate[key],
-                                     rtol=rtol, path=f"{path}[{key!r}]")
+                                     path=f"{path}[{key!r}]")
         return
     if isinstance(reference, np.ndarray) or isinstance(candidate, np.ndarray):
         left = np.asarray(reference)
         right = np.asarray(candidate)
         assert left.shape == right.shape, \
             f"{path}: shape {left.shape} vs {right.shape}"
-        if rtol and left.dtype.kind == "f":
-            matches = np.isclose(left, right, rtol=rtol, equal_nan=True)
-        else:
-            matches = (left == right) | (_isnan(left) & _isnan(right))
+        matches = (left == right) | (_isnan(left) & _isnan(right))
         assert matches.all(), f"{path}: arrays diverge ({left} vs {right})"
         return
     if isinstance(reference, (list, tuple)):
         assert len(reference) == len(candidate), \
             f"{path}: length {len(reference)} vs {len(candidate)}"
         for i, (left, right) in enumerate(zip(reference, candidate)):
-            assert_results_identical(left, right, rtol=rtol, path=f"{path}[{i}]")
-        return
-    if rtol and isinstance(reference, float):
-        assert np.isclose(reference, candidate, rtol=rtol, equal_nan=True), \
-            f"{path}: {reference!r} vs {candidate!r}"
+            assert_results_identical(left, right, path=f"{path}[{i}]")
         return
     assert reference == candidate or (reference != reference
                                       and candidate != candidate), \
@@ -355,9 +346,8 @@ def measure_characterization_throughput(trace: Trace) -> Dict[str, object]:
     *trace* must be store-backed; the reference pass runs the same suite on
     ``trace.without_store()`` -- the identical VM views minus the columnar
     dispatch, i.e. the seed per-VM loops reading the same buffers.  Raises
-    ``AssertionError`` if any statistic diverges bitwise (float64 stores
-    carry the exactness contract).  One warm-up pass per side keeps
-    first-call numpy setup out of the timings.
+    ``AssertionError`` if any statistic diverges bitwise.  One warm-up
+    pass per side keeps first-call numpy setup out of the timings.
     """
     if trace.store is None:
         trace = TraceStore.from_trace(trace).as_trace()
@@ -459,12 +449,12 @@ def assert_store_dirs_identical(reference, candidate) -> None:
             raise AssertionError(f"store file {name} differs byte-wise")
 
 
-def measure_streaming_ingest(config: TraceGeneratorConfig, workdir,
-                             *, batch_vms: int) -> Dict[str, object]:
+def measure_streaming_ingest(config: TraceGeneratorConfig,
+                             workdir) -> Dict[str, object]:
     """Peak ingest memory: streaming builder vs the eager from_trace path.
 
     Runs the same generator configuration twice from the same seed: once
-    through ``generate_to_store`` (at most *batch_vms* VM records alive,
+    through ``generate_to_store`` (one VM record alive at a time,
     telemetry appended straight to disk) and once through the eager shape
     (``generate()`` materializing every record, then
     ``TraceStore.from_trace(...).save(...)`` concatenating the full flat
@@ -480,7 +470,7 @@ def measure_streaming_ingest(config: TraceGeneratorConfig, workdir,
 
     tracemalloc.start()
     begin = time.perf_counter()
-    TraceGenerator(config).generate_to_store(stream_path, batch_vms=batch_vms)
+    TraceGenerator(config).generate_to_store(stream_path)
     stream_seconds = time.perf_counter() - begin
     _current, stream_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -506,7 +496,6 @@ def measure_streaming_ingest(config: TraceGeneratorConfig, workdir,
         "n_days": config.n_days,
         "n_slots": config.n_slots,
         "n_samples": n_samples,
-        "batch_vms": batch_vms,
         "store_bytes": store_bytes,
         "stream_seconds": stream_seconds,
         "stream_peak_bytes": stream_peak,
@@ -524,7 +513,7 @@ def measure_mmap_bounded_replay(trace: Trace, workdir,
                                 budget_divisor: int = 3) -> Dict[str, object]:
     """End-to-end replay RAM: full in-RAM load vs mmap + chunked streaming.
 
-    Saves the trace as a columnar store (native telemetry dtype), then runs
+    Saves the trace as a columnar store, then runs
     the coach policy through ``simulate_policy`` twice from disk: once fully
     loaded with the dense meter (the seed shape: everything in RAM), once
     memory-mapped with the chunk width sized by

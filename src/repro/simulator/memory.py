@@ -83,9 +83,6 @@ class ServerMemoryModel:
         return max(0.0, self.capacity_gb - self.host_reserved_gb
                    - self.pa_allocated_gb - self.oversub_pool_gb)
 
-    def total_va_gb(self) -> float:
-        return sum(vm.memory.va_gb for vm in self.vms.values())
-
     # ------------------------------------------------------------------ #
     # VM lifecycle
     # ------------------------------------------------------------------ #

@@ -114,10 +114,6 @@ class PolicyEvaluation:
     additional_capacity_pct: Optional[float] = None
     server_reduction_pct: Optional[float] = None
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted_vms / max(1, self.requested_vms)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form, including the nested ViolationStats."""
         return asdict(self)

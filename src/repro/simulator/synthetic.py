@@ -287,8 +287,8 @@ def streaming_ingest_config(*, smoke: bool = False) -> TraceGeneratorConfig:
     """The month-scale workload of the streaming-ingest benchmark.
 
     Sized so the eager path (object trace + concatenated buffers, all in
-    RAM at once) visibly dwarfs the streaming builder's bounded batches --
-    the regime ``generate_to_store`` exists for.  Ingests of the ~1M-VM
+    RAM at once) visibly dwarfs the streaming builder's one record at a
+    time -- the regime ``generate_to_store`` exists for.  Ingests of the ~1M-VM
     scale documented in ``docs/trace_store.md`` use the same code path
     with a larger ``n_vms``, they are just too slow to regenerate per
     benchmark run.
@@ -299,12 +299,6 @@ def streaming_ingest_config(*, smoke: bool = False) -> TraceGeneratorConfig:
         seed=2026,
         n_subscriptions=40 if smoke else 80,
         servers_per_cluster=2)
-
-
-def streaming_ingest_batch_vms(*, smoke: bool = False) -> int:
-    """Builder batch size of the streaming-ingest benchmark (bounds the
-    number of in-flight ``VMRecord`` objects on the streaming side)."""
-    return 256 if smoke else 512
 
 
 def generate_multiweek_trace(

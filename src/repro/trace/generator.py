@@ -326,22 +326,21 @@ class TraceGenerator:
         trace.validate()
         return trace
 
-    def generate_to_store(self, path, *, batch_vms: int = 1024,
-                          util_dtype=None) -> Path:
+    def generate_to_store(self, path) -> Path:
         """Generate straight into an on-disk :class:`TraceStore` layout.
 
         The eager path (``generate()`` then ``TraceStore.from_trace(...)
         .save(...)``) holds every :class:`VMRecord` and the concatenated
-        telemetry buffers in RAM at once; this path streams VMs through a
-        :class:`~repro.trace.store.TraceStoreBuilder` in batches of at most
-        *batch_vms* records, so peak memory is bounded by the batch --
-        month-scale / million-VM traces ingest under a fixed budget.
+        telemetry buffers in RAM at once; this path appends each VM to a
+        :class:`~repro.trace.store.TraceStoreBuilder` as it is drawn, so
+        peak memory is bounded by one record -- month-scale / million-VM
+        traces ingest under a fixed budget.
 
         Exactness: both paths consume the identical RNG stream
         (``_population`` then ``_sample_vm`` per index), and the builder is
-        byte-identical to ``from_trace + save`` for any chunking, so the
-        store written here equals the eager store bit for bit regardless of
-        *batch_vms* -- ``tests/test_trace_store_builder.py`` pins this.
+        byte-identical to ``from_trace + save``, so the store written here
+        equals the eager store bit for bit --
+        ``tests/test_trace_store_builder.py`` pins this.
 
         Returns *path*; open the result with ``TraceStore.open(path,
         mmap=True)``.
@@ -350,8 +349,6 @@ class TraceGenerator:
         # sibling module, and the generator is importable without the store.
         from repro.trace.store import TraceStoreBuilder
 
-        if batch_vms < 1:
-            raise ValueError(f"batch_vms must be >= 1, got {batch_vms}")
         cfg = self.config
         fleet, subscriptions, sub_clusters = self._population()
         sub_ids = list(subscriptions)
@@ -360,9 +357,7 @@ class TraceGenerator:
         with TraceStoreBuilder(
                 path, fleet=fleet, n_slots=cfg.n_slots,
                 subscriptions={sid: sub for sid, (sub, _p, _c)
-                               in subscriptions.items()},
-                util_dtype=util_dtype) as builder:
-            batch: List[VMRecord] = []
+                               in subscriptions.items()}) as builder:
             for index in range(cfg.n_vms):
                 vm = self._sample_vm(index, sub_ids, subscriptions, sub_clusters)
                 # Per-VM twin of Trace.validate() (the whole trace never
@@ -376,11 +371,7 @@ class TraceGenerator:
                     raise ValueError(
                         f"VM {vm.vm_id} references unknown cluster "
                         f"{vm.cluster_id!r}")
-                batch.append(vm)
-                if len(batch) >= batch_vms:
-                    builder.append_many(batch)
-                    batch = []
-            builder.append_many(batch)
+                builder.append(vm)
         return Path(path)
 
 
@@ -392,16 +383,14 @@ def generate_trace(n_vms: int = 2000, n_days: int = 14, seed: int = 2024,
 
 
 def generate_trace_to_store(path, n_vms: int = 2000, n_days: int = 14,
-                            seed: int = 2024, batch_vms: int = 1024,
-                            **kwargs: object) -> Path:
+                            seed: int = 2024, **kwargs: object) -> Path:
     """Convenience wrapper: stream a generated trace straight to disk.
 
     Byte-identical to ``TraceStore.from_trace(generate_trace(...)).save(path)``
-    for the same parameters, but holds at most *batch_vms* VM records in
-    memory at a time.
+    for the same parameters, but holds one VM record in memory at a time.
     """
     config = TraceGeneratorConfig(n_vms=n_vms, n_days=n_days, seed=seed, **kwargs)  # type: ignore[arg-type]
-    return TraceGenerator(config).generate_to_store(path, batch_vms=batch_vms)
+    return TraceGenerator(config).generate_to_store(path)
 
 
 def small_trace(seed: int = 7) -> Trace:

@@ -158,8 +158,5 @@ class Fleet:
                 return cluster
         raise KeyError(f"unknown cluster {cluster_id!r}")
 
-    def total_servers(self) -> int:
-        return sum(c.server_count for c in self.clusters)
-
     def arrival_weights(self) -> List[float]:
         return [c.arrival_weight for c in self.clusters]

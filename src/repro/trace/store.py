@@ -35,23 +35,24 @@ cache instead of unpickling its own (see :mod:`repro.simulator.sweep`).
 fails there, by name -- in a sweep worker as anywhere else.
 
 The write side has a streaming counterpart: :class:`TraceStoreBuilder`
-appends VM metadata rows and telemetry chunks directly to the on-disk
-layout, so a trace larger than RAM can be *ingested* without ever holding
-an object trace (or the flat buffers) in memory.  Builder output is
-byte-identical to ``from_trace(...).save(...)`` for any append chunking,
-so ``open(mmap=True)`` reads it unchanged: both paths turn VMs into rows
+appends one VM's metadata row and telemetry at a time directly to the
+on-disk layout, so a trace larger than RAM can be *ingested* without ever
+holding an object trace (or the flat buffers) in memory.  Builder output
+is byte-identical to ``from_trace(...).save(...)`` for the same VMs, so
+``open(mmap=True)`` reads it unchanged: both paths turn VMs into rows
 with one encoder (:class:`_RowEncoder`) and write ``meta.json`` and
 ``columns.npz`` with one serializer (:func:`_write_metadata`), and every
 per-row column is listed once, in the schema (``_METADATA_COLUMNS``).
 
 Exactness contract
 ------------------
-``from_trace`` preserves the source dtype by default (float64 for generated
-traces), so a store-backed replay is *bitwise* identical to the object-based
-path -- ``tests/test_trace_store.py`` and the golden-trace pins assert this.
-Passing ``util_dtype=np.float32`` halves the buffer for storage and
-sweep staging at a documented precision cost; both paths over the
-*same* store always agree bitwise because they read the same buffer.
+Telemetry is float64, the dtype of every ``UtilizationSeries`` built
+through its constructor, and this module is the one place that decides
+it: the encoder rejects any other series dtype, ``open`` rejects any
+other buffer dtype, and ``meta.json`` records it.  So a store-backed
+replay reads the very samples the object path reads and is *bitwise*
+identical to it -- ``tests/test_trace_store.py`` and the golden-trace pins
+assert this.
 """
 
 # repro: hot-path  -- REP003: telemetry buffers must stay zero-copy here;
@@ -97,8 +98,7 @@ STORE_FORMAT_VERSION = 2
 # characterization layer (``repro.characterization.columnar``) is built on
 # them.  Exactness contract: each kernel is bitwise-identical to applying the
 # corresponding numpy reduction to every ``buffer[start:start+len]`` slice
-# individually (the per-VM reference path), on any buffer dtype for the
-# order-independent reductions (max/min) and on float64 for mean/percentile.
+# individually (the per-VM reference path).
 # --------------------------------------------------------------------------- #
 def segment_reduce(ufunc: np.ufunc, buffer: np.ndarray, starts: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
@@ -204,8 +204,7 @@ def rowwise_mean(buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     rather than per VM.
     """
     n = int(starts.size)
-    out = np.empty(n, dtype=np.float64 if minuend is not None
-                   else np.dtype(buffer.dtype))
+    out = np.empty(n)
     if n == 0:
         return out
     order = np.argsort(lengths, kind="stable")
@@ -220,6 +219,9 @@ def rowwise_mean(buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         out[group] = gathered.mean(axis=1)
     return out
 
+
+#: The dtype of every telemetry sample and buffer.
+_TELEMETRY_DTYPE = np.dtype(np.float64)
 #: File names of the on-disk layout.
 _META_FILE = "meta.json"
 _COLUMNS_FILE = "columns.npz"
@@ -312,11 +314,12 @@ def _write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
             archive.writestr(info, member.getvalue())
 
 
-def _npy_header_bytes(dtype: np.dtype, n_samples: int) -> bytes:
-    """The exact ``.npy`` v1.0 header ``np.save`` writes for a flat array."""
+def _npy_header_bytes(n_samples: int) -> bytes:
+    """The exact ``.npy`` v1.0 header ``np.save`` writes for a flat
+    telemetry buffer."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {
-        "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+        "descr": np.lib.format.dtype_to_descr(_TELEMETRY_DTYPE),
         "fortran_order": False,
         "shape": (int(n_samples),),
     })
@@ -324,7 +327,7 @@ def _npy_header_bytes(dtype: np.dtype, n_samples: int) -> bytes:
 
 
 def _write_metadata(path: Path, state: Dict[str, object],
-                    resources: Sequence[Resource], util_dtype: np.dtype) -> None:
+                    resources: Sequence[Resource]) -> None:
     """Write ``meta.json`` and ``columns.npz`` -- everything but the buffers.
 
     *state* has the shape of :meth:`TraceStore._meta_state` for a
@@ -336,7 +339,7 @@ def _write_metadata(path: Path, state: Dict[str, object],
         "format_version": STORE_FORMAT_VERSION,
         "n_vms": len(row_length),
         "n_slots": int(state["n_slots"]),
-        "util_dtype": np.dtype(util_dtype).str,
+        "util_dtype": _TELEMETRY_DTYPE.str,
         "resources": [r.value for r in resources],
         "offering_values": list(_OFFERING_VALUES),
         "subscription_type_values": list(_SUBTYPE_VALUES),
@@ -416,32 +419,25 @@ class TraceStore:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_trace(cls, trace: Trace,
-                   util_dtype: Optional[np.dtype] = None) -> "TraceStore":
+    def from_trace(cls, trace: Trace) -> "TraceStore":
         """Columnarize an object trace.
 
-        With ``util_dtype=None`` (the default) the telemetry buffers keep the
-        source dtype, so every value -- and therefore every downstream
-        replay/characterization result -- is bitwise identical to the object
-        path.  Passing ``np.float32`` halves the buffers at a precision cost.
+        The telemetry buffers hold the source samples unchanged, so every
+        downstream replay/characterization result is bitwise identical to
+        the object path.
 
         Raises ``ValueError`` for a repeated VM id or non-uniform telemetry:
-        every VM must carry the same resource set, and within one VM every
+        every VM must carry the same resource set, within one VM every
         resource's series must share one start slot and length (the single
-        offsets array is what makes the flat layout sliceable).  Rows go
-        through the same encoder as :meth:`TraceStoreBuilder.append`, so
-        both reject the same VMs.
+        offsets array is what makes the flat layout sliceable), and every
+        series must hold float64 samples.  Rows go through the same encoder
+        as :meth:`TraceStoreBuilder.append`, so both reject the same VMs.
         """
         encoder = _RowEncoder(trace.fleet.cluster_ids(),
                               capacity=len(trace.vms))
         samples = [encoder.encode(vm) for vm in trace.vms]
-        util: Dict[Resource, np.ndarray] = {}
-        for k, resource in enumerate(encoder.resources or ()):
-            # Concatenation promotes mixed source dtypes to a common one.
-            buffer = np.concatenate([row[k] for row in samples])
-            if util_dtype is not None:
-                buffer = buffer.astype(util_dtype, copy=False)
-            util[resource] = buffer
+        util = {resource: np.concatenate([row[k] for row in samples])
+                for k, resource in enumerate(encoder.resources or ())}
         return cls(**encoder.rows(), util=util, n_slots=trace.n_slots,
                    fleet=trace.fleet, subscriptions=dict(trace.subscriptions),
                    contiguous=True, validate_ids=False)
@@ -467,12 +463,6 @@ class TraceStore:
     @property
     def resources(self) -> Tuple[Resource, ...]:
         return tuple(self.util)
-
-    @property
-    def util_dtype(self) -> np.dtype:
-        for buffer in self.util.values():
-            return buffer.dtype
-        return np.dtype(np.float64)
 
     @property
     def util_nbytes(self) -> int:
@@ -572,11 +562,8 @@ class TraceStore:
         :meth:`repro.trace.trace.Trace.utilization_matrix`; this kernel
         replaces it with a single fancy-indexed assignment into the
         flattened matrix.  Bitwise contract: the reference computes
-        ``series.values[:k] * scale`` with ``scale`` a Python float, which
-        numpy's weak-scalar promotion evaluates in the buffer dtype before
-        the float64 matrix assignment widens it -- so the per-sample scale
-        factors below are cast to the buffer dtype first, and both paths
-        produce identical float64 entries on any buffer dtype.
+        ``series.values[:k] * scale`` per VM, and each entry below is the
+        same float64 product of the same two factors.
 
         ``rows`` selects (ascending) store rows; ``None`` means every row.
         Series are clipped to the ``[0, n_slots)`` horizon exactly as the
@@ -605,8 +592,7 @@ class TraceStore:
         samples = buffer[src]
         if absolute:
             scale = self.alloc[rows, ALL_RESOURCES.index(resource)]
-            samples = samples * np.repeat(scale, eff_len).astype(
-                buffer.dtype, copy=False)
+            samples = samples * np.repeat(scale, eff_len)
         matrix.ravel()[dst] = samples
         return matrix
 
@@ -715,36 +701,43 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # Object views
     # ------------------------------------------------------------------ #
-    def vm_view(self, i: int) -> VMRecord:
-        """An ordinary :class:`VMRecord` over row *i* (telemetry not copied)."""
-        utilization: Dict[Resource, UtilizationSeries] = {}
-        offset = int(self.row_offset[i])
-        length = int(self.row_length[i])
-        start = int(self.series_start[i])
-        for resource, buffer in self.util.items():
-            utilization[resource] = UtilizationSeries.from_validated(
-                buffer[offset:offset + length], start)
-        return VMRecord(
-            vm_id=self.vm_ids[i],
-            subscription_id=self.subscription_ids[i],
-            config=self.configs[int(self.config_index[i])],
-            cluster_id=self.cluster_ids[int(self.cluster_index[i])],
-            start_slot=int(self.start_slot[i]),
-            end_slot=int(self.end_slot[i]),
-            offering=Offering(_OFFERING_VALUES[self.offering_code[i]]),
-            subscription_type=SubscriptionType(_SUBTYPE_VALUES[self.subtype_code[i]]),
-            allocation_class=AllocationClass(
-                _ALLOC_CLASS_VALUES[self.alloc_class_code[i]]),
-            server_id=self.server_ids[i],
-            utilization=utilization,
-        )
-
     def as_trace(self) -> Trace:
-        """A store-backed :class:`Trace`: row views plus vectorized filters."""
-        return Trace(
-            vms=[self.vm_view(i) for i in range(len(self))],
-            fleet=self.fleet, n_slots=self.n_slots,
-            subscriptions=self.subscriptions, store=self)
+        """A store-backed :class:`Trace`: row views plus vectorized filters.
+
+        ``vms[i]`` is an ordinary :class:`VMRecord` for row ``i`` whose
+        series slice the shared buffers (telemetry is not copied).  Every
+        column is read as a Python list once, so a row costs list lookups
+        rather than numpy scalar reads and enum calls: a sweep worker pays
+        this per VM after every :meth:`open`.
+        """
+        offerings = [Offering(value) for value in _OFFERING_VALUES]
+        subtypes = [SubscriptionType(value) for value in _SUBTYPE_VALUES]
+        classes = [AllocationClass(value) for value in _ALLOC_CLASS_VALUES]
+        buffers = list(self.util.items())
+        rows = zip(self.vm_ids.tolist(), self.subscription_ids.tolist(),
+                   self.config_index.tolist(), self.cluster_index.tolist(),
+                   self.start_slot.tolist(), self.end_slot.tolist(),
+                   self.offering_code.tolist(), self.subtype_code.tolist(),
+                   self.alloc_class_code.tolist(), self.server_ids.tolist(),
+                   self.series_start.tolist(), self.row_offset.tolist(),
+                   self.row_length.tolist())
+        vms = [
+            VMRecord(
+                vm_id=vm_id, subscription_id=subscription_id,
+                config=self.configs[config],
+                cluster_id=self.cluster_ids[cluster],
+                start_slot=start, end_slot=end, offering=offerings[offering],
+                subscription_type=subtypes[subtype],
+                allocation_class=classes[alloc_class], server_id=server_id,
+                utilization={
+                    resource: UtilizationSeries.from_validated(
+                        buffer[offset:offset + length], series_start)
+                    for resource, buffer in buffers})
+            for (vm_id, subscription_id, config, cluster, start, end,
+                 offering, subtype, alloc_class, server_id, series_start,
+                 offset, length) in rows]
+        return Trace(vms=vms, fleet=self.fleet, n_slots=self.n_slots,
+                     subscriptions=self.subscriptions, store=self)
 
     # ------------------------------------------------------------------ #
     # On-disk backend
@@ -760,8 +753,7 @@ class TraceStore:
         store = self.compact()
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
-        _write_metadata(path, store._meta_state(), store.resources,
-                        store.util_dtype)
+        _write_metadata(path, store._meta_state(), store.resources)
         for resource, buffer in store.util.items():
             np.save(path / f"util_{resource.value}.npy", buffer)
         return path
@@ -782,9 +774,11 @@ class TraceStore:
         more), ``offsets`` start at 0 and never decrease -- and, when the
         store has telemetry, give every VM at least one sample -- index and
         code columns stay inside their tables, and each buffer holds
-        exactly ``offsets[-1]`` samples.  Every ``meta.json`` value read
-        has its JSON type, ``n_slots`` is at least one, and the resources,
-        configs, fleet and subscriptions rebuild from it.
+        exactly ``offsets[-1]`` float64 samples.  Every ``meta.json`` value
+        read has its JSON type, ``n_slots`` is at least one, and the
+        resources, configs, fleet and subscriptions rebuild from it.  The
+        sample values themselves are not read, so a memory-mapped open
+        costs the same whatever the telemetry size.
         A damaged store raises ``ValueError`` naming the store and the
         file, key or column at fault.
         """
@@ -884,6 +878,9 @@ class TraceStore:
             if buffer.shape != (offsets[-1],):
                 raise damaged(name, f"has shape {buffer.shape}, but offsets "
                                     f"end at {offsets[-1]} samples")
+            if buffer.dtype != _TELEMETRY_DTYPE:
+                raise damaged(name, f"holds {buffer.dtype} samples, expected "
+                                    f"{_TELEMETRY_DTYPE}")
             # A plain ndarray view over the map (its .base keeps the map
             # alive): np.memmap slices in Python, which would make the
             # per-VM row views of as_trace() several times slower.
@@ -924,24 +921,19 @@ class _RowEncoder:
 
     :meth:`encode` checks a VM completely before it changes any state -- a
     new VM id, the resource set fixed by the first VM, one coverage (start
-    slot and length) shared by all of the VM's series and, with
-    ``fixed_dtypes``, the first VM's sample dtypes -- so a rejected VM
-    leaves no trace.  Only then does it intern the config and cluster,
-    assign the enum codes and append the row to columns that grow by
-    doubling.
+    slot and length) shared by all of the VM's series, and float64
+    samples -- so a rejected VM leaves no trace.  Only then does it intern
+    the config and cluster, assign the enum codes and append the row to
+    columns that grow by doubling.
     """
 
-    def __init__(self, cluster_ids: Sequence[str], *, capacity: int = 16,
-                 fixed_dtypes: bool = False):
+    def __init__(self, cluster_ids: Sequence[str], *, capacity: int = 16):
         self.cluster_ids = list(cluster_ids)
         self._cluster_table = {cid: i for i, cid in enumerate(self.cluster_ids)}
         self.configs: List[VMConfig] = []
         self._config_table: Dict[VMConfig, int] = {}
-        #: Fixed by the first encoded VM, like its sample dtypes when
-        #: ``fixed_dtypes`` is set.
+        #: Fixed by the first encoded VM.
         self.resources: Optional[Tuple[Resource, ...]] = None
-        self._fixed_dtypes = fixed_dtypes
-        self._dtypes: Optional[Tuple[np.dtype, ...]] = None
         self._seen_ids: set = set()
         self.n = 0
         self._capacity = max(1, capacity)
@@ -979,24 +971,18 @@ class _RowEncoder:
                     f"[{start}, {start + length}); "
                     f"a single offsets array needs equal coverage")
         samples = [s.values for s in series]
-        for resource, values, dtype in zip(resources, samples,
-                                           self._dtypes or ()):
-            if values.dtype != dtype:
+        for resource, values in zip(resources, samples):
+            if values.dtype != _TELEMETRY_DTYPE:
                 raise ValueError(
-                    f"VM {vm.vm_id}: {resource.value} series has dtype "
-                    f"{values.dtype.str}, but this builder streams "
-                    f"{dtype.str} (fixed by the first appended VM); pass "
-                    f"util_dtype= to cast, or use TraceStore.from_trace "
-                    f"for mixed-dtype sources")
+                    f"VM {vm.vm_id}: {resource.value} series holds "
+                    f"{values.dtype} samples, but a trace store holds "
+                    f"{_TELEMETRY_DTYPE}")
         offering = _OFFERING_CODES[vm.offering]
         subtype = _SUBTYPE_CODES[vm.subscription_type]
         alloc_class = _ALLOC_CLASS_CODES[vm.allocation_class]
 
         # Every check passed: commit the row.
-        if self.resources is None:
-            self.resources = resources
-            if self._fixed_dtypes:
-                self._dtypes = tuple(values.dtype for values in samples)
+        self.resources = resources
         self._seen_ids.add(vm.vm_id)
         config = self._config_table.get(vm.config)
         if config is None:
@@ -1055,8 +1041,8 @@ class TraceStoreBuilder:
     appended -- telemetry goes to the ``util_<resource>.npy`` buffers as it
     arrives, so month-scale traces ingest under a fixed memory budget.
 
-    Byte-identity contract: for any append chunking, ``finalize()`` produces
-    exactly the files ``TraceStore.from_trace(trace).save(path)`` would --
+    Byte-identity contract: ``finalize()`` produces exactly the files
+    ``TraceStore.from_trace(trace).save(path)`` would for the same VMs --
     same ``meta.json``, same ``columns.npz``, same raw buffers -- because
     both paths encode rows with :class:`_RowEncoder`, write metadata with
     :func:`_write_metadata`, and the ``.npy`` writer below patches the very
@@ -1078,18 +1064,12 @@ class TraceStoreBuilder:
     partial staging directory) if the body raises.  Files are staged in a
     ``<path>.building`` sibling and moved into *path* only at the end, so a
     crashed ingest never leaves a half-written store behind at *path*; the
-    next builder for *path* discards the stale sibling.
-
-    Streaming restrictions (vs ``from_trace``): the resource set and buffer
-    dtypes are fixed by the first appended VM, and with ``util_dtype=None``
-    every later VM must match the first VM's telemetry dtype exactly --
-    the eager path would silently promote mixed dtypes at concatenation
-    time, which a streaming writer cannot reproduce after the fact.
+    next builder for *path* discards the stale sibling.  The resource set
+    is fixed by the first appended VM.
     """
 
     def __init__(self, path, *, fleet: Fleet, n_slots: int,
-                 subscriptions: Optional[Dict[str, Subscription]] = None,
-                 util_dtype: Optional[np.dtype] = None):
+                 subscriptions: Optional[Dict[str, Subscription]] = None):
         self._path = Path(path)
         self._staging = self._path.parent / (self._path.name + ".building")
         if self._staging.exists():
@@ -1099,10 +1079,7 @@ class TraceStoreBuilder:
         self._n_slots = int(n_slots)
         self._subscriptions: Dict[str, Subscription] = \
             dict(subscriptions) if subscriptions else {}
-        self._util_dtype = None if util_dtype is None else np.dtype(util_dtype)
-        self._encoder = _RowEncoder(fleet.cluster_ids(),
-                                    fixed_dtypes=self._util_dtype is None)
-        self._buffer_dtypes: Dict[Resource, np.dtype] = {}
+        self._encoder = _RowEncoder(fleet.cluster_ids())
         self._files: Dict[Resource, BinaryIO] = {}
         self._n_samples = 0
         self._closed = False
@@ -1122,39 +1099,29 @@ class TraceStoreBuilder:
                 "TraceStoreBuilder is already finalized/aborted; "
                 "create a new builder to write another store")
 
-    def _open_buffers(self, samples: Sequence[np.ndarray]) -> None:
-        for resource, values in zip(self._encoder.resources, samples):
-            dtype = values.dtype if self._util_dtype is None \
-                else self._util_dtype
-            self._buffer_dtypes[resource] = dtype
+    def _open_buffers(self) -> None:
+        for resource in self._encoder.resources:
             handle = (self._staging / f"util_{resource.value}.npy").open("wb")
             self._files[resource] = handle
             # Placeholder header for shape (0,); finalize() patches in the
             # sample count, which leaves the header length unchanged.
-            handle.write(_npy_header_bytes(dtype, 0))
+            handle.write(_npy_header_bytes(0))
 
     def append(self, vm: VMRecord) -> None:
         """Append one VM's metadata row and telemetry samples.
 
         Raises ``ValueError`` -- and changes nothing -- on exactly what
-        ``from_trace`` rejects (a repeated id, a non-uniform resource set,
-        unequal series coverage) plus a dtype that differs from the stream's.
+        ``from_trace`` rejects: a repeated id, a non-uniform resource set,
+        unequal series coverage or a series that is not float64.
         """
         self._check_open()
         samples = self._encoder.encode(vm)
         if self._encoder.n == 1:  # the first row fixes the buffers
-            self._open_buffers(samples)
+            self._open_buffers()
         for resource, values in zip(self._encoder.resources, samples):
-            if self._util_dtype is not None:
-                values = values.astype(self._util_dtype, copy=False)
             self._files[resource].write(values.tobytes())
         if samples:
             self._n_samples += len(samples[0])
-
-    def append_many(self, vms: Sequence[VMRecord]) -> None:
-        """Append a batch of VMs (chunking never changes the output bytes)."""
-        for vm in vms:
-            self.append(vm)
 
     def finalize(self) -> Path:
         """Patch headers, write ``meta.json``/``columns.npz``, move the
@@ -1162,9 +1129,8 @@ class TraceStoreBuilder:
         self._check_open()
         self._closed = True
         for resource, handle in self._files.items():
-            dtype = self._buffer_dtypes[resource]
-            header = _npy_header_bytes(dtype, self._n_samples)
-            if len(header) != len(_npy_header_bytes(dtype, 0)):
+            header = _npy_header_bytes(self._n_samples)
+            if len(header) != len(_npy_header_bytes(0)):
                 # numpy pads every header with room for a 21-digit length.
                 raise ValueError(
                     f"{self._n_samples} samples outgrow the .npy header of "
@@ -1175,11 +1141,7 @@ class TraceStoreBuilder:
         self._files = {}
         state = dict(self._encoder.rows(), n_slots=self._n_slots,
                      fleet=self._fleet, subscriptions=self._subscriptions)
-        # Without telemetry, report float64 like TraceStore.util_dtype does.
-        util_dtype = next(iter(self._buffer_dtypes.values()),
-                          np.dtype(np.float64))
-        _write_metadata(self._staging, state, self._encoder.resources or (),
-                        util_dtype)
+        _write_metadata(self._staging, state, self._encoder.resources or ())
         self._path.mkdir(parents=True, exist_ok=True)
         for name in sorted(os.listdir(self._staging)):
             os.replace(self._staging / name, self._path / name)

@@ -35,11 +35,6 @@ def slots_for_days(days: float) -> int:
     return int(round(days * SLOTS_PER_DAY))
 
 
-def slot_to_hour_of_day(slot: int) -> float:
-    """Hour-of-day (0-24) corresponding to the start of an absolute slot."""
-    return (slot % SLOTS_PER_DAY) / SLOTS_PER_HOUR
-
-
 def slot_to_day(slot: int) -> int:
     """Day index (0-based) of an absolute slot."""
     return slot // SLOTS_PER_DAY
@@ -121,9 +116,12 @@ class UtilizationSeries:
         The trace store's row views go through here: ``values`` is a slice of
         the shared (possibly memory-mapped) telemetry buffer, and copying or
         clipping it would defeat the zero-copy layout.  Callers guarantee the
-        array is one-dimensional, non-empty, and already in ``[0, 1]`` --
-        which holds for any buffer built from ``UtilizationSeries`` objects,
-        since ``__init__`` enforced it on the way in.
+        array is one-dimensional, non-empty, float64 and already in
+        ``[0, 1]``.  That holds for any buffer built from ``UtilizationSeries``
+        objects, since ``__init__`` enforced it on the way in.  For a store
+        read from disk, ``TraceStore.open`` checks each buffer's dtype and
+        length but not its values, so a sample damaged on disk reaches the
+        row views unchecked.
         """
         series = cls.__new__(cls)
         series.values = values
@@ -140,14 +138,6 @@ class UtilizationSeries:
     def end_slot(self) -> int:
         """Absolute slot one past the last sample."""
         return self.start_slot + len(self)
-
-    @property
-    def duration_hours(self) -> float:
-        return len(self) / SLOTS_PER_HOUR
-
-    @property
-    def duration_days(self) -> float:
-        return len(self) / SLOTS_PER_DAY
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -220,7 +210,7 @@ class UtilizationSeries:
         the slots before its start and after its end."""
         first_day = slot_to_day(self.start_slot)
         n_days = slot_to_day(self.end_slot - 1) - first_day + 1
-        padded = np.full(n_days * SLOTS_PER_DAY, -np.inf, dtype=self.values.dtype)
+        padded = np.full(n_days * SLOTS_PER_DAY, -np.inf)
         offset = self.start_slot - first_day * SLOTS_PER_DAY
         padded[offset:offset + len(self)] = self.values
         return padded.reshape(n_days, config.windows_per_day, config.slots_per_window)
@@ -236,7 +226,7 @@ class UtilizationSeries:
         (:meth:`window_max_per_day`, then a max over days) bit for bit,
         because a maximum does not depend on the order it is taken in.
         """
-        result = self._day_cube(config).max(axis=(0, 2)).astype(np.float64)
+        result = self._day_cube(config).max(axis=(0, 2))
         result[result == -np.inf] = np.nan
         return result
 
@@ -313,10 +303,6 @@ class UtilizationSeries:
     # ------------------------------------------------------------------ #
     # Transformation helpers
     # ------------------------------------------------------------------ #
-    def to_absolute(self, allocated: float) -> np.ndarray:
-        """Convert fractional utilization to absolute units (e.g. GB)."""
-        return self.values * float(allocated)
-
     def downsample_max(self, factor: int) -> "UtilizationSeries":
         """Aggregate *factor* consecutive slots into their maximum.
 

@@ -63,10 +63,6 @@ class WorkloadProfile:
     def lower_is_better(self) -> bool:
         return self.key_metric in (KeyMetric.TAIL_LATENCY, KeyMetric.RUN_TIME)
 
-    def working_set_fraction(self, vm_memory_gb: float | None = None) -> float:
-        total = vm_memory_gb if vm_memory_gb is not None else self.default_vm_memory_gb
-        return min(1.0, self.working_set_gb / total)
-
 
 @dataclass
 class WorkloadResult:

@@ -1,15 +1,12 @@
 """Differential suite: columnar characterization vs the per-VM reference.
 
 Every statistic rewired onto the segment-reduce kernels is pinned against
-the seed per-VM path on three store backends:
+the seed per-VM path on two store backends, and results must be *bitwise*
+identical on both (the columnar exactness contract):
 
-* **dense** -- ``TraceStore.from_trace`` with the native float64 telemetry;
-  results must be *bitwise* identical (the columnar exactness contract);
+* **dense** -- ``TraceStore.from_trace``;
 * **mmap** -- the same store round-tripped through ``save``/``open(mmap=True)``
-  (read-only memory-mapped buffers); also bitwise;
-* **float32** -- ``util_dtype=np.float32``; mean/percentile statistics may
-  differ by rounding (numpy's scalar path keeps float32 intermediates where
-  the vectorized kernels promote), so those compare with a tolerance.
+  (read-only memory-mapped buffers).
 
 The reference side is ``trace.without_store()``: the identical zero-copy VM
 views minus the columnar dispatch, i.e. the seed loops reading the same
@@ -58,38 +55,27 @@ from repro.trace.timeseries import (
 from repro.trace.trace import Trace
 from repro.trace.vm import VM_CATALOG, VMRecord
 
-#: Backends swept by the differential tests; the value is the float
-#: tolerance (0.0 = bitwise) for order-dependent statistics.
-BACKENDS = {"dense": 0.0, "mmap": 0.0, "float32": 1e-4}
-
-
-@pytest.fixture(scope="module", params=sorted(BACKENDS))
+@pytest.fixture(scope="module", params=["dense", "mmap"])
 def backend_trace(request, small_trace, tmp_path_factory):
-    """``(store-backed trace, float tolerance)`` for one backend."""
-    name = request.param
-    if name == "dense":
-        trace = TraceStore.from_trace(small_trace).as_trace()
-    elif name == "mmap":
-        path = tmp_path_factory.mktemp("columnar-store") / "trace"
-        TraceStore.from_trace(small_trace).save(path)
-        trace = TraceStore.open(path, mmap=True).as_trace()
-    else:
-        trace = TraceStore.from_trace(small_trace,
-                                      util_dtype=np.float32).as_trace()
-    return trace, BACKENDS[name]
+    """The store-backed trace of one backend."""
+    if request.param == "dense":
+        return TraceStore.from_trace(small_trace).as_trace()
+    path = tmp_path_factory.mktemp("columnar-store") / "trace"
+    TraceStore.from_trace(small_trace).save(path)
+    return TraceStore.open(path, mmap=True).as_trace()
 
 
-def _check(statistic, trace, rtol, *args, **kwargs):
+def _check(statistic, trace, *args, **kwargs):
     columnar_result = statistic(trace, *args, **kwargs)
     reference_result = statistic(trace.without_store(), *args, **kwargs)
-    assert_results_identical(reference_result, columnar_result, rtol=rtol)
+    assert_results_identical(reference_result, columnar_result)
     return columnar_result
 
 
 class TestDifferentialAgainstReference:
     def test_dispatch_takes_columnar_path(self, backend_trace):
         """Guard against a silent fallback: every maybe_* must engage."""
-        trace, _rtol = backend_trace
+        trace = backend_trace
         assert columnar.duration_columns(trace) is not None
         assert columnar.size_columns(trace) is not None
         assert columnar.maybe_median_vm_shape(trace) is not None
@@ -109,53 +95,53 @@ class TestDifferentialAgainstReference:
             trace, Resource.MEMORY, 7 * SLOTS_PER_DAY, 0.25) is not None
 
     def test_allocated(self, backend_trace):
-        trace, rtol = backend_trace
-        _check(resource_hours_by_duration, trace, rtol)
-        _check(resource_hours_by_size, trace, rtol)
-        _check(median_vm_shape, trace, rtol)
+        trace = backend_trace
+        _check(resource_hours_by_duration, trace)
+        _check(resource_hours_by_size, trace)
+        _check(median_vm_shape, trace)
 
     def test_utilization(self, backend_trace):
-        trace, rtol = backend_trace
-        _check(utilization_scatter, trace, rtol)
-        _check(utilization_summary, trace, rtol)
+        trace = backend_trace
+        _check(utilization_scatter, trace)
+        _check(utilization_summary, trace)
 
     @pytest.mark.parametrize("window_hours", [1, 4, 24])
     def test_peaks_and_valleys(self, backend_trace, window_hours):
-        trace, rtol = backend_trace
-        _check(peaks_and_valleys_by_window, trace, rtol, Resource.CPU,
+        trace = backend_trace
+        _check(peaks_and_valleys_by_window, trace, Resource.CPU,
                window_hours=window_hours)
 
     def test_peak_consistency(self, backend_trace):
-        trace, rtol = backend_trace
-        _check(peak_consistency_cdf, trace, rtol, Resource.CPU,
+        trace = backend_trace
+        _check(peak_consistency_cdf, trace, Resource.CPU,
                window_hours_sweep=[1, 4, 24])
-        _check(fraction_consistent, trace, rtol, Resource.MEMORY)
+        _check(fraction_consistent, trace, Resource.MEMORY)
 
     def test_savings(self, backend_trace):
-        trace, rtol = backend_trace
-        _check(cluster_savings, trace, rtol, window_hours_sweep=[24, 4, 1])
+        trace = backend_trace
+        _check(cluster_savings, trace, window_hours_sweep=[24, 4, 1])
         cluster = trace.cluster_ids()[0]
-        _check(cluster_savings, trace, rtol, cluster_id=cluster,
+        _check(cluster_savings, trace, cluster_id=cluster,
                window_hours_sweep=[4])
-        _check(weekly_savings_profile, trace, rtol, window_hours_sweep=[4, 12])
-        _check(savings_distribution, trace, rtol, window_hours_sweep=[4])
+        _check(weekly_savings_profile, trace, window_hours_sweep=[4, 12])
+        _check(savings_distribution, trace, window_hours_sweep=[4])
 
     @pytest.mark.parametrize("scenario", ["no-oversub", "cpu-only", "cpu+memory"])
     def test_stranding(self, backend_trace, scenario):
-        trace, rtol = backend_trace
-        _check(measure_stranding, trace, rtol, scenario,
+        trace = backend_trace
+        _check(measure_stranding, trace, scenario,
                sample_every_slots=SLOTS_PER_DAY)
 
     def test_stranding_cluster_subset(self, backend_trace):
-        trace, rtol = backend_trace
-        _check(stranding_by_scenario, trace, rtol,
+        trace = backend_trace
+        _check(stranding_by_scenario, trace,
                sample_every_slots=SLOTS_PER_DAY,
                clusters=trace.cluster_ids()[:2])
 
     def test_predictability(self, backend_trace):
-        trace, rtol = backend_trace
-        _check(group_predictability, trace, rtol)
-        _check(predictability_summary, trace, rtol, Resource.MEMORY)
+        trace = backend_trace
+        _check(group_predictability, trace)
+        _check(predictability_summary, trace, Resource.MEMORY)
 
 
 # --------------------------------------------------------------------------- #
@@ -217,27 +203,27 @@ class TestEdgeCases:
         trace = request.getfixturevalue(fixture)
         # min_days=0.0 keeps the single-sample and sub-window VMs inside
         # every statistic instead of being filtered by long_running().
-        _check(resource_hours_by_duration, trace, 0.0)
-        _check(resource_hours_by_size, trace, 0.0)
-        _check(median_vm_shape, trace, 0.0)
-        _check(utilization_scatter, trace, 0.0, min_days=0.0)
-        _check(peaks_and_valleys_by_window, trace, 0.0, Resource.CPU,
+        _check(resource_hours_by_duration, trace)
+        _check(resource_hours_by_size, trace)
+        _check(median_vm_shape, trace)
+        _check(utilization_scatter, trace, min_days=0.0)
+        _check(peaks_and_valleys_by_window, trace, Resource.CPU,
                window_hours=4, min_days=0.0)
-        _check(peak_consistency_cdf, trace, 0.0, Resource.CPU,
+        _check(peak_consistency_cdf, trace, Resource.CPU,
                window_hours_sweep=[4], min_days=0.0)
-        _check(cluster_savings, trace, 0.0, window_hours_sweep=[4, 24],
+        _check(cluster_savings, trace, window_hours_sweep=[4, 24],
                min_days=0.0)
-        _check(weekly_savings_profile, trace, 0.0, window_hours_sweep=[4],
+        _check(weekly_savings_profile, trace, window_hours_sweep=[4],
                min_days=0.0)
-        _check(stranding_by_scenario, trace, 0.0,
+        _check(stranding_by_scenario, trace,
                sample_every_slots=SLOTS_PER_DAY // 4)
-        _check(group_predictability, trace, 0.0, Resource.MEMORY,
+        _check(group_predictability, trace, Resource.MEMORY,
                min_lifetime_days=0.0)
 
     def test_empty_cluster_selection(self, edge_trace):
         # E2 exists in the fleet but cluster_savings can also target a
         # cluster with no long-running VMs at the default min_days.
-        _check(cluster_savings, edge_trace, 0.0, cluster_id="E2",
+        _check(cluster_savings, edge_trace, cluster_id="E2",
                window_hours_sweep=[4])
 
 
@@ -299,7 +285,7 @@ class TestKernels:
 # --------------------------------------------------------------------------- #
 class TestWeekProfileView:
     def test_store_backed_profile_is_a_readonly_view(self, backend_trace):
-        trace, _rtol = backend_trace
+        trace = backend_trace
         vm = trace.long_running(2.0).vms[0]
         profile = vm_week_profile(vm)
         store_buffer = trace.store.util[Resource.CPU]
@@ -350,21 +336,21 @@ class TestSegmentReduceBounds:
 
 class TestWindowEntryCache:
     def test_repeat_calls_return_the_cached_tuple(self, backend_trace):
-        trace, _rtol = backend_trace
+        trace = backend_trace
         config = TimeWindowConfig(6)
         first = columnar.window_entries(trace.store, Resource.CPU, config)
         second = columnar.window_entries(trace.store, Resource.CPU, config)
         assert all(a is b for a, b in zip(first, second))
 
     def test_cached_arrays_are_readonly(self, backend_trace):
-        trace, _rtol = backend_trace
+        trace = backend_trace
         entries = columnar.window_entries(trace.store, Resource.CPU,
                                           TimeWindowConfig(6))
         for array in entries:
             assert not array.flags.writeable
 
     def test_distinct_keys_get_distinct_entries(self, backend_trace):
-        trace, _rtol = backend_trace
+        trace = backend_trace
         cpu = columnar.window_entries(trace.store, Resource.CPU,
                                       TimeWindowConfig(6))
         memory = columnar.window_entries(trace.store, Resource.MEMORY,
@@ -378,7 +364,7 @@ class TestWindowEntryCache:
         # Statistics all start from trace.long_running(min_days); the
         # memoized selection means they hit one store object, so the
         # window-entry cache actually connects across statistics.
-        trace, _rtol = backend_trace
+        trace = backend_trace
         first = trace.long_running(3.0)
         second = trace.long_running(3.0)
         assert first is second

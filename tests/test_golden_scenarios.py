@@ -181,11 +181,13 @@ def test_cli_rejects_unknown_scenario(capsys):
 
 
 def test_cli_json_prints_the_golden_fingerprint(capsys):
+    """With --json, stdout is one JSON document and the invariant lines go
+    to stderr."""
     assert main(["baseline", "--json"]) == 0
-    out = capsys.readouterr().out
-    fingerprint, end = json.JSONDecoder().raw_decode(out)
+    captured = capsys.readouterr()
+    fingerprint = json.loads(captured.out)
     assert {field: fingerprint[field] for field in _FINGERPRINT_FIELDS} \
         == dict(zip(_FINGERPRINT_FIELDS, GOLDEN["baseline"]))
-    assert out[end:].split() == [
-        word for name in SCENARIOS["baseline"].expected_invariants
-        for word in ("invariant", f"{name}:", "ok")]
+    assert captured.err.splitlines() == [
+        f"invariant {name}: ok"
+        for name in SCENARIOS["baseline"].expected_invariants]

@@ -204,18 +204,17 @@ def _reference_lifetime_window_percentile(series, config, pct):
                         st.integers(min_value=1, max_value=3 * SLOTS_PER_WEEK)),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        tied=st.booleans(),
-       dtype=st.sampled_from([np.float64, np.float32]),
        pct=st.one_of(st.sampled_from([0.0, 50.0, 95.0, 100.0]),
                      st.floats(min_value=0.0, max_value=100.0)))
 def test_lifetime_window_stats_match_window_group_loop(start, length, seed,
-                                                       tied, dtype, pct):
+                                                       tied, pct):
     """The day-cube reductions equal the ``_window_groups`` loops bit for
     bit, for any start, partial first and last days, lifetimes shorter than
-    one window, every swept window length, and float32 store buffers."""
+    one window, and every swept window length."""
     values = np.random.default_rng(seed).random(length)
     if tied:
         values = np.round(values * 20) / 20
-    series = UtilizationSeries.from_validated(values.astype(dtype), start)
+    series = UtilizationSeries.from_validated(values, start)
     for hours in SWEEP_WINDOW_HOURS:
         config = TimeWindowConfig(hours)
         maxima = series.lifetime_window_max(config)

@@ -11,8 +11,8 @@ Three contracts are pinned here:
   fails later, and the store a pooled sweep stages for its workers never
   outlives the sweep: not on success, a failing policy, a dead worker, or
   a damaged staged file.
-* **Validation** -- non-uniform telemetry and duplicate VM ids fail loudly
-  at construction, not silently downstream.
+* **Validation** -- non-uniform or non-float64 telemetry and duplicate VM
+  ids fail loudly at construction, not silently downstream.
 """
 
 import json
@@ -60,6 +60,8 @@ class TestColumnarViews:
             assert view.end_slot == vm.end_slot
             assert view.offering == vm.offering
             assert view.subscription_type == vm.subscription_type
+            assert view.allocation_class == vm.allocation_class
+            assert view.server_id == vm.server_id
             for resource, series in vm.utilization.items():
                 view_series = view.utilization[resource]
                 assert view_series.start_slot == series.start_slot
@@ -71,13 +73,9 @@ class TestColumnarViews:
             for resource, series in view.utilization.items():
                 assert series.values.base is store.util[resource]
 
-    def test_from_trace_preserves_dtype_by_default(self, store):
-        assert store.util_dtype == np.dtype(np.float64)
-
-    def test_float32_dtype_option(self, tiny_trace):
-        compact = TraceStore.from_trace(tiny_trace, util_dtype=np.float32)
-        assert compact.util_dtype == np.dtype(np.float32)
-        assert compact.util_nbytes * 2 == TraceStore.from_trace(tiny_trace).util_nbytes
+    def test_telemetry_buffers_are_float64(self, store):
+        for buffer in store.util.values():
+            assert buffer.dtype == np.float64
 
     def test_offsets_are_canonical(self, store):
         offsets = store.offsets
@@ -112,6 +110,26 @@ class TestColumnarViews:
         broken = Trace(vms=[lopsided], fleet=tiny_trace.fleet,
                        n_slots=tiny_trace.n_slots)
         with pytest.raises(ValueError, match="equal coverage"):
+            TraceStore.from_trace(broken)
+
+    @pytest.mark.parametrize("dtype", [
+        pytest.param(np.dtype(np.float32), id="float32"),
+        pytest.param(np.dtype(np.float64).newbyteorder(), id="byte-swapped"),
+    ])
+    def test_non_float64_series_rejected(self, tiny_trace, dtype):
+        source = tiny_trace.vms[0]
+        utilization = dict(source.utilization)
+        memory = utilization[Resource.MEMORY]
+        utilization[Resource.MEMORY] = UtilizationSeries.from_validated(
+            memory.values.astype(dtype), memory.start_slot)
+        narrowed = VMRecord(
+            vm_id="narrowed", subscription_id="s", config=source.config,
+            cluster_id=source.cluster_id, start_slot=source.start_slot,
+            end_slot=source.end_slot, utilization=utilization)
+        broken = Trace(vms=[tiny_trace.vms[1], narrowed],
+                       fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
+        with pytest.raises(ValueError,
+                           match=f"VM narrowed: memory series holds {dtype} "):
             TraceStore.from_trace(broken)
 
     def test_duplicate_ids_rejected(self, tiny_trace):
@@ -262,6 +280,14 @@ def _shorten_buffer(path):
     np.save(path / "util_cpu.npy", np.load(path / "util_cpu.npy")[:-1])
 
 
+def _retype_buffer(dtype):
+    """The CPU buffer rewritten as *dtype*, every sample in place."""
+    def damage(path):
+        np.save(path / "util_cpu.npy",
+                np.load(path / "util_cpu.npy").astype(dtype))
+    return damage
+
+
 #: Damage applied to a saved store, and the file or column open() must name.
 STORE_DAMAGE = [
     pytest.param(_shorten_buffer, "util_cpu.npy", id="short-buffer"),
@@ -269,6 +295,11 @@ STORE_DAMAGE = [
                  id="truncated-buffer"),
     pytest.param(lambda path: (path / "util_memory.npy").unlink(),
                  "util_memory.npy", id="missing-buffer"),
+    pytest.param(_retype_buffer(np.float32), "util_cpu.npy",
+                 id="float32-buffer"),
+    # Equal values and itemsize, so only the dtype check can tell.
+    pytest.param(_retype_buffer(np.dtype(np.float64).newbyteorder()),
+                 "util_cpu.npy", id="byte-swapped-buffer"),
     pytest.param(_truncate("meta.json"), "meta.json", id="truncated-meta"),
     pytest.param(_edit_columns(lambda m: m.update(
         start_slot=m["start_slot"][:-1])), "'start_slot'", id="short-column"),
@@ -342,14 +373,6 @@ class TestPersistence:
             for resource, series in view.utilization.items():
                 assert type(series.values) is np.ndarray
                 assert series.values.base is mapped.util[resource]
-
-    def test_float32_round_trip_preserves_dtype(self, tiny_trace, tmp_path):
-        compact = TraceStore.from_trace(tiny_trace, util_dtype=np.float32)
-        compact.save(tmp_path / "store32")
-        loaded = TraceStore.open(tmp_path / "store32")
-        assert loaded.util_dtype == np.dtype(np.float32)
-        for resource, buffer in loaded.util.items():
-            np.testing.assert_array_equal(buffer, compact.util[resource])
 
     def test_selection_save_compacts(self, store_trace, tmp_path):
         selection = store_trace.long_running()
@@ -622,16 +645,6 @@ class TestUtilizationMatrix:
         got = store_trace.utilization_matrix(Resource.CPU, cluster_id=cluster_id)
         expected = tiny_trace.utilization_matrix(Resource.CPU,
                                                  cluster_id=cluster_id)
-        assert np.array_equal(got, expected)
-
-    def test_float32_backend_stays_bitwise(self, tiny_trace):
-        trace32 = TraceStore.from_trace(tiny_trace,
-                                        util_dtype=np.float32).as_trace()
-        got = trace32.utilization_matrix(Resource.CPU)
-        # The reference twin is the same trace without the store: both paths
-        # read the identical float32 samples, so the float64 output matrices
-        # must match bitwise (the NEP50 scale-cast contract).
-        expected = trace32.without_store().utilization_matrix(Resource.CPU)
         assert np.array_equal(got, expected)
 
     def test_aggregate_demand_matches_reference_loop(self, tiny_trace, store_trace):

@@ -2,16 +2,15 @@
 
 The builder's contract has three parts, each pinned here:
 
-* **Byte identity** -- for any append chunking (and for the generator's
-  ``generate_to_store`` at any ``batch_vms``), the finalized directory is
+* **Byte identity** -- the finalized directory (and the generator's
+  ``generate_to_store`` output, for every registered scenario) is
   byte-for-byte what ``TraceStore.from_trace(trace).save(path)`` writes,
   so ``open(mmap=True)`` reads it unchanged and every downstream
   differential guarantee transfers for free.
 * **Validation parity** -- the streaming path raises on exactly what the
   eager path raises on (duplicate ids, non-uniform resource sets, unequal
-  series coverage), plus the documented streaming restriction (mixed
-  source dtypes need an explicit ``util_dtype``).  A rejected VM leaves no
-  row behind: the builder goes on as if it had never been offered.
+  series coverage, samples that are not float64).  A rejected VM leaves
+  no row behind: the builder goes on as if it had never been offered.
 * **Lifecycle** -- an abandoned builder leaves no partial directory
   behind, a killed writer leaves only its ``.building`` staging sibling
   (which the next builder replaces), and a finalized/aborted builder
@@ -26,6 +25,8 @@ import numpy as np
 import pytest
 
 from repro.core.resources import Resource
+from repro.scenarios import get_scenario, scenario_names
+from repro.simulator.benchmarking import assert_store_dirs_identical
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.store import TraceStore, TraceStoreBuilder
 from repro.trace.timeseries import UtilizationSeries
@@ -33,21 +34,13 @@ from repro.trace.trace import Trace
 from repro.trace.vm import VMRecord
 
 
-def build_streamed(trace, path, chunk):
-    """Stream *trace* through a builder in appends of *chunk* VMs."""
+def build_streamed(trace, path):
+    """Stream *trace* through a builder, one VM per append."""
     with TraceStoreBuilder(path, fleet=trace.fleet, n_slots=trace.n_slots,
                            subscriptions=trace.subscriptions) as builder:
-        for i in range(0, len(trace.vms), chunk):
-            builder.append_many(trace.vms[i:i + chunk])
+        for vm in trace.vms:
+            builder.append(vm)
     return path
-
-
-def assert_dirs_byte_identical(reference, candidate):
-    ref_names = sorted(p.name for p in reference.iterdir())
-    assert ref_names == sorted(p.name for p in candidate.iterdir())
-    for name in ref_names:
-        assert (reference / name).read_bytes() == \
-            (candidate / name).read_bytes(), f"{name} differs byte-wise"
 
 
 def clone_with(vm: VMRecord, utilization) -> VMRecord:
@@ -61,43 +54,83 @@ def clone_with(vm: VMRecord, utilization) -> VMRecord:
     return clone
 
 
-def float32_clone(vm: VMRecord) -> VMRecord:
-    """The same VM with float32 telemetry (``from_validated`` keeps dtype)."""
+def retyped_clone(vm: VMRecord, dtype) -> VMRecord:
+    """The same VM with its telemetry cast to *dtype* (``from_validated``
+    keeps the dtype)."""
     return clone_with(vm, {
         resource: UtilizationSeries.from_validated(
-            series.values.astype(np.float32), series.start_slot)
+            series.values.astype(dtype), series.start_slot)
         for resource, series in vm.utilization.items()})
 
 
-def assert_rejected_vm_leaves_no_row(trace, tmp_path, rejected, match):
-    """Append one VM, offer *rejected*, append eight more and finalize: the
-    store must be byte-identical to the eager store of the nine accepted
-    VMs.  The rejected VMs below are damaged clones of the second accepted
-    one, so a leaked id would also reject that VM as a duplicate."""
+#: Sample dtypes a store rejects: a narrower float, and float64 in the
+#: non-native byte order, whose raw bytes the builder would otherwise write
+#: swapped under the buffer's native-order header.
+NON_STORE_DTYPES = [
+    pytest.param(np.dtype(np.float32), id="float32"),
+    pytest.param(np.dtype(np.float64).newbyteorder(), id="byte-swapped"),
+]
+
+
+def assert_rejected_vm_leaves_no_row(trace, tmp_path, rejected, match, *,
+                                     first=False):
+    """Offer *rejected* after the first of nine accepted VMs (before all of
+    them with *first*), append the rest and finalize: the store must be
+    byte-identical to the eager store of the nine accepted VMs.  The
+    rejected VMs below are damaged clones of the second accepted one, so a
+    leaked id would also reject that VM as a duplicate."""
     accepted = trace.vms[:9]
     streamed = tmp_path / "streamed"
     builder = TraceStoreBuilder(streamed, fleet=trace.fleet,
                                 n_slots=trace.n_slots,
                                 subscriptions=trace.subscriptions)
-    builder.append(accepted[0])
-    with pytest.raises(ValueError, match=match):
-        builder.append(rejected)
-    builder.append_many(accepted[1:])
+    for i, vm in enumerate(accepted):
+        if i == (0 if first else 1):
+            with pytest.raises(ValueError, match=match):
+                builder.append(rejected)
+        builder.append(vm)
     builder.finalize()
     eager = tmp_path / "eager"
     TraceStore.from_trace(Trace(vms=accepted, fleet=trace.fleet,
                                 n_slots=trace.n_slots,
                                 subscriptions=trace.subscriptions)).save(eager)
-    assert_dirs_byte_identical(eager, streamed)
+    assert_store_dirs_identical(eager, streamed)
 
 
 def ingest_until_killed(path, trace, ready) -> None:
     """Spawned writer: stage part of a store, signal, wait to be killed."""
     builder = TraceStoreBuilder(path, fleet=trace.fleet, n_slots=trace.n_slots,
                                 subscriptions=trace.subscriptions)
-    builder.append_many(trace.vms[:20])
+    for vm in trace.vms[:20]:
+        builder.append(vm)
     ready.set()
     time.sleep(600)
+
+
+#: Generator configurations whose streamed store must equal the eager one:
+#: a small plain one, and every registered scenario's, which adds what the
+#: plain one lacks (allocation classes, surges, flash crowds, heterogeneous
+#: fleets) and is the configuration the golden-scenario pins run eagerly.
+GENERATOR_CONFIGS = [
+    pytest.param(TraceGeneratorConfig(n_vms=60, n_days=5, seed=13,
+                                      n_subscriptions=10,
+                                      servers_per_cluster=2), id="plain"),
+    *(pytest.param(get_scenario(name).generator_config(), id=name)
+      for name in scenario_names()),
+]
+
+
+#: The VMRecord fields compared by value, and those that hold an enum
+#: member and must come back as that very member, not an equal string.
+VALUE_FIELDS = ("vm_id", "subscription_id", "config", "cluster_id",
+                "start_slot", "end_slot", "server_id")
+ENUM_FIELDS = ("offering", "subscription_type", "allocation_class")
+
+
+@pytest.fixture(scope="module", params=GENERATOR_CONFIGS)
+def generated(request):
+    """One generator configuration and the trace it generates eagerly."""
+    return request.param, TraceGenerator(request.param).generate()
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +141,13 @@ def eager_dir(tiny_trace, tmp_path_factory):
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("chunk", [1, 7, 1000])
-    def test_any_chunking_matches_from_trace_save(self, tiny_trace, eager_dir,
-                                                  tmp_path, chunk):
-        streamed = build_streamed(tiny_trace, tmp_path / "streamed", chunk)
-        assert_dirs_byte_identical(eager_dir, streamed)
+    def test_builder_matches_from_trace_save(self, tiny_trace, eager_dir,
+                                             tmp_path):
+        streamed = build_streamed(tiny_trace, tmp_path / "streamed")
+        assert_store_dirs_identical(eager_dir, streamed)
 
     def test_streamed_store_opens_mmap(self, tiny_trace, tmp_path):
-        streamed = build_streamed(tiny_trace, tmp_path / "streamed", 16)
+        streamed = build_streamed(tiny_trace, tmp_path / "streamed")
         opened = TraceStore.open(streamed, mmap=True)
         assert len(opened) == len(tiny_trace.vms)
         assert opened.n_slots == tiny_trace.n_slots
@@ -126,22 +158,41 @@ class TestByteIdentity:
         assert opened.vm_ids.tolist() == reference.vm_ids.tolist()
         assert np.array_equal(opened.offsets, reference.offsets)
 
-    def test_generate_to_store_matches_eager_for_any_batch(self, tmp_path):
-        config = TraceGeneratorConfig(n_vms=60, n_days=5, seed=13,
-                                      n_subscriptions=10,
-                                      servers_per_cluster=2)
-        eager = tmp_path / "eager"
-        trace = TraceGenerator(config).generate()
-        TraceStore.from_trace(trace).save(eager)
-        for batch_vms in (1, 17, 4096):
-            out = tmp_path / f"stream-{batch_vms}"
-            TraceGenerator(config).generate_to_store(out, batch_vms=batch_vms)
-            assert_dirs_byte_identical(eager, out)
+    def test_generate_to_store_matches_eager(self, tmp_path, generated):
+        config, trace = generated
+        eager = TraceStore.from_trace(trace).save(tmp_path / "eager")
+        streamed = TraceGenerator(config).generate_to_store(tmp_path / "stream")
+        assert_store_dirs_identical(eager, streamed)
+
+    def test_streamed_store_reads_back_the_generated_trace(self, tmp_path,
+                                                          generated):
+        """``generate_to_store -> open(mmap=True) -> as_trace`` -- the path
+        a sweep worker reads -- returns every generated record: each field,
+        each enum as its member, and each series' coverage and samples."""
+        config, trace = generated
+        streamed = TraceGenerator(config).generate_to_store(tmp_path / "stream")
+        read_back = TraceStore.open(streamed, mmap=True).as_trace()
+        assert read_back.n_slots == trace.n_slots
+        assert read_back.fleet == trace.fleet
+        assert read_back.subscriptions == trace.subscriptions
+        assert len(read_back.vms) == len(trace.vms)
+        for vm, view in zip(trace.vms, read_back.vms):
+            for name in VALUE_FIELDS:
+                assert getattr(view, name) == getattr(vm, name), \
+                    f"VM {vm.vm_id}: {name}"
+            for name in ENUM_FIELDS:
+                assert getattr(view, name) is getattr(vm, name), \
+                    f"VM {vm.vm_id}: {name}"
+            assert view.utilization.keys() == vm.utilization.keys()
+            for resource, series in vm.utilization.items():
+                view_series = view.utilization[resource]
+                assert view_series.start_slot == series.start_slot
+                assert np.array_equal(view_series.values, series.values)
 
     def test_save_is_deterministic(self, tiny_trace, eager_dir, tmp_path):
         again = tmp_path / "again"
         TraceStore.from_trace(tiny_trace).save(again)
-        assert_dirs_byte_identical(eager_dir, again)
+        assert_store_dirs_identical(eager_dir, again)
 
 
 class TestEdgeCases:
@@ -154,11 +205,10 @@ class TestEdgeCases:
         with TraceStoreBuilder(streamed, fleet=empty.fleet,
                                n_slots=empty.n_slots):
             pass
-        assert_dirs_byte_identical(eager, streamed)
+        assert_store_dirs_identical(eager, streamed)
         opened = TraceStore.open(streamed)
         assert len(opened) == 0
         assert opened.util == {}
-        assert opened.util_dtype == np.dtype(np.float64)
 
     def test_single_vm(self, tiny_trace, tmp_path):
         single = Trace(vms=tiny_trace.vms[:1], fleet=tiny_trace.fleet,
@@ -166,37 +216,18 @@ class TestEdgeCases:
                        subscriptions=tiny_trace.subscriptions)
         eager = tmp_path / "eager"
         TraceStore.from_trace(single).save(eager)
-        streamed = build_streamed(single, tmp_path / "streamed", 1)
-        assert_dirs_byte_identical(eager, streamed)
+        streamed = build_streamed(single, tmp_path / "streamed")
+        assert_store_dirs_identical(eager, streamed)
 
-    def test_float32_source_dtype_streams_unchanged(self, tiny_trace, tmp_path):
-        vms = [float32_clone(vm) for vm in tiny_trace.vms[:12]]
-        trace = Trace(vms=vms, fleet=tiny_trace.fleet,
-                      n_slots=tiny_trace.n_slots,
-                      subscriptions=tiny_trace.subscriptions)
-        eager = tmp_path / "eager"
-        TraceStore.from_trace(trace).save(eager)
-        streamed = build_streamed(trace, tmp_path / "streamed", 5)
-        assert_dirs_byte_identical(eager, streamed)
-        assert TraceStore.open(streamed).util_dtype == np.dtype(np.float32)
-
-    def test_util_dtype_cast_matches_eager_cast(self, tiny_trace, tmp_path):
-        eager = tmp_path / "eager"
-        TraceStore.from_trace(tiny_trace, util_dtype=np.float32).save(eager)
-        streamed = tmp_path / "streamed"
-        with TraceStoreBuilder(streamed, fleet=tiny_trace.fleet,
-                               n_slots=tiny_trace.n_slots,
-                               subscriptions=tiny_trace.subscriptions,
-                               util_dtype=np.float32) as builder:
-            builder.append_many(tiny_trace.vms)
-        assert_dirs_byte_identical(eager, streamed)
-
-    def test_mixed_source_dtype_raises_without_util_dtype(self, tiny_trace,
-                                                          tmp_path):
-        # The float64 first VM fixes the stream dtype.
+    @pytest.mark.parametrize("first", [False, True])
+    @pytest.mark.parametrize("dtype", NON_STORE_DTYPES)
+    def test_non_float64_series_raises(self, tiny_trace, tmp_path, dtype,
+                                       first):
+        # Rejected as the first VM too: the stream has no dtype to latch.
         assert_rejected_vm_leaves_no_row(
-            tiny_trace, tmp_path, float32_clone(tiny_trace.vms[1]),
-            "pass util_dtype")
+            tiny_trace, tmp_path, retyped_clone(tiny_trace.vms[1], dtype),
+            f"VM {tiny_trace.vms[1].vm_id}: cpu series holds {dtype} ",
+            first=first)
 
     def test_non_uniform_resource_set_raises(self, tiny_trace, tmp_path):
         source = tiny_trace.vms[1]
@@ -225,7 +256,8 @@ class TestLifecycle:
         target = tmp_path / "store"
         builder = TraceStoreBuilder(target, fleet=tiny_trace.fleet,
                                     n_slots=tiny_trace.n_slots)
-        builder.append_many(tiny_trace.vms[:5])
+        for vm in tiny_trace.vms[:5]:
+            builder.append(vm)
         builder.abort()
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
@@ -235,7 +267,8 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="mid-ingest failure"):
             with TraceStoreBuilder(target, fleet=tiny_trace.fleet,
                                    n_slots=tiny_trace.n_slots) as builder:
-                builder.append_many(tiny_trace.vms[:5])
+                for vm in tiny_trace.vms[:5]:
+                    builder.append(vm)
                 raise RuntimeError("mid-ingest failure")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
@@ -259,8 +292,8 @@ class TestLifecycle:
         assert staged, "the writer never staged its first VMs"
         assert writer.exitcode == -signal.SIGKILL
         assert [p.name for p in tmp_path.iterdir()] == ["store.building"]
-        build_streamed(tiny_trace, target, 7)
-        assert_dirs_byte_identical(eager_dir, target)
+        build_streamed(tiny_trace, target)
+        assert_store_dirs_identical(eager_dir, target)
         assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
     def test_append_after_finalize_raises(self, tiny_trace, tmp_path):
@@ -288,7 +321,8 @@ class TestLifecycle:
         builder = TraceStoreBuilder(tmp_path / "store",
                                     fleet=tiny_trace.fleet,
                                     n_slots=tiny_trace.n_slots)
-        builder.append_many(tiny_trace.vms[:4])
+        for vm in tiny_trace.vms[:4]:
+            builder.append(vm)
         assert builder.n_vms == 4
         assert builder.n_samples == sum(
             len(next(iter(vm.utilization.values())))
