@@ -20,7 +20,6 @@ import pytest
 # numbers but only *warns* when a ratio misses its local threshold.
 from repro.simulator.benchmarking import bench_smoke_enabled  # noqa: F401
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
-from repro.trace.store import TraceStore
 
 _BENCH_DIR = Path(__file__).resolve().parent
 
@@ -59,16 +58,10 @@ def pytest_collection_modifyitems(items):
 
 @pytest.fixture(scope="session")
 def bench_trace():
-    """The trace used by the characterization and evaluation benchmarks.
-
-    Store-backed since PR 5: the figure harnesses time the columnar
-    characterization dispatch, which is the path a production caller gets.
-    Every figure's numbers are bitwise identical to the object-backed trace
-    (the columnar exactness contract), so only the timings move.
-    """
+    """The trace used by the characterization and evaluation benchmarks."""
     config = TraceGeneratorConfig(n_vms=800, n_days=14, seed=2024,
                                   n_subscriptions=60, servers_per_cluster=3)
-    return TraceStore.from_trace(TraceGenerator(config).generate()).as_trace()
+    return TraceGenerator(config).generate()
 
 
 @pytest.fixture(scope="session")

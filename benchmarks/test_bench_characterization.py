@@ -1,10 +1,10 @@
 """Characterization-throughput benchmark: columnar kernels vs per-VM loops.
 
-The claim: the Section-2 statistic suite (Figures 2-12) over a store-backed
-multiweek trace runs >= 5x faster through the segment-reduce kernels than
-through the seed per-VM ``UtilizationSeries`` loops, while every statistic
-stays bitwise identical (the harness hard-asserts equality before the ratio
-is even considered).
+The claim: the Section-2 statistic suite (Figures 2-12) over a multiweek
+trace runs >= 5x faster through the segment-reduce kernels than through
+the seed per-VM ``UtilizationSeries`` loops (each statistic's
+``reference_*``), while every statistic stays bitwise identical (the
+harness hard-asserts equality before the ratio is even considered).
 
 The harness (:mod:`repro.simulator.benchmarking`) times
 ``run_characterization_suite``, which ``perfbench/`` also times as its
@@ -20,7 +20,7 @@ from repro.simulator.synthetic import generate_sweep_bench_trace
 
 def test_bench_characterization_columnar(benchmark):
     """Columnar characterization is >= 5x the per-VM reference, bitwise-equal."""
-    trace = generate_sweep_bench_trace(smoke=bench_smoke_enabled(), columnar=True)
+    trace = generate_sweep_bench_trace(smoke=bench_smoke_enabled())
     outcome = run_once(benchmark, measure_characterization_throughput, trace)
     print(f"\ncharacterization: columnar {outcome['columnar_seconds'] * 1e3:.0f} ms"
           f" vs reference {outcome['reference_seconds'] * 1e3:.0f} ms"

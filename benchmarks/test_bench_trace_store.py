@@ -1,6 +1,6 @@
 """Trace-store scale benchmarks: sweep footprint, filters, streaming replay.
 
-Three claims, each against the object-based seed representation:
+Three claims, each against the seed's per-VM representation:
 
 * a process-pool sweep worker receives the path of a staged on-disk store
   instead of unpickling a private multi-megabyte trace copy (>= 5x
@@ -27,7 +27,6 @@ from repro.simulator.synthetic import (
     generate_multiweek_trace,
     generate_store_bench_trace,
 )
-from repro.trace.store import TraceStore
 
 
 def _time(fn, repeats=5):
@@ -65,38 +64,39 @@ def test_bench_columnar_filters(benchmark):
 
     Filter cost scales with the VM count, not the telemetry volume, so this
     benchmark uses a VM-dense trace (many short-lived VMs) rather than the
-    telemetry-dense store workload.
+    telemetry-dense store workload.  The loops walk ``trace.vms`` -- the
+    same records the filters return -- and are the filters' oracle too.
     """
     smoke = bench_smoke_enabled()
     trace = generate_multiweek_trace(n_days=14, n_vms=2000 if smoke else 4000,
                                      n_subscriptions=80, servers_per_cluster=3)
-    store_trace = TraceStore.from_trace(trace).as_trace()
+    vms = trace.vms
     mid = trace.n_slots // 2
 
-    def filters_obj():
-        trace.alive_at(mid)
-        trace.arriving_in(mid // 2, mid)
-        trace.long_running()
+    def filters_loop(slot=mid):
+        return ([vm for vm in vms if vm.alive_at(slot)],
+                [vm for vm in vms if slot // 2 <= vm.start_slot < slot],
+                [vm for vm in vms if vm.is_long_running()])
 
-    def filters_store():
-        store_trace.alive_at(mid)
-        store_trace.arriving_in(mid // 2, mid)
-        store_trace.long_running()
+    def filters_store(slot=mid):
+        return (trace.alive_at(slot), trace.arriving_in(slot // 2, slot),
+                trace.long_running().vms)
 
-    # Correctness before speed: both paths select the same VMs.
-    assert ([vm.vm_id for vm in store_trace.alive_at(mid)]
-            == [vm.vm_id for vm in trace.alive_at(mid)])
-    assert ([vm.vm_id for vm in store_trace.long_running().vms]
-            == [vm.vm_id for vm in trace.long_running().vms])
+    # Correctness before speed: both select the same VMs, also at slots
+    # where VMs start and end (where a comparison the wrong way round errs).
+    for slot in [mid] + [edge for vm in vms[:5]
+                         for edge in (vm.start_slot, vm.end_slot)]:
+        for by_loop, by_store in zip(filters_loop(slot), filters_store(slot)):
+            assert [vm.vm_id for vm in by_store] == [vm.vm_id for vm in by_loop]
 
-    object_seconds = _time(filters_obj)
+    object_seconds = _time(filters_loop)
     store_seconds = run_once(benchmark, lambda: _time(filters_store))
     speedup = object_seconds / max(store_seconds, 1e-9)
 
     lookup_id = trace.vms[len(trace.vms) // 2].vm_id
     linear_seconds = _time(
         lambda: next(vm for vm in trace.vms if vm.vm_id == lookup_id), repeats=20)
-    indexed_seconds = _time(lambda: store_trace.vm_by_id(lookup_id), repeats=20)
+    indexed_seconds = _time(lambda: trace.vm_by_id(lookup_id), repeats=20)
     lookup_speedup = linear_seconds / max(indexed_seconds, 1e-9)
 
     print(f"\nfilters: object {object_seconds * 1e3:.2f} ms vs columnar "

@@ -1,7 +1,7 @@
 """Characterization report: regenerate the Section 2 analysis on a trace.
 
 Prints the headline numbers behind Figures 2-12, computed through the
-columnar segment-reduce path (the trace is store-backed), and reports the
+columnar segment-reduce path over the trace store, and reports the
 measured speedup over the per-VM reference loops — both passes run, and
 their results are asserted identical before anything is printed.  Run with
 ``python examples/characterization_report.py``.
@@ -17,14 +17,12 @@ from repro.characterization import (
     utilization_summary,
 )
 from repro.simulator.benchmarking import measure_characterization_throughput
-from repro.trace.store import TraceStore
 from repro.trace.timeseries import SLOTS_PER_DAY
 
 
 def main() -> None:
     trace = generate_trace(n_vms=800, n_days=14, seed=5, n_subscriptions=60,
                            servers_per_cluster=3)
-    trace = TraceStore.from_trace(trace).as_trace()
 
     # Full Section-2 suite, columnar vs per-VM reference: asserts bitwise
     # equality, returns the wall-clocks (also how the benchmarks measure it).

@@ -1,7 +1,7 @@
 """Contention hotspots: which servers concentrate the violations?
 
-Replays the coach policy over a small synthetic trace (store-backed, so the
-replay runs on the columnar fast paths) and prints the per-server hotspot
+Replays the coach policy over a small synthetic trace (the replay runs on
+the trace store's columnar fast paths) and prints the per-server hotspot
 table and per-cluster violation-rate CDFs from
 :func:`repro.experiments.figures.hotspot_report` -- the starting point for a
 mitigation/migration experiment: the paper's Section 5 mitigations act
@@ -15,15 +15,13 @@ from repro.core.policy import COACH_POLICY
 from repro.experiments.figures import hotspot_report
 from repro.simulator import SimulationConfig, simulate_policy
 from repro.trace.generator import generate_trace
-from repro.trace.store import TraceStore
 
 
 def main() -> None:
     trace = generate_trace(n_vms=500, n_days=10, seed=1234, n_subscriptions=30,
                            servers_per_cluster=1)
-    store_trace = TraceStore.from_trace(trace).as_trace()
     evaluation = simulate_policy(
-        store_trace, COACH_POLICY,
+        trace, COACH_POLICY,
         SimulationConfig(clusters=["C1", "C2", "C3"], n_estimators=3))
     report = hotspot_report(evaluation.violations, top_n=5)
 

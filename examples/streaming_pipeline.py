@@ -1,8 +1,8 @@
 """End-to-end bounded-memory pipeline: generate -> store -> replay -> characterize.
 
-The eager path (``generate_trace`` then ``TraceStore.from_trace(...).save``)
-holds the whole object trace and the concatenated telemetry buffers in RAM
-at once.  This example runs the same pipeline without ever doing that:
+The eager path (``generate_trace`` then ``trace.store.save``) holds every
+VM record and the concatenated telemetry buffers in RAM at once.  This
+example runs the same pipeline without ever doing that:
 
 1. **Generate + ingest, streaming.**  ``generate_trace_to_store`` drives the
    synthetic generator through a ``TraceStoreBuilder`` one VM at a time,
@@ -15,13 +15,15 @@ at once.  This example runs the same pipeline without ever doing that:
 
 Both ingest paths are byte-identical on disk (the builder's differential
 contract), so the printed peak-memory ratio is the whole story -- nothing
-else about the results changes.  Run with::
+else about the results changes.  Both stores live in a temporary directory
+that is removed when the run ends.  Run with::
 
     python examples/streaming_pipeline.py
 
 See docs/trace_store.md ("Streaming ingest") for the builder API.
 """
 
+import shutil
 import tempfile
 import time
 import tracemalloc
@@ -52,6 +54,13 @@ def traced(label, fn):
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="streaming-pipeline-"))
+    try:
+        run(workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def run(workdir: Path) -> None:
     store_path = workdir / "trace-store"
     print(f"Month-scale workload: {N_VMS} VMs x {N_DAYS} days -> {store_path}")
 
@@ -64,7 +73,7 @@ def main() -> None:
 
     def eager():
         trace = generate_trace(n_vms=N_VMS, n_days=N_DAYS, seed=SEED)
-        return TraceStore.from_trace(trace).save(workdir / "eager-store")
+        return trace.store.save(workdir / "eager-store")
 
     eager_path, eager_peak = traced("eager from_trace + save", eager)
     for name in sorted(p.name for p in eager_path.iterdir()):
@@ -97,7 +106,7 @@ def main() -> None:
                         lambda: utilization_summary(store.as_trace()))
     print(f"  -> {len(summary)} headline statistics computed from the "
           f"mmap'd buffers")
-    print(f"Done.  Store left at {store_path} (delete when finished).")
+    print("Done.")
 
 
 if __name__ == "__main__":

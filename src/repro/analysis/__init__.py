@@ -3,7 +3,7 @@
 PRs 1-5 built correctness on conventions that lived only in docs and
 reviewer memory: seeded determinism end to end (golden-trace pins),
 zero-copy hot paths, single-owner cleanup of sweep staging, and the
-reference-vs-vectorized twin contract.  This package turns those
+scheduler ledger's cache discipline.  This package turns those
 conventions into machine-checked rules over the repo's own source --
 plain :mod:`ast`, no third-party dependencies:
 
@@ -11,7 +11,8 @@ plain :mod:`ast`, no third-party dependencies:
   nodes to registered rules; ``# repro: <tag>`` pragma extraction.
 * :mod:`repro.analysis.rules` -- the rule catalog (REP001 unseeded-rng,
   REP002 staging-hygiene, REP003 hot-path-copy, REP004 wall-clock-in-results,
-  REP005 dispatch-twin).
+  REP006 ledger-direct-write, REP007 candidate-index-direct-write,
+  REP008 scenario-rng-not-derived).
 * :mod:`repro.analysis.baseline` -- justified suppression of intentional
   violations (``analysis_baseline.json`` at the repo root).
 * :mod:`repro.analysis.cli` -- ``python -m repro.analysis`` with text and

@@ -9,8 +9,8 @@ reset per-module state in :meth:`Rule.begin_module`.
 The dispatch contract mirrors the repo's other plugin seams (policy configs,
 workload suites): the engine walks each module's AST exactly once and hands
 each node to every rule whose :attr:`Rule.interests` names that node type.
-Cross-file rules (REP005) do their work in :meth:`Rule.finish`, after every
-module has been parsed.
+Cross-file rules do their work in :meth:`Rule.finish`, after every module
+has been parsed.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from repro.analysis.rules import (  # noqa: F401
     rep002_staging,
     rep003_hotpath,
     rep004_wallclock,
-    rep005_twins,
     rep006_ledger,
     rep007_index,
     rep008_scenario_rng,

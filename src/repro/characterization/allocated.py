@@ -24,16 +24,26 @@ def resource_hours_by_duration(trace: Trace,
                                ) -> Dict[str, List[float]]:
     """Figure 2: share of resource-hours and of VMs from VMs lasting longer
     than each duration threshold."""
-    columns = columnar.duration_columns(trace)
-    if columns is not None:
-        durations, cpu_hours, mem_hours = columns
-    else:
-        durations = np.array([vm.lifetime_hours for vm in trace.vms])
-        cpu_hours = np.array([vm.resource_hours(Resource.CPU) for vm in trace.vms])
-        mem_hours = np.array([vm.resource_hours(Resource.MEMORY) for vm in trace.vms])
+    return _duration_rows(*columnar.duration_columns(trace), thresholds_hours)
+
+
+def reference_resource_hours_by_duration(
+        trace: Trace,
+        thresholds_hours: Sequence[float] = DURATION_THRESHOLDS_HOURS,
+) -> Dict[str, List[float]]:
+    """Per-VM reference of :func:`resource_hours_by_duration`."""
+    durations = np.array([vm.lifetime_hours for vm in trace.vms])
+    cpu_hours = np.array([vm.resource_hours(Resource.CPU) for vm in trace.vms])
+    mem_hours = np.array([vm.resource_hours(Resource.MEMORY) for vm in trace.vms])
+    return _duration_rows(durations, cpu_hours, mem_hours, thresholds_hours)
+
+
+def _duration_rows(durations: np.ndarray, cpu_hours: np.ndarray,
+                   mem_hours: np.ndarray,
+                   thresholds_hours: Sequence[float]) -> Dict[str, List[float]]:
     total_cpu = max(cpu_hours.sum(), 1e-9)
     total_mem = max(mem_hours.sum(), 1e-9)
-    n_vms = max(len(trace.vms), 1)
+    n_vms = max(durations.size, 1)
 
     rows: Dict[str, List[float]] = {"threshold_hours": [], "cpu_hours_pct": [],
                                     "memory_hours_pct": [], "vms_pct": []}
@@ -52,17 +62,31 @@ def resource_hours_by_size(trace: Trace,
                            ) -> Dict[str, Dict[str, List[float]]]:
     """Figure 3: share of resource-hours and of VMs from VMs at least as large
     as each size threshold (cores on the left, memory on the right)."""
-    columns = columnar.size_columns(trace)
-    if columns is not None:
-        cores, memory, cpu_hours, mem_hours = columns
-    else:
-        cores = np.array([vm.config.cores for vm in trace.vms])
-        memory = np.array([vm.config.memory_gb for vm in trace.vms])
-        cpu_hours = np.array([vm.resource_hours(Resource.CPU) for vm in trace.vms])
-        mem_hours = np.array([vm.resource_hours(Resource.MEMORY) for vm in trace.vms])
+    return _size_rows(*columnar.size_columns(trace), core_thresholds,
+                      memory_thresholds)
+
+
+def reference_resource_hours_by_size(
+        trace: Trace,
+        core_thresholds: Sequence[int] = CORE_THRESHOLDS,
+        memory_thresholds: Sequence[int] = MEMORY_THRESHOLDS_GB,
+) -> Dict[str, Dict[str, List[float]]]:
+    """Per-VM reference of :func:`resource_hours_by_size`."""
+    cores = np.array([vm.config.cores for vm in trace.vms])
+    memory = np.array([vm.config.memory_gb for vm in trace.vms])
+    cpu_hours = np.array([vm.resource_hours(Resource.CPU) for vm in trace.vms])
+    mem_hours = np.array([vm.resource_hours(Resource.MEMORY) for vm in trace.vms])
+    return _size_rows(cores, memory, cpu_hours, mem_hours, core_thresholds,
+                      memory_thresholds)
+
+
+def _size_rows(cores: np.ndarray, memory: np.ndarray, cpu_hours: np.ndarray,
+               mem_hours: np.ndarray, core_thresholds: Sequence[int],
+               memory_thresholds: Sequence[int]
+               ) -> Dict[str, Dict[str, List[float]]]:
     total_cpu = max(cpu_hours.sum(), 1e-9)
     total_mem = max(mem_hours.sum(), 1e-9)
-    n_vms = max(len(trace.vms), 1)
+    n_vms = max(cores.size, 1)
 
     by_cores: Dict[str, List[float]] = {"threshold": [], "resource_hours_pct": [], "vms_pct": []}
     for threshold in core_thresholds:
@@ -83,9 +107,11 @@ def resource_hours_by_size(trace: Trace,
 
 def median_vm_shape(trace: Trace) -> Dict[str, float]:
     """Median VM size statistics quoted in Section 2.1."""
-    result = columnar.maybe_median_vm_shape(trace)
-    if result is not None:
-        return result
+    return columnar.median_vm_shape(trace)
+
+
+def reference_median_vm_shape(trace: Trace) -> Dict[str, float]:
+    """Per-VM reference of :func:`median_vm_shape`."""
     cores = sorted(vm.config.cores for vm in trace.vms)
     memory = sorted(vm.config.memory_gb for vm in trace.vms)
     mid = len(cores) // 2

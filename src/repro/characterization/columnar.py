@@ -10,23 +10,20 @@ re-expressed as segment reductions over the store's flat telemetry buffer
 vectorized window boundaries, and stranding as per-VM scatter adds over the
 sampled slot axis.
 
-Dispatch contract
------------------
-Each public function here is a ``maybe_*`` twin of one reference function:
-it returns the full result when the trace is store-backed and the store
-carries the telemetry the statistic needs, and ``None`` otherwise -- the
-caller then falls through to the seed per-VM loop, which stays alive as the
-reference implementation for differential testing (the
-``ReferenceLoopScheduler`` / ``ReferenceViolationMeter`` pattern).
+Each public statistic in the figure modules calls its function here
+unconditionally; the seed per-VM loop stays beside it as
+``reference_<statistic>``, the executable specification and differential
+oracle (the ``ReferenceLoopScheduler`` / ``ReferenceViolationMeter``
+pattern).
 
 Exactness contract
 ------------------
-On store-backed traces every result is *bitwise* identical to the per-VM
-path (``tests/test_characterization_columnar.py`` pins this on dense and
-mmap backends).  The kernels earn that the same way the replay meter did:
-order-independent reductions (max/min) vectorize freely; order-dependent
-ones either preserve the reference's accumulation order exactly
-(stranding's sequential per-VM adds, which mirror the seed's
+Every result is *bitwise* identical to the reference
+(``tests/test_characterization_columnar.py`` pins this on dense, mmap,
+edge-case and empty traces).  The kernels earn that the same way the
+replay meter did: order-independent reductions (max/min) vectorize
+freely; order-dependent ones either preserve the reference's accumulation
+order exactly (stranding's sequential per-VM adds, which mirror the seed's
 ``used[r] += ...`` loop) or reproduce numpy's own per-slice algorithm on
 identical inputs (length-bucketed ``mean(axis=1)``, the replicated
 ``np.percentile`` linear interpolation).
@@ -47,16 +44,6 @@ from repro.trace.store import TraceStore, rowwise_mean, segment_reduce
 from repro.trace.timeseries import SLOTS_PER_DAY, TimeWindowConfig
 from repro.trace.trace import Trace
 from repro.trace.vm import VMConfig
-
-
-def _store_with(trace: Trace, resources: Sequence[Resource]) -> Optional[TraceStore]:
-    """The trace's store, if it carries telemetry for *resources*."""
-    store = trace.store
-    if store is None:
-        return None
-    if any(r not in store.util for r in resources):
-        return None
-    return store
 
 
 # --------------------------------------------------------------------------- #
@@ -88,16 +75,14 @@ def window_entries(store: TraceStore, resource: Resource,
     store's rows and buffer.  Cached arrays are marked read-only; callers
     must treat them as immutable.
     """
-    per_store = _WINDOW_ENTRY_CACHE.get(store)
-    if per_store is None:
-        per_store = _WINDOW_ENTRY_CACHE.setdefault(store, {})
+    entries = _WINDOW_ENTRY_CACHE.setdefault(store, {})
     key = (resource.value, config.window_hours)
-    cached = per_store.get(key)
+    cached = entries.get(key)
     if cached is None:
         cached = _compute_window_entries(store, resource, config)
         for array in cached:
             array.setflags(write=False)
-        per_store[key] = cached
+        entries[key] = cached
     return cached
 
 
@@ -153,28 +138,21 @@ def _resource_hour_columns(store: TraceStore) -> Tuple[np.ndarray, np.ndarray,
             alloc[:, ALL_RESOURCES.index(Resource.MEMORY)] * hours)
 
 
-def duration_columns(trace: Trace) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def duration_columns(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(durations_hours, cpu_hours, memory_hours)`` from the store columns."""
-    store = trace.store
-    if store is None:
-        return None
-    return _resource_hour_columns(store)
+    return _resource_hour_columns(trace.store)
 
 
-def size_columns(trace: Trace) -> Optional[Tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray, np.ndarray]]:
+def size_columns(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray]:
     """``(cores, memory_gb, cpu_hours, memory_hours)`` from the store columns."""
     store = trace.store
-    if store is None:
-        return None
     _hours, cpu_hours, memory_hours = _resource_hour_columns(store)
     return store.cores, store.memory_gb, cpu_hours, memory_hours
 
 
-def maybe_median_vm_shape(trace: Trace) -> Optional[Dict[str, float]]:
+def median_vm_shape(trace: Trace) -> Dict[str, float]:
     store = trace.store
-    if store is None:
-        return None
     n = len(store)
     if n == 0:
         return {"median_cores": 0.0, "median_memory_gb": 0.0, "n_vms": 0.0}
@@ -192,12 +170,9 @@ def maybe_median_vm_shape(trace: Trace) -> Optional[Dict[str, float]]:
 _SCATTER_RESOURCES = (Resource.CPU, Resource.MEMORY, Resource.NETWORK, Resource.SSD)
 
 
-def maybe_utilization_scatter(trace: Trace, min_days: float
-                              ) -> Optional[Dict[str, List[float]]]:
-    long_running = trace.long_running(min_days)
-    store = _store_with(long_running, _SCATTER_RESOURCES)
-    if store is None:
-        return None
+def utilization_scatter(trace: Trace, min_days: float
+                        ) -> Dict[str, List[float]]:
+    store = trace.long_running(min_days).store
     means = {r: store.segment_mean(r) for r in _SCATTER_RESOURCES}
     ranges: Dict[Resource, np.ndarray] = {}
     for resource in (Resource.CPU, Resource.MEMORY):
@@ -217,13 +192,10 @@ def maybe_utilization_scatter(trace: Trace, min_days: float
 # --------------------------------------------------------------------------- #
 # Figure 8: peaks and valleys per window-of-day
 # --------------------------------------------------------------------------- #
-def maybe_peaks_and_valleys(trace: Trace, resource: Resource, window_hours: int,
-                            min_days: float, threshold: float
-                            ) -> Optional[Dict[str, np.ndarray]]:
-    long_running = trace.long_running(min_days)
-    store = _store_with(long_running, (resource,))
-    if store is None:
-        return None
+def peaks_and_valleys(trace: Trace, resource: Resource, window_hours: int,
+                      min_days: float, threshold: float
+                      ) -> Dict[str, np.ndarray]:
+    store = trace.long_running(min_days).store
     config = TimeWindowConfig(window_hours)
     row, day, window_of_day, window_max = window_entries(store, resource, config)
     peak_counts = np.zeros((7, config.windows_per_day))
@@ -264,14 +236,11 @@ def maybe_peaks_and_valleys(trace: Trace, resource: Resource, window_hours: int,
 # --------------------------------------------------------------------------- #
 # Figure 9: day-over-day peak consistency
 # --------------------------------------------------------------------------- #
-def maybe_peak_consistency_cdf(trace: Trace, resource: Resource,
-                               window_hours_sweep: Sequence[int], min_days: float,
-                               grid: Sequence[float]
-                               ) -> Optional[Dict[int, Dict[str, List[float]]]]:
-    long_running = trace.long_running(min_days)
-    store = _store_with(long_running, (resource,))
-    if store is None:
-        return None
+def peak_consistency_cdf(trace: Trace, resource: Resource,
+                         window_hours_sweep: Sequence[int], min_days: float,
+                         grid: Sequence[float]
+                         ) -> Dict[int, Dict[str, List[float]]]:
+    store = trace.long_running(min_days).store
     results: Dict[int, Dict[str, List[float]]] = {}
     for window_hours in window_hours_sweep:
         config = TimeWindowConfig(window_hours)
@@ -325,15 +294,11 @@ def _window_savings_per_vm(store: TraceStore, resource: Resource,
     return rowwise_mean(window_max, bounds[:-1], counts, minuend=lifetime_max)
 
 
-def maybe_cluster_savings(trace: Trace, cluster_id: Optional[str],
-                          window_hours_sweep: Sequence[Optional[int]],
-                          include_ideal: bool, min_days: float
-                          ) -> Optional[Dict[str, Dict[str, float]]]:
-    long_running = trace.long_running(min_days)
-    store = _store_with(long_running, (Resource.CPU, Resource.MEMORY))
-    if store is None:
-        return None
-    store = _select_cluster(store, cluster_id)
+def cluster_savings(trace: Trace, cluster_id: Optional[str],
+                    window_hours_sweep: Sequence[Optional[int]],
+                    include_ideal: bool, min_days: float
+                    ) -> Dict[str, Dict[str, float]]:
+    store = _select_cluster(trace.long_running(min_days).store, cluster_id)
     sweep: List[Optional[int]] = list(window_hours_sweep)
     if include_ideal:
         sweep.append(None)
@@ -356,15 +321,10 @@ def maybe_cluster_savings(trace: Trace, cluster_id: Optional[str],
     return results
 
 
-def maybe_weekly_savings_profile(trace: Trace, cluster_id: Optional[str],
-                                 window_hours_sweep: Sequence[int],
-                                 min_days: float
-                                 ) -> Optional[Dict[str, Dict[str, List[float]]]]:
-    long_running = trace.long_running(min_days)
-    store = _store_with(long_running, (Resource.CPU, Resource.MEMORY))
-    if store is None:
-        return None
-    store = _select_cluster(store, cluster_id)
+def weekly_savings_profile(trace: Trace, cluster_id: Optional[str],
+                           window_hours_sweep: Sequence[int], min_days: float
+                           ) -> Dict[str, Dict[str, List[float]]]:
+    store = _select_cluster(trace.long_running(min_days).store, cluster_id)
     n_days = int(np.ceil(trace.n_days))
     lifetime_max = {r: store.segment_max(r)
                     for r in (Resource.CPU, Resource.MEMORY)}
@@ -402,10 +362,10 @@ def maybe_weekly_savings_profile(trace: Trace, cluster_id: Optional[str],
 # --------------------------------------------------------------------------- #
 # Figures 4-5: stranding (sequential per-VM adds over the sampled slot axis)
 # --------------------------------------------------------------------------- #
-def maybe_stranding_inputs(trace: Trace, oversub: Dict[Resource, bool],
-                           fill_vm: VMConfig, sample_every_slots: int,
-                           cluster_ids: Sequence[str]
-                           ) -> Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]:
+def stranding_inputs(trace: Trace, oversub: Dict[Resource, bool],
+                     fill_vm: VMConfig, sample_every_slots: int,
+                     cluster_ids: Sequence[str]
+                     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Per-cluster ``(free, bottleneck_index)`` over the sampled slots.
 
     ``free`` has shape ``(len(ALL_RESOURCES), n_samples)`` and holds the
@@ -413,14 +373,11 @@ def maybe_stranding_inputs(trace: Trace, oversub: Dict[Resource, bool],
     indexes :data:`ALL_RESOURCES`.  The caller (``measure_stranding``)
     accumulates totals slot by slot in the reference's order, so the
     sequential float additions -- and therefore every reported fraction --
-    are bitwise identical to the seed loop.
+    are bitwise identical to the seed loop.  *fill_vm* must demand some
+    resource (``measure_stranding`` checks).
     """
-    store = _store_with(trace, ALL_RESOURCES)
-    if store is None:
-        return None
+    store = trace.store
     demand = np.array([fill_vm.allocation_vector()[r] for r in ALL_RESOURCES])
-    if not np.any(demand > 0):
-        return None  # the reference's int(inf) crash; not a columnar concern
     safe_demand = np.where(demand > 0, demand, 1.0)
     slots = np.arange(0, trace.n_slots, max(1, sample_every_slots))
     n_resources = len(ALL_RESOURCES)
@@ -467,25 +424,25 @@ def maybe_stranding_inputs(trace: Trace, oversub: Dict[Resource, bool],
 # --------------------------------------------------------------------------- #
 # Figure 12: history-based predictability
 # --------------------------------------------------------------------------- #
-def maybe_predictability_features(trace: Trace, resource: Resource,
-                                  split_slot: int, min_lifetime_days: float
-                                  ) -> Optional[Tuple[TraceStore, np.ndarray,
-                                                      TraceStore, np.ndarray]]:
+def predictability_features(trace: Trace, resource: Resource,
+                            split_slot: int, min_lifetime_days: float
+                            ) -> Tuple[TraceStore, np.ndarray, TraceStore,
+                                       np.ndarray]:
     """Eligible (history, future) stores plus their per-VM peak columns.
 
     Eligibility mirrors the reference filter (lifetime >= minimum and a full
-    utilization record); the per-VM peaks -- the only telemetry the grouping
-    statistics read -- come from one segment-max per side instead of a
-    ``series.maximum()`` call per VM.
+    utilization record -- which a store's rows all have or all lack); the
+    per-VM peaks -- the only telemetry the grouping statistics read -- come
+    from one segment-max per side instead of a ``series.maximum()`` call
+    per VM.
     """
-    store = _store_with(trace, ALL_RESOURCES)
-    if store is None or resource not in store.util:
-        return None
+    complete = all(r in trace.store.util for r in ALL_RESOURCES)
     history, future = trace.split_at(split_slot)
 
     def eligible(side: Trace) -> TraceStore:
         side_store = side.store
-        mask = side_store.lifetime_slots / SLOTS_PER_DAY >= min_lifetime_days
+        mask = (side_store.lifetime_slots / SLOTS_PER_DAY
+                >= min_lifetime_days) & complete
         return side_store.select(np.nonzero(mask)[0])
 
     history_store = eligible(history)

@@ -104,10 +104,17 @@ def group_predictability(trace: Trace, resource: Resource = Resource.MEMORY,
     the VM's actual peak and the group's mean peak.
     """
     split = split_slot if split_slot is not None else 7 * SLOTS_PER_DAY
-    features = columnar.maybe_predictability_features(trace, resource, split,
-                                                      min_lifetime_days)
-    if features is not None:
-        return _columnar_detail(*features)
+    return _columnar_detail(*columnar.predictability_features(
+        trace, resource, split, min_lifetime_days))
+
+
+def reference_group_predictability(trace: Trace,
+                                   resource: Resource = Resource.MEMORY,
+                                   split_slot: int | None = None,
+                                   min_lifetime_days: float = 0.25
+                                   ) -> Dict[str, Dict[str, List[float]]]:
+    """Per-VM reference of :func:`group_predictability`."""
+    split = split_slot if split_slot is not None else 7 * SLOTS_PER_DAY
     history, future = trace.split_at(split)
     history_vms = [vm for vm in history.vms
                    if vm.lifetime_days >= min_lifetime_days and vm.has_utilization()]

@@ -49,10 +49,16 @@ def cluster_savings(trace: Trace, cluster_id: Optional[str] = None,
     e.g. ``"4x6hr"`` or ``"ideal"`` and values are percentages of allocated
     resources saved, averaged across VMs.
     """
-    result = columnar.maybe_cluster_savings(trace, cluster_id, window_hours_sweep,
-                                            include_ideal, min_days)
-    if result is not None:
-        return result
+    return columnar.cluster_savings(trace, cluster_id, window_hours_sweep,
+                                    include_ideal, min_days)
+
+
+def reference_cluster_savings(
+        trace: Trace, cluster_id: Optional[str] = None,
+        window_hours_sweep: Sequence[Optional[int]] = SWEEP_WINDOW_HOURS,
+        include_ideal: bool = True, min_days: float = 1.0
+) -> Dict[str, Dict[str, float]]:
+    """Per-VM reference of :func:`cluster_savings`."""
     vms = trace.long_running(min_days).vms
     if cluster_id is not None:
         vms = [vm for vm in vms if vm.cluster_id == cluster_id]
@@ -79,10 +85,15 @@ def weekly_savings_profile(trace: Trace, cluster_id: Optional[str] = None,
 
     Returns ``{label: {"cpu": [pct per day], "memory": [...]}}``.
     """
-    result = columnar.maybe_weekly_savings_profile(trace, cluster_id,
-                                                   window_hours_sweep, min_days)
-    if result is not None:
-        return result
+    return columnar.weekly_savings_profile(trace, cluster_id,
+                                           window_hours_sweep, min_days)
+
+
+def reference_weekly_savings_profile(
+        trace: Trace, cluster_id: Optional[str] = None,
+        window_hours_sweep: Sequence[int] = SWEEP_WINDOW_HOURS,
+        min_days: float = 1.0) -> Dict[str, Dict[str, List[float]]]:
+    """Per-VM reference of :func:`weekly_savings_profile`."""
     vms = trace.long_running(min_days).vms
     if cluster_id is not None:
         vms = [vm for vm in vms if vm.cluster_id == cluster_id]

@@ -11,7 +11,7 @@ shifting both stranding and the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,17 +73,66 @@ def measure_stranding(trace: Trace, scenario: str = "no-oversub",
     cluster, VMs alive at that slot are assigned their requested allocation
     (or their utilized amount for oversubscribed resources), hypothetical fill
     VMs are packed into the remainder, and the leftovers are stranded.
-    """
-    oversub = _oversubscribable(scenario)
-    cluster_ids = list(clusters) if clusters else trace.cluster_ids()
-    slots = range(0, trace.n_slots, max(1, sample_every_slots))
-    # Store-backed traces evaluate every cluster's per-slot free vector and
-    # bottleneck in a handful of array passes; the totals below still
-    # accumulate slot by slot in the seed loop's order, so the sequential
-    # float additions (and every reported fraction) stay bitwise identical.
-    columnar_inputs = columnar.maybe_stranding_inputs(
-        trace, oversub, fill_vm, sample_every_slots, cluster_ids)
 
+    Every cluster's per-slot free vector and bottleneck come from a handful
+    of array passes over the store; the totals still accumulate slot by
+    slot in the reference's order, so the sequential float additions (and
+    every reported fraction) are bitwise those of
+    :func:`reference_measure_stranding`.  Raises ``ValueError`` for a
+    *fill_vm* that demands no resource, which would fit without bound.
+    """
+    oversub, cluster_ids = _scenario_inputs(trace, scenario, fill_vm, clusters)
+    return _stranding_result(trace, scenario, cluster_ids,
+                             columnar.stranding_inputs(
+                                 trace, oversub, fill_vm, sample_every_slots,
+                                 cluster_ids))
+
+
+def reference_measure_stranding(trace: Trace, scenario: str = "no-oversub",
+                                fill_vm: VMConfig = TYPICAL_VM_CONFIG,
+                                sample_every_slots: int = SLOTS_PER_DAY // 4,
+                                clusters: Optional[Sequence[str]] = None
+                                ) -> StrandingResult:
+    """Per-VM reference of :func:`measure_stranding`."""
+    oversub, cluster_ids = _scenario_inputs(trace, scenario, fill_vm, clusters)
+    per_cluster: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+    for cluster_id in cluster_ids:
+        capacity = trace.fleet.get(cluster_id).total_capacity()
+        cluster_vms = [vm for vm in trace.vms if vm.cluster_id == cluster_id]
+        frees: List[List[float]] = []
+        bottlenecks: List[int] = []
+        for slot in range(0, trace.n_slots, max(1, sample_every_slots)):
+            alive = [vm for vm in cluster_vms if vm.alive_at(slot)]
+            used = {r: 0.0 for r in ALL_RESOURCES}
+            for vm in alive:
+                for resource in ALL_RESOURCES:
+                    if oversub[resource]:
+                        used[resource] += vm.demand_at(resource, slot)
+                    else:
+                        used[resource] += vm.allocated(resource)
+            free = {r: max(0.0, capacity[r] - used[r]) for r in ALL_RESOURCES}
+            bottlenecks.append(ALL_RESOURCES.index(_fill_server(free, fill_vm)))
+            frees.append([free[r] for r in ALL_RESOURCES])
+        per_cluster[cluster_id] = (np.array(frees).T, np.array(bottlenecks))
+    return _stranding_result(trace, scenario, cluster_ids, per_cluster)
+
+
+def _scenario_inputs(trace: Trace, scenario: str, fill_vm: VMConfig,
+                     clusters: Optional[Sequence[str]]
+                     ) -> Tuple[Dict[Resource, bool], List[str]]:
+    oversub = _oversubscribable(scenario)
+    demand = fill_vm.allocation_vector()
+    if not any(demand[r] > 0 for r in ALL_RESOURCES):
+        raise ValueError(f"fill VM {fill_vm.name!r} demands no resource, so "
+                         f"any number of them fits a server")
+    return oversub, list(clusters) if clusters else trace.cluster_ids()
+
+
+def _stranding_result(trace: Trace, scenario: str, cluster_ids: Sequence[str],
+                      per_cluster: Dict[str, Tuple[np.ndarray, np.ndarray]]
+                      ) -> StrandingResult:
+    """Accumulate per-cluster ``(free, bottleneck_index)`` samples (shapes
+    ``(len(ALL_RESOURCES), n_samples)`` and ``(n_samples,)``) slot by slot."""
     stranded_totals = {r: 0.0 for r in ALL_RESOURCES}
     capacity_totals = {r: 0.0 for r in ALL_RESOURCES}
     bottleneck_counts = {r: 0 for r in ALL_RESOURCES}
@@ -91,43 +140,19 @@ def measure_stranding(trace: Trace, scenario: str = "no-oversub",
     samples = 0
 
     for cluster_id in cluster_ids:
-        cluster = trace.fleet.get(cluster_id)
-        capacity = cluster.total_capacity()
+        capacity = trace.fleet.get(cluster_id).total_capacity()
         cluster_counts = {r: 0 for r in ALL_RESOURCES}
         cluster_samples = 0
-
-        if columnar_inputs is not None:
-            free_matrix, bottleneck_index = columnar_inputs[cluster_id]
-            for j, _slot in enumerate(slots):
-                bottleneck = ALL_RESOURCES[bottleneck_index[j]]
-                samples += 1
-                cluster_samples += 1
-                bottleneck_counts[bottleneck] += 1
-                cluster_counts[bottleneck] += 1
-                for r_index, resource in enumerate(ALL_RESOURCES):
-                    stranded_totals[resource] += float(free_matrix[r_index, j])
-                    capacity_totals[resource] += capacity[resource]
-        else:
-            cluster_vms = [vm for vm in trace.vms if vm.cluster_id == cluster_id]
-            for slot in slots:
-                alive = [vm for vm in cluster_vms if vm.alive_at(slot)]
-                used = {r: 0.0 for r in ALL_RESOURCES}
-                for vm in alive:
-                    for resource in ALL_RESOURCES:
-                        if oversub[resource]:
-                            used[resource] += vm.demand_at(resource, slot)
-                        else:
-                            used[resource] += vm.allocated(resource)
-                free = {r: max(0.0, capacity[r] - used[r]) for r in ALL_RESOURCES}
-                bottleneck = _fill_server(free, fill_vm)
-
-                samples += 1
-                cluster_samples += 1
-                bottleneck_counts[bottleneck] += 1
-                cluster_counts[bottleneck] += 1
-                for resource in ALL_RESOURCES:
-                    stranded_totals[resource] += free[resource]
-                    capacity_totals[resource] += capacity[resource]
+        free_matrix, bottleneck_index = per_cluster[cluster_id]
+        for j in range(bottleneck_index.size):
+            bottleneck = ALL_RESOURCES[bottleneck_index[j]]
+            samples += 1
+            cluster_samples += 1
+            bottleneck_counts[bottleneck] += 1
+            cluster_counts[bottleneck] += 1
+            for r_index, resource in enumerate(ALL_RESOURCES):
+                stranded_totals[resource] += float(free_matrix[r_index, j])
+                capacity_totals[resource] += capacity[resource]
 
         per_cluster_counts[cluster_id] = {
             r: (cluster_counts[r] / cluster_samples if cluster_samples else 0.0)
@@ -148,4 +173,12 @@ def stranding_by_scenario(trace: Trace,
                           **kwargs) -> Dict[str, StrandingResult]:
     """Figures 4 and 5: stranding and bottlenecks for every scenario."""
     return {scenario: measure_stranding(trace, scenario, **kwargs)
+            for scenario in scenarios}
+
+
+def reference_stranding_by_scenario(
+        trace: Trace, scenarios: Sequence[str] = OVERSUBSCRIPTION_SCENARIOS,
+        **kwargs) -> Dict[str, StrandingResult]:
+    """:func:`stranding_by_scenario` over :func:`reference_measure_stranding`."""
+    return {scenario: reference_measure_stranding(trace, scenario, **kwargs)
             for scenario in scenarios}

@@ -17,7 +17,7 @@ def vm_week_profile(vm: VMRecord, resource: Resource = Resource.CPU,
                     window_hours: int = 8) -> Dict[str, np.ndarray]:
     """Figure 7: a VM's utilization with per-window current and lifetime maxima.
 
-    The raw utilization comes back as a read-only view: for store-backed VMs
+    The raw utilization comes back as a read-only view: for a trace's VMs
     ``series.values`` is already a zero-copy slice of the shared telemetry
     buffer, and copying it per figure would defeat that layout.
     """
@@ -42,10 +42,14 @@ def peaks_and_valleys_by_window(trace: Trace, resource: Resource = Resource.CPU,
     normalised by the number of VM-days with a peak (valley) on that weekday,
     as the paper does.
     """
-    result = columnar.maybe_peaks_and_valleys(trace, resource, window_hours,
-                                              min_days, threshold)
-    if result is not None:
-        return result
+    return columnar.peaks_and_valleys(trace, resource, window_hours, min_days,
+                                      threshold)
+
+
+def reference_peaks_and_valleys_by_window(
+        trace: Trace, resource: Resource = Resource.CPU, window_hours: int = 4,
+        min_days: float = 1.0, threshold: float = 0.05) -> Dict[str, np.ndarray]:
+    """Per-VM reference of :func:`peaks_and_valleys_by_window`."""
     config = TimeWindowConfig(window_hours)
     peak_counts = np.zeros((7, config.windows_per_day))
     valley_counts = np.zeros((7, config.windows_per_day))
@@ -87,12 +91,17 @@ def peak_consistency_cdf(trace: Trace, resource: Resource = Resource.CPU,
     For each window length, returns the fraction of (VM, window, day-pair)
     samples whose absolute difference is at most each grid value.
     """
-    grid = list(diff_grid) if diff_grid is not None else [x / 100 for x in range(0, 55, 5)]
-    result = columnar.maybe_peak_consistency_cdf(trace, resource,
-                                                 window_hours_sweep, min_days,
-                                                 grid)
-    if result is not None:
-        return result
+    return columnar.peak_consistency_cdf(trace, resource, window_hours_sweep,
+                                         min_days, _diff_grid(diff_grid))
+
+
+def reference_peak_consistency_cdf(
+        trace: Trace, resource: Resource = Resource.CPU,
+        window_hours_sweep: Sequence[int] = SWEEP_WINDOW_HOURS,
+        min_days: float = 2.0, diff_grid: Optional[Sequence[float]] = None
+) -> Dict[int, Dict[str, List[float]]]:
+    """Per-VM reference of :func:`peak_consistency_cdf`."""
+    grid = _diff_grid(diff_grid)
     results: Dict[int, Dict[str, List[float]]] = {}
     vms = trace.long_running(min_days).vms
     for window_hours in window_hours_sweep:
@@ -109,6 +118,10 @@ def peak_consistency_cdf(trace: Trace, resource: Resource = Resource.CPU,
             cdf = [0.0 for _ in grid]
         results[window_hours] = {"diff_threshold": [float(g) for g in grid], "cdf": cdf}
     return results
+
+
+def _diff_grid(diff_grid: Optional[Sequence[float]]) -> List[float]:
+    return list(diff_grid) if diff_grid is not None else [x / 100 for x in range(0, 55, 5)]
 
 
 def fraction_consistent(trace: Trace, resource: Resource = Resource.CPU,

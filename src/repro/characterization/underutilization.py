@@ -14,13 +14,16 @@ from repro.trace.trace import Trace
 def utilization_scatter(trace: Trace, min_days: float = 1.0) -> Dict[str, List[float]]:
     """Figure 6: mean utilization and P95-P5 range for CPU and memory per VM.
 
-    Store-backed traces take the columnar path (segment means plus one
-    sorted-segment percentile pass); the per-VM loop below is the reference
-    implementation, and the two agree bitwise.
+    Segment means plus one sorted-segment percentile pass over the store
+    (:func:`repro.characterization.columnar.utilization_scatter`), bitwise
+    equal to :func:`reference_utilization_scatter`.
     """
-    result = columnar.maybe_utilization_scatter(trace, min_days)
-    if result is not None:
-        return result
+    return columnar.utilization_scatter(trace, min_days)
+
+
+def reference_utilization_scatter(trace: Trace, min_days: float = 1.0
+                                  ) -> Dict[str, List[float]]:
+    """Per-VM reference of :func:`utilization_scatter`."""
     rows: Dict[str, List[float]] = {
         "vm_id": [], "cpu_mean": [], "memory_mean": [],
         "cpu_range": [], "memory_range": [],
@@ -39,7 +42,16 @@ def utilization_scatter(trace: Trace, min_days: float = 1.0) -> Dict[str, List[f
 
 def utilization_summary(trace: Trace, min_days: float = 1.0) -> Dict[str, float]:
     """Headline statistics quoted in the Section 2.3 text."""
-    scatter = utilization_scatter(trace, min_days)
+    return _summarize(utilization_scatter(trace, min_days))
+
+
+def reference_utilization_summary(trace: Trace, min_days: float = 1.0
+                                  ) -> Dict[str, float]:
+    """:func:`utilization_summary` over :func:`reference_utilization_scatter`."""
+    return _summarize(reference_utilization_scatter(trace, min_days))
+
+
+def _summarize(scatter: Dict[str, List[float]]) -> Dict[str, float]:
     cpu_mean = np.asarray(scatter["cpu_mean"])
     mem_range = np.asarray(scatter["memory_range"])
     cpu_range = np.asarray(scatter["cpu_range"])

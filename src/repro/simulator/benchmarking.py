@@ -299,69 +299,65 @@ def _isnan(values: np.ndarray) -> np.ndarray:
 def run_characterization_suite(trace: Trace) -> Dict[str, object]:
     """The Section-2 statistic suite timed by the characterization benchmark.
 
-    One call per rewired statistic family (Figures 2-12), with the window
-    sweeps trimmed to representative lengths so the reference pass stays
+    One call per statistic family (Figures 2-12), with the window sweeps
+    trimmed to representative lengths so the reference pass stays
     benchmarkable.  :func:`measure_characterization_throughput` times
-    exactly this function, once over the columnar dispatch and once over
-    the per-VM reference, and ``perfbench/`` times it as its
+    exactly this suite, once over the public statistics and once over
+    their ``reference_*`` loops, and ``perfbench/`` times it as its
     characterization stage, so the gated speedup and the end-to-end stage
     measure the same suite.
     """
+    return _characterization_suite(trace, "")
+
+
+def _characterization_suite(trace: Trace, prefix: str) -> Dict[str, object]:
+    """The suite over the statistics named ``prefix + <statistic>``."""
     # Imported here (not module level): characterization sits above the
-    # simulator in the layering, and only this harness needs it.
-    from repro.characterization import (
-        cluster_savings,
-        group_predictability,
-        median_vm_shape,
-        peak_consistency_cdf,
-        peaks_and_valleys_by_window,
-        resource_hours_by_duration,
-        resource_hours_by_size,
-        stranding_by_scenario,
-        utilization_scatter,
-        utilization_summary,
-        weekly_savings_profile,
-    )
+    # simulator in the layering, and only this harness needs it.  Looked
+    # up per call, so a wrapper installed on the package is what runs.
+    import repro.characterization as characterization
     from repro.trace.timeseries import SLOTS_PER_DAY
 
+    def statistic(name: str):
+        return getattr(characterization, prefix + name)
+
     return {
-        "duration": resource_hours_by_duration(trace),
-        "size": resource_hours_by_size(trace),
-        "shape": median_vm_shape(trace),
-        "scatter": utilization_scatter(trace),
-        "summary": utilization_summary(trace),
-        "peaks": peaks_and_valleys_by_window(trace),
-        "consistency": peak_consistency_cdf(trace, window_hours_sweep=[1, 4, 24]),
-        "savings": cluster_savings(trace, window_hours_sweep=[24, 4, 1]),
-        "weekly": weekly_savings_profile(trace, window_hours_sweep=[4]),
-        "stranding": stranding_by_scenario(
+        "duration": statistic("resource_hours_by_duration")(trace),
+        "size": statistic("resource_hours_by_size")(trace),
+        "shape": statistic("median_vm_shape")(trace),
+        "scatter": statistic("utilization_scatter")(trace),
+        "summary": statistic("utilization_summary")(trace),
+        "peaks": statistic("peaks_and_valleys_by_window")(trace),
+        "consistency": statistic("peak_consistency_cdf")(
+            trace, window_hours_sweep=[1, 4, 24]),
+        "savings": statistic("cluster_savings")(
+            trace, window_hours_sweep=[24, 4, 1]),
+        "weekly": statistic("weekly_savings_profile")(
+            trace, window_hours_sweep=[4]),
+        "stranding": statistic("stranding_by_scenario")(
             trace, sample_every_slots=SLOTS_PER_DAY // 2),
-        "predictability": group_predictability(trace),
+        "predictability": statistic("group_predictability")(trace),
     }
 
 
 def measure_characterization_throughput(trace: Trace) -> Dict[str, object]:
     """Wall-clock of the Section-2 suite: columnar vs per-VM reference.
 
-    *trace* must be store-backed; the reference pass runs the same suite on
-    ``trace.without_store()`` -- the identical VM views minus the columnar
-    dispatch, i.e. the seed per-VM loops reading the same buffers.  Raises
-    ``AssertionError`` if any statistic diverges bitwise.  One warm-up
-    pass per side keeps first-call numpy setup out of the timings.
+    The reference pass runs the same suite through each statistic's
+    ``reference_*`` loop, reading the same buffers through the trace's row
+    views.  Raises ``AssertionError`` if any statistic diverges bitwise.
+    One warm-up pass per side keeps first-call numpy setup out of the
+    timings.
     """
-    if trace.store is None:
-        trace = TraceStore.from_trace(trace).as_trace()
-    reference_trace = trace.without_store()
-
     run_characterization_suite(trace)
-    run_characterization_suite(reference_trace)
+    _characterization_suite(trace, "reference_")
 
     begin = time.perf_counter()
     columnar_results = run_characterization_suite(trace)
     columnar_seconds = time.perf_counter() - begin
 
     begin = time.perf_counter()
-    reference_results = run_characterization_suite(reference_trace)
+    reference_results = _characterization_suite(trace, "reference_")
     reference_seconds = time.perf_counter() - begin
 
     assert_results_identical(reference_results, columnar_results)
@@ -381,45 +377,48 @@ def measure_sweep_task_footprint(trace: Trace,
                                  ) -> Dict[str, object]:
     """Per-worker bytes shipped by a sweep task: pickled trace vs staged store.
 
-    A pickle-transport :class:`SweepTask` carries the whole trace, so every
-    worker unpickles (and then owns) a private copy of the telemetry; a
-    staged task carries only the path of the store the pooled sweep saves
-    once, and workers memory-map it, sharing one page-cache copy.  The
-    pickled task size is the exact number of bytes each worker must
+    A pickle-transport task carries the whole trace, so every worker
+    unpickles (and then owns) a private copy of the telemetry; a staged
+    :class:`SweepTask` carries only the path of the store the pooled sweep
+    saves once, and workers memory-map it, sharing one page-cache copy.
+    The pickled task size is the exact number of bytes each worker must
     receive *and materialize*, which makes it the deterministic proxy for
-    per-worker sweep memory that the trace-store benchmark gates.  Also times
-    unpickling the trace task against a worker's open of the staged store
-    (the per-worker startup cost the transports trade).
+    per-worker sweep memory that the trace-store benchmark gates.  Also
+    times unpickling the trace task against a worker's open of the staged
+    store (the per-worker startup cost the transports trade): five times
+    each, alternating, and the minima are reported, so one descheduled
+    sample cannot decide the comparison.
     """
     config = config or SimulationConfig()
-    # The pickled baseline must model the seed transport -- the same
-    # store-stripped payload the sweep's pickle fallback ships -- or a
-    # store-backed input would flatter the staged reduction.
+    # The pickled baseline models the seed transport: the VM records, the
+    # fleet, n_slots and the subscriptions, with no store beside them (a
+    # store would ship the telemetry a second time).
     pickled_task = pickle.dumps(
-        SweepTask("coach", COACH_POLICY, trace.without_store(), config),
+        ("coach", COACH_POLICY, list(trace.vms), trace.fleet, trace.n_slots,
+         trace.subscriptions, config),
         protocol=pickle.HIGHEST_PROTOCOL)
 
-    store = trace.store if trace.store is not None else TraceStore.from_trace(trace)
+    store = trace.store
     with tempfile.TemporaryDirectory(prefix="repro-sweep-") as staging:
         store.save(staging)
         staged_task = pickle.dumps(
             SweepTask("coach", COACH_POLICY, None, config, store_path=staging),
             protocol=pickle.HIGHEST_PROTOCOL)
 
-        begin = time.perf_counter()
-        unpickled = pickle.loads(pickled_task)
-        unpickle_seconds = time.perf_counter() - begin
-        n_vms = len(unpickled.trace.vms)
-
-        begin = time.perf_counter()
-        opened = TraceStore.open(pickle.loads(staged_task).store_path,
-                                 mmap=True).as_trace()
-        open_seconds = time.perf_counter() - begin
-        if [vm.vm_id for vm in opened.vms] != \
-                [vm.vm_id for vm in unpickled.trace.vms]:
+        unpickle_seconds = open_seconds = float("inf")
+        for _ in range(5):
+            begin = time.perf_counter()
+            unpickled = pickle.loads(pickled_task)[2]
+            unpickle_seconds = min(unpickle_seconds,
+                                   time.perf_counter() - begin)
+            begin = time.perf_counter()
+            opened = TraceStore.open(pickle.loads(staged_task).store_path,
+                                     mmap=True).as_trace()
+            open_seconds = min(open_seconds, time.perf_counter() - begin)
+        if [vm.vm_id for vm in opened.vms] != [vm.vm_id for vm in unpickled]:
             raise AssertionError("staged trace diverged from pickled trace")
     return {
-        "n_vms": n_vms,
+        "n_vms": len(unpickled),
         "util_nbytes": store.util_nbytes,
         "pickled_task_bytes": len(pickled_task),
         "staged_task_bytes": len(staged_task),
@@ -456,9 +455,9 @@ def measure_streaming_ingest(config: TraceGeneratorConfig,
     Runs the same generator configuration twice from the same seed: once
     through ``generate_to_store`` (one VM record alive at a time,
     telemetry appended straight to disk) and once through the eager shape
-    (``generate()`` materializing every record, then
-    ``TraceStore.from_trace(...).save(...)`` concatenating the full flat
-    buffers), each under tracemalloc.  Asserts the two stores are
+    (``generate()`` materializing every record and encoding them into the
+    full flat buffers, then ``trace.store.save(...)``), each under
+    tracemalloc.  Asserts the two stores are
     byte-identical and that the streaming one opens via
     ``TraceStore.open(mmap=True)`` -- the correctness half of the claim --
     then reports the peak-memory ratio and ingest rate, the numbers the
@@ -478,7 +477,7 @@ def measure_streaming_ingest(config: TraceGeneratorConfig,
     tracemalloc.start()
     begin = time.perf_counter()
     trace = TraceGenerator(config).generate()
-    TraceStore.from_trace(trace).save(eager_path)
+    trace.store.save(eager_path)
     eager_seconds = time.perf_counter() - begin
     _current, eager_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -524,7 +523,7 @@ def measure_mmap_bounded_replay(trace: Trace, workdir,
     the same buffer, so they must be bitwise identical) or if the streaming
     peak exceeds the budget.
     """
-    store = trace.store if trace.store is not None else TraceStore.from_trace(trace)
+    store = trace.store
     path = Path(workdir) / "trace-store"
     store.save(path)
     buffer_nbytes = store.util_nbytes

@@ -176,17 +176,11 @@ class ClusterSimulation:
         self.crashed_vms = 0
 
     def run(self) -> ClusterRunResult:
-        store = self.trace.store
-        if store is not None:
-            # Columnar fast path: one whole-column comparison instead of a
-            # Python attribute walk over every VM in the trace.
-            vms = self.trace.vms
-            eval_vms = [vms[i] for i in store.arrivals_for(
-                self.cluster_id, self.config.placement_start_slot)]
-        else:
-            eval_vms = [vm for vm in self.trace.vms
-                        if vm.cluster_id == self.cluster_id
-                        and vm.start_slot >= self.config.placement_start_slot]
+        # One whole-column comparison instead of a Python attribute walk
+        # over every VM in the trace.
+        vms = self.trace.vms
+        eval_vms = [vms[i] for i in self.trace.store.arrivals_for(
+            self.cluster_id, self.config.placement_start_slot)]
         eval_vms.sort(key=lambda vm: (vm.start_slot, vm.vm_id))
 
         # Event-driven replay: before each arrival batch, release VMs that

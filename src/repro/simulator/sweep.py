@@ -27,20 +27,19 @@ Trace transport
 Shipping the trace itself is the sweep's memory bill: pickling one
 :class:`SweepTask` per policy makes every worker unpickle a private copy of
 the full telemetry (``sweep_parallelism * trace_size`` bytes at peak).  So
-the pooled sweep saves the trace once as an on-disk
-:class:`~repro.trace.store.TraceStore` (columnarizing an object trace
-first) in a private ``tempfile.mkdtemp`` directory, and every task carries
+the pooled sweep saves the trace's :class:`~repro.trace.store.TraceStore`
+once in a private ``tempfile.mkdtemp`` directory, and every task carries
 only that store's path.  Workers ``TraceStore.open(path, mmap=True)`` it,
 so their input passes ``open``'s file checks and all of them read one
-copy through the page cache.  A trace that cannot columnarize
-(non-uniform telemetry, ``ValueError``) or a temp directory that cannot be
-created or written (``OSError``) falls back to pickling the trace into
-every task.  The parent removes the directory in a ``finally`` around the
-pool, so neither a failing policy nor an abruptly dying worker leaves it
-behind; only a SIGKILL of the sweeping process itself does (a
-``repro-sweep-*`` directory in the temp dir).  Workers read the exact
-float values the parent holds, so both paths are bitwise identical (pinned
-in ``tests/test_golden_trace.py``).
+copy through the page cache.  A temp directory that cannot be created or
+written (``OSError``) falls back to pickling the compacted store into
+every task.  Either way a worker builds its trace with ``as_trace()``.
+The parent removes the directory in a ``finally`` around the pool, so
+neither a failing policy nor an abruptly dying worker leaves it behind;
+only a SIGKILL of the sweeping process itself does (a ``repro-sweep-*``
+directory in the temp dir).  Workers read the exact float values the
+parent holds, so both paths are bitwise identical (pinned in
+``tests/test_golden_trace.py``).
 
 Failure contract
 ----------------
@@ -82,17 +81,17 @@ _MP_START_METHOD = "spawn"
 class SweepTask:
     """One unit of sweep work: evaluate a single policy on a trace.
 
-    The task is fully self-contained and picklable -- the trace (or the
-    path of the on-disk store standing in for it), the policy, and the
-    simulation knobs travel together -- so it can be shipped to a spawned
-    worker process that shares no state with the parent.  Exactly one of
-    ``trace`` / ``store_path`` is set: with a path, the worker memory-maps
-    the staged store instead of unpickling a private copy of the trace.
+    The task is fully self-contained and picklable -- the trace's store (or
+    the path of its on-disk copy), the policy, and the simulation knobs
+    travel together -- so it can be shipped to a spawned worker process
+    that shares no state with the parent.  Exactly one of ``store`` /
+    ``store_path`` is set: with a path, the worker memory-maps the staged
+    store instead of unpickling a private copy of the telemetry.
     """
 
     policy_name: str
     policy: PolicyConfig
-    trace: Optional[Trace]
+    store: Optional[TraceStore]
     config: SimulationConfig
     store_path: Optional[str] = None
 
@@ -146,11 +145,10 @@ def run_sweep_task(task: SweepTask) -> _SweepOutcome:
     damaged staged store: ``open`` raises ``ValueError`` naming the file.
     """
     try:
+        store = task.store
         if task.store_path is not None:
-            trace = TraceStore.open(task.store_path, mmap=True).as_trace()
-        else:
-            trace = task.trace
-        evaluation = simulate_policy(trace, task.policy, task.config)
+            store = TraceStore.open(task.store_path, mmap=True)
+        evaluation = simulate_policy(store.as_trace(), task.policy, task.config)
         return _SweepOutcome(task.policy_name, evaluation=evaluation)
     except Exception as exc:  # noqa: BLE001 -- the parent re-raises with context
         failure = _SweepFailure(type(exc).__name__, str(exc),
@@ -265,22 +263,12 @@ def _sweep_with_pool(trace: Trace, policies: Dict[str, PolicyConfig],
     try:
         store_path: Optional[str] = None
         try:
-            store = trace.store if trace.store is not None \
-                else TraceStore.from_trace(trace)
-        except ValueError:  # non-uniform telemetry cannot columnarize
-            store = None
-        if store is not None:
-            try:
-                staging = tempfile.mkdtemp(prefix="repro-sweep-")
-                store_path = str(store.save(staging))
-            except OSError:
-                pass  # no writable temp dir: pickle instead
-        if store_path is None:
-            # The pickle fallback must carry exactly the seed payload -- one
-            # object trace per worker, not the store's buffers on top of it.
-            trace = trace.without_store()
-        tasks = [SweepTask(name, policy, None if store_path else trace, config,
-                           store_path=store_path)
+            staging = tempfile.mkdtemp(prefix="repro-sweep-")
+            store_path = str(trace.store.save(staging))
+        except OSError:
+            pass  # no writable temp dir: every task carries the store
+        store = None if store_path else trace.store.compact()
+        tasks = [SweepTask(name, policy, store, config, store_path=store_path)
                  for name, policy in policies.items()]
         if executor is not None:
             # Caller-owned pool: reuse its warm workers, never shut it

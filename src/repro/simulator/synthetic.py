@@ -21,7 +21,6 @@ from repro.core.windows import plan_vm
 from repro.prediction.utilization_model import WindowUtilizationPrediction
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.hardware import ClusterConfig
-from repro.trace.store import TraceStore
 from repro.trace.timeseries import SLOTS_PER_DAY, TimeWindowConfig, UtilizationSeries
 from repro.trace.trace import Trace
 from repro.trace.vm import VM_CATALOG, VMRecord
@@ -227,16 +226,13 @@ def build_chunked_bench_state(
         n_days=14 if smoke else 28, seed=seed)
 
 
-def generate_sweep_bench_trace(*, smoke: bool = False,
-                               columnar: bool = False) -> Trace:
+def generate_sweep_bench_trace(*, smoke: bool = False) -> Trace:
     """The multi-week trace swept by the sweep wall-clock measurements."""
     return generate_multiweek_trace(n_days=14 if smoke else 21,
-                                    n_vms=300 if smoke else 500,
-                                    columnar=columnar)
+                                    n_vms=300 if smoke else 500)
 
 
-def generate_store_bench_trace(*, smoke: bool = False,
-                               columnar: bool = False) -> Trace:
+def generate_store_bench_trace(*, smoke: bool = False) -> Trace:
     """The trace behind the trace-store benchmarks (footprint, filters, mmap).
 
     Telemetry-dense on purpose: a long horizon with a moderate VM count, so
@@ -248,8 +244,7 @@ def generate_store_bench_trace(*, smoke: bool = False,
     """
     return generate_multiweek_trace(n_days=42 if smoke else 84,
                                     n_vms=250 if smoke else 500,
-                                    servers_per_cluster=2,
-                                    columnar=columnar)
+                                    servers_per_cluster=2)
 
 
 def build_multiweek_replay_state(
@@ -286,7 +281,7 @@ def build_multiweek_replay_state(
 def streaming_ingest_config(*, smoke: bool = False) -> TraceGeneratorConfig:
     """The month-scale workload of the streaming-ingest benchmark.
 
-    Sized so the eager path (object trace + concatenated buffers, all in
+    Sized so the eager path (every VM record + concatenated buffers, all in
     RAM at once) visibly dwarfs the streaming builder's one record at a
     time -- the regime ``generate_to_store`` exists for.  Ingests of the ~1M-VM
     scale documented in ``docs/trace_store.md`` use the same code path
@@ -307,7 +302,6 @@ def generate_multiweek_trace(
     seed: int = 2025,
     n_subscriptions: int = 40,
     servers_per_cluster: int = 1,
-    columnar: bool = False,
 ) -> Trace:
     """A multi-week synthetic trace for sweep benchmarks and scale tests.
 
@@ -315,11 +309,6 @@ def generate_multiweek_trace(
     sweep benchmark and the streaming-replay demonstrations need the *same*
     long trace so their numbers are comparable PR over PR, which is why the
     parameter set lives here instead of inline in each benchmark.
-
-    With ``columnar=True`` the trace comes back store-backed
-    (:class:`~repro.trace.store.TraceStore` columns with zero-copy row
-    views); the VM population and every telemetry value are identical
-    either way.
     """
     if n_days < 14:
         raise ValueError(f"a multi-week trace needs n_days >= 14, got {n_days}")
@@ -327,7 +316,4 @@ def generate_multiweek_trace(
         n_vms=n_vms, n_days=n_days, seed=seed,
         n_subscriptions=n_subscriptions,
         servers_per_cluster=servers_per_cluster)
-    trace = TraceGenerator(config).generate()
-    if columnar:
-        return TraceStore.from_trace(trace).as_trace()
-    return trace
+    return TraceGenerator(config).generate()

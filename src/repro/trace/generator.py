@@ -329,17 +329,16 @@ class TraceGenerator:
     def generate_to_store(self, path) -> Path:
         """Generate straight into an on-disk :class:`TraceStore` layout.
 
-        The eager path (``generate()`` then ``TraceStore.from_trace(...)
-        .save(...)``) holds every :class:`VMRecord` and the concatenated
-        telemetry buffers in RAM at once; this path appends each VM to a
+        The eager path (``generate()`` then ``trace.store.save(...)``)
+        holds every :class:`VMRecord` and the concatenated telemetry
+        buffers in RAM at once; this path appends each VM to a
         :class:`~repro.trace.store.TraceStoreBuilder` as it is drawn, so
         peak memory is bounded by one record -- month-scale / million-VM
         traces ingest under a fixed budget.
 
         Exactness: both paths consume the identical RNG stream
-        (``_population`` then ``_sample_vm`` per index), and the builder is
-        byte-identical to ``from_trace + save``, so the store written here
-        equals the eager store bit for bit --
+        (``_population`` then ``_sample_vm`` per index), and the builder
+        writes the bytes the eager store's ``save`` writes --
         ``tests/test_trace_store_builder.py`` pins this.
 
         Returns *path*; open the result with ``TraceStore.open(path,
@@ -386,7 +385,7 @@ def generate_trace_to_store(path, n_vms: int = 2000, n_days: int = 14,
                             seed: int = 2024, **kwargs: object) -> Path:
     """Convenience wrapper: stream a generated trace straight to disk.
 
-    Byte-identical to ``TraceStore.from_trace(generate_trace(...)).save(path)``
+    Byte-identical to ``generate_trace(...).store.save(path)``
     for the same parameters, but holds one VM record in memory at a time.
     """
     config = TraceGeneratorConfig(n_vms=n_vms, n_days=n_days, seed=seed, **kwargs)  # type: ignore[arg-type]

@@ -1,13 +1,14 @@
 """Columnar trace storage: struct-of-arrays VM metadata plus flat telemetry.
 
-The object representation of a trace -- a ``List[VMRecord]``, each holding a
-``Dict[Resource, UtilizationSeries]`` -- is convenient for per-VM callers but
+A list of ``VMRecord`` objects, each holding a
+``Dict[Resource, UtilizationSeries]``, is convenient for per-VM callers but
 expensive at scale: filtering walks Python objects, every sweep worker
-unpickles its own full copy of the telemetry, and the whole trace must live
-in RAM to be replayed.  :class:`TraceStore` is the dense formulation (the
-same move :class:`~repro.core.scheduler.ClusterLedger` made for scheduling
-state and :class:`~repro.simulator.replay.VectorizedViolationMeter` for
-contention accounting):
+would unpickle its own full copy of the telemetry, and the whole trace
+must live in RAM to be replayed.  :class:`TraceStore` is the dense
+formulation (the same move :class:`~repro.core.scheduler.ClusterLedger`
+made for scheduling state and
+:class:`~repro.simulator.replay.VectorizedViolationMeter` for contention
+accounting), and it is the one layout every :class:`Trace` has:
 
 * all VM metadata lives in parallel numpy columns (``start_slot``,
   ``end_slot``, per-resource allocations, cluster/config indices,
@@ -20,8 +21,9 @@ contention accounting):
 Per-VM callers keep working unchanged: :meth:`TraceStore.as_trace`
 materializes ordinary :class:`VMRecord` objects whose ``UtilizationSeries``
 *views* slice the shared buffer without copying (the ``ServerAccount``-over-
-``ClusterLedger`` pattern).  A store-backed :class:`Trace` carries its store
-in ``Trace.store`` and routes the hot filters through the columns.
+``ClusterLedger`` pattern).  A :class:`Trace` carries its store in
+``Trace.store`` and routes the hot filters through the columns; a trace
+built from records encodes them with :meth:`from_trace`.
 
 The columns have one on-disk format (:meth:`save` / :meth:`open`): an
 ``.npz`` of metadata columns plus one raw ``.npy`` buffer per resource.
@@ -37,7 +39,7 @@ fails there, by name -- in a sweep worker as anywhere else.
 The write side has a streaming counterpart: :class:`TraceStoreBuilder`
 appends one VM's metadata row and telemetry at a time directly to the
 on-disk layout, so a trace larger than RAM can be *ingested* without ever
-holding an object trace (or the flat buffers) in memory.  Builder output
+holding every VM record (or the flat buffers) in memory.  Builder output
 is byte-identical to ``from_trace(...).save(...)`` for the same VMs, so
 ``open(mmap=True)`` reads it unchanged: both paths turn VMs into rows
 with one encoder (:class:`_RowEncoder`) and write ``meta.json`` and
@@ -49,10 +51,10 @@ Exactness contract
 Telemetry is float64, the dtype of every ``UtilizationSeries`` built
 through its constructor, and this module is the one place that decides
 it: the encoder rejects any other series dtype, ``open`` rejects any
-other buffer dtype, and ``meta.json`` records it.  So a store-backed
-replay reads the very samples the object path reads and is *bitwise*
-identical to it -- ``tests/test_trace_store.py`` and the golden-trace pins
-assert this.
+other buffer dtype, and ``meta.json`` records it.  So the buffers hold
+the very samples the encoded records held, and every result computed
+from them is *bitwise* identical to the per-VM reference loops --
+``tests/test_trace_store.py`` and the golden-trace pins assert this.
 """
 
 # repro: hot-path  -- REP003: telemetry buffers must stay zero-copy here;
@@ -222,6 +224,9 @@ def rowwise_mean(buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
 
 #: The dtype of every telemetry sample and buffer.
 _TELEMETRY_DTYPE = np.dtype(np.float64)
+#: What :meth:`TraceStore.buffer` returns for a store without rows.
+_NO_SAMPLES = np.empty(0, dtype=_TELEMETRY_DTYPE)
+_NO_SAMPLES.setflags(write=False)
 #: File names of the on-disk layout.
 _META_FILE = "meta.json"
 _COLUMNS_FILE = "columns.npz"
@@ -371,9 +376,8 @@ def _write_metadata(path: Path, state: Dict[str, object],
 class TraceStore:
     """Struct-of-arrays trace: metadata columns plus flat telemetry buffers.
 
-    Build one with :meth:`from_trace` (from an object trace) or
-    :meth:`open` (from disk).
-    Row ``i`` of every column describes the same VM, and a store-backed
+    Build one with :meth:`from_trace` (from VM records) or :meth:`open`
+    (from disk).  Row ``i`` of every column describes the same VM, and a
     :class:`Trace` keeps ``trace.vms[i]`` in lockstep with row ``i``.
     """
 
@@ -420,7 +424,8 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_trace(cls, trace: Trace) -> "TraceStore":
-        """Columnarize an object trace.
+        """Encode a trace's VM records (``Trace`` does this for a trace
+        built from records).
 
         The telemetry buffers hold the source samples unchanged, so every
         downstream replay/characterization result is bitwise identical to
@@ -532,14 +537,25 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # Telemetry segment reductions (see the kernels at module level)
     # ------------------------------------------------------------------ #
+    def buffer(self, resource: Resource) -> np.ndarray:
+        """The flat telemetry buffer of *resource*.
+
+        A store without rows reads every resource as empty: one encoded
+        from no VMs holds no buffers at all, because the first VM fixes
+        the resource set.
+        """
+        if not len(self):
+            return _NO_SAMPLES
+        return self.util[resource]
+
     def segment_max(self, resource: Resource) -> np.ndarray:
         """Per-VM ``series.maximum()`` for one resource, in one reduceat."""
-        return segment_reduce(np.maximum, self.util[resource],
+        return segment_reduce(np.maximum, self.buffer(resource),
                               self.row_offset, self.row_length)
 
     def segment_mean(self, resource: Resource) -> np.ndarray:
         """Per-VM ``series.mean()``, bitwise-identical (see rowwise_mean)."""
-        return rowwise_mean(self.util[resource], self.row_offset,
+        return rowwise_mean(self.buffer(resource), self.row_offset,
                             self.row_length)
 
     def segment_percentiles(self, resource: Resource,
@@ -550,7 +566,7 @@ class TraceStore:
         interpolation -- bitwise identical to per-VM ``np.percentile`` on
         float64 buffers (see :func:`segment_percentiles`).
         """
-        return segment_percentiles(self.util[resource], self.row_offset,
+        return segment_percentiles(self.buffer(resource), self.row_offset,
                                    self.row_length, pcts)
 
     def utilization_matrix(self, resource: Resource, n_slots: int,
@@ -558,10 +574,9 @@ class TraceStore:
                            absolute: bool = True) -> np.ndarray:
         """Dense ``(n_rows, n_slots)`` demand matrix via one flat scatter.
 
-        The reference twin is the per-VM loop in
-        :meth:`repro.trace.trace.Trace.utilization_matrix`; this kernel
-        replaces it with a single fancy-indexed assignment into the
-        flattened matrix.  Bitwise contract: the reference computes
+        One fancy-indexed assignment into the flattened matrix instead of
+        a per-VM loop.  Bitwise contract: the per-VM loop (kept as the
+        oracle in ``tests/test_trace_store.py``) computes
         ``series.values[:k] * scale`` per VM, and each entry below is the
         same float64 product of the same two factors.
 
@@ -573,7 +588,7 @@ class TraceStore:
             rows = np.arange(len(self), dtype=np.intp)
         else:
             rows = np.asarray(rows, dtype=np.intp)
-        buffer = self.util[resource]
+        buffer = self.buffer(resource)
         series_start = self.series_start[rows]
         eff_len = np.minimum(self.row_length[rows], n_slots - series_start)
         np.maximum(eff_len, 0, out=eff_len)
@@ -702,7 +717,7 @@ class TraceStore:
     # Object views
     # ------------------------------------------------------------------ #
     def as_trace(self) -> Trace:
-        """A store-backed :class:`Trace`: row views plus vectorized filters.
+        """A :class:`Trace` over this store: row views plus vectorized filters.
 
         ``vms[i]`` is an ordinary :class:`VMRecord` for row ``i`` whose
         series slice the shared buffers (telemetry is not copied).  Every
@@ -1035,7 +1050,7 @@ class _RowEncoder:
 class TraceStoreBuilder:
     """Stream VM records straight into the on-disk :class:`TraceStore` layout.
 
-    ``from_trace(...).save(...)`` needs the whole object trace (and the
+    ``from_trace(...).save(...)`` needs every VM record (and the
     concatenated flat buffers) in RAM at once; the builder needs only the
     per-VM metadata columns (a few bytes per VM) plus the one record being
     appended -- telemetry goes to the ``util_<resource>.npy`` buffers as it

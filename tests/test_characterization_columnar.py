@@ -1,20 +1,25 @@
-"""Differential suite: columnar characterization vs the per-VM reference.
+"""Differential suite: each columnar statistic vs its per-VM reference.
 
-Every statistic rewired onto the segment-reduce kernels is pinned against
-the seed per-VM path on two store backends, and results must be *bitwise*
-identical on both (the columnar exactness contract):
+Every statistic computed by the segment-reduce kernels has a
+``reference_<statistic>`` beside it: the seed per-VM loop, reading the same
+telemetry through the trace's zero-copy row views.  Results must be
+*bitwise* identical (the columnar exactness contract) on every kind of
+trace the kernels see:
 
-* **dense** -- ``TraceStore.from_trace``;
+* **dense** -- the generator's trace, encoded in memory;
 * **mmap** -- the same store round-tripped through ``save``/``open(mmap=True)``
-  (read-only memory-mapped buffers).
+  (read-only memory-mapped buffers);
+* **edge** -- single-sample VMs and VMs shorter than one time window;
+* **empty** -- no VMs at all, so a store without telemetry buffers.
 
-The reference side is ``trace.without_store()``: the identical zero-copy VM
-views minus the columnar dispatch, i.e. the seed loops reading the same
-buffers.  Edge cases -- an empty trace, single-sample VMs, and VMs shorter
-than one time window -- get a handmade trace of their own.
+Composite statistics without a reference of their own (``fraction_consistent``,
+``savings_distribution``, ``predictability_summary``) are checked by running
+them once over the public statistic and once with the reference patched in.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +33,18 @@ from repro.characterization import (
     peak_consistency_cdf,
     peaks_and_valleys_by_window,
     predictability_summary,
+    reference_cluster_savings,
+    reference_group_predictability,
+    reference_measure_stranding,
+    reference_median_vm_shape,
+    reference_peak_consistency_cdf,
+    reference_peaks_and_valleys_by_window,
+    reference_resource_hours_by_duration,
+    reference_resource_hours_by_size,
+    reference_stranding_by_scenario,
+    reference_utilization_scatter,
+    reference_utilization_summary,
+    reference_weekly_savings_profile,
     resource_hours_by_duration,
     resource_hours_by_size,
     savings_distribution,
@@ -37,7 +54,7 @@ from repro.characterization import (
     vm_week_profile,
     weekly_savings_profile,
 )
-from repro.characterization import columnar
+from repro.characterization import columnar, predictability, savings, temporal
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.simulator.benchmarking import assert_results_identical
 from repro.trace.hardware import ClusterConfig, Fleet
@@ -53,95 +70,102 @@ from repro.trace.timeseries import (
     UtilizationSeries,
 )
 from repro.trace.trace import Trace
-from repro.trace.vm import VM_CATALOG, VMRecord
+from repro.trace.vm import VM_CATALOG, VMConfig, VMRecord
+
 
 @pytest.fixture(scope="module", params=["dense", "mmap"])
 def backend_trace(request, small_trace, tmp_path_factory):
-    """The store-backed trace of one backend."""
+    """The generator's trace, in RAM or memory-mapped from disk."""
     if request.param == "dense":
-        return TraceStore.from_trace(small_trace).as_trace()
+        return small_trace
     path = tmp_path_factory.mktemp("columnar-store") / "trace"
-    TraceStore.from_trace(small_trace).save(path)
+    small_trace.store.save(path)
     return TraceStore.open(path, mmap=True).as_trace()
 
 
-def _check(statistic, trace, *args, **kwargs):
+def _check(statistic, reference, trace, *args, **kwargs):
     columnar_result = statistic(trace, *args, **kwargs)
-    reference_result = statistic(trace.without_store(), *args, **kwargs)
+    reference_result = reference(trace, *args, **kwargs)
     assert_results_identical(reference_result, columnar_result)
     return columnar_result
 
 
-class TestDifferentialAgainstReference:
-    def test_dispatch_takes_columnar_path(self, backend_trace):
-        """Guard against a silent fallback: every maybe_* must engage."""
-        trace = backend_trace
-        assert columnar.duration_columns(trace) is not None
-        assert columnar.size_columns(trace) is not None
-        assert columnar.maybe_median_vm_shape(trace) is not None
-        assert columnar.maybe_utilization_scatter(trace, 1.0) is not None
-        assert columnar.maybe_peaks_and_valleys(
-            trace, Resource.CPU, 4, 1.0, 0.05) is not None
-        assert columnar.maybe_peak_consistency_cdf(
-            trace, Resource.CPU, [4], 2.0, [0.1]) is not None
-        assert columnar.maybe_cluster_savings(
-            trace, None, [4], True, 1.0) is not None
-        assert columnar.maybe_weekly_savings_profile(
-            trace, None, [4], 1.0) is not None
-        assert columnar.maybe_stranding_inputs(
-            trace, {r: False for r in ALL_RESOURCES},
-            VM_CATALOG["D4_v5"], SLOTS_PER_DAY, trace.cluster_ids()) is not None
-        assert columnar.maybe_predictability_features(
-            trace, Resource.MEMORY, 7 * SLOTS_PER_DAY, 0.25) is not None
+def _check_composite(monkeypatch, composite, module, statistic, trace,
+                     *args, **kwargs):
+    """*composite* over ``module.statistic`` equals it over the reference."""
+    columnar_result = composite(trace, *args, **kwargs)
+    monkeypatch.setattr(module, statistic,
+                        getattr(module, f"reference_{statistic}"))
+    assert_results_identical(composite(trace, *args, **kwargs),
+                             columnar_result)
 
+
+class TestDifferentialAgainstReference:
     def test_allocated(self, backend_trace):
         trace = backend_trace
-        _check(resource_hours_by_duration, trace)
-        _check(resource_hours_by_size, trace)
-        _check(median_vm_shape, trace)
+        _check(resource_hours_by_duration, reference_resource_hours_by_duration,
+               trace)
+        _check(resource_hours_by_size, reference_resource_hours_by_size, trace)
+        _check(median_vm_shape, reference_median_vm_shape, trace)
 
     def test_utilization(self, backend_trace):
         trace = backend_trace
-        _check(utilization_scatter, trace)
-        _check(utilization_summary, trace)
+        _check(utilization_scatter, reference_utilization_scatter, trace)
+        _check(utilization_summary, reference_utilization_summary, trace)
 
     @pytest.mark.parametrize("window_hours", [1, 4, 24])
     def test_peaks_and_valleys(self, backend_trace, window_hours):
         trace = backend_trace
-        _check(peaks_and_valleys_by_window, trace, Resource.CPU,
+        _check(peaks_and_valleys_by_window,
+               reference_peaks_and_valleys_by_window, trace, Resource.CPU,
                window_hours=window_hours)
 
-    def test_peak_consistency(self, backend_trace):
+    def test_peak_consistency(self, backend_trace, monkeypatch):
         trace = backend_trace
-        _check(peak_consistency_cdf, trace, Resource.CPU,
-               window_hours_sweep=[1, 4, 24])
-        _check(fraction_consistent, trace, Resource.MEMORY)
+        _check(peak_consistency_cdf, reference_peak_consistency_cdf, trace,
+               Resource.CPU, window_hours_sweep=[1, 4, 24])
+        _check_composite(monkeypatch, fraction_consistent, temporal,
+                         "peak_consistency_cdf", trace, Resource.MEMORY)
 
-    def test_savings(self, backend_trace):
+    def test_savings(self, backend_trace, monkeypatch):
         trace = backend_trace
-        _check(cluster_savings, trace, window_hours_sweep=[24, 4, 1])
+        _check(cluster_savings, reference_cluster_savings, trace,
+               window_hours_sweep=[24, 4, 1])
         cluster = trace.cluster_ids()[0]
-        _check(cluster_savings, trace, cluster_id=cluster,
-               window_hours_sweep=[4])
-        _check(weekly_savings_profile, trace, window_hours_sweep=[4, 12])
-        _check(savings_distribution, trace, window_hours_sweep=[4])
+        _check(cluster_savings, reference_cluster_savings, trace,
+               cluster_id=cluster, window_hours_sweep=[4])
+        _check(weekly_savings_profile, reference_weekly_savings_profile, trace,
+               window_hours_sweep=[4, 12])
+        _check_composite(monkeypatch, savings_distribution, savings,
+                         "cluster_savings", trace, window_hours_sweep=[4])
 
     @pytest.mark.parametrize("scenario", ["no-oversub", "cpu-only", "cpu+memory"])
     def test_stranding(self, backend_trace, scenario):
         trace = backend_trace
-        _check(measure_stranding, trace, scenario,
+        _check(measure_stranding, reference_measure_stranding, trace, scenario,
                sample_every_slots=SLOTS_PER_DAY)
 
     def test_stranding_cluster_subset(self, backend_trace):
         trace = backend_trace
-        _check(stranding_by_scenario, trace,
+        _check(stranding_by_scenario, reference_stranding_by_scenario, trace,
                sample_every_slots=SLOTS_PER_DAY,
                clusters=trace.cluster_ids()[:2])
 
-    def test_predictability(self, backend_trace):
+    def test_predictability(self, backend_trace, monkeypatch):
         trace = backend_trace
-        _check(group_predictability, trace)
-        _check(predictability_summary, trace, Resource.MEMORY)
+        _check(group_predictability, reference_group_predictability, trace)
+        _check_composite(monkeypatch, predictability_summary, predictability,
+                         "group_predictability", trace, Resource.MEMORY)
+
+    @pytest.mark.parametrize("measure", [measure_stranding,
+                                         reference_measure_stranding])
+    def test_fill_vm_without_demand_rejected(self, backend_trace, measure):
+        """A fill VM demanding nothing would fit without bound: both paths
+        reject it up front instead of overflowing ``int(inf)``."""
+        idle = VMConfig("idle", cores=0, memory_gb=0, network_gbps=0.0,
+                        ssd_gb=0)
+        with pytest.raises(ValueError, match="fill VM 'idle'"):
+            measure(backend_trace, fill_vm=idle)
 
 
 # --------------------------------------------------------------------------- #
@@ -187,14 +211,12 @@ def edge_trace():
         _edge_vm("second-week", "E2", 8 * SLOTS_PER_DAY,
                  9 * SLOTS_PER_DAY + 7, seed=5, subscription="sub-b"),
     ]
-    trace = Trace(vms=vms, fleet=_EDGE_FLEET, n_slots=14 * SLOTS_PER_DAY)
-    return TraceStore.from_trace(trace).as_trace()
+    return Trace(vms=vms, fleet=_EDGE_FLEET, n_slots=14 * SLOTS_PER_DAY)
 
 
 @pytest.fixture(scope="module")
 def empty_trace():
-    trace = Trace(vms=[], fleet=_EDGE_FLEET, n_slots=SLOTS_PER_DAY)
-    return TraceStore.from_trace(trace).as_trace()
+    return Trace(vms=[], fleet=_EDGE_FLEET, n_slots=SLOTS_PER_DAY)
 
 
 class TestEdgeCases:
@@ -203,28 +225,50 @@ class TestEdgeCases:
         trace = request.getfixturevalue(fixture)
         # min_days=0.0 keeps the single-sample and sub-window VMs inside
         # every statistic instead of being filtered by long_running().
-        _check(resource_hours_by_duration, trace)
-        _check(resource_hours_by_size, trace)
-        _check(median_vm_shape, trace)
-        _check(utilization_scatter, trace, min_days=0.0)
-        _check(peaks_and_valleys_by_window, trace, Resource.CPU,
+        _check(resource_hours_by_duration, reference_resource_hours_by_duration,
+               trace)
+        _check(resource_hours_by_size, reference_resource_hours_by_size, trace)
+        _check(median_vm_shape, reference_median_vm_shape, trace)
+        _check(utilization_scatter, reference_utilization_scatter, trace,
+               min_days=0.0)
+        _check(utilization_summary, reference_utilization_summary, trace,
+               min_days=0.0)
+        _check(peaks_and_valleys_by_window,
+               reference_peaks_and_valleys_by_window, trace, Resource.CPU,
                window_hours=4, min_days=0.0)
-        _check(peak_consistency_cdf, trace, Resource.CPU,
+        _check(peak_consistency_cdf, reference_peak_consistency_cdf, trace,
+               Resource.CPU, window_hours_sweep=[4], min_days=0.0)
+        _check(cluster_savings, reference_cluster_savings, trace,
+               window_hours_sweep=[4, 24], min_days=0.0)
+        _check(weekly_savings_profile, reference_weekly_savings_profile, trace,
                window_hours_sweep=[4], min_days=0.0)
-        _check(cluster_savings, trace, window_hours_sweep=[4, 24],
-               min_days=0.0)
-        _check(weekly_savings_profile, trace, window_hours_sweep=[4],
-               min_days=0.0)
-        _check(stranding_by_scenario, trace,
+        _check(measure_stranding, reference_measure_stranding, trace,
+               "cpu+memory", sample_every_slots=SLOTS_PER_DAY // 4)
+        _check(stranding_by_scenario, reference_stranding_by_scenario, trace,
                sample_every_slots=SLOTS_PER_DAY // 4)
-        _check(group_predictability, trace, Resource.MEMORY,
-               min_lifetime_days=0.0)
+        _check(group_predictability, reference_group_predictability, trace,
+               Resource.MEMORY, min_lifetime_days=0.0)
+
+    def test_partial_telemetry(self, edge_trace):
+        """A store with CPU and memory telemetry only: no VM has the full
+        record Figure 12 requires, on either path."""
+        vms = [replace(vm, utilization={
+            resource: series for resource, series in vm.utilization.items()
+            if resource in (Resource.CPU, Resource.MEMORY)})
+            for vm in edge_trace.vms]
+        trace = Trace(vms=vms, fleet=_EDGE_FLEET, n_slots=edge_trace.n_slots)
+        _check(group_predictability, reference_group_predictability, trace,
+               Resource.MEMORY, min_lifetime_days=0.0)
+        _check(measure_stranding, reference_measure_stranding, trace,
+               "cpu+memory", sample_every_slots=SLOTS_PER_DAY // 4)
+        _check(cluster_savings, reference_cluster_savings, trace,
+               window_hours_sweep=[4], min_days=0.0)
 
     def test_empty_cluster_selection(self, edge_trace):
         # E2 exists in the fleet but cluster_savings can also target a
         # cluster with no long-running VMs at the default min_days.
-        _check(cluster_savings, edge_trace, cluster_id="E2",
-               window_hours_sweep=[4])
+        _check(cluster_savings, reference_cluster_savings, edge_trace,
+               cluster_id="E2", window_hours_sweep=[4])
 
 
 # --------------------------------------------------------------------------- #
@@ -294,8 +338,8 @@ class TestWeekProfileView:
         with pytest.raises(ValueError):
             profile["utilization"][0] = 0.5
 
-    def test_object_backed_profile_is_readonly(self, small_trace):
-        vm = small_trace.long_running(2.0).vms[0]
+    def test_object_backed_profile_is_readonly(self):
+        vm = _edge_vm("standalone", "E1", 0, 3 * SLOTS_PER_DAY)
         profile = vm_week_profile(vm)
         assert np.shares_memory(profile["utilization"],
                                 vm.series(Resource.CPU).values)

@@ -129,8 +129,8 @@ def test_store_backed_pool_sweep_matches_golden(golden_store_trace,
                                                 monkeypatch):
     """Process-pool sweeps over the store-backed golden trace hit the pins
     for both trace transports: workers memory-mapping the store the parent
-    staged on disk and workers unpickling private copies (the fallback when
-    the store cannot be written) see the same bits."""
+    staged on disk and workers unpickling the store their task carries (the
+    fallback when the store cannot be written) see the same bits."""
     if transport == "pickle":
         def unwritable(store, path):
             raise OSError("no writable temp dir")

@@ -18,8 +18,6 @@ import pytest
 from repro.analysis import (
     AnalysisEngine,
     Finding,
-    ModuleInfo,
-    Project,
     analyze_source,
     apply_baseline,
     default_rules,
@@ -282,79 +280,6 @@ class TestRep004WallClock:
                 time.sleep(0.0)
         """)
         assert findings == []
-
-
-# --------------------------------------------------------------------------- #
-# REP005: dispatch twins
-# --------------------------------------------------------------------------- #
-def _project(columnar_src: str, sibling_src: str) -> Project:
-    columnar = ModuleInfo.from_source(
-        textwrap.dedent(columnar_src),
-        path="src/repro/characterization/columnar.py",
-        module="repro.characterization.columnar")
-    sibling = ModuleInfo.from_source(
-        textwrap.dedent(sibling_src),
-        path="src/repro/characterization/stat.py",
-        module="repro.characterization.stat")
-    return Project([columnar, sibling])
-
-
-class TestRep005DispatchTwin:
-    def test_dispatch_with_fallback_is_clean(self):
-        project = _project(
-            """
-            def maybe_stat(trace):
-                return None
-            """,
-            """
-            from repro.characterization import columnar
-
-            def stat(trace):
-                result = columnar.maybe_stat(trace)
-                if result is not None:
-                    return result
-                return sum(vm.value for vm in trace)
-            """)
-        assert AnalysisEngine().analyze_project(project) == []
-
-    def test_undispatched_twin_is_flagged(self):
-        project = _project(
-            """
-            def maybe_stat(trace):
-                return None
-
-            def maybe_orphan(trace):
-                return None
-            """,
-            """
-            from repro.characterization import columnar
-
-            def stat(trace):
-                result = columnar.maybe_stat(trace)
-                if result is not None:
-                    return result
-                return 0
-            """)
-        findings = AnalysisEngine().analyze_project(project)
-        assert rule_ids(findings) == ["REP005"]
-        assert "maybe_orphan" in findings[0].message
-        assert "never dispatched" in findings[0].message
-
-    def test_dispatch_without_fallback_is_flagged(self):
-        project = _project(
-            """
-            def maybe_stat(trace):
-                return None
-            """,
-            """
-            from repro.characterization import columnar
-
-            def stat(trace):
-                return columnar.maybe_stat(trace)
-            """)
-        findings = AnalysisEngine().analyze_project(project)
-        assert rule_ids(findings) == ["REP005"]
-        assert "lacks a reference fallback" in findings[0].message
 
 
 # --------------------------------------------------------------------------- #
@@ -641,8 +566,8 @@ class TestCli:
     def test_list_rules_covers_catalog(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005",
-                        "REP006", "REP007", "REP008"):
+        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP006",
+                        "REP007", "REP008"):
             assert rule_id in out
 
 
@@ -671,11 +596,10 @@ class TestTreeClean:
         by_rule = {f.rule_id for f in findings}
         # REP003/REP004 have known, justified baselined findings.
         assert {"REP003", "REP004"} <= by_rule
-        # REP001/REP002/REP005/REP006/REP007/REP008 must stay at zero
-        # findings tree-wide.
+        # REP001/REP002/REP006/REP007/REP008 must stay at zero findings
+        # tree-wide.
         assert "REP001" not in by_rule
         assert "REP002" not in by_rule
-        assert "REP005" not in by_rule
         assert "REP006" not in by_rule
         assert "REP007" not in by_rule
         assert "REP008" not in by_rule

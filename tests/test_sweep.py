@@ -207,7 +207,7 @@ class TestSweepFailures:
         """The worker entry point ships failures as data (raising would
         round-trip through pickle and mask the root cause)."""
         outcome = run_sweep_task(SweepTask("broken", BROKEN_POLICY,
-                                           tiny_trace, sweep_config))
+                                           tiny_trace.store, sweep_config))
         assert outcome.evaluation is None
         assert outcome.failure is not None
         assert outcome.failure.original_type == "ValueError"
@@ -216,9 +216,9 @@ class TestSweepFailures:
 class TestSweepTask:
     def test_task_round_trips_through_pickle(self, tiny_trace, sweep_config):
         """Spawned workers share nothing: the task must be self-contained."""
-        task = SweepTask("coach", COACH_POLICY, tiny_trace, sweep_config)
+        task = SweepTask("coach", COACH_POLICY, tiny_trace.store, sweep_config)
         clone = pickle.loads(pickle.dumps(task))
         assert clone.policy_name == "coach"
         assert clone.policy == COACH_POLICY
         assert clone.config == sweep_config
-        assert len(clone.trace.vms) == len(tiny_trace.vms)
+        assert len(clone.store.as_trace().vms) == len(tiny_trace.vms)

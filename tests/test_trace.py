@@ -136,9 +136,11 @@ class TestTraceGeneration:
         assert [vm.config.name for vm in a] != [vm.config.name for vm in b]
 
     def test_subscriptions_are_sticky_to_clusters(self, small_trace):
-        by_sub = small_trace.by_subscription()
-        for vms in by_sub.values():
-            clusters = {vm.cluster_id for vm in vms}
+        clusters_by_sub = {}
+        for vm in small_trace:
+            clusters_by_sub.setdefault(vm.subscription_id, set()).add(
+                vm.cluster_id)
+        for clusters in clusters_by_sub.values():
             assert len(clusters) <= 3
 
     def test_cpu_utilization_mostly_below_50(self, small_trace):
@@ -169,11 +171,6 @@ class TestTraceContainer:
         vm = small_trace.vms[0]
         mid = (vm.start_slot + vm.end_slot) // 2
         assert vm in small_trace.alive_at(mid)
-
-    def test_aggregate_demand_shape(self, tiny_trace):
-        demand = tiny_trace.aggregate_demand(Resource.CPU)
-        assert demand.shape == (tiny_trace.n_slots,)
-        assert np.all(demand >= 0)
 
     def test_vm_by_id_missing_raises(self, tiny_trace):
         with pytest.raises(KeyError):

@@ -2,17 +2,18 @@
 
 Three contracts are pinned here:
 
-* **Equivalence** -- a store-backed trace exposes the same VMs, in the same
-  order, with byte-identical telemetry as the object trace it came from,
-  and every vectorized filter selects exactly what the seed's Python loop
-  selects.  Replay and characterization on top of it are bitwise identical.
+* **Equivalence** -- a store exposes the same VMs, in the same order, with
+  byte-identical telemetry as the records it was encoded from, and every
+  vectorized filter selects exactly what the seed's per-VM loop over
+  ``trace.vms`` selects (the loops live on here as the oracles).  Replay
+  from an mmap-backed store is bitwise identical to replay in RAM.
 * **Persistence** -- save -> open round-trips everything (dense and mmap),
   open() rejects a damaged store by name instead of returning one that
   fails later, and the store a pooled sweep stages for its workers never
   outlives the sweep: not on success, a failing policy, a dead worker, or
   a damaged staged file.
 * **Validation** -- non-uniform or non-float64 telemetry and duplicate VM
-  ids fail loudly at construction, not silently downstream.
+  ids fail loudly when a trace is built, not silently downstream.
 """
 
 import json
@@ -23,9 +24,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.characterization import reference_resource_hours_by_duration
 from repro.core.policy import COACH_POLICY, NO_OVERSUBSCRIPTION_POLICY, PolicyConfig
 from repro.core.resources import Resource
 from repro.experiments.figures import figure02_duration
+from repro.simulator import sweep as sweep_module
+from repro.simulator.benchmarking import measure_sweep_task_footprint
 from repro.simulator import (
     PolicySweepError,
     SimulationConfig,
@@ -92,10 +96,9 @@ class TestColumnarViews:
             cluster_id=vms[0].cluster_id, start_slot=vms[0].start_slot,
             end_slot=vms[0].end_slot,
             utilization={Resource.CPU: vms[0].utilization[Resource.CPU]})
-        broken = Trace(vms=vms + [stripped], fleet=tiny_trace.fleet,
-                       n_slots=tiny_trace.n_slots)
         with pytest.raises(ValueError, match="uniform resource set"):
-            TraceStore.from_trace(broken)
+            Trace(vms=vms + [stripped], fleet=tiny_trace.fleet,
+                  n_slots=tiny_trace.n_slots)
 
     def test_unequal_series_coverage_rejected(self, tiny_trace):
         source = tiny_trace.vms[0]
@@ -107,10 +110,9 @@ class TestColumnarViews:
             vm_id="lopsided", subscription_id="s", config=source.config,
             cluster_id=source.cluster_id, start_slot=source.start_slot,
             end_slot=source.end_slot, utilization=utilization)
-        broken = Trace(vms=[lopsided], fleet=tiny_trace.fleet,
-                       n_slots=tiny_trace.n_slots)
         with pytest.raises(ValueError, match="equal coverage"):
-            TraceStore.from_trace(broken)
+            Trace(vms=[lopsided], fleet=tiny_trace.fleet,
+                  n_slots=tiny_trace.n_slots)
 
     @pytest.mark.parametrize("dtype", [
         pytest.param(np.dtype(np.float32), id="float32"),
@@ -126,11 +128,10 @@ class TestColumnarViews:
             vm_id="narrowed", subscription_id="s", config=source.config,
             cluster_id=source.cluster_id, start_slot=source.start_slot,
             end_slot=source.end_slot, utilization=utilization)
-        broken = Trace(vms=[tiny_trace.vms[1], narrowed],
-                       fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
         with pytest.raises(ValueError,
                            match=f"VM narrowed: memory series holds {dtype} "):
-            TraceStore.from_trace(broken)
+            Trace(vms=[tiny_trace.vms[1], narrowed],
+                  fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
 
     def test_duplicate_ids_rejected(self, tiny_trace):
         store = TraceStore.from_trace(tiny_trace)
@@ -139,10 +140,60 @@ class TestColumnarViews:
             TraceStore.from_trace(store.as_trace())
 
 
+class TestOneLayout:
+    """Every trace carries a store; one built from records encodes them."""
+
+    def test_trace_from_records_encodes_a_store(self, tiny_trace):
+        records = [replace(vm) for vm in tiny_trace.vms[:5]]
+        trace = Trace(vms=records, fleet=tiny_trace.fleet,
+                      n_slots=tiny_trace.n_slots)
+        assert len(trace.store) == 5
+        assert trace.vms is not records
+        for record, view in zip(records, trace.vms):
+            assert view.vm_id == record.vm_id
+            for resource, series in view.utilization.items():
+                assert series.values.base is trace.store.util[resource]
+                np.testing.assert_array_equal(
+                    series.values, record.utilization[resource].values)
+
+    def test_trace_given_a_store_does_no_per_vm_work(self, store, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trace given its store re-encoded it")
+
+        monkeypatch.setattr(TraceStore, "from_trace", refuse)
+        trace = store.as_trace()
+        assert trace.store is store
+        assert len(trace.long_running(0.0)) == len(store)
+
+    def test_filters_on_a_trace_without_vms(self, tiny_trace):
+        empty = Trace(vms=[], fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
+        assert empty.store.util == {}
+        assert empty.alive_at(0) == []
+        assert empty.arriving_in(0, empty.n_slots) == []
+        assert len(empty.long_running()) == 0
+        assert [len(side) for side in empty.split_at(1)] == [0, 0]
+        assert len(empty.in_cluster(empty.cluster_ids()[0])) == 0
+        matrix = empty.utilization_matrix(Resource.CPU)
+        assert matrix.shape == (0, empty.n_slots)
+
+
+def _boundary_slots(trace):
+    """Slots where some VM starts or ends, plus the horizon's edges: where
+    a filter comparing the wrong way round selects a different VM set."""
+    slots = {0, trace.n_slots // 2, trace.n_slots - 1}
+    for vm in trace.vms[:10]:
+        slots.update((vm.start_slot, vm.end_slot - 1, vm.end_slot))
+    return sorted(slots)
+
+
 class TestVectorizedFilters:
-    def test_alive_at_matches_object_loop(self, tiny_trace, store_trace):
-        for slot in (0, 100, tiny_trace.n_slots // 2, tiny_trace.n_slots - 1):
-            expected = [vm.vm_id for vm in tiny_trace.alive_at(slot)]
+    """Each column filter against the per-VM loop it replaced.  The loops
+    walk ``trace.vms`` and ask each record, so they are independent of the
+    store's columns."""
+
+    def test_alive_at_matches_object_loop(self, store_trace):
+        for slot in _boundary_slots(store_trace):
+            expected = [vm.vm_id for vm in store_trace.vms if vm.alive_at(slot)]
             assert [vm.vm_id for vm in store_trace.alive_at(slot)] == expected
 
     def test_alive_at_returns_the_trace_own_records(self, store_trace):
@@ -150,44 +201,49 @@ class TestVectorizedFilters:
         mid = (vm.start_slot + vm.end_slot) // 2
         assert any(found is vm for found in store_trace.alive_at(mid))
 
-    def test_arriving_in_matches_object_loop(self, tiny_trace, store_trace):
-        windows = [(0, 1), (100, 500), (0, tiny_trace.n_slots)]
+    def test_arriving_in_matches_object_loop(self, store_trace):
+        windows = [(0, 1), (100, 500), (0, store_trace.n_slots)]
+        for slot in _boundary_slots(store_trace):
+            windows += [(slot - 1, slot), (slot, slot + 1)]
         for start, end in windows:
-            expected = [vm.vm_id for vm in tiny_trace.arriving_in(start, end)]
+            expected = [vm.vm_id for vm in store_trace.vms
+                        if start <= vm.start_slot < end]
             assert [vm.vm_id
                     for vm in store_trace.arriving_in(start, end)] == expected
 
-    def test_long_running_matches_object_loop(self, tiny_trace, store_trace):
-        for min_days in (0.5, 1.0, 3.0):
-            expected = [vm.vm_id for vm in tiny_trace.long_running(min_days)]
+    def test_long_running_matches_object_loop(self, store_trace):
+        # Some VM's exact lifetime among the thresholds: the boundary case.
+        exact = store_trace.vms[0].lifetime_days
+        for min_days in (0.5, 1.0, 3.0, exact):
+            expected = [vm.vm_id for vm in store_trace.vms
+                        if vm.is_long_running(min_days)]
             selected = store_trace.long_running(min_days)
             assert [vm.vm_id for vm in selected] == expected
-            # The selection stays store-backed, so the next filter is
-            # vectorized too.
-            assert selected.store is not None
 
-    def test_in_cluster_matches_object_loop(self, tiny_trace, store_trace):
-        for cluster_id in tiny_trace.cluster_ids():
-            expected = [vm.vm_id for vm in tiny_trace.in_cluster(cluster_id)]
+    def test_in_cluster_matches_object_loop(self, store_trace):
+        for cluster_id in store_trace.cluster_ids():
+            expected = [vm.vm_id for vm in store_trace.vms
+                        if vm.cluster_id == cluster_id]
             assert [vm.vm_id
                     for vm in store_trace.in_cluster(cluster_id)] == expected
 
     def test_in_cluster_unknown_id_is_empty(self, store_trace):
         assert len(store_trace.in_cluster("no-such-cluster")) == 0
 
-    def test_split_at_matches_object_loop(self, tiny_trace, store_trace):
-        split = tiny_trace.n_slots // 3
-        before_obj, after_obj = tiny_trace.split_at(split)
-        before, after = store_trace.split_at(split)
-        assert [vm.vm_id for vm in before] == [vm.vm_id for vm in before_obj]
-        assert [vm.vm_id for vm in after] == [vm.vm_id for vm in after_obj]
+    def test_split_at_matches_object_loop(self, store_trace):
+        for split in (store_trace.n_slots // 3, store_trace.vms[0].start_slot):
+            before, after = store_trace.split_at(split)
+            assert [vm.vm_id for vm in before] == [
+                vm.vm_id for vm in store_trace.vms if vm.start_slot < split]
+            assert [vm.vm_id for vm in after] == [
+                vm.vm_id for vm in store_trace.vms if vm.start_slot >= split]
 
-    def test_generic_filter_matches_and_keeps_store(self, tiny_trace, store_trace):
+    def test_generic_filter_matches_and_keeps_store(self, store_trace):
         predicate = lambda vm: vm.config.cores >= 4
-        expected = [vm.vm_id for vm in tiny_trace.filter(predicate)]
+        expected = [vm.vm_id for vm in store_trace.vms if predicate(vm)]
         filtered = store_trace.filter(predicate)
         assert [vm.vm_id for vm in filtered] == expected
-        assert filtered.store is not None
+        assert len(filtered.store) == len(filtered)
         # ... and the selection's telemetry still views the parent buffer.
         if len(filtered):
             series = filtered.vms[0].utilization[Resource.CPU]
@@ -207,20 +263,11 @@ class TestVectorizedFilters:
 
 
 class TestDifferential:
-    """Store-backed results pinned bitwise against the object-based path."""
+    """Results over the store pinned bitwise against per-VM loops."""
 
-    def test_replay_bitwise_identical(self, tiny_trace, store_trace):
-        config = SimulationConfig(clusters=tiny_trace.cluster_ids()[:2],
-                                  n_estimators=2)
-        reference = simulate_policy(tiny_trace, COACH_POLICY, config)
-        columnar = simulate_policy(store_trace, COACH_POLICY, config)
-        assert columnar == reference
-
-    def test_characterization_bitwise_identical(self, tiny_trace, store_trace):
-        assert store_trace.summary() == tiny_trace.summary()
-        assert (store_trace.total_resource_hours(Resource.CPU)
-                == tiny_trace.total_resource_hours(Resource.CPU))
-        assert figure02_duration(store_trace) == figure02_duration(tiny_trace)
+    def test_characterization_bitwise_identical(self, store_trace):
+        assert figure02_duration(store_trace) == \
+            reference_resource_hours_by_duration(store_trace)
 
     def test_mmap_replay_bitwise_identical(self, tiny_trace, store, tmp_path):
         config = SimulationConfig(clusters=tiny_trace.cluster_ids()[:2],
@@ -469,7 +516,7 @@ def staged_dirs(monkeypatch):
 
 
 def assert_staged_and_removed(staged_dirs):
-    assert staged_dirs, "a store-backed trace should be staged"
+    assert staged_dirs, "the trace's store should be staged"
     assert not any(os.path.exists(path) for path in staged_dirs)
 
 
@@ -503,6 +550,35 @@ class TestSweepTransports:
         assert pooled == serial
         if unwritable != "mkdtemp":  # a directory was made: it must be gone
             assert_staged_and_removed(staged_dirs)
+
+    def test_unwritable_temp_dir_ships_the_compacted_store(
+            self, store_trace, sweep_config, policies, monkeypatch):
+        """The OSError fallback puts the selection's compacted store -- its
+        rows' samples only, once -- in every task, never a path."""
+        tasks = []
+        monkeypatch.setattr(tempfile, "mkdtemp", _raise_oserror)
+        monkeypatch.setattr(sweep_module, "_run_sweep_tasks",
+                            lambda pool, submitted: tasks.extend(submitted) or {})
+        selection = store_trace.long_running()
+        assert not selection.store.contiguous
+        sweep_policies(selection, policies,
+                       replace(sweep_config, sweep_parallelism=2),
+                       executor=object())
+        assert [task.policy_name for task in tasks] == list(policies)
+        shipped = tasks[0].store
+        assert all(task.store is shipped and task.store_path is None
+                   for task in tasks)
+        assert shipped.contiguous
+        assert shipped.vm_ids.tolist() == selection.store.vm_ids.tolist()
+        assert shipped.util_nbytes == 8 * int(
+            selection.store.row_length.sum()) * len(shipped.resources)
+
+    def test_footprint_baseline_ships_the_telemetry_once(self, tiny_trace):
+        """The footprint gate's pickled baseline is the seed payload: the
+        records' telemetry once, with no store carrying a second copy."""
+        outcome = measure_sweep_task_footprint(tiny_trace)
+        assert outcome["util_nbytes"] < outcome["pickled_task_bytes"] \
+            < 2 * outcome["util_nbytes"]
 
     def test_failing_policy_removes_staging(self, store_trace, sweep_config,
                                             staged_dirs):
@@ -558,39 +634,6 @@ class TestSweepTransports:
         assert culprit in info.value.original_message
         assert_staged_and_removed(staged_dirs)
 
-    def test_object_trace_is_columnarized_and_staged(self, tiny_trace,
-                                                     sweep_config, policies,
-                                                     staged_dirs):
-        """A plain object trace travels like a store-backed one: the sweep
-        columnarizes and stages it, workers compute the serial bits, and
-        the directory is removed afterwards."""
-        serial = sweep_policies(tiny_trace, policies, sweep_config)
-        pooled = sweep_policies(tiny_trace, policies,
-                                replace(sweep_config, sweep_parallelism=2))
-        assert pooled == serial
-        assert_staged_and_removed(staged_dirs)
-
-    def test_non_uniform_trace_falls_back_to_pickle(self, tiny_trace,
-                                                    sweep_config, policies,
-                                                    staged_dirs):
-        """A trace that cannot columnarize (one VM without SSD telemetry) is
-        pickled into every task instead: nothing is staged and the workers
-        still compute the serial bits."""
-        first = tiny_trace.vms[0]
-        stripped = replace(first, utilization={
-            resource: series for resource, series in first.utilization.items()
-            if resource is not Resource.SSD})
-        ragged = Trace(vms=[stripped] + list(tiny_trace.vms[1:]),
-                       fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
-        with pytest.raises(ValueError, match="uniform resource set"):
-            TraceStore.from_trace(ragged)
-        serial = sweep_policies(ragged, policies, sweep_config)
-        pooled = sweep_policies(ragged, policies,
-                                replace(sweep_config, sweep_parallelism=2))
-        assert pooled == serial
-        assert staged_dirs == []
-
-
 class TestMiscStore:
     def test_alloc_matrix_matches_configs(self, tiny_trace, store):
         alloc = store.alloc
@@ -631,27 +674,36 @@ class TestMiscStore:
 class TestUtilizationMatrix:
     """The scatter kernel vs the per-VM reference loop, bitwise."""
 
+    @staticmethod
+    def _reference_matrix(trace, resource, cluster_id=None, absolute=True):
+        """The per-VM loop the scatter kernel replaced."""
+        vms = [vm for vm in trace.vms
+               if cluster_id is None or vm.cluster_id == cluster_id]
+        matrix = np.zeros((len(vms), trace.n_slots))
+        for row, vm in enumerate(vms):
+            series = vm.series(resource)
+            scale = vm.allocated(resource) if absolute else 1.0
+            end = min(series.end_slot, trace.n_slots)
+            matrix[row, series.start_slot:end] = \
+                series.values[: end - series.start_slot] * scale
+        return matrix
+
     @pytest.mark.parametrize("resource", [Resource.CPU, Resource.MEMORY])
     @pytest.mark.parametrize("absolute", [True, False])
-    def test_scatter_matches_reference_loop(self, tiny_trace, store_trace,
-                                            resource, absolute):
+    def test_scatter_matches_reference_loop(self, store_trace, resource,
+                                            absolute):
         got = store_trace.utilization_matrix(resource, absolute=absolute)
-        expected = tiny_trace.utilization_matrix(resource, absolute=absolute)
+        expected = self._reference_matrix(store_trace, resource,
+                                          absolute=absolute)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
-    def test_cluster_filter_matches_reference_loop(self, tiny_trace, store_trace):
-        cluster_id = tiny_trace.cluster_ids()[0]
+    def test_cluster_filter_matches_reference_loop(self, store_trace):
+        cluster_id = store_trace.cluster_ids()[0]
         got = store_trace.utilization_matrix(Resource.CPU, cluster_id=cluster_id)
-        expected = tiny_trace.utilization_matrix(Resource.CPU,
-                                                 cluster_id=cluster_id)
+        expected = self._reference_matrix(store_trace, Resource.CPU,
+                                          cluster_id=cluster_id)
         assert np.array_equal(got, expected)
-
-    def test_aggregate_demand_matches_reference_loop(self, tiny_trace, store_trace):
-        for cluster_id in (None, tiny_trace.cluster_ids()[1]):
-            got = store_trace.aggregate_demand(Resource.MEMORY, cluster_id)
-            expected = tiny_trace.aggregate_demand(Resource.MEMORY, cluster_id)
-            assert np.array_equal(got, expected)
 
     def test_truncated_horizon_clips_series(self, store):
         # A horizon shorter than some series exercises the eff_len clipping.
