@@ -3,7 +3,7 @@
 The claim behind the ``TraceStoreBuilder`` (the write half of the
 larger-than-RAM pipeline): streaming a generated trace straight to the
 on-disk columnar layout peaks at a fraction of the eager
-``generate() -> from_trace -> save`` path's memory -- >= 5x lower on the
+``generate() -> save`` path's memory -- >= 5x lower on the
 month-scale workload -- while producing byte-identical files.
 
 The workload is :func:`repro.simulator.synthetic.streaming_ingest_config`;
@@ -18,7 +18,7 @@ from repro.simulator.synthetic import streaming_ingest_config
 
 
 def test_bench_streaming_ingest(benchmark, tmp_path):
-    """Streaming ingest peaks >= 5x below the eager from_trace path."""
+    """Streaming ingest peaks >= 5x below the eager generate() path."""
     smoke = bench_smoke_enabled()
     config = streaming_ingest_config(smoke=smoke)
     outcome = run_once(benchmark, measure_streaming_ingest, config, tmp_path)
@@ -37,7 +37,7 @@ def test_bench_streaming_ingest(benchmark, tmp_path):
     # tracemalloc peaks are deterministic for a fixed workload, and the
     # memory bound is the builder's reason to exist: hard assertion.
     assert outcome["peak_reduction"] >= 5.0, (
-        "streaming ingest should peak at <= 1/5 of the eager from_trace "
+        "streaming ingest should peak at <= 1/5 of the eager generate() "
         f"path, got {outcome['peak_reduction']:.1f}x")
     # Wall-clock is machine-dependent: the streaming path must not cost more
     # than a modest overhead over eager generation (relaxed under smoke).

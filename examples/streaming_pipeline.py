@@ -1,8 +1,8 @@
 """End-to-end bounded-memory pipeline: generate -> store -> replay -> characterize.
 
-The eager path (``generate_trace`` then ``trace.store.save``) holds every
-VM record and the concatenated telemetry buffers in RAM at once.  This
-example runs the same pipeline without ever doing that:
+The eager path (``generate_trace`` then ``trace.store.save``) holds the
+whole telemetry buffers in RAM at once.  This example runs the same
+pipeline without ever doing that:
 
 1. **Generate + ingest, streaming.**  ``generate_trace_to_store`` drives the
    synthetic generator through a ``TraceStoreBuilder`` one VM at a time,
@@ -75,7 +75,7 @@ def run(workdir: Path) -> None:
         trace = generate_trace(n_vms=N_VMS, n_days=N_DAYS, seed=SEED)
         return trace.store.save(workdir / "eager-store")
 
-    eager_path, eager_peak = traced("eager from_trace + save", eager)
+    eager_path, eager_peak = traced("eager generate + save", eager)
     for name in sorted(p.name for p in eager_path.iterdir()):
         assert (eager_path / name).read_bytes() == \
             (store_path / name).read_bytes(), f"{name} differs"

@@ -82,13 +82,6 @@ class CoachVM:
                             va_backed_gb=va_gb * float(initial_va_backing_fraction))
         return cls(vm=vm, plan=plan, memory=split)
 
-    @classmethod
-    def fully_guaranteed(cls, vm: VMRecord, plan: VMResourcePlan) -> "CoachVM":
-        """A general-purpose (non-oversubscribed) VM expressed as a CoachVM."""
-        memory_plan = plan.plans[Resource.MEMORY]
-        split = MemorySplit(pa_gb=memory_plan.requested, va_gb=0.0, va_backed_gb=0.0)
-        return cls(vm=vm, plan=plan, memory=split)
-
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
@@ -102,6 +95,9 @@ class CoachVM:
 
     @property
     def is_oversubscribed(self) -> bool:
+        """Whether the VM has a VA portion: the paper's oversubscribed VM
+        (Section 3.2), whose memory beyond the guaranteed PA portion is
+        backed on demand."""
         return self.plan.oversubscribed and self.memory.va_gb > 0.0
 
     def requested(self, resource: Resource) -> float:
@@ -129,7 +125,8 @@ class CoachVM:
         return max(0.0, demand_gb - self.memory.pa_gb)
 
     def unbacked_demand_gb(self, demand_gb: float) -> float:
-        """Demand that currently has no physical backing (would page)."""
+        """Demand that currently has no physical backing (would page); the
+        server memory model grants backing for it from the pool."""
         spill = self.memory_pressure_gb(demand_gb)
         return max(0.0, spill - self.memory.va_backed_gb)
 

@@ -14,7 +14,7 @@ to instantiate the right predictor and to turn predictions into plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict
 
@@ -49,12 +49,6 @@ class PolicyConfig:
     @property
     def name(self) -> str:
         return self.kind.value
-
-    def with_percentile(self, percentile: float) -> "PolicyConfig":
-        return replace(self, percentile=percentile)
-
-    def with_windows(self, window_hours: int) -> "PolicyConfig":
-        return replace(self, windows=TimeWindowConfig(window_hours))
 
 
 #: Coach's default configuration (Section 3.3): six 4-hour windows, P95.

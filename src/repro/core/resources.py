@@ -193,9 +193,6 @@ class ResourceVector:
             {r: self._values[r] * factors.get(r, 1.0) for r in ALL_RESOURCES}
         )
 
-    def clamp_min(self, minimum: float = 0.0) -> "ResourceVector":
-        return ResourceVector({r: max(minimum, v) for r, v in self._values.items()})
-
     def maximum(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector({r: max(self._values[r], other[r]) for r in ALL_RESOURCES})
 
@@ -206,7 +203,12 @@ class ResourceVector:
     # Comparisons
     # ------------------------------------------------------------------ #
     def fits_within(self, capacity: "ResourceVector", epsilon: float = 1e-9) -> bool:
-        """Return ``True`` when every component is <= the capacity component."""
+        """Return ``True`` when every component is <= the capacity component.
+
+        The all-resource fit rule of the paper's vector bin packing
+        (Section 3.3), as a scalar statement; the ledger in
+        :mod:`repro.core.scheduler` applies it to whole server matrices.
+        """
         return all(self._values[r] <= capacity[r] + epsilon for r in ALL_RESOURCES)
 
     def dominates(self, other: "ResourceVector") -> bool:
@@ -226,9 +228,6 @@ class ResourceVector:
     # ------------------------------------------------------------------ #
     def total(self) -> float:
         return sum(self._values.values())
-
-    def is_zero(self, epsilon: float = 1e-12) -> bool:
-        return all(abs(v) < epsilon for v in self._values.values())
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{r.value}={v:g}" for r, v in self._values.items())

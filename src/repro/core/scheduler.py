@@ -1080,9 +1080,6 @@ class ClusterScheduler:
         """
         self.ledger.disable_row(self.servers[server_id]._row)
 
-    def server_of(self, vm_id: str) -> Optional[str]:
-        return self._placements.get(vm_id)
-
     # ------------------------------------------------------------------ #
     # Cluster-level statistics
     # ------------------------------------------------------------------ #

@@ -129,16 +129,3 @@ class OversubscriptionAgent:
         """How much free pool we would like to restore when acting proactively."""
         target_free = 0.15 * self.memory.oversub_pool_gb
         return max(0.0, target_free - self.memory.oversub_available_gb)
-
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-    def available_series(self) -> List[float]:
-        """Available oversubscribed memory over time (Figure 21a)."""
-        return [r.oversub_available_gb for r in self.reports]
-
-    def fault_series(self) -> List[float]:
-        return [r.page_fault_gb for r in self.reports]
-
-    def total_page_faults_gb(self) -> float:
-        return sum(r.page_fault_gb for r in self.reports)

@@ -168,10 +168,6 @@ class HistoryIndex:
         history, level = self.lookup(vm)
         return level >= 1 and history.n_vms >= min_vms
 
-    @property
-    def global_history(self) -> GroupHistory:
-        return self._global
-
 
 class FeatureEncoder:
     """Encodes a VM (plus its history) into a flat numeric feature vector.

@@ -102,7 +102,9 @@ class RandomForestRegressor:
 
         Using an upper quantile of the ensemble (rather than the mean) gives
         conservative predictions, which Coach prefers because under-predicting
-        the guaranteed portion risks contention (G2).
+        the guaranteed portion risks contention (G2).  This is the paper's
+        conservative-ensemble mechanism; the built-in models take their
+        percentile over the telemetry instead, so no policy calls it yet.
         """
         if not self.trees_:
             raise RuntimeError("forest has not been fitted")

@@ -37,6 +37,14 @@ from repro.trace.trace import Trace
 from repro.trace.vm import VMRecord
 
 
+#: Slot at which the evaluation period starts: the model trains on the
+#: VMs created in the first week, the history (Section 3.3).
+HISTORY_END_SLOT = 7 * SLOTS_PER_DAY
+#: CPU contention threshold: demand above this fraction of server capacity
+#: counts as contention (Section 4.3).
+CPU_CONTENTION_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class FailureEvent:
     """One injected server failure (repro.scenarios failure axis).
@@ -74,16 +82,11 @@ class SimulationConfig:
     ``simulate_policy(prediction_model=...)``.
     """
 
-    #: Slot at which the evaluation period starts (history before it).
-    history_end_slot: int = 7 * SLOTS_PER_DAY
     #: Slot from which VM arrivals are replayed through the scheduler.  The
     #: default (0) places every VM in the trace, which models the platform
     #: steady state: long-running VMs admitted earlier are still occupying
     #: capacity when new arrivals show up.
     placement_start_slot: int = 0
-    #: CPU contention threshold: demand above this fraction of server capacity
-    #: counts as contention (Section 4.3 uses 50%).
-    cpu_contention_fraction: float = 0.5
     #: Only clusters listed here are simulated (``None`` = all).
     clusters: Optional[Sequence[str]] = None
     #: Forest size for the learned prediction model.
@@ -189,7 +192,7 @@ class ClusterSimulation:
         # the whole pending list.  Arrivals sharing a start slot are admitted
         # as one ClusterManager.request_batch call; this is equivalent to the
         # per-VM loop because a VM's end slot is strictly greater than its
-        # start slot (VMRecord.validate), so no departure can become due
+        # start slot (VMRecord.__post_init__), so no departure can become due
         # between two same-slot arrivals.
         pending_departures: List[Tuple[int, str]] = []
         failure_index = 0
@@ -275,7 +278,7 @@ class ClusterSimulation:
         return self._violation_meter.measure(
             self.manager.scheduler.servers.values(), self.placed,
             self.config.placement_start_slot, self.trace.n_slots,
-            self.config.cpu_contention_fraction)
+            CPU_CONTENTION_FRACTION)
 
 
 def simulate_policy(trace: Trace, policy: PolicyConfig,
@@ -292,7 +295,7 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
     cluster_ids = list(config.clusters) if config.clusters else trace.cluster_ids()
 
     if prediction_model is None:
-        history, _future = trace.split_at(config.history_end_slot)
+        history, _future = trace.split_at(HISTORY_END_SLOT)
         history_vms = history.long_running().vms
         prediction_model = build_prediction_model(
             policy, history_vms, n_estimators=config.n_estimators)

@@ -113,14 +113,6 @@ class ServerMemoryModel:
         self._last_unbacked.pop(vm_id, None)
         return vm
 
-    def resize_pool(self, pool_gb: float) -> None:
-        """Set the oversubscribed pool size (used at (de)allocation time)."""
-        if pool_gb < 0:
-            raise ValueError("pool size cannot be negative")
-        if pool_gb > self.capacity_gb - self.host_reserved_gb - self.pa_allocated_gb + 1e-9:
-            raise ValueError("pool does not fit in the remaining physical memory")
-        self.oversub_pool_gb = float(pool_gb)
-
     # ------------------------------------------------------------------ #
     # Demand application
     # ------------------------------------------------------------------ #
@@ -140,8 +132,7 @@ class ServerMemoryModel:
                 continue
             demand = float(max(0.0, min(demand, vm.memory.total_gb)))
             self._last_demands[vm_id] = demand
-            spill = vm.memory_pressure_gb(demand)
-            need = max(0.0, spill - vm.memory.va_backed_gb)
+            need = vm.unbacked_demand_gb(demand)
             if need > 0.0:
                 granted = min(need, self.oversub_available_gb,
                               vm.memory.va_unbacked_gb)
@@ -230,20 +221,3 @@ class ServerMemoryModel:
         to_copy = vm.memory.pa_gb + vm.memory.va_backed_gb + vm.cold_memory_gb
         self._migrations[vm_id] = _Migration(vm_id, to_copy)
         return to_copy / MIGRATION_BANDWIDTH_GBPS
-
-    def migrations_in_progress(self) -> List[str]:
-        return list(self._migrations)
-
-    # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "capacity_gb": self.capacity_gb,
-            "pa_allocated_gb": self.pa_allocated_gb,
-            "oversub_pool_gb": self.oversub_pool_gb,
-            "oversub_used_gb": self.oversub_used_gb,
-            "oversub_available_gb": self.oversub_available_gb,
-            "unallocated_gb": self.unallocated_gb(),
-            "n_vms": float(len(self.vms)),
-        }

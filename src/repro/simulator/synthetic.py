@@ -281,9 +281,9 @@ def build_multiweek_replay_state(
 def streaming_ingest_config(*, smoke: bool = False) -> TraceGeneratorConfig:
     """The month-scale workload of the streaming-ingest benchmark.
 
-    Sized so the eager path (every VM record + concatenated buffers, all in
-    RAM at once) visibly dwarfs the streaming builder's one record at a
-    time -- the regime ``generate_to_store`` exists for.  Ingests of the ~1M-VM
+    Sized so the eager path (the whole flat telemetry buffers in RAM at
+    once) visibly dwarfs the streaming builder's one record at a time --
+    the regime ``generate_to_store`` exists for.  Ingests of the ~1M-VM
     scale documented in ``docs/trace_store.md`` use the same code path
     with a larger ``n_vms``, they are just too slow to regenerate per
     benchmark run.

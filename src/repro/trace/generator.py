@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.trace.patterns import (
     surge_overlay,
     vm_cpu_parameters,
 )
+from repro.trace.store import TraceStore, TraceStoreBuilder
 from repro.trace.timeseries import (
     SLOTS_PER_DAY,
     SLOTS_PER_HOUR,
@@ -221,12 +222,7 @@ class TraceGenerator:
                                    Dict[str, tuple[Subscription, SubscriptionProfile,
                                                    List[str]]],
                                    Dict[str, List[str]]]:
-        """The trace-wide state drawn *before* the per-VM loop.
-
-        Both :meth:`generate` and :meth:`generate_to_store` consume the RNG
-        here first and then call :meth:`_sample_vm` once per index, so the
-        two paths draw the identical random stream and produce the same VMs.
-        """
+        """The trace-wide state drawn *before* the per-VM loop."""
         cfg = self.config
         rng = self._rng
         fleet = Fleet(clusters=list(cfg.clusters) if cfg.clusters is not None
@@ -307,69 +303,54 @@ class TraceGenerator:
             utilization=utilization,
         )
 
-    def generate(self) -> Trace:
-        cfg = self.config
+    def _draw(self) -> tuple[Fleet, Dict[str, Subscription],
+                             Iterator[VMRecord]]:
+        """The fleet, the subscriptions and the VMs, drawn lazily.
+
+        The one VM loop behind :meth:`generate` and
+        :meth:`generate_to_store`: the trace-wide state is drawn here, then
+        each VM as the returned iterator is advanced, so both paths consume
+        the identical random stream and produce the same VMs while holding
+        one record at a time.
+        """
         fleet, subscriptions, sub_clusters = self._population()
         sub_ids = list(subscriptions)
+        vms = (self._sample_vm(index, sub_ids, subscriptions, sub_clusters)
+               for index in range(self.config.n_vms))
+        return (fleet, {sid: sub for sid, (sub, _p, _c)
+                        in subscriptions.items()}, vms)
 
-        vms: List[VMRecord] = [
-            self._sample_vm(index, sub_ids, subscriptions, sub_clusters)
-            for index in range(cfg.n_vms)
-        ]
+    def generate(self) -> Trace:
+        """Generate the trace in RAM.
 
-        trace = Trace(
-            vms=vms,
-            fleet=fleet,
-            n_slots=cfg.n_slots,
-            subscriptions={sid: sub for sid, (sub, _p, _c) in subscriptions.items()},
-        )
-        trace.validate()
-        return trace
+        Each VM is handed to the store's row encoder as it is drawn, so no
+        list of records lives beside the telemetry buffers.
+        """
+        fleet, subscriptions, vms = self._draw()
+        return TraceStore.from_records(
+            vms, fleet=fleet, n_slots=self.config.n_slots,
+            subscriptions=subscriptions).as_trace()
 
     def generate_to_store(self, path) -> Path:
         """Generate straight into an on-disk :class:`TraceStore` layout.
 
-        The eager path (``generate()`` then ``trace.store.save(...)``)
-        holds every :class:`VMRecord` and the concatenated telemetry
-        buffers in RAM at once; this path appends each VM to a
-        :class:`~repro.trace.store.TraceStoreBuilder` as it is drawn, so
-        peak memory is bounded by one record -- month-scale / million-VM
-        traces ingest under a fixed budget.
+        :meth:`generate` holds the whole telemetry buffers in RAM; this path
+        appends each VM to a :class:`~repro.trace.store.TraceStoreBuilder`
+        as it is drawn, so peak memory is bounded by one record --
+        month-scale / million-VM traces ingest under a fixed budget.
 
-        Exactness: both paths consume the identical RNG stream
-        (``_population`` then ``_sample_vm`` per index), and the builder
-        writes the bytes the eager store's ``save`` writes --
-        ``tests/test_trace_store_builder.py`` pins this.
+        Exactness: both paths draw from one VM loop (:meth:`_draw`) and
+        encode rows with one encoder, and the builder writes the bytes the
+        eager store's ``save`` writes -- ``tests/test_trace_store_builder.py``
+        pins this.
 
         Returns *path*; open the result with ``TraceStore.open(path,
         mmap=True)``.
         """
-        # Local import: repro.trace.store imports Trace from this package's
-        # sibling module, and the generator is importable without the store.
-        from repro.trace.store import TraceStoreBuilder
-
-        cfg = self.config
-        fleet, subscriptions, sub_clusters = self._population()
-        sub_ids = list(subscriptions)
-        known_clusters = set(fleet.cluster_ids())
-
-        with TraceStoreBuilder(
-                path, fleet=fleet, n_slots=cfg.n_slots,
-                subscriptions={sid: sub for sid, (sub, _p, _c)
-                               in subscriptions.items()}) as builder:
-            for index in range(cfg.n_vms):
-                vm = self._sample_vm(index, sub_ids, subscriptions, sub_clusters)
-                # Per-VM twin of Trace.validate() (the whole trace never
-                # exists here): record invariants, horizon, known cluster.
-                vm.validate()
-                if vm.end_slot > cfg.n_slots:
-                    raise ValueError(
-                        f"VM {vm.vm_id} ends at slot {vm.end_slot}, beyond "
-                        f"the {cfg.n_slots}-slot horizon")
-                if vm.cluster_id not in known_clusters:
-                    raise ValueError(
-                        f"VM {vm.vm_id} references unknown cluster "
-                        f"{vm.cluster_id!r}")
+        fleet, subscriptions, vms = self._draw()
+        with TraceStoreBuilder(path, fleet=fleet, n_slots=self.config.n_slots,
+                               subscriptions=subscriptions) as builder:
+            for vm in vms:
                 builder.append(vm)
         return Path(path)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.resources import Resource, ResourceVector
+from repro.core.resources import ResourceVector
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ class ClusterConfig:
         for server in self.server_configs():
             total = total + server.capacity_vector()
         return total
-
-    def dominant_gb_per_core(self) -> float:
-        caps = self.total_capacity()
-        return caps[Resource.MEMORY] / max(caps[Resource.CPU], 1e-9)
 
 
 def default_clusters(servers_per_cluster: int = 20) -> List[ClusterConfig]:

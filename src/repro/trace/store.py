@@ -23,7 +23,16 @@ materializes ordinary :class:`VMRecord` objects whose ``UtilizationSeries``
 *views* slice the shared buffer without copying (the ``ServerAccount``-over-
 ``ClusterLedger`` pattern).  A :class:`Trace` carries its store in
 ``Trace.store`` and routes the hot filters through the columns; a trace
-built from records encodes them with :meth:`from_trace`.
+built from records encodes them with :meth:`from_records`.
+
+Every VM enters a store through one gate, the row encoder
+(:class:`_RowEncoder`): :meth:`from_records`, and so every ``Trace``
+built from records and ``generate()``, and the streaming builder encode
+rows with it, and it rejects a VM that a replay could not use -- a
+repeated id, a cluster outside the fleet, a lifetime outside the horizon,
+telemetry that is not one float64 coverage from the VM's start slot
+within its lifetime.  :meth:`open` applies the same row rules to the
+metadata columns it loads, without reading a sample.
 
 The columns have one on-disk format (:meth:`save` / :meth:`open`): an
 ``.npz`` of metadata columns plus one raw ``.npy`` buffer per resource.
@@ -40,7 +49,7 @@ The write side has a streaming counterpart: :class:`TraceStoreBuilder`
 appends one VM's metadata row and telemetry at a time directly to the
 on-disk layout, so a trace larger than RAM can be *ingested* without ever
 holding every VM record (or the flat buffers) in memory.  Builder output
-is byte-identical to ``from_trace(...).save(...)`` for the same VMs, so
+is byte-identical to ``from_records(...).save(...)`` for the same VMs, so
 ``open(mmap=True)`` reads it unchanged: both paths turn VMs into rows
 with one encoder (:class:`_RowEncoder`) and write ``meta.json`` and
 ``columns.npz`` with one serializer (:func:`_write_metadata`), and every
@@ -69,7 +78,7 @@ import shutil
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -349,7 +358,7 @@ def _write_metadata(path: Path, state: Dict[str, object],
         "offering_values": list(_OFFERING_VALUES),
         "subscription_type_values": list(_SUBTYPE_VALUES),
         "allocation_class_values": list(_ALLOC_CLASS_VALUES),
-        "cluster_ids": list(state["cluster_ids"]),
+        "cluster_ids": state["fleet"].cluster_ids(),
         "configs": [asdict(cfg) for cfg in state["configs"]],
         "fleet": _fleet_to_jsonable(state["fleet"]),
         "subscriptions": [_subscription_to_jsonable(sub)
@@ -376,14 +385,16 @@ def _write_metadata(path: Path, state: Dict[str, object],
 class TraceStore:
     """Struct-of-arrays trace: metadata columns plus flat telemetry buffers.
 
-    Build one with :meth:`from_trace` (from VM records) or :meth:`open`
-    (from disk).  Row ``i`` of every column describes the same VM, and a
-    :class:`Trace` keeps ``trace.vms[i]`` in lockstep with row ``i``.
+    Build one with :meth:`from_records` (from VM records) or :meth:`open`
+    (from disk); both check every row, so the constructor trusts the
+    columns it is given.  Row ``i`` of every column describes the same VM,
+    and a :class:`Trace` keeps ``trace.vms[i]`` in lockstep with row ``i``.
+    ``cluster_index`` points into the fleet's cluster ids.
     """
 
     def __init__(self, *, vm_ids: np.ndarray, subscription_ids: np.ndarray,
                  server_ids: np.ndarray, configs: List[VMConfig],
-                 config_index: np.ndarray, cluster_ids: List[str],
+                 config_index: np.ndarray,
                  cluster_index: np.ndarray, start_slot: np.ndarray,
                  end_slot: np.ndarray, offering_code: np.ndarray,
                  subtype_code: np.ndarray, alloc_class_code: np.ndarray,
@@ -391,13 +402,13 @@ class TraceStore:
                  row_offset: np.ndarray, row_length: np.ndarray,
                  util: Dict[Resource, np.ndarray], n_slots: int,
                  fleet: Fleet, subscriptions: Dict[str, Subscription],
-                 contiguous: bool, validate_ids: bool = True):
+                 contiguous: bool):
         self.vm_ids = vm_ids
         self.subscription_ids = subscription_ids
         self.server_ids = server_ids
         self.configs = configs
         self.config_index = config_index
-        self.cluster_ids = cluster_ids
+        self.cluster_ids = fleet.cluster_ids()
         self.cluster_index = cluster_index
         self.start_slot = start_slot
         self.end_slot = end_slot
@@ -414,46 +425,42 @@ class TraceStore:
         self._contiguous = contiguous
         self._id_index: Optional[Dict[str, int]] = None
         self._alloc: Optional[np.ndarray] = None
-        # Row selections of an already-validated store stay duplicate-free,
-        # so the (O(n) Python) check is skipped on the filter fast path.
-        if validate_ids:
-            self._validate_unique_ids()
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_trace(cls, trace: Trace) -> "TraceStore":
-        """Encode a trace's VM records (``Trace`` does this for a trace
-        built from records).
+    def from_records(cls, vms: Iterable[VMRecord], *, fleet: Fleet,
+                     n_slots: int,
+                     subscriptions: Optional[Dict[str, Subscription]] = None
+                     ) -> "TraceStore":
+        """Encode VM records as they come (``Trace`` does this for a trace
+        built from records, and ``TraceGenerator.generate`` for each VM it
+        draws).
 
-        The telemetry buffers hold the source samples unchanged, so every
-        downstream replay/characterization result is bitwise identical to
-        the object path.
+        Each record's samples are appended to the telemetry buffers as it
+        is encoded, so *vms* may be a generator whose records are dropped
+        once encoded.  The buffers hold the source samples unchanged, so
+        every downstream replay/characterization result is bitwise
+        identical to the per-VM reference loops.
 
-        Raises ``ValueError`` for a repeated VM id or non-uniform telemetry:
-        every VM must carry the same resource set, within one VM every
-        resource's series must share one start slot and length (the single
-        offsets array is what makes the flat layout sliceable), and every
-        series must hold float64 samples.  Rows go through the same encoder
-        as :meth:`TraceStoreBuilder.append`, so both reject the same VMs.
+        Raises ``ValueError`` naming the first VM the row encoder rejects
+        (see :class:`_RowEncoder`); :meth:`TraceStoreBuilder.append` goes
+        through the same encoder, so both reject the same VMs.
         """
-        encoder = _RowEncoder(trace.fleet.cluster_ids(),
-                              capacity=len(trace.vms))
-        samples = [encoder.encode(vm) for vm in trace.vms]
-        util = {resource: np.concatenate([row[k] for row in samples])
-                for k, resource in enumerate(encoder.resources or ())}
-        return cls(**encoder.rows(), util=util, n_slots=trace.n_slots,
-                   fleet=trace.fleet, subscriptions=dict(trace.subscriptions),
-                   contiguous=True, validate_ids=False)
-
-    def _validate_unique_ids(self) -> None:
-        if len(set(self.vm_ids.tolist())) != len(self.vm_ids):
-            seen: set = set()
-            for vm_id in self.vm_ids.tolist():
-                if vm_id in seen:
-                    raise ValueError(f"duplicate VM id {vm_id!r} in trace store")
-                seen.add(vm_id)
+        encoder = _RowEncoder(fleet, n_slots)
+        sinks: List[io.BytesIO] = []
+        for vm in vms:
+            samples = encoder.encode(vm)
+            if encoder.n == 1:  # the first row fixes the buffers
+                sinks = [io.BytesIO() for _ in samples]
+            for sink, values in zip(sinks, samples):
+                sink.write(values.tobytes())
+        util = {resource: np.frombuffer(sink.getbuffer(),
+                                        dtype=_TELEMETRY_DTYPE)
+                for resource, sink in zip(encoder.resources or (), sinks)}
+        return cls(**encoder.rows(), util=util, n_slots=n_slots, fleet=fleet,
+                   subscriptions=dict(subscriptions or {}), contiguous=True)
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -668,8 +675,7 @@ class TraceStore:
         Accepts row indices or a boolean row mask (e.g. the output of
         :meth:`long_running_mask`).  Indices may reorder rows but must be
         unique -- a repeated index would duplicate a VM id, which every
-        id-based lookup (and the skipped duplicate re-validation below)
-        relies on being impossible.
+        id-based lookup relies on being impossible.
         """
         idx = np.asarray(indices)
         if idx.dtype == np.bool_:
@@ -685,8 +691,7 @@ class TraceStore:
         state = self._meta_state()
         for name in _ROW_COLUMNS:
             state[name] = state[name][idx]
-        return TraceStore(**state, util=self.util, contiguous=False,
-                          validate_ids=False)
+        return TraceStore(**state, util=self.util, contiguous=False)
 
     def compact(self) -> "TraceStore":
         """A contiguous copy of a selection (no-op for contiguous stores)."""
@@ -710,8 +715,7 @@ class TraceStore:
         for name in _ROW_COLUMNS:
             state[name] = state[name].copy()
         state["row_offset"] = row_offset
-        return TraceStore(**state, util=util, contiguous=True,
-                          validate_ids=False)
+        return TraceStore(**state, util=util, contiguous=True)
 
     # ------------------------------------------------------------------ #
     # Object views
@@ -786,16 +790,20 @@ class TraceStore:
         The files are checked against ``meta.json`` before the store is
         built: ``meta.json`` is an object carrying every key read here,
         every ``columns.npz`` member has one entry per VM (``offsets`` one
-        more), ``offsets`` start at 0 and never decrease -- and, when the
-        store has telemetry, give every VM at least one sample -- index and
-        code columns stay inside their tables, and each buffer holds
-        exactly ``offsets[-1]`` float64 samples.  Every ``meta.json`` value
-        read has its JSON type, ``n_slots`` is at least one, and the
-        resources, configs, fleet and subscriptions rebuild from it.  The
-        sample values themselves are not read, so a memory-mapped open
-        costs the same whatever the telemetry size.
-        A damaged store raises ``ValueError`` naming the store and the
-        file, key or column at fault.
+        more), ``offsets`` start at 0 and never decrease, index and code
+        columns stay inside their tables, and each buffer holds exactly
+        ``offsets[-1]`` float64 samples.  Every ``meta.json`` value read
+        has its JSON type, ``n_slots`` is at least one, and the resources,
+        configs, fleet and subscriptions rebuild from it.  Every row then
+        passes the row encoder's rules (:class:`_RowEncoder`): the cluster
+        table is the fleet's, ``0 <= start_slot < end_slot <= n_slots``,
+        VM ids are unique and, when the store has telemetry, each row's
+        samples start at its ``start_slot`` and number 1 to its lifetime.
+        These
+        read only the metadata columns: the sample values are trusted, not
+        read, so a memory-mapped open costs the same whatever the telemetry
+        size.  A damaged store raises ``ValueError`` naming the store, the
+        file, key or column at fault and, for a row, its VM.
         """
         path = Path(path)
 
@@ -871,18 +879,69 @@ class TraceStore:
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise damaged(f"{_COLUMNS_FILE} column 'offsets'",
                           "must start at 0 and never decrease")
-        # Every UtilizationSeries holds at least one sample, and the row
-        # views rely on it; only a store without telemetry has empty rows.
-        if meta["resources"] and np.any(offsets[1:] == offsets[:-1]):
-            raise damaged(f"{_COLUMNS_FILE} column 'offsets'",
-                          "gives a VM no telemetry samples")
-        for name, (_dtype, table) in _METADATA_COLUMNS.items():
-            column = members[name]
-            if table is not None and n_vms and (
-                    column.min() < 0 or column.max() >= len(meta[table])):
+        state: Dict[str, object] = {}
+        for name, (dtype, _table) in _METADATA_COLUMNS.items():
+            state[name] = members[name] if dtype is not object else \
+                np.asarray(members[name].tolist(), dtype=object)
+        state["server_ids"][~members["has_server_id"]] = None
+        state["row_offset"] = offsets[:-1].astype(np.int64, copy=True)
+        state["row_length"] = np.diff(offsets).astype(np.int64, copy=False)
+        vm_ids = state["vm_ids"]
+
+        def check_rows(name: str, ok: np.ndarray, problem: str,
+                       *values: np.ndarray) -> None:
+            """Reject the store at the first row *ok* fails, naming its VM;
+            *problem* is formatted with that row's entry of each *values*."""
+            if not ok.all():
+                row = int(np.argmin(ok))
                 raise damaged(f"{_COLUMNS_FILE} column {name!r}",
-                              f"points outside the {len(meta[table])}-entry "
-                              f"{table!r} table")
+                              f"gives VM {vm_ids[row]!r} "
+                              + problem.format(*(v[row] for v in values)))
+
+        # The row encoder's rules, on the metadata columns alone.  A VM's
+        # cluster must be one of the fleet's, so the fleet's cluster ids
+        # are the table ``cluster_index`` points into.
+        fleet = rebuilt("fleet", _fleet_from_jsonable)
+        cluster_ids = fleet.cluster_ids()
+        sizes = {table: len(meta[table])
+                 for _dtype, table in _METADATA_COLUMNS.values() if table}
+        sizes["cluster_ids"] = len(cluster_ids)
+        for name, (_dtype, table) in _METADATA_COLUMNS.items():
+            if table is not None:
+                column = members[name]
+                check_rows(name, (column >= 0) & (column < sizes[table]),
+                           f"{name} {{}}, outside the {sizes[table]}-entry "
+                           f"{table!r} table", column)
+        if meta["cluster_ids"] != cluster_ids:
+            raise damaged(f"{_META_FILE} key 'cluster_ids'",
+                          f"is {meta['cluster_ids']}, but the fleet's "
+                          f"clusters are {cluster_ids}")
+        start, end = state["start_slot"], state["end_slot"]
+        check_rows("start_slot", start >= 0, "start slot {}, before slot 0",
+                   start)
+        check_rows("end_slot", end > start,
+                   "end slot {}, not after its start slot {}", end, start)
+        check_rows("end_slot", end <= meta["n_slots"],
+                   f"end slot {{}}, past the {meta['n_slots']}-slot horizon",
+                   end)
+        # Only a store without telemetry has rows without samples.
+        if resources:
+            check_rows("series_start", state["series_start"] == start,
+                       "telemetry from slot {}, not from its start slot {}",
+                       state["series_start"], start)
+            length, lifetime = state["row_length"], end - start
+            check_rows("offsets", (length > 0) & (length <= lifetime),
+                       "{} telemetry samples, not 1 to the {} of its "
+                       "lifetime", length, lifetime)
+        ids = vm_ids.tolist()
+        if len(set(ids)) != len(ids):
+            seen: set = set()
+            for vm_id in ids:
+                if vm_id in seen:
+                    raise damaged(f"{_COLUMNS_FILE} column 'vm_ids'",
+                                  f"repeats VM id {vm_id!r}")
+                seen.add(vm_id)
+
         util: Dict[Resource, np.ndarray] = {}
         for resource in resources:
             name = f"util_{resource.value}.npy"
@@ -901,20 +960,11 @@ class TraceStore:
             # per-VM row views of as_trace() several times slower.
             util[resource] = buffer.view(np.ndarray) if mmap else buffer
 
-        state: Dict[str, object] = {}
-        for name, (dtype, _table) in _METADATA_COLUMNS.items():
-            state[name] = members[name] if dtype is not object else \
-                np.asarray(members[name].tolist(), dtype=object)
-        state["server_ids"][~members["has_server_id"]] = None
-        state["row_offset"] = offsets[:-1].astype(np.int64, copy=True)
-        state["row_length"] = np.diff(offsets).astype(np.int64, copy=False)
         return cls(
             **state,
             configs=rebuilt("configs", lambda configs: [
                 VMConfig(**cfg) for cfg in configs]),
-            cluster_ids=list(meta["cluster_ids"]), util=util,
-            n_slots=meta["n_slots"],
-            fleet=rebuilt("fleet", _fleet_from_jsonable),
+            util=util, n_slots=meta["n_slots"], fleet=fleet,
             subscriptions=rebuilt("subscriptions", lambda subs: {
                 sub["subscription_id"]: _subscription_from_jsonable(sub)
                 for sub in subs}),
@@ -924,34 +974,48 @@ class TraceStore:
         """Everything except the telemetry buffers, as constructor keywords."""
         state: Dict[str, object] = {name: getattr(self, name)
                                     for name in _ROW_COLUMNS}
-        state.update(configs=self.configs, cluster_ids=self.cluster_ids,
+        state.update(configs=self.configs,
                      n_slots=self.n_slots, fleet=self.fleet,
                      subscriptions=self.subscriptions)
         return state
 
 
 class _RowEncoder:
-    """Turns VM records into store rows: the one encoder behind
-    ``TraceStore.from_trace`` and :class:`TraceStoreBuilder`.
+    """Turns VM records into store rows: the one gate every VM passes on
+    its way into a trace, behind :meth:`TraceStore.from_records` and
+    :class:`TraceStoreBuilder`.
 
-    :meth:`encode` checks a VM completely before it changes any state -- a
-    new VM id, the resource set fixed by the first VM, one coverage (start
-    slot and length) shared by all of the VM's series, and float64
-    samples -- so a rejected VM leaves no trace.  Only then does it intern
-    the config and cluster, assign the enum codes and append the row to
-    columns that grow by doubling.
+    :meth:`encode` checks a VM completely before it changes any state, so
+    a rejected VM leaves no trace.  A VM is rejected, with a
+    ``ValueError`` naming it, unless
+
+    * its id is new;
+    * its cluster is one of the fleet's (a replay walks only those);
+    * it lives within the trace: ``0 <= start_slot`` and
+      ``end_slot <= n_slots``;
+    * it carries the resource set the first VM fixed;
+    * all its series share one coverage -- the single offsets array is
+      what makes the flat layout sliceable -- which starts at the VM's
+      start slot and holds at least one and at most its lifetime's
+      samples (telemetry may stop early; the replay counts the uncovered
+      slots as no demand);
+    * every series holds float64 samples.
+
+    Only then does it intern the config, assign the cluster index and enum
+    codes and append the row to columns that grow by doubling.
     """
 
-    def __init__(self, cluster_ids: Sequence[str], *, capacity: int = 16):
-        self.cluster_ids = list(cluster_ids)
-        self._cluster_table = {cid: i for i, cid in enumerate(self.cluster_ids)}
+    def __init__(self, fleet: Fleet, n_slots: int):
+        self.n_slots = int(n_slots)
+        self._cluster_table = {cid: i for i, cid
+                               in enumerate(fleet.cluster_ids())}
         self.configs: List[VMConfig] = []
         self._config_table: Dict[VMConfig, int] = {}
         #: Fixed by the first encoded VM.
         self.resources: Optional[Tuple[Resource, ...]] = None
         self._seen_ids: set = set()
         self.n = 0
-        self._capacity = max(1, capacity)
+        self._capacity = 16
         dtypes = {name: dtype for name, (dtype, _table)
                   in _METADATA_COLUMNS.items()}
         dtypes["row_length"] = np.int64
@@ -963,6 +1027,15 @@ class _RowEncoder:
         resource in :attr:`resources` order."""
         if vm.vm_id in self._seen_ids:
             raise ValueError(f"duplicate VM id {vm.vm_id!r} in trace store")
+        cluster = self._cluster_table.get(vm.cluster_id)
+        if cluster is None:
+            raise ValueError(
+                f"VM {vm.vm_id} runs in cluster {vm.cluster_id!r}, which is "
+                f"not in the fleet {list(self._cluster_table)}")
+        if vm.start_slot < 0 or vm.end_slot > self.n_slots:
+            raise ValueError(
+                f"VM {vm.vm_id} lives in [{vm.start_slot}, {vm.end_slot}), "
+                f"outside the trace's slots [0, {self.n_slots})")
         utilization = vm.utilization
         resources = self.resources
         if resources is None:
@@ -985,6 +1058,13 @@ class _RowEncoder:
                     f"but {resources[0].value} covers "
                     f"[{start}, {start + length}); "
                     f"a single offsets array needs equal coverage")
+        if series and (start != vm.start_slot
+                       or not 0 < length <= vm.lifetime_slots):
+            raise ValueError(
+                f"VM {vm.vm_id}: telemetry covers [{start}, {start + length}), "
+                f"but must start at the VM's start slot {vm.start_slot} and "
+                f"hold 1 to {vm.lifetime_slots} samples of its lifetime "
+                f"[{vm.start_slot}, {vm.end_slot})")
         samples = [s.values for s in series]
         for resource, values in zip(resources, samples):
             if values.dtype != _TELEMETRY_DTYPE:
@@ -1003,10 +1083,6 @@ class _RowEncoder:
         if config is None:
             config = self._config_table[vm.config] = len(self.configs)
             self.configs.append(vm.config)
-        cluster = self._cluster_table.get(vm.cluster_id)
-        if cluster is None:
-            cluster = self._cluster_table[vm.cluster_id] = len(self.cluster_ids)
-            self.cluster_ids.append(vm.cluster_id)
         i = self.n
         if i == self._capacity:
             self._grow()
@@ -1035,29 +1111,28 @@ class _RowEncoder:
 
     def rows(self) -> Dict[str, object]:
         """The encoded rows as :class:`TraceStore` keyword arguments: every
-        per-row column plus the config and cluster tables they index."""
+        per-row column plus the config table it indexes."""
         n = self.n
         rows: Dict[str, object] = {name: column[:n]
                                    for name, column in self._columns.items()}
         row_offset = np.zeros(n, dtype=np.int64)
         if n:
             np.cumsum(rows["row_length"][:-1], out=row_offset[1:])
-        rows.update(row_offset=row_offset, configs=self.configs,
-                    cluster_ids=self.cluster_ids)
+        rows.update(row_offset=row_offset, configs=self.configs)
         return rows
 
 
 class TraceStoreBuilder:
     """Stream VM records straight into the on-disk :class:`TraceStore` layout.
 
-    ``from_trace(...).save(...)`` needs every VM record (and the
-    concatenated flat buffers) in RAM at once; the builder needs only the
+    ``from_records(...).save(...)`` holds the whole flat buffers in RAM
+    at once; the builder needs only the
     per-VM metadata columns (a few bytes per VM) plus the one record being
     appended -- telemetry goes to the ``util_<resource>.npy`` buffers as it
     arrives, so month-scale traces ingest under a fixed memory budget.
 
     Byte-identity contract: ``finalize()`` produces exactly the files
-    ``TraceStore.from_trace(trace).save(path)`` would for the same VMs --
+    ``TraceStore.from_records(vms, ...).save(path)`` would for the same VMs --
     same ``meta.json``, same ``columns.npz``, same raw buffers -- because
     both paths encode rows with :class:`_RowEncoder`, write metadata with
     :func:`_write_metadata`, and the ``.npy`` writer below patches the very
@@ -1094,7 +1169,7 @@ class TraceStoreBuilder:
         self._n_slots = int(n_slots)
         self._subscriptions: Dict[str, Subscription] = \
             dict(subscriptions) if subscriptions else {}
-        self._encoder = _RowEncoder(fleet.cluster_ids())
+        self._encoder = _RowEncoder(fleet, n_slots)
         self._files: Dict[Resource, BinaryIO] = {}
         self._n_samples = 0
         self._closed = False
@@ -1126,8 +1201,7 @@ class TraceStoreBuilder:
         """Append one VM's metadata row and telemetry samples.
 
         Raises ``ValueError`` -- and changes nothing -- on exactly what
-        ``from_trace`` rejects: a repeated id, a non-uniform resource set,
-        unequal series coverage or a series that is not float64.
+        ``from_records`` rejects (see :class:`_RowEncoder`).
         """
         self._check_open()
         samples = self._encoder.encode(vm)

@@ -300,27 +300,6 @@ class UtilizationSeries:
         diffs = np.abs(np.diff(per_day, axis=0))
         return diffs[~np.isnan(diffs)]
 
-    # ------------------------------------------------------------------ #
-    # Transformation helpers
-    # ------------------------------------------------------------------ #
-    def downsample_max(self, factor: int) -> "UtilizationSeries":
-        """Aggregate *factor* consecutive slots into their maximum.
-
-        Groups are aligned to absolute slot boundaries (multiples of
-        *factor*), so a series starting mid-group contributes its samples to
-        the group that actually contains them instead of shifting every
-        window by ``start_slot % factor`` slots.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        n = len(self)
-        offset = self.start_slot % factor
-        n_groups = (offset + n + factor - 1) // factor
-        padded = np.full(n_groups * factor, -np.inf)
-        padded[offset:offset + n] = self.values
-        grouped = padded.reshape(n_groups, factor).max(axis=1)
-        return UtilizationSeries(np.clip(grouped, 0.0, 1.0), self.start_slot // factor)
-
     def __repr__(self) -> str:
         return (
             f"UtilizationSeries(n={len(self)}, start_slot={self.start_slot}, "

@@ -11,9 +11,12 @@ store row ``i``, so per-VM callers read the same samples the columns hold,
 while the hot filters (:meth:`in_cluster`, :meth:`long_running`,
 :meth:`alive_at`, :meth:`arriving_in`, :meth:`split_at`) evaluate
 whole-column comparisons instead of walking the records.  A trace built
-from a list of records encodes them once, with the store's row encoder;
-a list that a store cannot hold (non-uniform resource sets or coverage,
-non-float64 samples, repeated ids) is rejected with its ``ValueError``.
+from a list of records encodes them once, with the store's row encoder,
+the one gate for a trace's VMs: a record a replay could not use (a
+repeated id, a cluster outside the fleet, a lifetime outside
+``[0, n_slots)``, telemetry that is not one float64 coverage from the
+VM's start within its lifetime) is rejected with a ``ValueError`` naming
+it.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ class Trace:
         # Local import: repro.trace.store imports this module.
         from repro.trace.store import TraceStore
         if not isinstance(self.store, TraceStore):
-            self.store = TraceStore.from_trace(self)
+            self.store = TraceStore.from_records(
+                self.vms, fleet=self.fleet, n_slots=self.n_slots,
+                subscriptions=self.subscriptions)
             self.vms = self.store.as_trace().vms
         # min_days -> the selected sub-trace.  Every characterization
         # statistic starts from ``trace.long_running(...)`` of the same
@@ -155,27 +160,6 @@ class Trace:
                 else self.store.in_cluster_indices(cluster_id))
         return self.store.utilization_matrix(
             resource, self.n_slots, rows=rows, absolute=absolute)
-
-    def validate(self) -> None:
-        """Validate every VM record; raises on the first inconsistency.
-
-        (Duplicate VM ids are already rejected at construction time; the
-        check here stays so a caller who mutated ``vms`` in place still gets
-        a loud failure.)
-        """
-        seen: set[str] = set()
-        for vm in self.vms:
-            if vm.vm_id in seen:
-                raise ValueError(f"duplicate VM id {vm.vm_id!r}")
-            seen.add(vm.vm_id)
-            if vm.end_slot > self.n_slots:
-                raise ValueError(
-                    f"VM {vm.vm_id} ends at slot {vm.end_slot}, beyond trace "
-                    f"length {self.n_slots}"
-                )
-            if vm.cluster_id not in self.fleet.cluster_ids():
-                raise ValueError(f"VM {vm.vm_id} references unknown cluster {vm.cluster_id}")
-            vm.validate()
 
     def summary(self) -> Dict[str, float]:
         """Headline statistics used by the README / examples."""

@@ -215,25 +215,6 @@ class VMRecord:
             return 0.0
         return series.value_at(slot) * self.allocated(resource)
 
-    def demand_vector_at(self, slot: int) -> ResourceVector:
-        return ResourceVector(
-            {r: self.demand_at(r, slot) for r in ALL_RESOURCES}
-        )
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` if the utilization series disagree with the lifetime."""
-        for resource, series in self.utilization.items():
-            if series.start_slot != self.start_slot:
-                raise ValueError(
-                    f"VM {self.vm_id}: {resource} series starts at {series.start_slot}, "
-                    f"expected {self.start_slot}"
-                )
-            if len(series) != self.lifetime_slots:
-                raise ValueError(
-                    f"VM {self.vm_id}: {resource} series has {len(series)} slots, "
-                    f"expected {self.lifetime_slots}"
-                )
-
     def __repr__(self) -> str:
         return (
             f"VMRecord({self.vm_id}, {self.config.name}, cluster={self.cluster_id}, "

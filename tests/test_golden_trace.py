@@ -108,7 +108,10 @@ def test_process_pool_sweep_matches_golden(golden_trace, golden_sim_config,
 def golden_store_trace(golden_trace):
     """The golden trace columnarized: same VMs, same float64 telemetry bits,
     viewed through the TraceStore fast paths."""
-    return TraceStore.from_trace(golden_trace).as_trace()
+    return TraceStore.from_records(
+        golden_trace.vms, fleet=golden_trace.fleet,
+        n_slots=golden_trace.n_slots,
+        subscriptions=golden_trace.subscriptions).as_trace()
 
 
 def test_store_backed_serial_matches_golden(golden_store_trace,

@@ -51,12 +51,10 @@ class TestPolicies:
     def test_none_disables_oversubscription(self):
         assert not NO_OVERSUBSCRIPTION_POLICY.oversubscribe
 
-    def test_lookup_and_modifiers(self):
+    def test_lookup_by_name(self):
         assert policy_by_name("Coach") is COACH_POLICY
         with pytest.raises(KeyError):
             policy_by_name("bogus")
-        assert COACH_POLICY.with_percentile(80.0).percentile == 80.0
-        assert COACH_POLICY.with_windows(6).windows.windows_per_day == 4
 
 
 def _flat_prediction(windows, percentile, maximum):
@@ -264,9 +262,9 @@ class TestClusterScheduler:
         plan = _plan("vm-a", TimeWindowConfig(4))
         decision = scheduler.place(plan)
         assert decision.accepted
-        assert scheduler.server_of("vm-a") == decision.server_id
+        assert "vm-a" in scheduler.servers[decision.server_id].plans
         scheduler.deallocate("vm-a")
-        assert scheduler.server_of("vm-a") is None
+        assert "vm-a" not in scheduler.servers[decision.server_id].plans
         assert scheduler.servers_in_use() == 0
 
     def test_best_fit_consolidates(self):

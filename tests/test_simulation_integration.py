@@ -31,6 +31,7 @@ from repro.simulator import (
 from repro.simulator import engine
 from repro.simulator.engine import ClusterSimulation
 from repro.trace.hardware import ClusterConfig, Fleet
+from repro.trace.store import TraceStore, TraceStoreBuilder
 from repro.trace.timeseries import SLOTS_PER_DAY
 from repro.trace.timeseries import UtilizationSeries
 from repro.trace.trace import Trace
@@ -74,17 +75,24 @@ class TestClusterSimulation:
 
 
 class TestTruncatedSeriesReplay:
+    FLEET = Fleet(clusters=[ClusterConfig("T1", "test", (("gen4-intel", 1),))])
+
+    @staticmethod
+    def _truncated_vm() -> VMRecord:
+        """A VM whose telemetry stops halfway through its lifetime (40 of
+        its 80 slots)."""
+        vm = VMRecord("vm-trunc", "sub-0", VM_CATALOG["D4_v5"], "T1",
+                      start_slot=10, end_slot=90)
+        truncated = UtilizationSeries(np.full(40, 0.5), start_slot=10)
+        vm.utilization = {r: truncated for r in ALL_RESOURCES}
+        return vm
+
     def test_series_shorter_than_lifetime_does_not_crash_violation_replay(self):
         """A VM whose telemetry covers only part of ``[start_slot, end_slot)``
         must not break the contention replay with a broadcast-shape mismatch;
         the uncovered slots simply contribute no demand."""
-        fleet = Fleet(clusters=[ClusterConfig("T1", "test", (("gen4-intel", 1),))])
-        vm = VMRecord("vm-trunc", "sub-0", VM_CATALOG["D4_v5"], "T1",
-                      start_slot=10, end_slot=90)
-        # Telemetry stops halfway through the lifetime (40 of 80 slots).
-        truncated = UtilizationSeries(np.full(40, 0.5), start_slot=10)
-        vm.utilization = {r: truncated for r in ALL_RESOURCES}
-        trace = Trace(vms=[vm], fleet=fleet, n_slots=100)
+        fleet = self.FLEET
+        trace = Trace(vms=[self._truncated_vm()], fleet=fleet, n_slots=100)
 
         policy = NO_OVERSUBSCRIPTION_POLICY
         sim = ClusterSimulation(trace, "T1", policy,
@@ -96,6 +104,22 @@ class TestTruncatedSeriesReplay:
         assert result.violations.observed_server_slots == 80
         assert result.violations.cpu_violation_fraction == pytest.approx(0.0)
         assert result.violations.memory_violation_fraction == pytest.approx(0.0)
+
+    def test_truncated_series_survives_a_store_on_disk(self, tmp_path):
+        """The row rules take telemetry holding *at most* the lifetime's
+        samples: a truncated row goes through the builder, a memory-mapped
+        open and the row views intact."""
+        with TraceStoreBuilder(tmp_path / "store", fleet=self.FLEET,
+                               n_slots=100) as builder:
+            builder.append(self._truncated_vm())
+        trace = TraceStore.open(tmp_path / "store", mmap=True).as_trace()
+        view, = trace.vms
+        assert (view.vm_id, view.cluster_id, view.start_slot,
+                view.end_slot) == ("vm-trunc", "T1", 10, 90)
+        assert view.utilization.keys() == set(ALL_RESOURCES)
+        for series in view.utilization.values():
+            assert series.start_slot == 10
+            np.testing.assert_array_equal(series.values, np.full(40, 0.5))
 
 
 class TestFailureInjection:

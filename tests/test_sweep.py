@@ -10,6 +10,7 @@ ally assert pool results against checked-in numbers.)
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.simulator.sweep import (
 
 #: A policy whose model training raises inside the worker: numpy rejects
 #: percentiles outside [0, 100] during the forest-target computation.
-BROKEN_POLICY = COACH_POLICY.with_percentile(-5.0)
+BROKEN_POLICY = replace(COACH_POLICY, percentile=-5.0)
 
 
 class _PoolKillingPolicy(PolicyConfig):

@@ -116,32 +116,6 @@ class TestUtilizationSeries:
         assert diffs.size > 0
         assert np.all(diffs < 1e-9)
 
-    def test_downsample_max(self):
-        series = UtilizationSeries([0.1, 0.9, 0.2, 0.4], start_slot=0)
-        down = series.downsample_max(2)
-        assert len(down) == 2
-        assert down.values[0] == pytest.approx(0.9)
-        assert down.values[1] == pytest.approx(0.4)
-
-    def test_downsample_max_misaligned_start_keeps_group_alignment(self):
-        """A series starting mid-group must aggregate into the containing
-        absolute groups, not shift every group by ``start_slot % factor``."""
-        series = UtilizationSeries([0.1, 0.9, 0.2, 0.4], start_slot=1)
-        down = series.downsample_max(2)
-        # Absolute groups: [0, 2) sees slot 1 only, [2, 4) sees slots 2-3,
-        # [4, 6) sees slot 4 only.
-        assert down.start_slot == 0
-        assert len(down) == 3
-        assert down.values[0] == pytest.approx(0.1)
-        assert down.values[1] == pytest.approx(0.9)
-        assert down.values[2] == pytest.approx(0.4)
-
-    def test_downsample_max_aligned_start_scales_start_slot(self):
-        series = UtilizationSeries([0.3, 0.7, 0.5, 0.1], start_slot=4)
-        down = series.downsample_max(2)
-        assert down.start_slot == 2
-        assert down.values.tolist() == [pytest.approx(0.7), pytest.approx(0.5)]
-
     def test_slice_absolute_clipping(self):
         series = UtilizationSeries([0.1, 0.2, 0.3], start_slot=100)
         assert series.slice_absolute(0, 101).tolist() == [0.1]

@@ -22,6 +22,7 @@ from repro.trace.patterns import (
     make_subscription_profile,
 )
 from repro.trace.timeseries import SLOTS_PER_DAY
+from repro.trace.trace import Trace
 from repro.trace.vm import VMRecord
 
 
@@ -34,7 +35,11 @@ class TestHardware:
     def test_cluster_hardware_heterogeneity(self):
         clusters = {c.cluster_id: c for c in default_clusters()}
         # C1 is memory-rich (CPU bottleneck), C4 is core-rich (memory bottleneck).
-        assert clusters["C1"].dominant_gb_per_core() > clusters["C4"].dominant_gb_per_core()
+        def gb_per_core(cluster):
+            capacity = cluster.total_capacity()
+            return capacity[Resource.MEMORY] / capacity[Resource.CPU]
+
+        assert gb_per_core(clusters["C1"]) > gb_per_core(clusters["C4"])
 
     def test_generation_capacity_vectors(self):
         for config in HARDWARE_GENERATIONS.values():
@@ -107,8 +112,11 @@ class TestPatterns:
 
 class TestTraceGeneration:
     def test_trace_validates(self, small_trace):
-        small_trace.validate()
-        assert len(small_trace) == 250
+        """Every generated VM passes the row encoder's gate again."""
+        again = Trace(vms=list(small_trace.vms), fleet=small_trace.fleet,
+                      n_slots=small_trace.n_slots,
+                      subscriptions=small_trace.subscriptions)
+        assert len(again) == len(small_trace) == 250
 
     def test_long_running_vms_dominate_resource_hours(self, small_trace):
         summary = small_trace.summary()
@@ -191,9 +199,9 @@ class TestVMRecord:
 
     def test_demand_vector_scales_with_allocation(self, long_running_vm):
         slot = long_running_vm.start_slot
-        vec = long_running_vm.demand_vector_at(slot)
         for resource in ALL_RESOURCES:
-            assert 0 <= vec[resource] <= long_running_vm.allocated(resource) + 1e-9
+            demand = long_running_vm.demand_at(resource, slot)
+            assert 0 <= demand <= long_running_vm.allocated(resource) + 1e-9
 
     def test_creation_weekday_in_range(self, small_trace):
         for vm in small_trace.vms[:50]:

@@ -13,7 +13,8 @@ Three contracts are pinned here:
   outlives the sweep: not on success, a failing policy, a dead worker, or
   a damaged staged file.
 * **Validation** -- non-uniform or non-float64 telemetry and duplicate VM
-  ids fail loudly when a trace is built, not silently downstream.
+  ids fail loudly when a trace is built, not silently downstream, and
+  open() holds a saved store's rows to the same rules, naming the VM.
 """
 
 import json
@@ -42,9 +43,16 @@ from repro.trace.trace import Trace
 from repro.trace.vm import VM_CATALOG, VMRecord
 
 
+def encode(trace):
+    """A fresh store encoded from *trace*'s records."""
+    return TraceStore.from_records(trace.vms, fleet=trace.fleet,
+                                   n_slots=trace.n_slots,
+                                   subscriptions=trace.subscriptions)
+
+
 @pytest.fixture(scope="module")
 def store(tiny_trace):
-    return TraceStore.from_trace(tiny_trace)
+    return encode(tiny_trace)
 
 
 @pytest.fixture(scope="module")
@@ -134,10 +142,10 @@ class TestColumnarViews:
                   fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots)
 
     def test_duplicate_ids_rejected(self, tiny_trace):
-        store = TraceStore.from_trace(tiny_trace)
+        store = encode(tiny_trace)
         store.vm_ids[1] = store.vm_ids[0]
         with pytest.raises(ValueError, match="duplicate VM id"):
-            TraceStore.from_trace(store.as_trace())
+            encode(store.as_trace())
 
 
 class TestOneLayout:
@@ -160,7 +168,7 @@ class TestOneLayout:
         def refuse(*args, **kwargs):
             raise AssertionError("a trace given its store re-encoded it")
 
-        monkeypatch.setattr(TraceStore, "from_trace", refuse)
+        monkeypatch.setattr(TraceStore, "from_records", refuse)
         trace = store.as_trace()
         assert trace.store is store
         assert len(trace.long_running(0.0)) == len(store)
@@ -297,6 +305,30 @@ def _set_first(column, value):
     return edit
 
 
+def _shift_first(column, by):
+    def edit(members):
+        members[column][0] += by
+    return edit
+
+
+def _end_at_start(members):
+    members["end_slot"][0] = members["start_slot"][0]
+
+
+def _repeat_first_id(members):
+    members["vm_ids"][1] = members["vm_ids"][0]
+
+
+def _foreign_cluster(path):
+    """What an encoder that grew its cluster table wrote for a VM outside
+    the fleet: one more table entry, and VM 0 pointing at it."""
+    meta = json.loads((path / "meta.json").read_text())
+    meta["cluster_ids"].append("C99")
+    (path / "meta.json").write_text(json.dumps(meta))
+    _edit_columns(_set_first("cluster_index",
+                             len(meta["cluster_ids"]) - 1))(path)
+
+
 def _decrease_offsets(members):
     members["offsets"][1] = members["offsets"][-1] + 1
 
@@ -384,6 +416,34 @@ STORE_DAMAGE = [
                  "'config_index'", id="index-outside-table"),
     pytest.param(_edit_columns(_set_first("offering_code", 99)),
                  "'offering_code'", id="code-outside-table"),
+    # The row encoder's rules, which open() checks on the metadata columns.
+    pytest.param(_foreign_cluster,
+                 "column 'cluster_index' gives VM 'vm-000000' cluster_index "
+                 "10, outside the 10-entry 'cluster_ids' table",
+                 id="cluster-outside-fleet"),
+    pytest.param(_edit_meta(lambda meta: {
+        **meta, "cluster_ids": meta["cluster_ids"][::-1]}),
+                 "meta.json key 'cluster_ids'", id="cluster-table-not-fleet"),
+    pytest.param(_edit_columns(_repeat_first_id),
+                 "column 'vm_ids' repeats VM id 'vm-000000'",
+                 id="repeated-vm-id"),
+    pytest.param(_edit_columns(_set_first("start_slot", -1)),
+                 "column 'start_slot' gives VM 'vm-000000' start slot -1, "
+                 "before slot 0", id="start-before-zero"),
+    pytest.param(_edit_columns(_set_first("end_slot", 10**6)),
+                 "column 'end_slot' gives VM 'vm-000000' end slot 1000000, "
+                 "past the 2016-slot horizon", id="end-past-horizon"),
+    pytest.param(_edit_columns(_end_at_start),
+                 "column 'end_slot' gives VM 'vm-000000' end slot 1538, not "
+                 "after its start slot 1538", id="end-not-after-start"),
+    pytest.param(_edit_columns(_shift_first("series_start", 1)),
+                 "column 'series_start' gives VM 'vm-000000' telemetry from "
+                 "slot 1539, not from its start slot 1538",
+                 id="series-not-at-start"),
+    pytest.param(_edit_columns(_shift_first("end_slot", -1)),
+                 "column 'offsets' gives VM 'vm-000000' 37 telemetry "
+                 "samples, not 1 to the 36 of its lifetime",
+                 id="series-longer-than-lifetime"),
 ]
 
 
@@ -583,7 +643,7 @@ class TestSweepTransports:
     def test_failing_policy_removes_staging(self, store_trace, sweep_config,
                                             staged_dirs):
         """PolicySweepError paths must still remove the staged store."""
-        broken = COACH_POLICY.with_percentile(-5.0)
+        broken = replace(COACH_POLICY, percentile=-5.0)
         with pytest.raises(PolicySweepError):
             sweep_policies(store_trace,
                            {"broken": broken, "coach": COACH_POLICY},

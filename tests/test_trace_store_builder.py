@@ -4,13 +4,16 @@ The builder's contract has three parts, each pinned here:
 
 * **Byte identity** -- the finalized directory (and the generator's
   ``generate_to_store`` output, for every registered scenario) is
-  byte-for-byte what ``TraceStore.from_trace(trace).save(path)`` writes,
-  so ``open(mmap=True)`` reads it unchanged and every downstream
+  byte-for-byte what saving the eager store of the same VMs writes, so
+  ``open(mmap=True)`` reads it unchanged and every downstream
   differential guarantee transfers for free.
 * **Validation parity** -- the streaming path raises on exactly what the
-  eager path raises on (duplicate ids, non-uniform resource sets, unequal
-  series coverage, samples that are not float64).  A rejected VM leaves
-  no row behind: the builder goes on as if it had never been offered.
+  eager path raises on, because both go through the row encoder: a
+  repeated id, a cluster outside the fleet, a lifetime outside
+  ``[0, n_slots)``, a non-uniform resource set, unequal series coverage,
+  telemetry that does not start at the VM's start slot or outlasts its
+  lifetime, samples that are not float64.  A rejected VM leaves no row behind: the builder goes
+  on as if it had never been offered.
 * **Lifecycle** -- an abandoned builder leaves no partial directory
   behind, a killed writer leaves only its ``.building`` staging sibling
   (which the next builder replaces), and a finalized/aborted builder
@@ -19,6 +22,7 @@ The builder's contract has three parts, each pinned here:
 
 import signal
 import time
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -74,12 +78,20 @@ NON_STORE_DTYPES = [
 
 def assert_rejected_vm_leaves_no_row(trace, tmp_path, rejected, match, *,
                                      first=False):
-    """Offer *rejected* after the first of nine accepted VMs (before all of
-    them with *first*), append the rest and finalize: the store must be
-    byte-identical to the eager store of the nine accepted VMs.  The
-    rejected VMs below are damaged clones of the second accepted one, so a
-    leaked id would also reject that VM as a duplicate."""
+    """*rejected*, offered after the first of nine accepted VMs (before all
+    of them with *first*), fails both ways in with a ``ValueError`` that
+    matches *match*: a ``Trace`` built from the ten records, and a builder
+    fed them one by one.  The builder then appends the rest and finalizes,
+    and its store must be byte-identical to the eager store of the nine
+    accepted VMs.  The rejected VMs below are damaged clones of the second
+    accepted one, so a leaked id would also reject that VM as a
+    duplicate."""
     accepted = trace.vms[:9]
+    offered = list(accepted)
+    offered.insert(0 if first else 1, rejected)
+    with pytest.raises(ValueError, match=match):
+        Trace(vms=offered, fleet=trace.fleet, n_slots=trace.n_slots,
+              subscriptions=trace.subscriptions)
     streamed = tmp_path / "streamed"
     builder = TraceStoreBuilder(streamed, fleet=trace.fleet,
                                 n_slots=trace.n_slots,
@@ -91,9 +103,8 @@ def assert_rejected_vm_leaves_no_row(trace, tmp_path, rejected, match, *,
         builder.append(vm)
     builder.finalize()
     eager = tmp_path / "eager"
-    TraceStore.from_trace(Trace(vms=accepted, fleet=trace.fleet,
-                                n_slots=trace.n_slots,
-                                subscriptions=trace.subscriptions)).save(eager)
+    Trace(vms=accepted, fleet=trace.fleet, n_slots=trace.n_slots,
+          subscriptions=trace.subscriptions).store.save(eager)
     assert_store_dirs_identical(eager, streamed)
 
 
@@ -136,13 +147,13 @@ def generated(request):
 @pytest.fixture(scope="module")
 def eager_dir(tiny_trace, tmp_path_factory):
     path = tmp_path_factory.mktemp("eager") / "store"
-    TraceStore.from_trace(tiny_trace).save(path)
+    tiny_trace.store.save(path)
     return path
 
 
 class TestByteIdentity:
-    def test_builder_matches_from_trace_save(self, tiny_trace, eager_dir,
-                                             tmp_path):
+    def test_builder_matches_eager_save(self, tiny_trace, eager_dir,
+                                        tmp_path):
         streamed = build_streamed(tiny_trace, tmp_path / "streamed")
         assert_store_dirs_identical(eager_dir, streamed)
 
@@ -151,7 +162,7 @@ class TestByteIdentity:
         opened = TraceStore.open(streamed, mmap=True)
         assert len(opened) == len(tiny_trace.vms)
         assert opened.n_slots == tiny_trace.n_slots
-        reference = TraceStore.from_trace(tiny_trace)
+        reference = tiny_trace.store
         for resource in reference.resources:
             assert np.array_equal(opened.util[resource],
                                   reference.util[resource])
@@ -160,7 +171,7 @@ class TestByteIdentity:
 
     def test_generate_to_store_matches_eager(self, tmp_path, generated):
         config, trace = generated
-        eager = TraceStore.from_trace(trace).save(tmp_path / "eager")
+        eager = trace.store.save(tmp_path / "eager")
         streamed = TraceGenerator(config).generate_to_store(tmp_path / "stream")
         assert_store_dirs_identical(eager, streamed)
 
@@ -191,7 +202,9 @@ class TestByteIdentity:
 
     def test_save_is_deterministic(self, tiny_trace, eager_dir, tmp_path):
         again = tmp_path / "again"
-        TraceStore.from_trace(tiny_trace).save(again)
+        TraceStore.from_records(
+            tiny_trace.vms, fleet=tiny_trace.fleet, n_slots=tiny_trace.n_slots,
+            subscriptions=tiny_trace.subscriptions).save(again)
         assert_store_dirs_identical(eager_dir, again)
 
 
@@ -200,7 +213,7 @@ class TestEdgeCases:
         empty = Trace(vms=[], fleet=tiny_trace.fleet, n_slots=288,
                       subscriptions={})
         eager = tmp_path / "eager"
-        TraceStore.from_trace(empty).save(eager)
+        empty.store.save(eager)
         streamed = tmp_path / "streamed"
         with TraceStoreBuilder(streamed, fleet=empty.fleet,
                                n_slots=empty.n_slots):
@@ -215,7 +228,7 @@ class TestEdgeCases:
                        n_slots=tiny_trace.n_slots,
                        subscriptions=tiny_trace.subscriptions)
         eager = tmp_path / "eager"
-        TraceStore.from_trace(single).save(eager)
+        single.store.save(eager)
         streamed = build_streamed(single, tmp_path / "streamed")
         assert_store_dirs_identical(eager, streamed)
 
@@ -248,6 +261,56 @@ class TestEdgeCases:
     def test_duplicate_vm_id_raises(self, tiny_trace, tmp_path):
         assert_rejected_vm_leaves_no_row(tiny_trace, tmp_path,
                                          tiny_trace.vms[0], "duplicate VM id")
+
+    def test_cluster_outside_the_fleet_raises(self, tiny_trace, tmp_path):
+        stray = replace(tiny_trace.vms[1], cluster_id="C99")
+        assert_rejected_vm_leaves_no_row(
+            tiny_trace, tmp_path, stray,
+            f"VM {stray.vm_id} runs in cluster 'C99', which is not in the "
+            f"fleet")
+
+    def test_end_past_the_horizon_raises(self, tiny_trace, tmp_path):
+        late = replace(tiny_trace.vms[1], end_slot=tiny_trace.n_slots + 1)
+        assert_rejected_vm_leaves_no_row(
+            tiny_trace, tmp_path, late,
+            rf"VM {late.vm_id} lives in \[{late.start_slot}, "
+            rf"{tiny_trace.n_slots + 1}\), outside the trace's slots "
+            rf"\[0, {tiny_trace.n_slots}\)")
+
+    def test_start_before_slot_zero_raises(self, tiny_trace, tmp_path):
+        """A VM and its telemetry from slot -5: the dense demand matrix
+        would wrap its first samples around to the trace's last slots."""
+        source = tiny_trace.vms[1]
+        early = clone_with(replace(source, start_slot=-5), {
+            resource: UtilizationSeries.from_validated(
+                np.concatenate([np.full(source.start_slot + 5, 0.5),
+                                series.values]), -5)
+            for resource, series in source.utilization.items()})
+        assert_rejected_vm_leaves_no_row(
+            tiny_trace, tmp_path, early,
+            rf"VM {source.vm_id} lives in \[-5, {source.end_slot}\), "
+            rf"outside the trace's slots \[0, {tiny_trace.n_slots}\)")
+
+    def test_series_not_starting_at_start_slot_raises(self, tiny_trace,
+                                                      tmp_path):
+        """Telemetry that begins a slot after the VM, within its lifetime."""
+        source = tiny_trace.vms[1]
+        shifted = clone_with(source, {
+            resource: UtilizationSeries.from_validated(
+                series.values[:-1], series.start_slot + 1)
+            for resource, series in source.utilization.items()})
+        assert_rejected_vm_leaves_no_row(
+            tiny_trace, tmp_path, shifted,
+            f"VM {source.vm_id}: telemetry covers "
+            rf"\[{source.start_slot + 1}, {source.end_slot}\), but must "
+            f"start at the VM's start slot {source.start_slot}")
+
+    def test_series_longer_than_lifetime_raises(self, tiny_trace, tmp_path):
+        source = tiny_trace.vms[1]
+        cut = replace(source, end_slot=source.end_slot - 1)
+        assert_rejected_vm_leaves_no_row(
+            tiny_trace, tmp_path, cut,
+            f"VM {source.vm_id}: .* hold 1 to {cut.lifetime_slots} samples")
 
 
 class TestLifecycle:

@@ -58,8 +58,9 @@ class TestHistoryIndex:
 
     def test_window_mean_peak_shape(self, small_trace):
         windows = TimeWindowConfig(6)
-        index = HistoryIndex.build(small_trace.long_running().vms, windows)
-        group = index.global_history
+        history = small_trace.long_running().vms
+        index = HistoryIndex.build(history, windows)
+        group, _level = index.lookup(history[0])
         for resource in ALL_RESOURCES:
             assert group.window_mean_peak[resource].shape == (windows.windows_per_day,)
 

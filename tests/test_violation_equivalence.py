@@ -13,6 +13,7 @@ from repro.core.policy import COACH_POLICY
 from repro.core.scheduler import ClusterScheduler
 from repro.prediction.utilization_model import OracleUtilizationModel
 from repro.simulator import ClusterSimulation, SimulationConfig, ViolationStats
+from repro.simulator.engine import CPU_CONTENTION_FRACTION
 from repro.simulator.replay import ReferenceViolationMeter, VectorizedViolationMeter
 from repro.simulator.synthetic import build_placed_replay_state
 from repro.trace.hardware import ClusterConfig
@@ -110,7 +111,7 @@ class TestEngineEquivalence:
         reference = ReferenceViolationMeter().measure(
             simulation.manager.scheduler.servers.values(), simulation.placed,
             config.placement_start_slot, small_trace.n_slots,
-            config.cpu_contention_fraction)
+            CPU_CONTENTION_FRACTION)
         assert vectorized == reference
         assert vectorized.observed_server_slots > 0
 

@@ -154,7 +154,10 @@ class TestCoachVM:
         assert coach_vm.is_oversubscribed
 
     def test_fully_guaranteed_vm(self):
-        coach_vm = CoachVM.fully_guaranteed(self._record(), self._plan())
+        plan = self._plan()
+        memory = MemorySplit(pa_gb=plan.plans[Resource.MEMORY].requested,
+                             va_gb=0.0, va_backed_gb=0.0)
+        coach_vm = CoachVM(vm=self._record(), plan=plan, memory=memory)
         assert coach_vm.memory.va_gb == 0.0
         assert not coach_vm.is_oversubscribed
 
