@@ -13,10 +13,12 @@ the snippet in the module docstring of the fixture below and update the
 table in the same commit that changes the behaviour.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from repro.scenarios.registry import get_scenario
 from repro.simulator import SimulationConfig, sweep_policies
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
 from repro.trace.store import TraceStore
@@ -37,12 +39,67 @@ GOLDEN = {
 }
 
 
+#: The generator config of the golden trace.
+GOLDEN_GENERATOR = TraceGeneratorConfig(n_vms=500, n_days=10, seed=1234,
+                                        n_subscriptions=30,
+                                        servers_per_cluster=1)
+
+#: SHA-256 of every file ``generate_to_store`` writes, per generator
+#: config: the golden trace's, and that of ``spot-churn-with-crashes``,
+#: which turns on every opt-in draw of the generator (surge overlay, flash
+#: crowds, allocation classes, explicit fleet).  The GOLDEN table, the
+#: scenario fingerprints and the prediction pin see only results derived
+#: from the telemetry; these pin the raw samples and metadata bit for bit,
+#: so a change to the generator's draws or arithmetic fails here, by file.
+STORE_DIGESTS = {
+    "golden": {
+        "columns.npz": "cf31c6f43888475c8d0a73e1ab7768c5dde94a86266af1693b1c481adb88ce6c",
+        "meta.json": "f1601e17b38fad5e524f241276d9879b0191a5fbf690cbdcc02a1e3843f27ca0",
+        "util_cpu.npy": "0849ad10fd9505e26000fa7f8ca5bea27f3d3ce25f5da500afa749f3d5c7f459",
+        "util_memory.npy": "efdac173e95ab1fe07f24f2e6beda4e04a44f967af4ee8f4e4735813a7bbae4d",
+        "util_network.npy": "abc091c804dba88fa7de2e4018e79019b50835a4ccfc3b7d3b989a5992e287e3",
+        "util_ssd.npy": "a1458dc004edbc0f9012ef3d47ee2ce6cda69818d58a6c45cfe914d7022755d4",
+    },
+    "spot-churn-with-crashes": {
+        "columns.npz": "740c9640e0d36aaa8842678021bfdf79fedfc9e1c8f5188358cb925bc27a124c",
+        "meta.json": "cdbed6f804fabb9d0ac600fd03ecfa917313ead594e4699b408da6765edf8ade",
+        "util_cpu.npy": "0605a988731766bd3fb7447f3a08c23d27fe321efec60e49761b20625cb98667",
+        "util_memory.npy": "a31fa3444842cd2e060c295b22b547f1bd000208cde45af689a26a941d08118f",
+        "util_network.npy": "9a64669572277eb12bfd2b3f5efd64eba35441a1b12f62a1b80272514847a4c1",
+        "util_ssd.npy": "487902b5ad9047942073ebc84abce5d1bf0a8b3c874485921c53c469981816aa",
+    },
+}
+
+
+def _pinned_generator(name: str) -> TraceGeneratorConfig:
+    if name == "golden":
+        return GOLDEN_GENERATOR
+    config = get_scenario(name).generator_config()
+    assert (config.surge is not None and config.flash_crowd_slots
+            and config.flash_crowd_fraction > 0.0
+            and config.allocation_class_weights
+            and config.clusters is not None), \
+        f"{name} no longer turns on every opt-in draw of the generator"
+    return config
+
+
+@pytest.mark.parametrize("name", sorted(STORE_DIGESTS))
+def test_generated_store_bytes_are_pinned(name, tmp_path):
+    path = TraceGenerator(_pinned_generator(name)).generate_to_store(
+        tmp_path / "store")
+    trace = TraceStore.open(path).as_trace()
+    # A bursty VM draws two burst arrays per resource besides its noise.
+    assert any(trace.subscriptions[vm.subscription_id].archetype == "bursty"
+               for vm in trace)
+    digests = {file.name: hashlib.sha256(file.read_bytes()).hexdigest()
+               for file in sorted(path.iterdir())}
+    assert digests == STORE_DIGESTS[name]
+
+
 @pytest.fixture(scope="module")
 def golden_trace():
     """The fixed-seed trace behind every golden assertion in this module."""
-    config = TraceGeneratorConfig(n_vms=500, n_days=10, seed=1234,
-                                  n_subscriptions=30, servers_per_cluster=1)
-    return TraceGenerator(config).generate()
+    return TraceGenerator(GOLDEN_GENERATOR).generate()
 
 
 @pytest.fixture(scope="module")
