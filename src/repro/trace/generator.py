@@ -2,7 +2,7 @@
 
 The paper characterizes two weeks of production telemetry from over one
 million opaque VMs.  That trace is proprietary, so this generator produces a
-synthetic trace with the same *statistical structure* (see DESIGN.md):
+synthetic trace with the same *statistical structure*:
 
 * duration mix -- most VMs are short-lived, but the ~28% lasting longer than
   a day consume ~96% of core-hours (Figure 2);
@@ -22,18 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.trace.hardware import ClusterConfig, Fleet, default_clusters
 from repro.trace.patterns import (
+    SlotCalendar,
     SubscriptionProfile,
     SurgeConfig,
     generate_resource_patterns,
-    generate_series,
+    generate_vm_series,
     make_subscription_profile,
-    surge_overlay,
     vm_cpu_parameters,
 )
 from repro.trace.store import TraceStore, TraceStoreBuilder
@@ -123,26 +123,89 @@ class TraceGeneratorConfig:
         return slots_for_days(self.n_days)
 
 
+T = TypeVar("T")
+
+
+class Choice(Generic[T]):
+    """One pick from a fixed table, draw for draw what ``Generator.choice``
+    returns for one pick from the same table.
+
+    With *weights*, the normalized CDF is built once and a pick locates one
+    ``rng.random()`` in it with ``searchsorted(side="right")``: the
+    algorithm of ``choice(items, p=weights / weights.sum())``.  Without, a
+    pick is ``items[rng.integers(0, len(items))]``: that of ``choice(items)``.
+    Either way a pick consumes the stream exactly as ``choice`` would.
+    """
+
+    __slots__ = ("items", "_cdf")
+
+    def __init__(self, items: Sequence[T], weights: Optional[Sequence[float]] = None):
+        self.items: List[T] = list(items)
+        self._cdf: Optional[np.ndarray] = None
+        if weights is not None:
+            probs = np.asarray(weights, dtype=np.float64)
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            self._cdf = cdf
+
+    @classmethod
+    def weighted(cls, weights: Dict[T, float]) -> "Choice[T]":
+        return cls(list(weights), list(weights.values()))
+
+    def pick(self, rng: np.random.Generator) -> T:
+        if self._cdf is None:
+            return self.items[rng.integers(0, len(self.items))]
+        return self.items[self._cdf.searchsorted(rng.random(), side="right")]
+
+
+@dataclass(frozen=True)
+class _Population:
+    """What the per-VM loop reads: the trace-wide state drawn before it,
+    and the tables every VM picks from or slices, built once per trace."""
+
+    fleet: Fleet
+    #: sub_id -> (subscription, behaviour profile, preferred config names).
+    subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, List[str]]]
+    sub_ids: Choice[str]
+    #: sub_id -> the clusters its VMs land in.
+    sub_clusters: Dict[str, Choice[str]]
+    calendar: SlotCalendar
+    long_configs: Choice[str]
+    short_configs: Choice[str]
+    #: ``None`` unless the config sets an allocation-class mix.
+    classes: Optional[Choice[str]]
+    #: ``None`` unless the config turns flash crowds on.
+    flash_slots: Optional[Choice[int]]
+
+
+#: Short-lived VMs last log-uniformly between 5 minutes and 1 day.
+_SHORT_LOG_SLOTS = (np.log(1), np.log(SLOTS_PER_DAY))
+
+
 class TraceGenerator:
-    """Generates a reproducible synthetic trace from a configuration."""
+    """Generates a reproducible synthetic trace from a configuration.
+
+    Every :meth:`generate` and :meth:`generate_to_store` draws from a fresh
+    ``default_rng(config.seed)``, so one instance yields the same trace on
+    every call.
+    """
 
     def __init__(self, config: Optional[TraceGeneratorConfig] = None):
         self.config = config or TraceGeneratorConfig()
-        self._rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------ #
     # Subscriptions
     # ------------------------------------------------------------------ #
-    def _make_subscriptions(self) -> Dict[str, tuple[Subscription, SubscriptionProfile,
-                                                     List[str]]]:
+    def _make_subscriptions(self, rng: np.random.Generator
+                            ) -> Dict[str, Tuple[Subscription, SubscriptionProfile,
+                                                 List[str]]]:
         """Create subscriptions with a behaviour profile and preferred configs."""
         cfg = self.config
-        rng = self._rng
         archetype_names = list(cfg.archetype_weights)
         archetype_probs = np.array([cfg.archetype_weights[a] for a in archetype_names])
         archetype_probs = archetype_probs / archetype_probs.sum()
 
-        subscriptions: Dict[str, tuple[Subscription, SubscriptionProfile, List[str]]] = {}
+        subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, List[str]]] = {}
         long_names = list(cfg.long_running_config_weights)
         long_probs = np.array([cfg.long_running_config_weights[n] for n in long_names])
         long_probs = long_probs / long_probs.sum()
@@ -163,8 +226,8 @@ class TraceGenerator:
             # Each subscription uses a small set of preferred VM configurations,
             # which is what makes the subscription+config grouping predictive.
             n_preferred = int(rng.integers(1, 4))
-            preferred = list(rng.choice(long_names, size=n_preferred, replace=False,
-                                        p=long_probs))
+            preferred = [str(name) for name in rng.choice(
+                long_names, size=n_preferred, replace=False, p=long_probs)]
             subscriptions[sub_id] = (
                 Subscription(sub_id, sub_type, archetype, offering), profile, preferred)
         return subscriptions
@@ -172,8 +235,8 @@ class TraceGenerator:
     # ------------------------------------------------------------------ #
     # Durations and sizes
     # ------------------------------------------------------------------ #
-    def _sample_duration_slots(self, long_running: bool) -> int:
-        rng = self._rng
+    def _sample_duration_slots(self, rng: np.random.Generator,
+                               long_running: bool) -> int:
         if long_running:
             # 1 to n_days days, biased towards the full horizon so that
             # long-running VMs dominate resource-hours.
@@ -181,27 +244,18 @@ class TraceGenerator:
             if rng.random() < 0.45:
                 days = float(self.config.n_days)  # runs for the whole trace
             return max(SLOTS_PER_DAY + 1, int(days * SLOTS_PER_DAY))
-        # Short-lived: log-uniform between 5 minutes and 1 day.
-        log_lo, log_hi = np.log(1), np.log(SLOTS_PER_DAY)
-        return max(1, int(np.exp(rng.uniform(log_lo, log_hi))))
+        return max(1, int(np.exp(rng.uniform(*_SHORT_LOG_SLOTS))))
 
-    def _sample_config(self, long_running: bool, preferred: Sequence[str]) -> VMConfig:
-        rng = self._rng
-        cfg = self.config
-        if long_running:
-            if preferred and rng.random() < 0.8:
-                return VM_CATALOG[str(rng.choice(list(preferred)))]
-            names = list(cfg.long_running_config_weights)
-            probs = np.array([cfg.long_running_config_weights[n] for n in names])
-        else:
-            names = list(cfg.short_lived_config_weights)
-            probs = np.array([cfg.short_lived_config_weights[n] for n in names])
-        probs = probs / probs.sum()
-        return VM_CATALOG[str(rng.choice(names, p=probs))]
+    def _sample_config(self, rng: np.random.Generator, population: _Population,
+                       long_running: bool, preferred: Sequence[str]) -> VMConfig:
+        if not long_running:
+            return VM_CATALOG[population.short_configs.pick(rng)]
+        if preferred and rng.random() < 0.8:
+            return VM_CATALOG[preferred[rng.integers(0, len(preferred))]]
+        return VM_CATALOG[population.long_configs.pick(rng)]
 
-    def _sample_start_slot(self, duration_slots: int) -> int:
+    def _sample_start_slot(self, rng: np.random.Generator, duration_slots: int) -> int:
         """Arrival slot, biased towards working hours on weekdays."""
-        rng = self._rng
         n_slots = self.config.n_slots
         latest = max(0, n_slots - duration_slots)
         if latest == 0:
@@ -211,24 +265,21 @@ class TraceGenerator:
         # biased towards business hours.
         day = int(rng.integers(0, max(1, min(self.config.n_days,
                                              latest // SLOTS_PER_DAY + 1))))
-        hour = float(np.clip(rng.normal(11.0, 5.0), 0.0, 23.9))
+        hour = min(max(rng.normal(11.0, 5.0), 0.0), 23.9)
         slot = day * SLOTS_PER_DAY + int(hour * SLOTS_PER_HOUR)
         return min(slot, latest)
 
     # ------------------------------------------------------------------ #
     # Main entry points
     # ------------------------------------------------------------------ #
-    def _population(self) -> tuple[Fleet,
-                                   Dict[str, tuple[Subscription, SubscriptionProfile,
-                                                   List[str]]],
-                                   Dict[str, List[str]]]:
-        """The trace-wide state drawn *before* the per-VM loop."""
+    def _population(self, rng: np.random.Generator) -> _Population:
+        """The trace-wide state drawn *before* the per-VM loop, and the
+        tables built from the config."""
         cfg = self.config
-        rng = self._rng
         fleet = Fleet(clusters=list(cfg.clusters) if cfg.clusters is not None
                       else default_clusters(cfg.servers_per_cluster))
 
-        subscriptions = self._make_subscriptions()
+        subscriptions = self._make_subscriptions(rng)
         cluster_ids = fleet.cluster_ids()
         cluster_probs = np.array(fleet.arrival_weights())
         cluster_probs = cluster_probs / cluster_probs.sum()
@@ -237,58 +288,56 @@ class TraceGenerator:
         # clamped to the fleet size so explicit small fleets (scenario
         # hook) work; the default fleet has >= 3 clusters, so the clamp
         # never binds there and the stream is unchanged.
-        sub_clusters: Dict[str, List[str]] = {}
+        sub_clusters: Dict[str, Choice[str]] = {}
         for sub_id in subscriptions:
             count = min(int(rng.integers(1, 4)), len(cluster_ids))
-            sub_clusters[sub_id] = list(rng.choice(cluster_ids, size=count, replace=False,
-                                                   p=cluster_probs))
-        return fleet, subscriptions, sub_clusters
+            sub_clusters[sub_id] = Choice([str(cid) for cid in rng.choice(
+                cluster_ids, size=count, replace=False, p=cluster_probs)])
+        flash_slots = None
+        if cfg.flash_crowd_slots and cfg.flash_crowd_fraction > 0.0:
+            flash_slots = Choice([int(slot) for slot in cfg.flash_crowd_slots])
+        return _Population(
+            fleet=fleet,
+            subscriptions=subscriptions,
+            sub_ids=Choice(list(subscriptions)),
+            sub_clusters=sub_clusters,
+            calendar=SlotCalendar(cfg.n_slots, cfg.surge),
+            long_configs=Choice.weighted(cfg.long_running_config_weights),
+            short_configs=Choice.weighted(cfg.short_lived_config_weights),
+            classes=(Choice.weighted(cfg.allocation_class_weights)
+                     if cfg.allocation_class_weights else None),
+            flash_slots=flash_slots,
+        )
 
-    def _sample_vm(self, index: int, sub_ids: List[str],
-                   subscriptions: Dict[str, tuple[Subscription, SubscriptionProfile,
-                                                  List[str]]],
-                   sub_clusters: Dict[str, List[str]]) -> VMRecord:
+    def _sample_vm(self, rng: np.random.Generator, population: _Population,
+                   index: int) -> VMRecord:
         """Draw one VM (the body of the per-VM loop; RNG order is the spec)."""
         cfg = self.config
-        rng = self._rng
-        sub_id = str(rng.choice(sub_ids))
-        subscription, profile, preferred = subscriptions[sub_id]
+        sub_id = population.sub_ids.pick(rng)
+        subscription, profile, preferred = population.subscriptions[sub_id]
         long_running = rng.random() < cfg.long_running_fraction
-        duration = self._sample_duration_slots(long_running)
-        start = self._sample_start_slot(duration)
-        if cfg.flash_crowd_slots and cfg.flash_crowd_fraction > 0.0:
+        duration = self._sample_duration_slots(rng, long_running)
+        start = self._sample_start_slot(rng, duration)
+        if population.flash_slots is not None:
             # Opt-in draws: redirect a fraction of arrivals to cluster
             # tightly around the configured burst slots.
             if rng.random() < cfg.flash_crowd_fraction:
-                burst = int(rng.choice(np.asarray(cfg.flash_crowd_slots)))
+                burst = population.flash_slots.pick(rng)
                 jitter = int(rng.integers(0, max(1, cfg.flash_crowd_spread_slots)))
                 start = min(max(0, burst + jitter), cfg.n_slots - 1)
         end = min(start + duration, cfg.n_slots)
-        config = self._sample_config(long_running, preferred)
-        cluster_id = str(rng.choice(sub_clusters[sub_id]))
+        config = self._sample_config(rng, population, long_running, preferred)
+        cluster_id = population.sub_clusters[sub_id].pick(rng)
         allocation_class = AllocationClass.ON_DEMAND
-        if cfg.allocation_class_weights:
-            class_names = list(cfg.allocation_class_weights)
-            class_probs = np.array([cfg.allocation_class_weights[name]
-                                    for name in class_names], dtype=np.float64)
-            class_probs = class_probs / class_probs.sum()
-            allocation_class = AllocationClass(
-                str(rng.choice(class_names, p=class_probs)))
+        if population.classes is not None:
+            allocation_class = AllocationClass(population.classes.pick(rng))
 
         # Large VMs tend to be somewhat better utilized.
-        config_scale = 1.0 + 0.1 * np.log2(max(config.cores, 1)) / 5.0
+        config_scale = 1.0 + 0.1 * float(np.log2(max(config.cores, 1))) / 5.0
         cpu_params = vm_cpu_parameters(profile, rng, config_scale=config_scale)
         per_resource = generate_resource_patterns(cpu_params, rng)
-
-        overlay = None
-        if cfg.surge is not None:
-            overlay = surge_overlay(cfg.surge, end - start, start)
-        utilization = {}
-        for resource, params in per_resource.items():
-            values = generate_series(params, end - start, start, rng)
-            if overlay is not None:
-                values = np.clip(values * overlay, 0.005, 1.0)
-            utilization[resource] = UtilizationSeries(values, start_slot=start)
+        values = generate_vm_series(list(per_resource.values()),
+                                    population.calendar, start, end - start, rng)
 
         return VMRecord(
             vm_id=f"vm-{index:06d}",
@@ -300,25 +349,28 @@ class TraceGenerator:
             offering=subscription.offering,
             subscription_type=subscription.subscription_type,
             allocation_class=allocation_class,
-            utilization=utilization,
+            utilization=dict(zip(per_resource,
+                                 UtilizationSeries.from_rows(values, start))),
         )
 
-    def _draw(self) -> tuple[Fleet, Dict[str, Subscription],
+    def _draw(self) -> Tuple[Fleet, Dict[str, Subscription],
                              Iterator[VMRecord]]:
         """The fleet, the subscriptions and the VMs, drawn lazily.
 
         The one VM loop behind :meth:`generate` and
-        :meth:`generate_to_store`: the trace-wide state is drawn here, then
-        each VM as the returned iterator is advanced, so both paths consume
-        the identical random stream and produce the same VMs while holding
-        one record at a time.
+        :meth:`generate_to_store`: it seeds a fresh random stream, draws
+        the trace-wide state, then each VM as the returned iterator is
+        advanced, so both paths, and every call of either, consume the
+        identical random stream and produce the same VMs while holding one
+        record at a time.
         """
-        fleet, subscriptions, sub_clusters = self._population()
-        sub_ids = list(subscriptions)
-        vms = (self._sample_vm(index, sub_ids, subscriptions, sub_clusters)
+        rng = np.random.default_rng(self.config.seed)
+        population = self._population(rng)
+        vms = (self._sample_vm(rng, population, index)
                for index in range(self.config.n_vms))
-        return (fleet, {sid: sub for sid, (sub, _p, _c)
-                        in subscriptions.items()}, vms)
+        return (population.fleet,
+                {sid: sub for sid, (sub, _p, _c)
+                 in population.subscriptions.items()}, vms)
 
     def generate(self) -> Trace:
         """Generate the trace in RAM.

@@ -10,12 +10,17 @@ Each *pattern archetype* describes how a VM's utilization moves over the day
 and week; a :class:`PatternParameters` instance pins the archetype's free
 parameters (base level, peak height, peak window, noise) so that VMs from
 the same subscription draw near-identical parameters.
+
+A VM's series come from :func:`generate_vm_series` in two steps: the random
+draws, one resource after another in a fixed order, then one array pass
+over the VM's ``(n_resources, lifetime)`` matrix that reads the
+per-slot tables of a :class:`SlotCalendar` built once for the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -55,45 +60,52 @@ class PatternParameters:
     #: Height of unpredictable bursts.
     burst_height: float = 0.0
 
-    def clamp(self) -> "PatternParameters":
-        """Return a copy with all fields clipped to sane ranges."""
-        return replace(
-            self,
-            base=float(np.clip(self.base, 0.01, 0.98)),
-            peak=float(np.clip(self.peak, 0.02, 1.0)),
-            peak_hour=float(self.peak_hour % 24.0),
-            peak_width_hours=float(np.clip(self.peak_width_hours, 0.5, 12.0)),
-            weekend_factor=float(np.clip(self.weekend_factor, 0.05, 1.5)),
-            noise=float(np.clip(self.noise, 0.0, 0.3)),
-            burst_probability=float(np.clip(self.burst_probability, 0.0, 0.2)),
-            burst_height=float(np.clip(self.burst_height, 0.0, 1.0)),
-        )
+
+
+def _clamped(archetype: str, base: float, peak: float, peak_hour: float,
+             peak_width_hours: float, weekend_factor: float, noise: float,
+             burst_probability: float, burst_height: float) -> PatternParameters:
+    """Parameters with every field clipped to its sane range."""
+    return PatternParameters(
+        archetype,
+        base=min(max(base, 0.01), 0.98),
+        peak=min(max(peak, 0.02), 1.0),
+        peak_hour=peak_hour % 24.0,
+        peak_width_hours=min(max(peak_width_hours, 0.5), 12.0),
+        weekend_factor=min(max(weekend_factor, 0.05), 1.5),
+        noise=min(max(noise, 0.0), 0.3),
+        burst_probability=min(max(burst_probability, 0.0), 0.2),
+        burst_height=min(max(burst_height, 0.0), 1.0),
+    )
+
+
+#: Typical parameters of each archetype (before per-subscription jitter).
+_ARCHETYPE_DEFAULTS: Dict[str, PatternParameters] = {
+    "diurnal": PatternParameters(
+        "diurnal", base=0.12, peak=0.55, peak_hour=13.0, peak_width_hours=6.0,
+        weekend_factor=0.5, noise=0.05),
+    "nocturnal": PatternParameters(
+        "nocturnal", base=0.10, peak=0.60, peak_hour=2.0, peak_width_hours=5.0,
+        weekend_factor=0.9, noise=0.05),
+    "evening-peak": PatternParameters(
+        "evening-peak", base=0.15, peak=0.50, peak_hour=20.0, peak_width_hours=4.0,
+        weekend_factor=1.2, noise=0.05),
+    "constant": PatternParameters(
+        "constant", base=0.30, peak=0.32, peak_hour=12.0, peak_width_hours=24.0,
+        weekend_factor=1.0, noise=0.03),
+    "weekly-batch": PatternParameters(
+        "weekly-batch", base=0.20, peak=0.55, peak_hour=10.0, peak_width_hours=8.0,
+        weekend_factor=0.15, noise=0.06),
+    "bursty": PatternParameters(
+        "bursty", base=0.15, peak=0.30, peak_hour=12.0, peak_width_hours=6.0,
+        weekend_factor=1.0, noise=0.10, burst_probability=0.02, burst_height=0.6),
+}
 
 
 def archetype_defaults(archetype: str) -> PatternParameters:
     """Typical parameters for each archetype (before per-subscription jitter)."""
-    table: Dict[str, PatternParameters] = {
-        "diurnal": PatternParameters(
-            "diurnal", base=0.12, peak=0.55, peak_hour=13.0, peak_width_hours=6.0,
-            weekend_factor=0.5, noise=0.05),
-        "nocturnal": PatternParameters(
-            "nocturnal", base=0.10, peak=0.60, peak_hour=2.0, peak_width_hours=5.0,
-            weekend_factor=0.9, noise=0.05),
-        "evening-peak": PatternParameters(
-            "evening-peak", base=0.15, peak=0.50, peak_hour=20.0, peak_width_hours=4.0,
-            weekend_factor=1.2, noise=0.05),
-        "constant": PatternParameters(
-            "constant", base=0.30, peak=0.32, peak_hour=12.0, peak_width_hours=24.0,
-            weekend_factor=1.0, noise=0.03),
-        "weekly-batch": PatternParameters(
-            "weekly-batch", base=0.20, peak=0.55, peak_hour=10.0, peak_width_hours=8.0,
-            weekend_factor=0.15, noise=0.06),
-        "bursty": PatternParameters(
-            "bursty", base=0.15, peak=0.30, peak_hour=12.0, peak_width_hours=6.0,
-            weekend_factor=1.0, noise=0.10, burst_probability=0.02, burst_height=0.6),
-    }
     try:
-        return table[archetype]
+        return _ARCHETYPE_DEFAULTS[archetype]
     except KeyError as exc:
         raise ValueError(f"unknown archetype {archetype!r}") from exc
 
@@ -103,15 +115,15 @@ def jitter_parameters(
 ) -> PatternParameters:
     """Perturb pattern parameters, e.g. to derive a subscription's profile
     from the archetype default or a VM's profile from its subscription."""
-    return replace(
-        params,
-        base=params.base + rng.normal(0.0, 0.04 * scale),
-        peak=params.peak + rng.normal(0.0, 0.07 * scale),
-        peak_hour=params.peak_hour + rng.normal(0.0, 1.0 * scale),
-        peak_width_hours=params.peak_width_hours * float(np.exp(rng.normal(0.0, 0.1 * scale))),
-        weekend_factor=params.weekend_factor + rng.normal(0.0, 0.08 * scale),
-        noise=params.noise * float(np.exp(rng.normal(0.0, 0.2 * scale))),
-    ).clamp()
+    base = params.base + rng.normal(0.0, 0.04 * scale)
+    peak = params.peak + rng.normal(0.0, 0.07 * scale)
+    peak_hour = params.peak_hour + rng.normal(0.0, 1.0 * scale)
+    peak_width_hours = params.peak_width_hours * float(np.exp(rng.normal(0.0, 0.1 * scale)))
+    weekend_factor = params.weekend_factor + rng.normal(0.0, 0.08 * scale)
+    noise = params.noise * float(np.exp(rng.normal(0.0, 0.2 * scale)))
+    return _clamped(params.archetype, base, peak, peak_hour, peak_width_hours,
+                    weekend_factor, noise, params.burst_probability,
+                    params.burst_height)
 
 
 def memory_parameters_from_cpu(
@@ -126,14 +138,11 @@ def memory_parameters_from_cpu(
     base = 0.5 + 0.45 * cpu_params.base + rng.normal(0.0, 0.12)
     # Memory swings are a small fraction of the CPU swing.
     swing = max(0.0, (cpu_params.peak - cpu_params.base)) * float(rng.uniform(0.1, 0.45))
-    return replace(
-        cpu_params,
-        base=base,
-        peak=base + swing,
-        noise=min(0.04, cpu_params.noise * 0.5),
-        burst_probability=cpu_params.burst_probability * 0.3,
-        burst_height=cpu_params.burst_height * 0.3,
-    ).clamp()
+    return _clamped(cpu_params.archetype, base, base + swing,
+                    cpu_params.peak_hour, cpu_params.peak_width_hours,
+                    cpu_params.weekend_factor, min(0.04, cpu_params.noise * 0.5),
+                    cpu_params.burst_probability * 0.3,
+                    cpu_params.burst_height * 0.3)
 
 
 def scaled_parameters(
@@ -142,53 +151,9 @@ def scaled_parameters(
     """Derive a pattern for a secondary resource (network, SSD) from CPU."""
     base = params.base * mean_scale + rng.normal(0.0, 0.03)
     swing = max(0.0, params.peak - params.base) * swing_scale
-    return replace(params, base=base, peak=base + swing, noise=params.noise).clamp()
-
-
-def _daily_shape(params: PatternParameters, n_slots: int, start_slot: int) -> np.ndarray:
-    """Deterministic (noise-free) utilization for each slot of the lifetime."""
-    slots = np.arange(start_slot, start_slot + n_slots)
-    hour_of_day = (slots % SLOTS_PER_DAY) / SLOTS_PER_HOUR
-    day = slots // SLOTS_PER_DAY
-    weekday = day % 7
-    is_weekend = weekday >= 5
-
-    # Gaussian bump centred at peak_hour with wrap-around at midnight.
-    delta = np.minimum(np.abs(hour_of_day - params.peak_hour),
-                       24.0 - np.abs(hour_of_day - params.peak_hour))
-    sigma = params.peak_width_hours / 2.355  # FWHM -> sigma
-    bump = np.exp(-0.5 * (delta / max(sigma, 1e-6)) ** 2)
-    shape = params.base + (params.peak - params.base) * bump
-
-    weekend_scale = np.where(is_weekend, params.weekend_factor, 1.0)
-    return shape * weekend_scale
-
-
-def generate_series(
-    params: PatternParameters,
-    n_slots: int,
-    start_slot: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Generate a per-slot maximum-utilization series for one resource.
-
-    The output is the *maximum* utilization within each 5-minute slot, so the
-    noise model is multiplicative with a slight upward bias (maxima of noisy
-    processes sit above their mean).
-    """
-    if n_slots <= 0:
-        raise ValueError("n_slots must be positive")
-    shape = _daily_shape(params, n_slots, start_slot)
-
-    noise = rng.normal(0.0, params.noise, size=n_slots)
-    series = shape * (1.0 + np.abs(noise) * 0.5 + noise * 0.5)
-
-    if params.burst_probability > 0.0:
-        bursts = rng.random(n_slots) < params.burst_probability
-        series = np.where(bursts, np.maximum(series, params.burst_height *
-                                             (0.7 + 0.3 * rng.random(n_slots))), series)
-
-    return np.clip(series, 0.005, 1.0)
+    return _clamped(params.archetype, base, base + swing, params.peak_hour,
+                    params.peak_width_hours, params.weekend_factor,
+                    params.noise, params.burst_probability, params.burst_height)
 
 
 @dataclass(frozen=True)
@@ -216,14 +181,16 @@ class SurgeConfig:
     peak_weekday: int = 1
 
 
-def surge_overlay(surge: SurgeConfig, n_slots: int, start_slot: int) -> np.ndarray:
-    """Per-slot multiplicative surge factors (``>= 0``), deterministically.
+def surge_overlay(surge: SurgeConfig, n_slots: int) -> np.ndarray:
+    """Per-slot multiplicative surge factors (``>= 0``) for slots
+    ``[0, n_slots)``, deterministically.
 
-    Shares the Gaussian-bump shape of :func:`_daily_shape` for the daily
-    term; the weekly term is a cosine over the weekday distance to
-    ``peak_weekday``.  A zero-amplitude config returns all-ones.
+    The daily term is the Gaussian bump :func:`generate_vm_series` gives
+    a VM's daily peak; the weekly term is a cosine over the weekday
+    distance to ``peak_weekday``.  A zero-amplitude config returns
+    all-ones.
     """
-    slots = np.arange(start_slot, start_slot + n_slots)
+    slots = np.arange(n_slots)
     hour_of_day = (slots % SLOTS_PER_DAY) / SLOTS_PER_HOUR
     weekday = (slots // SLOTS_PER_DAY) % 7
 
@@ -237,6 +204,86 @@ def surge_overlay(surge: SurgeConfig, n_slots: int, start_slot: int) -> np.ndarr
     weekly = surge.weekly_amplitude * 0.5 * (1.0 + np.cos(np.pi * day_delta / 3.5))
 
     return np.maximum(1.0 + daily + weekly, 0.0)
+
+
+class SlotCalendar:
+    """The per-slot tables of a trace's horizon, built once per trace.
+
+    Each entry depends only on the absolute slot index, so every VM's
+    series reads a slice of these tables instead of rebuilding them for
+    its lifetime.
+    """
+
+    __slots__ = ("hour_of_day", "is_weekend", "surge")
+
+    def __init__(self, n_slots: int, surge: Optional[SurgeConfig] = None):
+        slots = np.arange(n_slots)
+        #: Hour of the day (fractional, 0 <= h < 24) at each slot.
+        self.hour_of_day = (slots % SLOTS_PER_DAY) / SLOTS_PER_HOUR
+        #: Whether each slot falls on a Saturday or Sunday.
+        self.is_weekend = (slots // SLOTS_PER_DAY) % 7 >= 5
+        #: The surge overlay at each slot, or ``None`` without a surge.
+        self.surge = None if surge is None else surge_overlay(surge, n_slots)
+
+
+def generate_vm_series(
+    params: Sequence[PatternParameters],
+    calendar: SlotCalendar,
+    start_slot: int,
+    n_slots: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Generate one VM's per-slot maximum-utilization series, one row per
+    entry of *params*, as a float64 ``(len(params), n_slots)`` matrix
+    covering slots ``[start_slot, start_slot + n_slots)``.
+
+    The random draws come first, one resource after another in *params*
+    order: the resource's noise, then, if it bursts, its burst mask and
+    burst heights.  Every row is then computed in one array pass that
+    reads the calendar's slices and draws nothing more.
+
+    The output is the *maximum* utilization within each 5-minute slot, so the
+    noise model is multiplicative with a slight upward bias (maxima of noisy
+    processes sit above their mean).  A daily Gaussian bump centred at the
+    peak hour, scaled on weekends, gives the noise-free shape; the calendar's
+    surge overlay, if any, multiplies the clipped series.
+    """
+    if n_slots <= 0:
+        raise ValueError("n_slots must be positive")
+    n_rows = len(params)
+    noise = np.empty((n_rows, n_slots))
+    bursts = None
+    for row, p in enumerate(params):
+        noise[row] = rng.normal(0.0, p.noise, size=n_slots)
+        if p.burst_probability > 0.0:
+            if bursts is None:
+                bursts = np.zeros((n_rows, n_slots), dtype=bool)
+                heights = np.zeros((n_rows, n_slots))
+            bursts[row] = rng.random(n_slots) < p.burst_probability
+            heights[row] = rng.random(n_slots)
+
+    # One column per parameter, one row per resource.
+    base, peak, peak_hour, sigma, weekend_factor, burst_height = np.array(
+        [(p.base, p.peak, p.peak_hour, max(p.peak_width_hours / 2.355, 1e-6),
+          p.weekend_factor, p.burst_height) for p in params]).T[:, :, None]
+    window = slice(start_slot, start_slot + n_slots)
+
+    # Gaussian bump centred at the peak hour with wrap-around at midnight.
+    distance = np.abs(calendar.hour_of_day[window] - peak_hour)
+    delta = np.minimum(distance, 24.0 - distance)
+    bump = np.exp(-0.5 * (delta / sigma) ** 2)
+    shape = base + (peak - base) * bump
+    shape *= np.where(calendar.is_weekend[window], weekend_factor, 1.0)
+
+    series = shape * (1.0 + np.abs(noise) * 0.5 + noise * 0.5)
+    if bursts is not None:
+        series = np.where(bursts, np.maximum(series, burst_height *
+                                             (0.7 + 0.3 * heights)), series)
+    np.clip(series, 0.005, 1.0, out=series)
+    if calendar.surge is not None:
+        series *= calendar.surge[window]
+        np.clip(series, 0.005, 1.0, out=series)
+    return series
 
 
 def generate_resource_patterns(
@@ -276,19 +323,16 @@ def make_subscription_profile(
 
 
 def vm_cpu_parameters(
-    profile: SubscriptionProfile, rng: np.random.Generator,
-    config_scale: Optional[float] = None,
+    profile: SubscriptionProfile, rng: np.random.Generator, config_scale: float,
 ) -> PatternParameters:
     """Pattern parameters for one VM of a subscription.
 
-    ``config_scale`` optionally shifts the mean utilization for particular VM
+    ``config_scale`` shifts the mean utilization for particular VM
     configurations (e.g. very large VMs tend to be better utilized).
     """
     params = jitter_parameters(profile.cpu_params, rng, scale=profile.vm_jitter)
-    if config_scale is not None:
-        params = replace(
-            params,
-            base=params.base * config_scale,
-            peak=params.peak * config_scale,
-        ).clamp()
-    return params
+    return _clamped(params.archetype, params.base * config_scale,
+                    params.peak * config_scale, params.peak_hour,
+                    params.peak_width_hours, params.weekend_factor,
+                    params.noise, params.burst_probability,
+                    params.burst_height)

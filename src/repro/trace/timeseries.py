@@ -83,6 +83,13 @@ DEFAULT_WINDOWS = TimeWindowConfig(window_hours=4)
 SWEEP_WINDOW_HOURS: Tuple[int, ...] = (1, 2, 3, 4, 6, 12, 24)
 
 
+def _check_unit_range(values: np.ndarray) -> None:
+    """Raise unless every value lies in ``[0, 1]``, give or take 1e-9."""
+    # min and max propagate NaN, which then fails both comparisons.
+    if not (values.min() >= -1e-9 and values.max() <= 1.0 + 1e-9):
+        raise ValueError("utilization values must lie in [0, 1]")
+
+
 class UtilizationSeries:
     """Per-slot maximum utilization of one resource over a VM's lifetime.
 
@@ -103,25 +110,42 @@ class UtilizationSeries:
             raise ValueError("utilization series must be one-dimensional")
         if arr.size == 0:
             raise ValueError("utilization series must not be empty")
-        # min and max propagate NaN, which then fails both comparisons.
-        if not (arr.min() >= -1e-9 and arr.max() <= 1.0 + 1e-9):
-            raise ValueError("utilization values must lie in [0, 1]")
+        _check_unit_range(arr)
         self.values = np.clip(arr, 0.0, 1.0)
         self.start_slot = int(start_slot)
+
+    @classmethod
+    def from_rows(cls, matrix: np.ndarray, start_slot: int) -> List["UtilizationSeries"]:
+        """One series per row of a float64 ``(n_series, n_slots)`` matrix,
+        all starting at *start_slot*.
+
+        The same as ``[UtilizationSeries(row, start_slot) for row in
+        matrix]``, but the range check runs once over the whole matrix, the
+        matrix is clipped in place, and each series is a zero-copy view of
+        its row.
+        """
+        if matrix.dtype != np.float64 or matrix.ndim != 2 or matrix.shape[1] == 0:
+            raise ValueError("from_rows needs a float64 (n_series, n_slots) "
+                             "matrix with n_slots >= 1")
+        _check_unit_range(matrix)
+        np.clip(matrix, 0.0, 1.0, out=matrix)
+        return [cls.from_validated(row, start_slot) for row in matrix]
 
     @classmethod
     def from_validated(cls, values: np.ndarray, start_slot: int) -> "UtilizationSeries":
         """Wrap an already-validated array without copying or clipping.
 
-        The trace store's row views go through here: ``values`` is a slice of
-        the shared (possibly memory-mapped) telemetry buffer, and copying or
-        clipping it would defeat the zero-copy layout.  Callers guarantee the
-        array is one-dimensional, non-empty, float64 and already in
-        ``[0, 1]``.  That holds for any buffer built from ``UtilizationSeries``
-        objects, since ``__init__`` enforced it on the way in.  For a store
-        read from disk, ``TraceStore.open`` checks each buffer's dtype and
-        length but not its values, so a sample damaged on disk reaches the
-        row views unchecked.
+        Two callers go through here.  The trace store's row views pass a
+        slice of the shared (possibly memory-mapped) telemetry buffer, and
+        copying or clipping it would defeat the zero-copy layout;
+        :meth:`from_rows` passes the rows of a matrix it has just checked.
+        Callers guarantee the array is one-dimensional, non-empty, float64
+        and already in ``[0, 1]``.  That holds for any buffer built from
+        ``UtilizationSeries`` objects, since ``__init__`` and
+        :meth:`from_rows` enforced it on the way in.  For a store read from
+        disk, ``TraceStore.open`` checks each buffer's dtype and length but
+        not its values, so a sample damaged on disk reaches the row views
+        unchecked.
         """
         series = cls.__new__(cls)
         series.values = values

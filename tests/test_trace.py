@@ -13,11 +13,14 @@ from repro.trace import (
     default_clusters,
     generate_trace,
 )
+from repro.scenarios import get_scenario
+from repro.trace.generator import Choice
 from repro.trace.patterns import (
     ARCHETYPES,
+    SlotCalendar,
     archetype_defaults,
     generate_resource_patterns,
-    generate_series,
+    generate_vm_series,
     jitter_parameters,
     make_subscription_profile,
 )
@@ -71,17 +74,21 @@ class TestPatterns:
         with pytest.raises(ValueError):
             archetype_defaults("quantum")
 
-    def test_generated_series_in_range(self):
+    @pytest.mark.parametrize("archetype", ["diurnal", "bursty"])
+    def test_generated_series_in_range(self, archetype):
         rng = np.random.default_rng(0)
-        params = archetype_defaults("diurnal")
-        values = generate_series(params, 2 * SLOTS_PER_DAY, 0, rng)
-        assert values.shape == (2 * SLOTS_PER_DAY,)
+        params = list(generate_resource_patterns(
+            archetype_defaults(archetype), rng).values())
+        values = generate_vm_series(params, SlotCalendar(3 * SLOTS_PER_DAY),
+                                    SLOTS_PER_DAY // 2, 2 * SLOTS_PER_DAY, rng)
+        assert values.shape == (len(ALL_RESOURCES), 2 * SLOTS_PER_DAY)
         assert np.all(values >= 0) and np.all(values <= 1)
 
     def test_diurnal_pattern_peaks_in_daytime(self):
         rng = np.random.default_rng(1)
-        params = archetype_defaults("diurnal")
-        values = generate_series(params, SLOTS_PER_DAY, 0, rng)
+        params = [archetype_defaults("diurnal")]
+        values, = generate_vm_series(params, SlotCalendar(SLOTS_PER_DAY), 0,
+                                     SLOTS_PER_DAY, rng)
         day_window = values[12 * 12:16 * 12]     # 12:00-16:00
         night_window = values[0:4 * 12]          # 00:00-04:00
         assert day_window.mean() > night_window.mean()
@@ -128,6 +135,29 @@ class TestTraceGeneration:
             assert vm.has_utilization()
             for resource in ALL_RESOURCES:
                 assert len(vm.series(resource)) == vm.lifetime_slots
+
+    @pytest.mark.parametrize("seed", [0, 5, 1234])
+    def test_cached_picks_match_generator_choice(self, seed):
+        """A :class:`Choice` pick returns what ``Generator.choice`` returns
+        and consumes the same draws, for the generator's own tables."""
+        config = get_scenario("spot-churn-with-crashes").generator_config()
+        weighted = [config.long_running_config_weights,
+                    config.short_lived_config_weights,
+                    config.allocation_class_weights]
+        uniform = [[f"sub-{i:04d}" for i in range(config.n_subscriptions)],
+                   list(config.flash_crowd_slots) + [10, 20],
+                   ["C1", "C3"]]
+        reference = np.random.default_rng(seed)
+        cached = np.random.default_rng(seed)
+        for _ in range(50):
+            for weights in weighted:
+                names = list(weights)
+                probs = np.array([weights[n] for n in names])
+                expected = reference.choice(names, p=probs / probs.sum())
+                assert Choice.weighted(weights).pick(cached) == expected
+            for items in uniform:
+                assert Choice(items).pick(cached) == reference.choice(items)
+        assert cached.bit_generator.state == reference.bit_generator.state
 
     def test_reproducible_with_same_seed(self):
         config = TraceGeneratorConfig(n_vms=30, n_days=3, seed=42, n_subscriptions=10)

@@ -175,6 +175,18 @@ class TestByteIdentity:
         streamed = TraceGenerator(config).generate_to_store(tmp_path / "stream")
         assert_store_dirs_identical(eager, streamed)
 
+    def test_one_generator_draws_the_same_trace_every_call(self, tmp_path):
+        """Every call seeds a fresh stream, so a reused generator repeats
+        its trace instead of drawing on where the last call stopped."""
+        generator = TraceGenerator(TraceGeneratorConfig(
+            n_vms=50, n_days=3, seed=5, n_subscriptions=10,
+            servers_per_cluster=2))
+        first = generator.generate().store.save(tmp_path / "first")
+        second = generator.generate().store.save(tmp_path / "second")
+        streamed = generator.generate_to_store(tmp_path / "streamed")
+        assert_store_dirs_identical(first, second)
+        assert_store_dirs_identical(first, streamed)
+
     def test_streamed_store_reads_back_the_generated_trace(self, tmp_path,
                                                           generated):
         """``generate_to_store -> open(mmap=True) -> as_trace`` -- the path
