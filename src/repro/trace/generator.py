@@ -165,7 +165,7 @@ class _Population:
 
     fleet: Fleet
     #: sub_id -> (subscription, behaviour profile, preferred config names).
-    subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, List[str]]]
+    subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, Choice[str]]]
     sub_ids: Choice[str]
     #: sub_id -> the clusters its VMs land in.
     sub_clusters: Dict[str, Choice[str]]
@@ -198,14 +198,14 @@ class TraceGenerator:
     # ------------------------------------------------------------------ #
     def _make_subscriptions(self, rng: np.random.Generator
                             ) -> Dict[str, Tuple[Subscription, SubscriptionProfile,
-                                                 List[str]]]:
+                                                 Choice[str]]]:
         """Create subscriptions with a behaviour profile and preferred configs."""
         cfg = self.config
         archetype_names = list(cfg.archetype_weights)
         archetype_probs = np.array([cfg.archetype_weights[a] for a in archetype_names])
         archetype_probs = archetype_probs / archetype_probs.sum()
 
-        subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, List[str]]] = {}
+        subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, Choice[str]]] = {}
         long_names = list(cfg.long_running_config_weights)
         long_probs = np.array([cfg.long_running_config_weights[n] for n in long_names])
         long_probs = long_probs / long_probs.sum()
@@ -226,8 +226,8 @@ class TraceGenerator:
             # Each subscription uses a small set of preferred VM configurations,
             # which is what makes the subscription+config grouping predictive.
             n_preferred = int(rng.integers(1, 4))
-            preferred = [str(name) for name in rng.choice(
-                long_names, size=n_preferred, replace=False, p=long_probs)]
+            preferred = Choice([str(name) for name in rng.choice(
+                long_names, size=n_preferred, replace=False, p=long_probs)])
             subscriptions[sub_id] = (
                 Subscription(sub_id, sub_type, archetype, offering), profile, preferred)
         return subscriptions
@@ -247,11 +247,11 @@ class TraceGenerator:
         return max(1, int(np.exp(rng.uniform(*_SHORT_LOG_SLOTS))))
 
     def _sample_config(self, rng: np.random.Generator, population: _Population,
-                       long_running: bool, preferred: Sequence[str]) -> VMConfig:
+                       long_running: bool, preferred: Choice[str]) -> VMConfig:
         if not long_running:
             return VM_CATALOG[population.short_configs.pick(rng)]
-        if preferred and rng.random() < 0.8:
-            return VM_CATALOG[preferred[rng.integers(0, len(preferred))]]
+        if rng.random() < 0.8:
+            return VM_CATALOG[preferred.pick(rng)]
         return VM_CATALOG[population.long_configs.pick(rng)]
 
     def _sample_start_slot(self, rng: np.random.Generator, duration_slots: int) -> int:

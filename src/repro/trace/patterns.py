@@ -61,7 +61,6 @@ class PatternParameters:
     burst_height: float = 0.0
 
 
-
 def _clamped(archetype: str, base: float, peak: float, peak_hour: float,
              peak_width_hours: float, weekend_factor: float, noise: float,
              burst_probability: float, burst_height: float) -> PatternParameters:
@@ -79,33 +78,30 @@ def _clamped(archetype: str, base: float, peak: float, peak_hour: float,
     )
 
 
-#: Typical parameters of each archetype (before per-subscription jitter).
-_ARCHETYPE_DEFAULTS: Dict[str, PatternParameters] = {
-    "diurnal": PatternParameters(
-        "diurnal", base=0.12, peak=0.55, peak_hour=13.0, peak_width_hours=6.0,
-        weekend_factor=0.5, noise=0.05),
-    "nocturnal": PatternParameters(
-        "nocturnal", base=0.10, peak=0.60, peak_hour=2.0, peak_width_hours=5.0,
-        weekend_factor=0.9, noise=0.05),
-    "evening-peak": PatternParameters(
-        "evening-peak", base=0.15, peak=0.50, peak_hour=20.0, peak_width_hours=4.0,
-        weekend_factor=1.2, noise=0.05),
-    "constant": PatternParameters(
-        "constant", base=0.30, peak=0.32, peak_hour=12.0, peak_width_hours=24.0,
-        weekend_factor=1.0, noise=0.03),
-    "weekly-batch": PatternParameters(
-        "weekly-batch", base=0.20, peak=0.55, peak_hour=10.0, peak_width_hours=8.0,
-        weekend_factor=0.15, noise=0.06),
-    "bursty": PatternParameters(
-        "bursty", base=0.15, peak=0.30, peak_hour=12.0, peak_width_hours=6.0,
-        weekend_factor=1.0, noise=0.10, burst_probability=0.02, burst_height=0.6),
-}
-
-
 def archetype_defaults(archetype: str) -> PatternParameters:
     """Typical parameters for each archetype (before per-subscription jitter)."""
+    table: Dict[str, PatternParameters] = {
+        "diurnal": PatternParameters(
+            "diurnal", base=0.12, peak=0.55, peak_hour=13.0, peak_width_hours=6.0,
+            weekend_factor=0.5, noise=0.05),
+        "nocturnal": PatternParameters(
+            "nocturnal", base=0.10, peak=0.60, peak_hour=2.0, peak_width_hours=5.0,
+            weekend_factor=0.9, noise=0.05),
+        "evening-peak": PatternParameters(
+            "evening-peak", base=0.15, peak=0.50, peak_hour=20.0, peak_width_hours=4.0,
+            weekend_factor=1.2, noise=0.05),
+        "constant": PatternParameters(
+            "constant", base=0.30, peak=0.32, peak_hour=12.0, peak_width_hours=24.0,
+            weekend_factor=1.0, noise=0.03),
+        "weekly-batch": PatternParameters(
+            "weekly-batch", base=0.20, peak=0.55, peak_hour=10.0, peak_width_hours=8.0,
+            weekend_factor=0.15, noise=0.06),
+        "bursty": PatternParameters(
+            "bursty", base=0.15, peak=0.30, peak_hour=12.0, peak_width_hours=6.0,
+            weekend_factor=1.0, noise=0.10, burst_probability=0.02, burst_height=0.6),
+    }
     try:
-        return _ARCHETYPE_DEFAULTS[archetype]
+        return table[archetype]
     except KeyError as exc:
         raise ValueError(f"unknown archetype {archetype!r}") from exc
 

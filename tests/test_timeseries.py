@@ -54,6 +54,21 @@ class TestUtilizationSeries:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             UtilizationSeries([0.2, float("nan"), 0.5])
 
+    def test_from_rows_checks_every_row_and_views_them(self):
+        for bad in (1.5, -0.1, float("nan")):
+            matrix = np.array([[0.2, 0.4], [0.3, bad]])
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                UtilizationSeries.from_rows(matrix, 5)
+        with pytest.raises(ValueError):
+            UtilizationSeries.from_rows(np.empty((2, 0)), 5)
+        matrix = np.array([[0.2, 1.0 + 1e-10], [0.3, 0.6]])
+        rows = UtilizationSeries.from_rows(matrix, 5)
+        for row, values in zip(rows, ([0.2, 1.0 + 1e-10], [0.3, 0.6])):
+            expected = UtilizationSeries(values, 5)
+            assert row.start_slot == 5
+            assert np.array_equal(row.values, expected.values)
+        assert all(np.shares_memory(row.values, matrix) for row in rows)
+
     def test_value_at_and_covers(self):
         series = UtilizationSeries([0.2, 0.4], start_slot=5)
         assert series.value_at(6) == pytest.approx(0.4)
