@@ -144,12 +144,18 @@ class Choice(Generic[T]):
         self._cdf: Optional[np.ndarray] = None
         if weights is not None:
             probs = np.asarray(weights, dtype=np.float64)
-            cdf = (probs / probs.sum()).cumsum()
+            total = probs.sum()
+            # NaN fails both comparisons, as it fails ``choice``'s checks.
+            if not (np.all(probs >= 0.0) and 0.0 < total < np.inf):
+                raise ValueError(f"weights must be non-negative with a finite, "
+                                 f"positive sum, got {list(weights)}")
+            cdf = (probs / total).cumsum()
             cdf /= cdf[-1]
             self._cdf = cdf
 
     @classmethod
     def weighted(cls, weights: Dict[T, float]) -> "Choice[T]":
+        """A table of *weights*' keys, picked with its values as weights."""
         return cls(list(weights), list(weights.values()))
 
     def pick(self, rng: np.random.Generator) -> T:
@@ -201,10 +207,7 @@ class TraceGenerator:
                                                  Choice[str]]]:
         """Create subscriptions with a behaviour profile and preferred configs."""
         cfg = self.config
-        archetype_names = list(cfg.archetype_weights)
-        archetype_probs = np.array([cfg.archetype_weights[a] for a in archetype_names])
-        archetype_probs = archetype_probs / archetype_probs.sum()
-
+        archetypes = Choice.weighted(cfg.archetype_weights)
         subscriptions: Dict[str, Tuple[Subscription, SubscriptionProfile, Choice[str]]] = {}
         long_names = list(cfg.long_running_config_weights)
         long_probs = np.array([cfg.long_running_config_weights[n] for n in long_names])
@@ -212,7 +215,7 @@ class TraceGenerator:
 
         for index in range(cfg.n_subscriptions):
             sub_id = f"sub-{index:04d}"
-            archetype = str(rng.choice(archetype_names, p=archetype_probs))
+            archetype = archetypes.pick(rng)
             internal = rng.random() < cfg.internal_fraction
             test = rng.random() < 0.3
             if internal:

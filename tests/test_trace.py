@@ -141,7 +141,8 @@ class TestTraceGeneration:
         """A :class:`Choice` pick returns what ``Generator.choice`` returns
         and consumes the same draws, for the generator's own tables."""
         config = get_scenario("spot-churn-with-crashes").generator_config()
-        weighted = [config.long_running_config_weights,
+        weighted = [config.archetype_weights,
+                    config.long_running_config_weights,
                     config.short_lived_config_weights,
                     config.allocation_class_weights]
         uniform = [[f"sub-{i:04d}" for i in range(config.n_subscriptions)],
@@ -158,6 +159,13 @@ class TestTraceGeneration:
             for items in uniform:
                 assert Choice(items).pick(cached) == reference.choice(items)
         assert cached.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("weights", [[0.5, -0.1], [0.0, 0.0],
+                                         [float("nan"), 1.0]])
+    def test_choice_rejects_bad_weights(self, weights):
+        """Weights ``Generator.choice`` would reject fail at construction."""
+        with pytest.raises(ValueError, match="non-negative"):
+            Choice(["a", "b"], weights)
 
     def test_reproducible_with_same_seed(self):
         config = TraceGeneratorConfig(n_vms=30, n_days=3, seed=42, n_subscriptions=10)
