@@ -89,11 +89,6 @@ class Project:
 
     modules: List[ModuleInfo] = field(default_factory=list)
 
-    def in_package(self, prefix: str) -> List[ModuleInfo]:
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        return [m for m in self.modules
-                if m.module.startswith(dotted) or m.module == prefix]
-
 
 class ModuleContext:
     """Per-module state handed to rules: the module plus the function stack."""

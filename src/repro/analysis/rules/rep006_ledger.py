@@ -1,10 +1,10 @@
 """REP006: ledger demand/cache arrays are only written by the row mutators.
 
 :class:`~repro.core.scheduler.ClusterLedger` keeps incremental caches
-(``demand_sum``, ``demand_peak``, ``va_peak``, ``score_base``, ``row_used``,
-``row_available``) alongside the raw accounting arrays (``demand``,
-``pa_memory``, ``va_demand``).  The incremental-scoring contract
-(``docs/architecture.md``) is that every mutation flows through
+(``demand_peak``, ``va_peak``, ``score_base``, ``row_used``) and the
+availability mask ``row_available`` alongside the raw accounting arrays
+(``demand``, ``pa_memory``, ``va_demand``).  The incremental-scoring
+contract (``docs/architecture.md``) is that every mutation flows through
 ``commit_row`` / ``release_row`` / ``assert_row_empty`` / ``disable_row``,
 which refresh the caches for the touched row in the
 same method -- a direct write anywhere else desynchronizes the caches from
@@ -31,8 +31,7 @@ from repro.analysis.engine import ModuleContext
 #: Raw accounting arrays plus the incremental caches derived from them.
 _LEDGER_ARRAYS = frozenset({
     "demand", "pa_memory", "va_demand",
-    "demand_sum", "demand_peak", "va_peak", "score_base", "row_used",
-    "row_available",
+    "demand_peak", "va_peak", "score_base", "row_used", "row_available",
 })
 
 #: The sanctioned mutators: construction, the row mutators, the teardown

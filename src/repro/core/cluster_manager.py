@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coachvm import CoachVM
 from repro.core.policy import PolicyConfig
-from repro.core.resources import ALL_RESOURCES, Resource
+from repro.core.resources import Resource
 from repro.core.scheduler import ClusterScheduler, PlacementDecision
 from repro.core.windows import VMResourcePlan, plan_vm
 from repro.prediction.utilization_model import (
@@ -87,10 +87,8 @@ class ClusterManager:
 
     def build_plan(self, vm: VMRecord) -> VMResourcePlan:
         """Convert a VM request into a resource plan under the active policy."""
-        prediction = self._predict(vm)
-        allocation = {r: vm.allocated(r) for r in ALL_RESOURCES}
-        oversubscribe = self.policy.oversubscribe and prediction.oversubscribable
-        return plan_vm(vm.vm_id, allocation, prediction, oversubscribe,
+        return plan_vm(vm.vm_id, vm.allocation_vector(), self._predict(vm),
+                       self.policy.oversubscribe,
                        self.policy.memory_granularity_gb)
 
     def request_vm(self, vm: VMRecord) -> AdmissionResult:

@@ -44,40 +44,55 @@ into a few dense matrix operations.
 view over one ledger row; accounts constructed standalone get a private
 single-row ledger, so existing callers and tests keep working unchanged.
 
-Incremental score caching and the summation-order contract
-----------------------------------------------------------
+Best-fit by fleet size
+----------------------
 
-``place()`` no longer pays a full ``(n_resources, n_servers, n_windows)``
-pass per plan.  The ledger maintains per-``(resource, server)`` caches --
-``demand_sum``/``demand_peak`` plus the VA peak ``va_peak`` -- refreshed in
-O(n_windows) whenever a row mutates.  The caches are *recomputed from the
-mutated row*, never incremented, so they are bitwise-equal to a fresh
-full-matrix reduction by construction (no drift to test away; the churn
-differential suite pins this anyway).
+Every best-fit decision is the one the dense pass makes: the admission
+mask and packing score of every server, first maximum wins
+(:meth:`ClusterLedger.best_fit_row_dense`).  A ledger decides once, when it
+is built, how to reach it.  Below :data:`_SCREENED_MIN_SERVERS` servers the
+ledger is *unindexed*: ``best_fit_row`` is the dense pass, and a row update
+touches only the row arrays above.  At or above it the ledger is *indexed*
+(unless a capacity is degenerate, see :data:`_CAPACITY_FLOOR`): it keeps
+per-row caches and a candidate index, so a placement need not reduce the
+whole demand tensor, and it reaches the dense decision through a chain of
+links that are each exact.  The threshold is measured, not a knob: below
+it the dense pass is the faster way (table at the constant).
+
+Row caches and the summation-order contract
+-------------------------------------------
+
+An indexed ledger maintains per-``(resource, server)`` caches --
+``demand_peak`` plus the VA peak ``va_peak``, the score base
+``score_base`` and ``row_used`` -- refreshed in O(n_windows) whenever a row
+mutates.  The caches are *recomputed from the mutated row*, never
+incremented, so they are bitwise-equal to a fresh full-matrix reduction by
+construction (no drift to test away; the churn differential suite pins this
+anyway).
 
 The summation-order contract: the dense score of a server is
 ``sum_r[(mean_w committed + plan demand) / capacity] / positive_count``,
 where the window mean and the resource sum each reduce a C-contiguous axis
 in index order.  Gathering a *subset* of rows (``demand[:, rows, :]``)
 yields the same contiguous per-row layout, so re-scoring only candidate
-rows reproduces the full pass bitwise.  The cached sums cannot reproduce
-that order (they pre-round ``sum_w`` before the plan term is added), so
-:meth:`ClusterLedger.best_fit_row` only uses them to *screen*: an exact
-interval argument (IEEE-754 addition is monotone, and the cached peaks are
-exact row maxima) classifies every server as surely-fitting, surely-failing
-or uncertain, and a documented tolerance band over the approximate scores
+rows reproduces the full pass bitwise: the dense pass and the verify step
+of both links are one kernel over a row set.  The cached score base cannot
+reproduce that order (it pre-rounds ``sum_w`` before the plan term is
+added), so the screened link only uses it to *screen*: an exact interval
+argument (IEEE-754 addition is monotone, and the cached peaks are exact row
+maxima) classifies every server as surely-fitting, surely-failing or
+uncertain, and a documented tolerance band over the approximate scores
 bounds which rows can possibly win.  The shortlisted rows are then
 re-checked and re-scored with the exact dense arithmetic, which preserves
-bitwise-identical tie-breaking; whenever exactness cannot be guaranteed
-(degenerate capacities, or a band covering most of the fleet) the ledger
-falls back to the dense path wholesale.
+bitwise-identical tie-breaking; when the band covers most of the fleet
+the link runs the dense pass over every row instead.
 
 The tiered candidate index
 --------------------------
 
-The screened path above still touches every server per placement (a few
+The screened link above still touches every server per placement (a few
 O(n_servers) vector ops).  To make placement cost sublinear in fleet size
-the ledger additionally maintains a *tiered candidate index*:
+an indexed ledger additionally maintains a *tiered candidate index*:
 
 * used rows are bucketed into **score bands** of width :data:`_BAND_WIDTH`
   over their cached ``score_base`` (``_row_band`` / ``_band_members``);
@@ -88,20 +103,20 @@ the ledger additionally maintains a *tiered candidate index*:
 
 Within one capacity kind the approximate score is monotone in
 ``score_base``, so a band has a cheap upper bound on the approximate score
-of every row it contains.  :meth:`ClusterLedger.best_fit_row` descends
-bands in decreasing upper-bound order, stops as soon as the remaining
-bands provably sit below the SCORE_TOLERANCE frontier of the best
-surely-fitting row, and hands the surviving shortlist to the same exact
-gathered re-verify as the screened path.  Whenever the scan cannot stay
-sublinear (band occupancy, no fitting row found yet, degenerate
-capacities) it falls back to the screened path, which can in turn fall
-back to the dense path -- each link of the chain is individually exact, so
-the decision is bitwise-identical no matter where the chain stops.  The
-index itself is only ever written inside the sanctioned mutators
-(REP007), exactly like the row caches (REP006): ``_refresh_row_caches``
-moves the touched row between bands/heaps in the same call that refreshes
-its caches, and stale heap entries are popped eagerly by the mutator so
-the read path never mutates the index.
+of every row it contains.  At :data:`_TIERED_MIN_SERVERS` servers and above,
+:meth:`ClusterLedger.best_fit_row` descends bands in decreasing upper-bound
+order, stops as soon as the remaining bands provably sit below the
+SCORE_TOLERANCE frontier of the best surely-fitting row, and hands the
+surviving shortlist to the same exact kernel as the screened link.
+Whenever the scan cannot stay sublinear (band occupancy, no fitting row
+found yet) it falls back to the screened link, which can in turn fall back
+to the dense pass -- each link of the chain is individually exact, so the
+decision is bitwise-identical no matter where the chain stops.  The index
+itself is only ever written inside the sanctioned mutators (REP007),
+exactly like the row caches (REP006): ``_refresh_row_caches`` moves the
+touched row between bands/heaps in the same call that refreshes its
+caches, and stale heap entries are popped eagerly by the mutator so the
+read path never mutates the index.
 """
 
 # repro: hot-path  -- REP003: placement evaluates every server per VM; the
@@ -135,7 +150,8 @@ RESIDUE_EPSILON = 1e-9
 #: the exact winner -- and every row tied with it -- always lands in the band.
 SCORE_TOLERANCE = 1e-9
 #: The SCORE_TOLERANCE error bound assumes positive capacities of at least
-#: this size; degenerate configs below it use the dense path wholesale.
+#: this size; a ledger with a positive capacity below it is never indexed,
+#: so it decides every placement with the dense pass.
 _CAPACITY_FLOOR = 1e-3
 #: Minimum candidate-set size at which the screened path abandons the
 #: shortlist and re-runs the dense evaluation (e.g. an empty cluster, where
@@ -157,10 +173,22 @@ _BAND_EDGE_SLACK = 1e-9
 #: O(n_servers) path (which may itself fall back to the dense path).
 _TIERED_UNDECIDED = -2
 #: Below this fleet size the tiered scan is pure overhead: the screened
-#: path's O(n_servers) vector ops already cost less than the band-descent
+#: link's O(n_servers) vector ops already cost less than the band-descent
 #: bookkeeping, so ``best_fit_row`` skips straight to it.  Purely a
-#: performance dispatch -- both paths reach the same decision.
+#: performance dispatch -- both links reach the same decision.
 _TIERED_MIN_SERVERS = 8192
+#: Below this fleet size a ledger is unindexed: ``best_fit_row`` is the dense
+#: pass, and a row update refreshes no cache and no candidate index.  Purely
+#: a performance dispatch -- every path reaches the same decision.  Set at
+#: the measured break-even: ``place()`` plus 50% deallocate churn, in
+#: microseconds per plan, median of 7 alternating runs of 4,000
+#: ``build_placement_plans`` (seed 7) on ``build_scaled_bench_cluster``
+#: fleets, unindexed dense pass against indexed chain (2-vCPU container):
+#:
+#:     servers   32   128   192   256   384   512   768  1024
+#:     dense     57    89   110   154   186   220   313   407
+#:     chain    109   126   124   156   146   142   165   163
+_SCREENED_MIN_SERVERS = 256
 
 #: Indices of resources inside ``ALL_RESOURCES``-ordered arrays.
 _CPU_INDEX = ALL_RESOURCES.index(Resource.CPU)
@@ -190,15 +218,18 @@ class ClusterLedger:
 
     One row per server.  All state the admission checks and the packing score
     need is kept in dense arrays so the scheduler can evaluate every server
-    in one vectorized pass.
+    in one vectorized pass.  ``indexed`` says whether the ledger also keeps
+    the row caches and candidate index of the screened and tiered links
+    (module docstring, "Best-fit by fleet size"); it is fixed at
+    construction.
     """
 
     __slots__ = ("windows", "n_servers", "n_windows", "capacity", "demand",
-                 "pa_memory", "va_demand", "demand_sum", "demand_peak",
-                 "va_peak", "score_base", "row_used", "row_available",
-                 "_inv_capacity",
-                 "_inv_counts", "_fit_threshold", "_memory_threshold",
-                 "_score_safe", "_capacity_kind", "_kind_count",
+                 "pa_memory", "va_demand", "row_available", "indexed",
+                 "_positive", "_score_capacity", "_score_counts",
+                 "_fit_threshold", "_memory_threshold", "demand_peak",
+                 "va_peak", "score_base", "row_used", "_inv_capacity",
+                 "_inv_counts", "_capacity_kind", "_kind_count",
                  "_kind_inv_capacity", "_kind_inv_counts", "_row_band",
                  "_band_members", "_empty_heaps")
 
@@ -216,50 +247,49 @@ class ClusterLedger:
         self.demand = np.zeros((len(ALL_RESOURCES), self.n_servers, self.n_windows))
         self.pa_memory = np.zeros(self.n_servers)
         self.va_demand = np.zeros((self.n_servers, self.n_windows))
-        # Incremental caches (module docstring: "Incremental score caching").
-        # Derived strictly from the row arrays above and refreshed by
-        # _refresh_row_caches in the same mutation that touches a row (REP006
-        # enforces that no other code writes any of these arrays).
-        self.demand_sum = np.zeros((len(ALL_RESOURCES), self.n_servers))
-        self.demand_peak = np.zeros((len(ALL_RESOURCES), self.n_servers))
-        self.va_peak = np.zeros(self.n_servers)
-        self.score_base = np.zeros(self.n_servers)
-        self.row_used = np.zeros(self.n_servers, dtype=bool)
         # Failure injection (repro.scenarios): rows flip to unavailable via
         # disable_row and are excluded from every placement path; committed
         # demand is unaffected (release still works on a disabled row).
         self.row_available = np.ones(self.n_servers, dtype=bool)
         positive = capacity > 0
-        self._inv_capacity = np.where(
-            positive, 1.0 / np.where(positive, capacity, 1.0), 0.0)
-        self._inv_counts = 1.0 / np.maximum(positive.sum(axis=0), 1)
+        # Score statics of the dense kernel (best_fit_row_dense).
+        self._positive = positive
+        self._score_capacity = np.where(positive, capacity, 1.0)
+        self._score_counts = np.maximum(positive.sum(axis=0), 1)
         self._fit_threshold = capacity + FIT_EPSILON
         self._memory_threshold = self._fit_threshold[_MEMORY_INDEX]
-        self._score_safe = bool(np.all(capacity[positive] >= _CAPACITY_FLOOR))
+        self.indexed = (self.n_servers >= _SCREENED_MIN_SERVERS
+                        and bool(np.all(capacity[positive] >= _CAPACITY_FLOOR)))
+        if not self.indexed:
+            return
+        # Row caches (module docstring: "Row caches and the summation-order
+        # contract").  Derived strictly from the row arrays above and
+        # refreshed by _refresh_row_caches in the same mutation that touches
+        # a row (REP006 enforces that no other code writes any of these
+        # arrays).
+        self.demand_peak = np.zeros((len(ALL_RESOURCES), self.n_servers))
+        self.va_peak = np.zeros(self.n_servers)
+        self.score_base = np.zeros(self.n_servers)
+        self.row_used = np.zeros(self.n_servers, dtype=bool)
+        self._inv_capacity = np.where(positive, 1.0 / self._score_capacity, 0.0)
+        self._inv_counts = 1.0 / self._score_counts
         # Rows with bitwise-identical capacity columns are interchangeable
         # while empty (identical scores, identical admission outcome), so the
         # candidate shortlist only ever needs the first empty row per kind.
-        if self.n_servers:
-            self._capacity_kind = np.unique(
-                capacity.T, axis=0, return_inverse=True)[1].reshape(-1)
-        else:
-            self._capacity_kind = np.zeros(0, dtype=np.intp)
+        self._capacity_kind = np.unique(
+            capacity.T, axis=0, return_inverse=True)[1].reshape(-1)
         # Per-kind score statics for the tiered index: one representative
         # column per capacity kind (kind labels are indices into the sorted
         # unique capacity rows, and np.unique returns first occurrences, so
         # the representative is the lowest-index row of its kind).
-        self._kind_count = int(self._capacity_kind.max()) + 1 if self.n_servers else 0
-        if self._kind_count:
-            first_rows = np.unique(self._capacity_kind, return_index=True)[1]
-            self._kind_inv_capacity = self._inv_capacity[:, first_rows]
-            self._kind_inv_counts = self._inv_counts[first_rows]
-        else:
-            self._kind_inv_capacity = np.zeros((len(ALL_RESOURCES), 0))
-            self._kind_inv_counts = np.zeros(0)
+        first_rows = np.unique(self._capacity_kind, return_index=True)[1]
+        self._kind_count = len(first_rows)
+        self._kind_inv_capacity = self._inv_capacity[:, first_rows]
+        self._kind_inv_counts = self._inv_counts[first_rows]
         self.rebuild_candidate_index()
 
     def rebuild_candidate_index(self) -> None:
-        """Rebuild the tiered candidate index from the cached row state.
+        """Rebuild an indexed ledger's candidate index from its row caches.
 
         The index is fully derived from ``row_used`` / ``row_available`` /
         ``score_base`` / ``_capacity_kind``, so a from-scratch rebuild must
@@ -291,71 +321,44 @@ class ClusterLedger:
     # ------------------------------------------------------------------ #
     # Vectorized admission checks and packing score
     # ------------------------------------------------------------------ #
-    def hypothetical_demand(self, plan_demand: np.ndarray) -> np.ndarray:
-        """Committed demand as if *plan_demand* were placed on every server.
-
-        The ``(n_resources, n_servers, n_windows)`` array is the dominant
-        per-placement allocation, so the dense path computes it once and
-        feeds it to both the admission mask and the packing scores.
-        """
-        return self.demand + plan_demand[:, None, :]
-
-    def fit_mask(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
-                 va_window_demand: np.ndarray,
-                 hypothetical: Optional[np.ndarray] = None) -> np.ndarray:
-        """Evaluate the admission rule for every server at once.
-
-        Returns a boolean array of shape ``(n_servers,)``, true where
-        :meth:`ServerAccount.can_fit` holds: every window of every resource
-        fits, and so do the PA portion and the PA + VA backing.
-        """
-        if hypothetical is None:
-            hypothetical = self.hypothetical_demand(plan_demand)
-        window_ok = np.all(hypothetical <= self._fit_threshold[:, :, None],
-                           axis=(0, 2))
-        capacity_memory = self._memory_threshold
-        new_pa = self.pa_memory + guaranteed_memory_gb
-        new_va = (self.va_demand + va_window_demand[None, :]).max(axis=1)
-        return (window_ok & (new_pa <= capacity_memory)
-                & (new_pa + new_va <= capacity_memory))
-
-    def packing_scores(self, plan_demand: Optional[np.ndarray] = None,
-                       hypothetical: Optional[np.ndarray] = None) -> np.ndarray:
-        """Best-fit packing score of every server, shape ``(n_servers,)``.
-
-        Same semantics as :meth:`ServerAccount.packing_score`: the committed
-        fraction of capacity, averaged over windows and over the resources
-        with positive capacity, optionally as if *plan_demand* were committed.
-        The mean is taken over the summed demand (not split into per-term
-        means) so the scores stay bitwise-identical to the per-server loop.
-        """
-        if hypothetical is None:
-            hypothetical = (self.demand if plan_demand is None
-                            else self.hypothetical_demand(plan_demand))
-        means = hypothetical.mean(axis=2)
-        positive = self.capacity > 0
-        ratios = np.where(positive, means / np.where(positive, self.capacity, 1.0), 0.0)
-        counts = positive.sum(axis=0)
-        return ratios.sum(axis=0) / np.maximum(counts, 1)
-
     def best_fit_row_dense(self, plan_demand: np.ndarray,
                            guaranteed_memory_gb: float,
-                           va_window_demand: np.ndarray) -> int:
-        """Reference best-fit: full-matrix admission mask + dense scores.
+                           va_window_demand: np.ndarray,
+                           rows: Union[np.ndarray, slice] = slice(None)) -> int:
+        """Exact best-fit over *rows*: admission mask plus packing scores.
 
-        Returns the winning row index, or ``-1`` when no server fits.  This
-        is the pre-incremental placement arithmetic, kept as the exactness
-        fallback of :meth:`best_fit_row` and as the scaling-bench baseline.
+        Returns the winning row index, or ``-1`` when no row fits.  The mask
+        is :meth:`ServerAccount.can_fit` for every row at once (every window
+        of every resource fits, and so do the PA portion and the PA + VA
+        backing), and the score is :meth:`ServerAccount.packing_score` as if
+        the plan were committed: the window mean of the summed demand over
+        capacity, averaged over the resources with positive capacity.
+
+        *rows* is ``slice(None)`` for the dense pass over every server (an
+        unindexed ledger's whole decision, and the fallback of the screened
+        link) or a sorted candidate shortlist (the verify step of both
+        links).  Gathered rows are C-contiguous, so the window mean and
+        resource sum reduce in the same order either way (summation-order
+        contract, module docstring) and a shortlist scores bitwise like the
+        full pass; ascending rows keep first-max argmax on the lowest index.
         """
-        hypothetical = self.hypothetical_demand(plan_demand)
-        mask = self.fit_mask(plan_demand, guaranteed_memory_gb,
-                             va_window_demand, hypothetical=hypothetical)
-        mask &= self.row_available
-        if not mask.any():
+        hypothetical = self.demand[:, rows, :] + plan_demand[:, None, :]
+        new_pa = self.pa_memory[rows] + guaranteed_memory_gb
+        new_va = (self.va_demand[rows] + va_window_demand).max(axis=1)
+        capacity_memory = self._memory_threshold[rows]
+        fit = (np.all(hypothetical <= self._fit_threshold[:, rows, None],
+                      axis=(0, 2))
+               & (new_pa <= capacity_memory)
+               & (new_pa + new_va <= capacity_memory)
+               & self.row_available[rows])
+        if not fit.any():
             return -1
-        scores = np.where(
-            mask, self.packing_scores(hypothetical=hypothetical), -np.inf)
-        return int(np.argmax(scores))
+        means = hypothetical.mean(axis=2)
+        ratios = np.where(self._positive[:, rows],
+                          means / self._score_capacity[:, rows], 0.0)
+        scores = ratios.sum(axis=0) / self._score_counts[rows]
+        best = int(np.argmax(np.where(fit, scores, -np.inf)))
+        return best if isinstance(rows, slice) else int(rows[best])
 
     def _screen_rows(self, rows: Union[np.ndarray, slice],
                      guaranteed_memory_gb: float, stats: tuple) -> tuple:
@@ -363,14 +366,15 @@ class ClusterLedger:
 
         *rows* is a gathered index array (the tiered scan) or
         ``slice(None)`` (the full-fleet screen of
-        :meth:`best_fit_row_screened`).  The arithmetic is elementwise (no
+        :meth:`_best_fit_row_screened`).  The arithmetic is elementwise (no
         cross-row reductions), so each row's surely-fits / surely-fails
         classification is bitwise-identical whichever subset it is screened
         in.  The approximate scores ``(score_base + plan_mean @
-        inv_capacity) * inv_count`` track :meth:`packing_scores` to within
+        inv_capacity) * inv_count`` track the exact scores of
+        :meth:`best_fit_row_dense` to within
         :data:`SCORE_TOLERANCE` for every row the plan fits, but are not
-        bitwise-exact (the cached sums round ``sum_w`` before the plan term
-        is added, and a gathered GEMV may differ from the full one in the
+        bitwise-exact (the cached score base rounds ``sum_w`` before the
+        plan term is added, and a gathered GEMV may differ from the full one in the
         last ulp) -- callers must only compare them against
         SCORE_TOLERANCE-wide margins and re-score candidates densely.
         """
@@ -395,37 +399,6 @@ class ClusterLedger:
                   * self._inv_counts[rows])
         return fit_hi, sure_fail, approx
 
-    def _verify_candidate_rows(self, rows: np.ndarray, plan_demand: np.ndarray,
-                               guaranteed_memory_gb: float,
-                               va_window_demand: np.ndarray) -> int:
-        """Exact admission + scoring over a sorted candidate shortlist.
-
-        Gathered rows are C-contiguous, so the window mean and resource sum
-        reduce in the same order as the full-matrix pass (summation-order
-        contract, module docstring) and the scores are bitwise-identical to
-        :meth:`best_fit_row_dense`; *rows* must be sorted ascending so the
-        first-max argmax preserves lowest-index tie-breaking.
-        """
-        hypothetical = self.demand[:, rows, :] + plan_demand[:, None, :]
-        capacity = self.capacity[:, rows]
-        window_ok = np.all(hypothetical <= capacity[:, :, None] + FIT_EPSILON,
-                           axis=2)
-        new_pa_rows = self.pa_memory[rows] + guaranteed_memory_gb
-        new_va = (self.va_demand[rows] + va_window_demand[None, :]).max(axis=1)
-        capacity_memory = self._memory_threshold[rows]
-        fit = (window_ok.all(axis=0)
-               & (new_pa_rows <= capacity_memory)
-               & (new_pa_rows + new_va <= capacity_memory)
-               & self.row_available[rows])
-        if not fit.any():
-            return -1
-        means = hypothetical.mean(axis=2)
-        positive = capacity > 0
-        ratios = np.where(positive, means / np.where(positive, capacity, 1.0), 0.0)
-        counts = positive.sum(axis=0)
-        scores = ratios.sum(axis=0) / np.maximum(counts, 1)
-        return int(rows[int(np.argmax(np.where(fit, scores, -np.inf)))])
-
     def _best_fit_row_tiered(self, plan_demand: np.ndarray,
                              guaranteed_memory_gb: float,
                              va_window_demand: np.ndarray,
@@ -434,7 +407,7 @@ class ClusterLedger:
 
         Returns the winning row, ``-1`` when no server fits, or
         :data:`_TIERED_UNDECIDED` when the scan cannot stay sublinear --
-        the caller then falls back to the screened O(n_servers) path, which
+        the caller then falls back to the screened O(n_servers) link, which
         reaches the same decision by construction.
 
         Within one capacity kind the approximate score
@@ -447,7 +420,7 @@ class ClusterLedger:
         ``best_sure - SCORE_TOLERANCE``, no unscanned row can reach the
         frontier -- the winner and every row tied with it live in scanned
         bands, because a fitting row's approximate score is within ~1e-13
-        of its exact score (same argument as the screened path).  Empty
+        of its exact score (same argument as the screened link).  Empty
         rows contribute one candidate per capacity kind: the heap top,
         which is the lowest-index empty row of its kind, the only one that
         can survive the first-max tie-break among interchangeable rows.
@@ -514,21 +487,23 @@ class ClusterLedger:
             return -1
         if candidates.size > budget:
             return _TIERED_UNDECIDED
-        return self._verify_candidate_rows(
-            candidates, plan_demand, guaranteed_memory_gb, va_window_demand)
+        return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
+                                       va_window_demand, candidates)
 
     def best_fit_row(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
                      va_window_demand: np.ndarray) -> int:
-        """Exact best-fit via the tiered index, screened and dense fallbacks.
+        """Exact best-fit row for a plan, or ``-1`` when no server fits.
 
-        Tries :meth:`_best_fit_row_tiered` first (sublinear in fleet size);
-        when the tiered scan cannot stay sublinear it falls back to
-        :meth:`best_fit_row_screened` (O(n_servers) screen), which itself
-        falls back to :meth:`best_fit_row_dense` when the shortlist
-        degenerates.  Every link of the chain reproduces the dense
-        decision bitwise, so the chain may stop anywhere.
+        An unindexed ledger runs :meth:`best_fit_row_dense`.  An indexed one
+        tries :meth:`_best_fit_row_tiered` first at
+        :data:`_TIERED_MIN_SERVERS` servers and above (sublinear in fleet
+        size); a smaller fleet, or a scan that cannot stay sublinear, runs
+        :meth:`_best_fit_row_screened` (O(n_servers) screen), which itself
+        runs the dense pass over every row when its shortlist degenerates.
+        Every link of the chain reproduces the dense decision bitwise, so
+        the chain may stop anywhere.
         """
-        if not self._score_safe:
+        if not self.indexed:
             return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
                                            va_window_demand)
         stats = _plan_screen_stats(plan_demand, va_window_demand)
@@ -537,14 +512,14 @@ class ClusterLedger:
                                             va_window_demand, stats)
             if row != _TIERED_UNDECIDED:
                 return row
-        return self.best_fit_row_screened(plan_demand, guaranteed_memory_gb,
-                                          va_window_demand, stats=stats)
+        return self._best_fit_row_screened(plan_demand, guaranteed_memory_gb,
+                                           va_window_demand, stats)
 
-    def best_fit_row_screened(self, plan_demand: np.ndarray,
-                              guaranteed_memory_gb: float,
-                              va_window_demand: np.ndarray,
-                              stats: Optional[tuple] = None) -> int:
-        """Screened best-fit over the cached row sums, exact by construction.
+    def _best_fit_row_screened(self, plan_demand: np.ndarray,
+                               guaranteed_memory_gb: float,
+                               va_window_demand: np.ndarray,
+                               stats: tuple) -> int:
+        """Screened best-fit over the cached row state, exact by construction.
 
         Three steps, each relying only on IEEE-754 addition being monotone
         (``fl(a + b)`` is non-decreasing in both arguments) and on the cached
@@ -563,24 +538,15 @@ class ClusterLedger:
            row's.  The true winner (and every row tied with it) is fittable,
            so its approximate score sits within the ~1e-13 error bound of its
            exact score and cannot fall outside the band.
-        3. *Verify*: re-check admission and re-score the shortlisted rows
-           with the exact dense arithmetic.  Gathered rows are C-contiguous,
-           so the window mean and resource sum reduce in the same order as
-           the full-matrix pass (summation-order contract, module docstring)
-           and scores are bitwise-identical to :meth:`best_fit_row_dense`;
-           rows are scanned in ascending order, preserving first-max
-           tie-breaking.
+        3. *Verify*: :meth:`best_fit_row_dense` over the shortlisted rows,
+           in ascending order, re-checks admission and re-scores them
+           bitwise like the full pass.
 
-        Falls back to :meth:`best_fit_row_dense` when exactness cannot be
-        guaranteed (positive capacities below the documented floor) or when
-        the shortlist degenerates to a large fraction of the fleet (e.g. an
-        empty cluster, where every approximate score ties).
+        Runs the dense pass over every row instead when the shortlist
+        degenerates to a large fraction of the fleet (e.g. an empty
+        cluster, where every approximate score ties).  Only an indexed
+        ledger has the caches this reads.
         """
-        if not self._score_safe:
-            return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand)
-        if stats is None:
-            stats = _plan_screen_stats(plan_demand, va_window_demand)
         fit_hi, sure_fail, approx = self._screen_rows(
             slice(None), guaranteed_memory_gb, stats)
         maybe = ~sure_fail
@@ -612,29 +578,29 @@ class ClusterLedger:
                 keep[empty_positions[first_per_kind]] = True
                 rows = rows[keep]
         if rows.size > max(_DENSE_FALLBACK_MIN, self.n_servers // 8):
-            return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand)
-        return self._verify_candidate_rows(rows, plan_demand,
-                                           guaranteed_memory_gb,
-                                           va_window_demand)
+            rows = slice(None)
+        return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
+                                       va_window_demand, rows)
 
     # ------------------------------------------------------------------ #
     # Row updates
     # ------------------------------------------------------------------ #
     def _refresh_row_caches(self, row: int) -> None:
-        """Recompute one row's cached sums/peaks from the row arrays.
+        """Recompute one row's cached peaks and score base from the row arrays.
 
-        The caches are always *recomputed* from the mutated row, never
+        Does nothing on an unindexed ledger, which keeps no cache.  The
+        caches are always *recomputed* from the mutated row, never
         incremented, so they stay bitwise-equal to a fresh full-matrix
-        reduction (``demand.sum(axis=2)`` / ``demand.max(axis=2)`` /
-        ``va_demand.max(axis=1)`` reduce the same contiguous rows in the
-        same order) and cannot drift under commit/release churn; the same
-        holds for ``score_base`` against a per-column recompute of its
-        defining dot product.
+        reduction (``demand.max(axis=2)`` / ``va_demand.max(axis=1)`` reduce
+        the same contiguous rows in the same order) and cannot drift under
+        commit/release churn; the same holds for ``score_base`` against a
+        per-column recompute of its defining dot product over
+        ``demand.sum(axis=2)``.
         """
+        if not self.indexed:
+            return
         row_demand = self.demand[:, row, :]
         row_sum = row_demand.sum(axis=1)
-        self.demand_sum[:, row] = row_sum
         self.demand_peak[:, row] = row_demand.max(axis=1)
         self.va_peak[row] = self.va_demand[row].max()
         self.score_base[row] = (row_sum / self.n_windows) @ self._inv_capacity[:, row]
@@ -967,20 +933,14 @@ class ClusterScheduler:
 
     ``decisions`` keeps only the most recent *decision_history* outcomes (a
     diagnostic ring); accept/reject totals are running counters, so neither
-    grows with the number of placements.
-
-    *incremental* selects the screened best-fit path over the ledger's
-    cached row sums (:meth:`ClusterLedger.best_fit_row`); it produces
-    bitwise-identical decisions to the dense path, which remains selectable
-    (``incremental=False``) as the pre-cache baseline the scaling bench
-    measures against.
+    grows with the number of placements.  How the ledger finds the best-fit
+    row follows from the cluster's size (:meth:`ClusterLedger.best_fit_row`).
     """
 
     def __init__(self, cluster: ClusterConfig, windows: TimeWindowConfig,
-                 decision_history: int = 256, incremental: bool = True):
+                 decision_history: int = 256):
         self.cluster = cluster
         self.windows = windows
-        self.incremental = incremental
         server_configs = cluster.server_configs()
         self.ledger = ClusterLedger(server_configs, windows)
         self.servers: Dict[str, ServerAccount] = {}
@@ -1030,12 +990,10 @@ class ClusterScheduler:
                              f"{self._placements[plan.vm_id]}")
         plan_demand = plan_demand_matrix(plan)
         memory_plan = plan.plans[Resource.MEMORY]
-        best_fit_row = (self.ledger.best_fit_row if self.incremental
-                        else self.ledger.best_fit_row_dense)
 
         def find_row() -> int:
-            return best_fit_row(plan_demand, memory_plan.guaranteed,
-                                memory_plan.window_oversubscribed)
+            return self.ledger.best_fit_row(plan_demand, memory_plan.guaranteed,
+                                            memory_plan.window_oversubscribed)
 
         row = find_row()
         preempted: List[str] = []

@@ -19,7 +19,7 @@ from its predicted per-window utilization:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def plan_resource(
 
 def plan_vm(
     vm_id: str,
-    allocation: Dict[Resource, float],
+    allocation: Mapping[Resource, float],
     prediction: WindowUtilizationPrediction,
     oversubscribe: bool = True,
     memory_granularity_gb: float = 1.0,

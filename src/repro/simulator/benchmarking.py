@@ -126,26 +126,33 @@ def measure_sweep_serial_vs_pool(trace: Trace, *, n_clusters: int = 3,
 
 def measure_scheduler_scaling(*, smoke: bool = False,
                               seed: int = 7) -> Dict[str, object]:
-    """Placement throughput across fleet sizes: incremental vs dense (PR 6).
+    """Placement throughput across fleet sizes: ``place`` vs the dense pass.
 
     For every fleet size in :func:`scheduler_scaling_sizes`, one
-    incremental scheduler (tiered index at the largest sizes, screened
-    below) places the full arrival sequence while the dense PR 6 baseline
-    (``ClusterScheduler(..., incremental=False)``) is timed on a prefix,
-    both through sequential ``place`` calls -- the dense per-call cost is
+    :class:`ClusterScheduler` places the full arrival sequence through
+    sequential ``place`` calls, on whichever path its ledger takes at that
+    size (the dense pass on an unindexed ledger, the screened link, the
+    tiered scan at the largest sizes).  The dense baseline,
+    :meth:`ClusterLedger.best_fit_row_dense` plus ``commit_row`` on a
+    ledger of the same fleet, is timed on a prefix -- its per-call cost is
     dominated by the full-fleet ``mean(axis=2)`` pass, which is independent
     of cluster fill, so a prefix rate is representative.  Each curve point
     records the extrapolation explicitly (``dense_extrapolated`` /
     ``dense_extrapolation_factor``) so the dense plans/s can never be
-    misread as measured end-to-end, plus the process's peak RSS after the
-    size finished (``ru_maxrss_kb`` -- a monotone high-water mark, sizes
-    run in ascending order).  Raises ``AssertionError`` if the two paths'
-    decisions diverge on the shared prefix (they are contractually
+    misread as measured end-to-end, plus whether the ledger was indexed
+    and the process's peak RSS after the size finished (``ru_maxrss_kb``
+    -- a monotone high-water mark, sizes run in ascending order).  Raises ``AssertionError`` if the two sides'
+    chosen rows diverge on the shared prefix (they are contractually
     bitwise-identical).  Returns the curve plus the speedup at the largest
     size, the number the scheduler-scale benchmark gates.
     """
     import resource as _resource
-    from repro.core.scheduler import ClusterScheduler
+    from repro.core.resources import Resource
+    from repro.core.scheduler import (
+        ClusterLedger,
+        ClusterScheduler,
+        plan_demand_matrix,
+    )
     from repro.simulator.synthetic import (
         BENCH_WINDOWS,
         build_placement_plans,
@@ -162,35 +169,47 @@ def measure_scheduler_scaling(*, smoke: bool = False,
         cluster = build_scaled_bench_cluster(n_servers)
         plans = build_placement_plans(n_plans, BENCH_WINDOWS, seed=seed)
 
-        incremental = ClusterScheduler(cluster, BENCH_WINDOWS)
+        scheduler = ClusterScheduler(cluster, BENCH_WINDOWS)
         begin = time.perf_counter()
-        incremental_decisions = [incremental.place(plan) for plan in plans]
-        incremental_seconds = time.perf_counter() - begin
+        decisions = [scheduler.place(plan) for plan in plans]
+        place_seconds = time.perf_counter() - begin
 
-        dense = ClusterScheduler(cluster, BENCH_WINDOWS, incremental=False)
+        ledger = ClusterLedger(cluster.server_configs(), BENCH_WINDOWS)
+        dense_rows = []
         begin = time.perf_counter()
-        dense_decisions = [dense.place(plan) for plan in plans[:dense_prefix]]
+        for plan in plans[:dense_prefix]:
+            memory_plan = plan.plans[Resource.MEMORY]
+            row = ledger.best_fit_row_dense(
+                plan_demand_matrix(plan), memory_plan.guaranteed,
+                memory_plan.window_oversubscribed)
+            if row >= 0:
+                ledger.commit_row(row, plan)
+            dense_rows.append(row)
         dense_seconds = time.perf_counter() - begin
 
-        if incremental_decisions[:dense_prefix] != dense_decisions:
+        place_rows = [scheduler.servers[decision.server_id]._row
+                      if decision.accepted else -1
+                      for decision in decisions[:dense_prefix]]
+        if place_rows != dense_rows:
             raise AssertionError(
-                f"incremental place diverged from the dense baseline at "
+                f"place diverged from the dense baseline at "
                 f"{n_servers} servers")
-        incremental_rate = n_plans / incremental_seconds
+        place_rate = n_plans / place_seconds
         dense_rate = dense_prefix / dense_seconds
         curve.append({
             "n_servers": n_servers,
             "n_plans": n_plans,
-            "accepted": incremental.accepted_count(),
-            "rejected": incremental.rejected_count(),
-            "incremental_seconds": incremental_seconds,
-            "incremental_plans_per_s": incremental_rate,
+            "indexed": scheduler.ledger.indexed,
+            "accepted": scheduler.accepted_count(),
+            "rejected": scheduler.rejected_count(),
+            "place_seconds": place_seconds,
+            "place_plans_per_s": place_rate,
             "dense_prefix_plans": dense_prefix,
             "dense_seconds": dense_seconds,
             "dense_plans_per_s": dense_rate,
             "dense_extrapolated": dense_prefix < n_plans,
             "dense_extrapolation_factor": n_plans / dense_prefix,
-            "speedup": incremental_rate / dense_rate,
+            "speedup": place_rate / dense_rate,
             "decisions_identical": True,
             "ru_maxrss_kb": int(
                 _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss),

@@ -43,10 +43,14 @@ SCALE_BENCH_CLUSTER = ClusterConfig(
 #: stays comparable with the single-size placement benchmark.
 SCHEDULER_SCALING_SIZES: Tuple[int, ...] = (200, 1000, 5000, 20000, 100000)
 
-#: Reduced fleet sizes under ``REPRO_BENCH_SMOKE=1``.  The largest still
-#: exceeds the tiered-index dispatch threshold
-#: (``scheduler._TIERED_MIN_SERVERS``), so even the smoke curve checks
-#: decision identity on the band-descent path, not just the screened one.
+#: Reduced fleet sizes under ``REPRO_BENCH_SMOKE=1``.  Like the full list,
+#: it holds a fleet below the indexing threshold
+#: (``scheduler._SCREENED_MIN_SERVERS``), one between it and the tiered-index
+#: threshold (``scheduler._TIERED_MIN_SERVERS``) and one above both, so even
+#: the smoke curve times and checks decision identity on the dense pass,
+#: the screened link and the band-descent scan
+#: (``tests/test_scheduler_incremental.py`` fails when a threshold moves
+#: past a size).
 SCHEDULER_SCALING_SIZES_SMOKE: Tuple[int, ...] = (100, 400, 10000)
 
 

@@ -3,16 +3,29 @@
 The matrix-form :class:`ClusterScheduler` must reproduce the seed best-fit
 logic decision for decision: same accept/reject sequence and the same server
 for every accepted VM, across random workloads with interleaved departures.
+These fleets are unindexed, so they pin the dense pass; the indexed links
+are pinned against it in ``test_scheduler_incremental.py``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.resources import ALL_RESOURCES, Resource
-from repro.core.scheduler import ClusterScheduler, ReferenceLoopScheduler
+from repro.core.scheduler import (
+    _CAPACITY_FLOOR,
+    _SCREENED_MIN_SERVERS,
+    ClusterLedger,
+    ClusterScheduler,
+    ReferenceLoopScheduler,
+    ServerAccount,
+    plan_demand_matrix,
+)
 from repro.core.windows import plan_vm
 from repro.prediction.utilization_model import WindowUtilizationPrediction
-from repro.trace.hardware import ClusterConfig
+from repro.simulator.synthetic import build_scaled_bench_cluster
+from repro.trace.hardware import HARDWARE_GENERATIONS, ClusterConfig
 from repro.trace.timeseries import TimeWindowConfig
 
 WINDOWS = TimeWindowConfig(4)
@@ -21,7 +34,7 @@ MIXED_CLUSTER = ClusterConfig(
     "EQ", "test", (("gen4-intel", 3), ("gen6-amd", 2), ("gen5-intel", 2)))
 
 
-def random_plan(rng, vm_id, windows=WINDOWS):
+def random_plan(rng, vm_id, windows=WINDOWS, network=True):
     """A VM plan with random per-window utilization and random size."""
     n = windows.windows_per_day
     maximum = {r: rng.uniform(0.1, 1.0, n) for r in ALL_RESOURCES}
@@ -32,7 +45,7 @@ def random_plan(rng, vm_id, windows=WINDOWS):
     cores = float(rng.choice([1, 2, 2, 4, 4, 8, 16]))
     allocation = {Resource.CPU: cores,
                   Resource.MEMORY: cores * float(rng.choice([2, 4, 8])),
-                  Resource.NETWORK: min(0.5 * cores, 16.0),
+                  Resource.NETWORK: min(0.5 * cores, 16.0) if network else 0.0,
                   Resource.SSD: 32.0 * cores}
     return plan_vm(vm_id, allocation, prediction,
                    oversubscribe=bool(rng.random() < 0.7))
@@ -270,12 +283,14 @@ def test_drain_during_saturation_matches_reference_loop(seed):
         assert set(account.plans) == set(reference.servers[server_id].plans)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_disabled_server_never_wins(incremental):
+@pytest.mark.parametrize(
+    "cluster", [MIXED_CLUSTER, build_scaled_bench_cluster(_SCREENED_MIN_SERVERS)],
+    ids=["unindexed", "indexed"])
+def test_disabled_server_never_wins(cluster):
     """An empty disabled server is skipped by every best-fit path."""
     rng = np.random.default_rng(8)
-    scheduler = ClusterScheduler(MIXED_CLUSTER, WINDOWS,
-                                 incremental=incremental)
+    scheduler = ClusterScheduler(cluster, WINDOWS)
+    assert scheduler.ledger.indexed == (cluster is not MIXED_CLUSTER)
     target = next(iter(scheduler.servers))
     scheduler.disable_server(target)
     for i in range(60):
@@ -283,3 +298,53 @@ def test_disabled_server_never_wins(incremental):
         if decision.accepted:
             assert decision.server_id != target
     assert len(scheduler.servers[target].plans) == 0
+
+
+# ---------------------------------------------------------------------- #
+# Degenerate capacities -- the dense pass at any fleet size
+# ---------------------------------------------------------------------- #
+def test_degenerate_capacity_ledger_decides_like_scalar_loop():
+    """A positive capacity under the screen's floor keeps a ledger of any
+    size unindexed, and its decisions are the scalar per-server rule's."""
+    generations = [config for _, config in sorted(HARDWARE_GENERATIONS.items())]
+    configs = [generations[i % len(generations)]
+               for i in range(_SCREENED_MIN_SERVERS)]
+    degenerate = 0
+    configs[degenerate] = replace(configs[degenerate],
+                                  network_gbps=_CAPACITY_FLOOR / 2)
+    ledger = ClusterLedger(configs, WINDOWS)
+    assert not ledger.indexed
+    accounts = [ServerAccount(f"s{i}", config, WINDOWS, ledger=ledger, row=i)
+                for i, config in enumerate(configs)]
+    scalar = [ServerAccount(f"s{i}", config, WINDOWS)
+              for i, config in enumerate(configs)]
+
+    rng = np.random.default_rng(13)
+    live = []
+    degenerate_wins = 0
+    for i in range(150):
+        # Every third plan asks for no network, so it fits the server whose
+        # network capacity is degenerate.
+        plan = random_plan(rng, f"vm-{i}", network=i % 3 != 0)
+        memory_plan = plan.plans[Resource.MEMORY]
+        row = ledger.best_fit_row(plan_demand_matrix(plan),
+                                  memory_plan.guaranteed,
+                                  memory_plan.window_oversubscribed)
+        expected, best_score = -1, -1.0
+        for index, account in enumerate(scalar):
+            if account.can_fit(plan):
+                score = account.packing_score(plan)
+                if score > best_score:
+                    expected, best_score = index, score
+        assert row == expected, plan.vm_id
+        if row < 0:
+            continue
+        degenerate_wins += row == degenerate
+        accounts[row].commit(plan)
+        scalar[row].commit(plan)
+        live.append((row, plan.vm_id))
+        if rng.random() < 0.3:
+            row, vm_id = live.pop(int(rng.integers(len(live))))
+            accounts[row].release(vm_id)
+            scalar[row].release(vm_id)
+    assert degenerate_wins > 0, "the degenerate server must win placements"

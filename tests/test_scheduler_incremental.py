@@ -1,17 +1,22 @@
-"""Differential tests for the incremental scheduler layer (PR 7).
+"""Differential tests for the indexed scheduler ledger (PR 7).
 
 Contracts pinned here:
 
-* the :class:`ClusterLedger` caches (``demand_sum`` / ``demand_peak`` /
-  ``va_peak`` / ``score_base`` / ``row_used``) stay *bitwise* equal to a
-  fresh full-matrix recompute after thousands of interleaved commit/release
-  cycles -- the float-drift regression for the summation-order contract;
-* the incremental best-fit (``ClusterScheduler(incremental=True)``, the
-  default) produces decision sequences identical to the dense PR 6 path,
+* a ledger is indexed from :data:`_SCREENED_MIN_SERVERS` servers on, and
+  its caches (``demand_peak`` / ``va_peak`` / ``score_base`` /
+  ``row_used``) stay *bitwise* equal to a fresh full-matrix recompute after
+  thousands of interleaved commit/release cycles -- the float-drift
+  regression for the summation-order contract;
+* every link of the indexed chain -- the screened link, and the tiered
+  scan whenever it decides -- picks the row :meth:`best_fit_row_dense`
+  picks on the same ledger state, before each placement of a churn stream
+  with disabled servers (:func:`check_links`), on fleets of
+  :data:`_SCREENED_MIN_SERVERS`, 1,000 and 100,000 servers; unindexed
+  fleets are pinned against :class:`ReferenceLoopScheduler` instead,
   including rejection ordering on saturated clusters;
 * :meth:`ClusterManager.request_batch` admits exactly like sequential
   :meth:`ClusterManager.request_vm` calls (class-aware preemption
-  included) and like the dense scheduler fed the same plans, and it
+  included) and like the reference loop fed the same plans, and it
   builds every plan before placing any: an empty batch is a no-op, and a
   batch whose plan building fails places nothing and counts nothing (a
   failed single request counts nothing either);
@@ -20,11 +25,12 @@ Contracts pinned here:
   plans) instead of clamping, and
   :func:`bulk_cpu_capacity_and_memory_backing` returns empty vectors for
   empty account sequences (zero-server clusters);
-* the PR 9 tiered candidate index: decisions and ledgers at 100k servers
-  (the band-descent regime) stay bitwise equal to the dense reference, and
-  an index rebuilt from scratch is indistinguishable -- structurally and
-  behaviourally -- from one maintained incrementally through
-  commit/release churn.
+* the PR 9 tiered candidate index: an index rebuilt from scratch is
+  indistinguishable -- structurally and behaviourally -- from one
+  maintained incrementally through commit/release churn;
+* the scaling-curve benchmark times every link: each of its size lists
+  holds an unindexed fleet, an indexed one below the tiered threshold and
+  one at or above it.
 """
 
 from dataclasses import replace
@@ -36,15 +42,22 @@ from repro.core.cluster_manager import ClusterManager
 from repro.core.policy import COACH_POLICY
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.core.scheduler import (
+    _SCREENED_MIN_SERVERS,
     _TIERED_MIN_SERVERS,
+    _TIERED_UNDECIDED,
     ClusterLedger,
     ClusterScheduler,
+    ReferenceLoopScheduler,
     ServerAccount,
     _plan_screen_stats,
     bulk_cpu_capacity_and_memory_backing,
     plan_demand_matrix,
 )
-from repro.simulator.synthetic import build_scaled_bench_cluster
+from repro.simulator.synthetic import (
+    SCHEDULER_SCALING_SIZES,
+    SCHEDULER_SCALING_SIZES_SMOKE,
+    build_scaled_bench_cluster,
+)
 from repro.core.windows import plan_vm
 from repro.prediction.utilization_model import (
     NoOversubscriptionModel,
@@ -57,13 +70,17 @@ from repro.trace.vm import AllocationClass
 
 WINDOWS = TimeWindowConfig(4)
 
+#: 20 servers: unindexed, so it places with the dense pass.
 SMALL_CLUSTER = ClusterConfig(
     "INC", "test",
     (("gen4-intel", 6), ("gen5-intel", 5), ("gen6-amd", 5), ("gen7-amd", 4)))
 
 #: A cluster tiny enough that a long plan stream saturates it, so the
-#: incremental-vs-dense comparison exercises rejection ordering too.
+#: comparison with the reference loop exercises rejection ordering too.
 TINY_CLUSTER = ClusterConfig("TINY", "test", (("gen4-intel", 3),))
+
+#: The smallest indexed fleet, in the scaling curve's four-generation shape.
+INDEXED_CLUSTER = build_scaled_bench_cluster(_SCREENED_MIN_SERVERS)
 
 
 def _random_plan(rng, vm_id, *, windows=WINDOWS):
@@ -84,12 +101,11 @@ def _random_plan(rng, vm_id, *, windows=WINDOWS):
 
 def _assert_caches_fresh(ledger: ClusterLedger) -> None:
     """Every cache must equal a from-scratch reduction, bitwise."""
-    assert np.array_equal(ledger.demand_sum, ledger.demand.sum(axis=2))
     assert np.array_equal(ledger.demand_peak, ledger.demand.max(axis=2))
     assert np.array_equal(ledger.va_peak, ledger.va_demand.max(axis=1))
+    demand_sum = ledger.demand.sum(axis=2)
     fresh_base = np.array([
-        (ledger.demand_sum[:, s] / ledger.n_windows)
-        @ ledger._inv_capacity[:, s]
+        (demand_sum[:, s] / ledger.n_windows) @ ledger._inv_capacity[:, s]
         for s in range(ledger.n_servers)])
     assert np.array_equal(ledger.score_base, fresh_base)
     for s in range(ledger.n_servers):
@@ -98,33 +114,119 @@ def _assert_caches_fresh(ledger: ClusterLedger) -> None:
         assert bool(ledger.row_used[s]) == used
 
 
+def _reference_demand(reference: ReferenceLoopScheduler) -> np.ndarray:
+    """The reference accounts' committed demand, stacked like a ledger's."""
+    return np.stack([
+        np.stack([account.window_demand[r]
+                  for account in reference.servers.values()])
+        for r in ALL_RESOURCES])
+
+
+def check_links(ledger: ClusterLedger, plan) -> tuple:
+    """Assert that each link of the indexed chain decides like the dense pass.
+
+    Runs on the ledger's current state, without placing anything: the
+    screened link must return :meth:`ClusterLedger.best_fit_row_dense`'s
+    row, and so must the tiered scan whenever it decides (it may return
+    :data:`_TIERED_UNDECIDED` at any fleet size).  Returns the dense row and
+    whether the tiered scan decided.
+    """
+    plan_demand = plan_demand_matrix(plan)
+    memory = plan.plans[Resource.MEMORY]
+    args = (plan_demand, memory.guaranteed, memory.window_oversubscribed)
+    stats = _plan_screen_stats(plan_demand, memory.window_oversubscribed)
+    dense = ledger.best_fit_row_dense(*args)
+    assert ledger._best_fit_row_screened(*args, stats) == dense, plan.vm_id
+    tiered = ledger._best_fit_row_tiered(*args, stats)
+    if tiered == _TIERED_UNDECIDED:
+        return dense, False
+    assert tiered == dense, plan.vm_id
+    return dense, True
+
+
+def churn_checking_links(scheduler: ClusterScheduler, rng, n_plans: int, *,
+                         disable_at=(), churn: float = 0.4) -> dict:
+    """Place a random churn stream, checking every link before each place.
+
+    At each step in *disable_at* the server that won the last placement, if
+    it is still available, is disabled with its residents still committed
+    (they leave later through the churn, released from a disabled row).
+    Every decision of ``place`` must equal the dense row
+    :func:`check_links` saw.  Returns counts of the stream's outcomes.
+    """
+    ledger = scheduler.ledger
+    assert ledger.indexed
+    placed: list = []
+    counts = {"accepted": 0, "rejected": 0, "tiered_decided": 0,
+              "disabled": 0}
+    last_winner = None
+    for i in range(n_plans):
+        if i in disable_at and last_winner is not None:
+            scheduler.disable_server(last_winner)
+            last_winner = None
+            counts["disabled"] += 1
+        plan = _random_plan(rng, f"vm-{i}")
+        dense, tiered_decided = check_links(ledger, plan)
+        counts["tiered_decided"] += tiered_decided
+        decision = scheduler.place(plan)
+        if decision.accepted:
+            assert scheduler.servers[decision.server_id]._row == dense
+            placed.append(plan.vm_id)
+            last_winner = decision.server_id
+            counts["accepted"] += 1
+        else:
+            assert dense == -1
+            counts["rejected"] += 1
+        # Deallocation churn keeps commit and release interleaved.
+        if placed and rng.random() < churn:
+            scheduler.deallocate(placed.pop(int(rng.integers(len(placed)))))
+    return counts
+
+
+def test_ledger_is_indexed_from_the_screened_threshold():
+    below = ClusterLedger(
+        build_scaled_bench_cluster(_SCREENED_MIN_SERVERS - 1).server_configs(),
+        WINDOWS)
+    assert not below.indexed
+    # An unindexed ledger keeps no cache, so none can be read stale.
+    assert not hasattr(below, "row_used")
+    assert ClusterLedger(INDEXED_CLUSTER.server_configs(), WINDOWS).indexed
+
+
+@pytest.mark.parametrize("sizes", [SCHEDULER_SCALING_SIZES,
+                                   SCHEDULER_SCALING_SIZES_SMOKE],
+                         ids=["full", "smoke"])
+def test_scaling_curve_sizes_time_every_link(sizes):
+    # The scaling curve times and bitwise-checks the dense pass, the
+    # screened link and the tiered scan only if its sizes straddle both
+    # dispatch thresholds; moving a threshold must move the sizes too.
+    assert any(n < _SCREENED_MIN_SERVERS for n in sizes)
+    assert any(_SCREENED_MIN_SERVERS <= n < _TIERED_MIN_SERVERS
+               for n in sizes)
+    assert any(n >= _TIERED_MIN_SERVERS for n in sizes)
+
+
 class TestIncrementalCacheChurn:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_thousands_of_commit_release_cycles_leave_caches_bitwise(self, seed):
         rng = np.random.default_rng(seed)
-        scheduler = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
-        dense = ClusterScheduler(SMALL_CLUSTER, WINDOWS, incremental=False)
-        placed: list = []
-        for i in range(3000):
-            plan = _random_plan(rng, f"vm-{i}")
-            decision = scheduler.place(plan)
-            assert dense.place(plan) == decision
-            if decision.accepted:
-                placed.append(plan.vm_id)
-            # ~40% deallocation churn keeps commit and release interleaved.
-            if placed and rng.random() < 0.4:
-                victim = placed.pop(int(rng.integers(len(placed))))
-                scheduler.deallocate(victim)
-                dense.deallocate(victim)
+        scheduler = ClusterScheduler(INDEXED_CLUSTER, WINDOWS)
+        # Three servers in four are disabled before the stream, so the 64
+        # left saturate about halfway through it and the links also decide
+        # rejections and near-full rows.
+        for index, server_id in enumerate(scheduler.servers):
+            if index % 4:
+                scheduler.disable_server(server_id)
+        counts = churn_checking_links(scheduler, rng, 3000,
+                                      disable_at=(1000, 2000))
+        assert counts["disabled"] == 2
+        assert counts["accepted"] > 0 and counts["rejected"] > 0
+        assert counts["tiered_decided"] > 0
         _assert_caches_fresh(scheduler.ledger)
-        # The incremental scores must equal a fresh full mean(axis=2) pass.
-        assert np.array_equal(scheduler.ledger.packing_scores(),
-                              dense.ledger.packing_scores())
-        assert np.array_equal(scheduler.ledger.demand, dense.ledger.demand)
 
     def test_incremental_scores_match_dense_for_arbitrary_plans(self):
         rng = np.random.default_rng(11)
-        scheduler = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
+        scheduler = ClusterScheduler(INDEXED_CLUSTER, WINDOWS)
         for i in range(200):
             scheduler.place(_random_plan(rng, f"vm-{i}"))
         ledger = scheduler.ledger
@@ -134,7 +236,8 @@ class TestIncrementalCacheChurn:
         stats = _plan_screen_stats(probe, memory_plan.window_oversubscribed)
         _fit, _fail, approx = ledger._screen_rows(
             slice(None), memory_plan.guaranteed, stats)
-        exact = ledger.packing_scores(probe)
+        exact = np.array([account.packing_score(probe_plan)
+                          for account in scheduler._accounts])
         # The approximation drives candidate screening only; it must stay
         # within the tolerance band the gathered exact re-score relies on.
         assert np.all(np.abs(approx - exact) < 1e-9)
@@ -180,16 +283,16 @@ class TestBatchedPlacement:
         assert np.array_equal(batched.scheduler.ledger.demand,
                               sequential.scheduler.ledger.demand)
 
-    def test_request_batch_equals_dense_reference(self, small_trace):
+    def test_request_batch_equals_reference_loop(self, small_trace):
         vms = list(small_trace.vms)
         manager = _oracle_manager(SMALL_CLUSTER)
-        dense = ClusterScheduler(SMALL_CLUSTER, COACH_POLICY.windows,
-                                 incremental=False)
-        expected = [dense.place(manager.build_plan(vm)) for vm in vms]
+        assert not manager.scheduler.ledger.indexed
+        reference = ReferenceLoopScheduler(SMALL_CLUSTER, COACH_POLICY.windows)
+        expected = [reference.place(manager.build_plan(vm)) for vm in vms]
         actual = [result.decision for result in manager.request_batch(vms)]
         assert actual == expected
         assert np.array_equal(manager.scheduler.ledger.demand,
-                              dense.ledger.demand)
+                              _reference_demand(reference))
 
     def test_class_aware_batch_equals_sequential_request_vm(self,
                                                             small_trace):
@@ -262,47 +365,58 @@ class TestTieredIndexDifferential:
 
     def test_100k_server_place_matches_dense(self):
         # Smoke-scale version of the benchmark acceptance criterion: at
-        # 100k servers every placement flows through the tiered index.
-        # The incremental and dense schedulers must agree bitwise -- vm
-        # ids, accept/reject order, chosen rows -- and leave
-        # bitwise-identical ledgers.
+        # 100k servers placement flows through the tiered index.  Before
+        # every place, each link must pick the dense pass's row on the same
+        # ledger state, and place itself must commit to that row.
         cluster = build_scaled_bench_cluster(100_000)
         rng = np.random.default_rng(17)
-        plans = [_random_plan(rng, f"vm-{i}") for i in range(60)]
-
-        incremental = ClusterScheduler(cluster, WINDOWS)
-        assert incremental.ledger.n_servers >= _TIERED_MIN_SERVERS
-        dense = ClusterScheduler(cluster, WINDOWS, incremental=False)
-
-        expected = [dense.place(plan) for plan in plans]
-        assert [incremental.place(plan) for plan in plans] == expected
-        assert all(decision.accepted for decision in expected), \
+        scheduler = ClusterScheduler(cluster, WINDOWS)
+        assert scheduler.ledger.n_servers >= _TIERED_MIN_SERVERS
+        counts = churn_checking_links(scheduler, rng, 60,
+                                      disable_at=(20, 40))
+        assert counts["disabled"] == 2
+        assert counts["accepted"] == 60, \
             "a 100k-server fleet must absorb a 60-plan stream"
-        for name in ("demand", "pa_memory", "va_demand", "score_base"):
-            assert np.array_equal(getattr(incremental.ledger, name),
-                                  getattr(dense.ledger, name)), name
+        assert counts["tiered_decided"] > 0
+        _assert_caches_fresh(scheduler.ledger)
 
-    def test_saturated_cluster_rejection_ordering_matches_dense(self):
+    def test_links_match_dense_on_a_thousand_servers(self):
+        # Between the two thresholds placement runs the screened link, so
+        # the tiered scan is checked here only through check_links; its
+        # budget (an eighth of the fleet) lets it decide often at this size.
+        rng = np.random.default_rng(29)
+        scheduler = ClusterScheduler(build_scaled_bench_cluster(1000),
+                                     WINDOWS)
+        assert scheduler.ledger.n_servers < _TIERED_MIN_SERVERS
+        counts = churn_checking_links(scheduler, rng, 1500,
+                                      disable_at=(500, 1000))
+        assert counts["disabled"] == 2
+        assert counts["tiered_decided"] > 0
+        _assert_caches_fresh(scheduler.ledger)
+
+    def test_saturated_cluster_rejection_ordering_matches_reference_loop(self):
         # Pre-saturate the tiny cluster on both twins, then feed a stream
-        # that is mostly rejections: the incremental path must reproduce
-        # the exact interleaving of residual accepts and rejects, not just
-        # the accept set.
+        # that is mostly rejections: the dense pass must reproduce the
+        # exact interleaving of residual accepts and rejects, not just the
+        # accept set.
         rng = np.random.default_rng(23)
         warm = [_random_plan(rng, f"warm-{i}") for i in range(20)]
         late = [_random_plan(rng, f"late-{i}") for i in range(120)]
-        incremental = ClusterScheduler(TINY_CLUSTER, WINDOWS)
-        dense = ClusterScheduler(TINY_CLUSTER, WINDOWS, incremental=False)
+        scheduler = ClusterScheduler(TINY_CLUSTER, WINDOWS)
+        assert not scheduler.ledger.indexed
+        reference = ReferenceLoopScheduler(TINY_CLUSTER, WINDOWS)
         for plan in warm:
-            assert incremental.place(plan) == dense.place(plan)
+            assert scheduler.place(plan) == reference.place(plan)
 
-        expected = [dense.place(plan) for plan in late]
-        actual = [incremental.place(plan) for plan in late]
+        expected = [reference.place(plan) for plan in late]
+        actual = [scheduler.place(plan) for plan in late]
         assert actual == expected
         rejected = [d.vm_id for d in expected if not d.accepted]
         assert len(rejected) >= 60, "the stream must be rejection-dominated"
         assert any(d.accepted for d in expected), \
             "residual accepts must interleave with the rejections"
-        assert np.array_equal(incremental.ledger.demand, dense.ledger.demand)
+        assert np.array_equal(scheduler.ledger.demand,
+                              _reference_demand(reference))
 
     def test_rebuilt_index_matches_incrementally_maintained_twin(self):
         # Churn commits and releases through a fleet large enough for the
@@ -368,6 +482,13 @@ class TestOverReleaseAccounting:
     def _account(self):
         return ServerAccount("s0", HARDWARE_GENERATIONS["gen4-intel"], WINDOWS)
 
+    def _indexed_account(self):
+        """Row 0 of an indexed ledger, whose caches can be checked."""
+        config = HARDWARE_GENERATIONS["gen4-intel"]
+        ledger = ClusterLedger([config] * _SCREENED_MIN_SERVERS, WINDOWS)
+        assert ledger.indexed
+        return ServerAccount("s0", config, WINDOWS, ledger=ledger, row=0)
+
     def test_double_release_raises_instead_of_clamping(self):
         account = self._account()
         rng = np.random.default_rng(1)
@@ -396,7 +517,7 @@ class TestOverReleaseAccounting:
             account._ledger.release_row(account._row, stranger)
 
     def test_failed_release_leaves_caches_in_sync(self):
-        account = self._account()
+        account = self._indexed_account()
         rng = np.random.default_rng(4)
         account.commit(_random_plan(rng, "resident"))
         with pytest.raises(ValueError):
@@ -404,7 +525,7 @@ class TestOverReleaseAccounting:
         _assert_caches_fresh(account._ledger)
 
     def test_legitimate_float_drift_still_snaps_to_zero(self):
-        account = self._account()
+        account = self._indexed_account()
         rng = np.random.default_rng(6)
         plans = [_random_plan(rng, f"vm-{i}") for i in range(20)]
         for plan in plans:

@@ -291,19 +291,19 @@ class TestRep006LedgerWrite:
             def rebalance(ledger, row):
                 ledger.demand[:, row, :] = 0.0
                 ledger.pa_memory[row] += 1.0
-                ledger.demand_sum = None
+                ledger.demand_peak = None
         """)
         assert [f.rule_id for f in findings] == ["REP006"] * 3
         assert any("`.demand`" in f.message for f in findings)
         assert any("`.pa_memory`" in f.message for f in findings)
-        assert any("`.demand_sum`" in f.message for f in findings)
+        assert any("`.demand_peak`" in f.message for f in findings)
 
     def test_sanctioned_mutators_are_clean(self):
         findings = run("""
             class ClusterLedger:
                 def __init__(self):
                     self.demand = None
-                    self.demand_sum = None
+                    self.demand_peak = None
 
                 def commit_row(self, row):
                     self.demand[:, row, :] += 1.0
@@ -313,7 +313,7 @@ class TestRep006LedgerWrite:
                     self.va_demand[row] = 0.0
 
                 def _refresh_row_caches(self, row):
-                    self.demand_sum[:, row] = self.demand[:, row, :].sum(axis=1)
+                    self.demand_peak[:, row] = self.demand[:, row, :].max(axis=1)
                     self.va_peak[row] = self.va_demand[row].max()
         """)
         assert findings == []
