@@ -145,13 +145,13 @@ def check_links(ledger: ClusterLedger, plan) -> tuple:
 
 
 def churn_checking_links(scheduler: ClusterScheduler, rng, n_plans: int, *,
-                         disable_at=(), churn: float = 0.4) -> dict:
+                         disable_at=()) -> dict:
     """Place a random churn stream, checking every link before each place.
 
-    At each step in *disable_at* the server that won the last placement, if
-    it is still available, is disabled with its residents still committed
-    (they leave later through the churn, released from a disabled row).
-    Every decision of ``place`` must equal the dense row
+    At each step in *disable_at*, the server that won a placement most
+    recently since the last such step is disabled with its residents still
+    committed (they leave later through the churn, released from a
+    disabled row).  Every decision of ``place`` must equal the dense row
     :func:`check_links` saw.  Returns counts of the stream's outcomes.
     """
     ledger = scheduler.ledger
@@ -177,8 +177,8 @@ def churn_checking_links(scheduler: ClusterScheduler, rng, n_plans: int, *,
         else:
             assert dense == -1
             counts["rejected"] += 1
-        # Deallocation churn keeps commit and release interleaved.
-        if placed and rng.random() < churn:
+        # ~40% deallocation churn keeps commit and release interleaved.
+        if placed and rng.random() < 0.4:
             scheduler.deallocate(placed.pop(int(rng.integers(len(placed)))))
     return counts
 
