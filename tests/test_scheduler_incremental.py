@@ -394,6 +394,35 @@ class TestTieredIndexDifferential:
         assert counts["tiered_decided"] > 0
         _assert_caches_fresh(scheduler.ledger)
 
+    def test_links_break_exact_ties_to_the_lowest_row(self):
+        # Random plans never tie, so build ties: on a one-kind fleet each
+        # 24-core plan needs a server of its own, which leaves rows 0-3
+        # loaded identically, and a 2-core plan then scores exactly the same
+        # on all four.  Every link must break the tie to row 0 like the dense
+        # pass, then keep filling row 0 while it is the fullest that fits.
+        cluster = ClusterConfig("TIE", "test",
+                                (("gen4-intel", _SCREENED_MIN_SERVERS),))
+        scheduler = ClusterScheduler(cluster, WINDOWS)
+        n = WINDOWS.windows_per_day
+        half = {r: np.full(n, 0.5) for r in ALL_RESOURCES}
+        prediction = WindowUtilizationPrediction(
+            windows=WINDOWS, percentile=half, maximum=half)
+
+        def plan(vm_id, cores):
+            allocation = {Resource.CPU: cores, Resource.MEMORY: 4.0 * cores,
+                          Resource.NETWORK: 0.5 * cores,
+                          Resource.SSD: 32.0 * cores}
+            return plan_vm(vm_id, allocation, prediction, oversubscribe=False)
+
+        rows = []
+        for i, cores in enumerate([24.0] * 4 + [2.0] * 8):
+            placing = plan(f"vm-{i}", cores)
+            dense, _ = check_links(scheduler.ledger, placing)
+            decision = scheduler.place(placing)
+            assert scheduler.servers[decision.server_id]._row == dense
+            rows.append(dense)
+        assert rows == [0, 1, 2, 3] + [0] * 8
+
     def test_saturated_cluster_rejection_ordering_matches_reference_loop(self):
         # Pre-saturate the tiny cluster on both twins, then feed a stream
         # that is mostly rejections: the dense pass must reproduce the
