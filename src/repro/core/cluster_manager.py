@@ -5,6 +5,12 @@ per-window utilization, converts the request into guaranteed/oversubscribed
 portions under the active policy, and hands the resulting plan to the cluster
 scheduler.  Requests from customers without sufficient history are admitted
 without oversubscription (conservative default, G2).
+
+A plan depends only on the VM and the read-only prediction model, never on
+placement state, so the manager plans a whole stream of requests at once
+(:meth:`ClusterManager.build_plans`: one ``predict_many`` call and one
+:func:`~repro.core.windows.plan_many` pass) and keeps the rows for the
+requests' admission.
 """
 
 from __future__ import annotations
@@ -16,11 +22,15 @@ from repro.core.coachvm import CoachVM
 from repro.core.policy import PolicyConfig
 from repro.core.resources import Resource
 from repro.core.scheduler import ClusterScheduler, PlacementDecision
-from repro.core.windows import VMResourcePlan, plan_vm
+from repro.core.windows import (
+    PlanBatch,
+    VMResourcePlan,
+    allocation_matrix,
+    plan_many,
+)
 from repro.prediction.utilization_model import (
     LongTermUtilizationModel,
     NoOversubscriptionModel,
-    WindowUtilizationPrediction,
 )
 from repro.trace.hardware import ClusterConfig
 from repro.trace.vm import VMRecord
@@ -58,7 +68,14 @@ class ClusterManagerStats:
 
 
 class ClusterManager:
-    """Logically centralised manager for one cluster."""
+    """Logically centralised manager for one cluster.
+
+    The *prediction_model* provides ``predict_many(vms)``, returning a
+    :class:`~repro.prediction.utilization_model.WindowPredictionBatch` in
+    the policy's time windows (the three models of
+    :mod:`repro.prediction.utilization_model` do); ``None`` means no
+    oversubscription.
+    """
 
     def __init__(
         self,
@@ -74,22 +91,35 @@ class ClusterManager:
         self.scheduler = ClusterScheduler(cluster, policy.windows)
         self.stats = ClusterManagerStats()
         self._vms: Dict[str, CoachVM] = {}
+        #: VM id -> (the VM planned, its PlanBatch, its row): every plan
+        #: built so far, kept for the VM's admission and re-admission.
+        self._plan_rows: Dict[str, Tuple[VMRecord, PlanBatch, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Request handling
     # ------------------------------------------------------------------ #
-    def _predict(self, vm: VMRecord) -> WindowUtilizationPrediction:
-        prediction = self.prediction_model.predict(vm)
+    def build_plans(self, vms: Sequence[VMRecord]) -> PlanBatch:
+        """Plan a stream of VM requests under the active policy.
+
+        One ``predict_many`` call and one
+        :func:`~repro.core.windows.plan_many` pass; row ``i`` is the plan of
+        ``vms[i]``.  The rows are kept by VM id, so a later
+        :meth:`request_batch` of the same VM objects (arrivals, and
+        evacuees re-requested after a drain) reuses them instead of
+        predicting again.  Raises ``ValueError``, keeping nothing, when the
+        model's windows differ from the policy's.
+        """
+        vms = list(vms)
+        prediction = self.prediction_model.predict_many(vms)
         if prediction.windows.windows_per_day != self.policy.windows.windows_per_day:
             raise ValueError(
                 "prediction model and policy use different time window configurations")
-        return prediction
-
-    def build_plan(self, vm: VMRecord) -> VMResourcePlan:
-        """Convert a VM request into a resource plan under the active policy."""
-        return plan_vm(vm.vm_id, vm.allocation_vector(), self._predict(vm),
-                       self.policy.oversubscribe,
-                       self.policy.memory_granularity_gb)
+        plans = plan_many([vm.vm_id for vm in vms], allocation_matrix(vms),
+                          prediction, self.policy.oversubscribe,
+                          self.policy.memory_granularity_gb)
+        for row, vm in enumerate(vms):
+            self._plan_rows[vm.vm_id] = (vm, plans, row)
+        return plans
 
     def request_vm(self, vm: VMRecord) -> AdmissionResult:
         """Admit (or reject) one VM request."""
@@ -98,16 +128,23 @@ class ClusterManager:
     def request_batch(self, vms: Sequence[VMRecord]) -> List[AdmissionResult]:
         """Admit (or reject) an arrival batch, in order.
 
-        Every plan is built before any is placed, so a request whose plan
-        cannot be built (e.g. a prediction-model window mismatch) fails the
-        whole batch with nothing placed and nothing counted.  The prediction
-        model is read-only, so building up front yields the same plans as
-        building each one just before its placement.  Each plan then goes
-        through :meth:`ClusterScheduler.place` with the VM's allocation
-        class (reserved arrivals may preempt spot VMs).
+        Every plan is built before any is placed: the VMs
+        :meth:`build_plans` has not planned yet are planned in one call,
+        so a request whose plan cannot be built (e.g. a prediction-model
+        window mismatch) fails the whole batch with nothing placed and
+        nothing counted.  The prediction model is read-only, so building
+        up front yields the same plans as building each one just before its
+        placement.  Each plan then goes through
+        :meth:`ClusterScheduler.place` with the VM's allocation class
+        (reserved arrivals may preempt spot VMs).
         """
         vms = list(vms)
-        plans = [self.build_plan(vm) for vm in vms]
+        missing = [vm for vm in vms
+                   if self._plan_rows.get(vm.vm_id, (None,))[0] is not vm]
+        if missing:
+            self.build_plans(missing)
+        plans = [block.plan(row)
+                 for _vm, block, row in (self._plan_rows[vm.vm_id] for vm in vms)]
         return [self._register(vm, plan,
                                self.scheduler.place(plan, vm.allocation_class))
                 for vm, plan in zip(vms, plans)]

@@ -19,14 +19,18 @@ from its predicted per-window utilization:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.resources import ALL_RESOURCES, Resource, is_fungible
 from repro.prediction.buckets import round_memory_up
-from repro.prediction.utilization_model import WindowUtilizationPrediction
+from repro.prediction.utilization_model import (
+    WindowPredictionBatch,
+    WindowUtilizationPrediction,
+)
 from repro.trace.timeseries import TimeWindowConfig
+from repro.trace.vm import VMRecord
 
 
 @dataclass
@@ -67,6 +71,11 @@ class VMResourcePlan:
     windows: TimeWindowConfig
     plans: Dict[Resource, ResourcePlan] = field(default_factory=dict)
     oversubscribed: bool = True
+    #: ``(n_resources, n_windows)`` window demands, resources in
+    #: ``ALL_RESOURCES`` order, when the plan came from a :class:`PlanBatch`
+    #: (its rows are these same arrays); ``None`` otherwise.
+    demand_matrix: Optional[np.ndarray] = field(default=None, repr=False,
+                                                compare=False)
 
     def plan(self, resource: Resource) -> ResourcePlan:
         return self.plans[resource]
@@ -145,6 +154,131 @@ def plan_vm(
                           oversubscribed=effective)
     plan.validate()
     return plan
+
+
+# --------------------------------------------------------------------------- #
+# Stream demand computation
+# --------------------------------------------------------------------------- #
+@dataclass
+class PlanBatch:
+    """:func:`plan_vm` of a stream of VMs, as stacked arrays.
+
+    Row ``i`` is VM ``i``; resources are in ``ALL_RESOURCES`` order.  The
+    arrays are read-only, because the plans :meth:`plan` hands out hold
+    views of them.
+    """
+
+    vm_ids: List[str]
+    windows: TimeWindowConfig
+    #: ``(n_vms, n_resources)`` requested allocation.
+    requested: np.ndarray
+    #: ``(n_vms, n_resources)`` guaranteed portion.
+    guaranteed: np.ndarray
+    #: ``(n_vms, n_resources, n_windows)`` per-window demand.
+    window_demand: np.ndarray
+    #: ``(n_vms, n_resources, n_windows)`` per-window oversubscribed demand.
+    window_oversubscribed: np.ndarray
+    #: ``(n_vms,)`` bool: whether each VM was planned with oversubscription.
+    oversubscribed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vm_ids)
+
+    def plan(self, row: int) -> VMResourcePlan:
+        """Row *row* as the :class:`VMResourcePlan` :func:`plan_vm` builds:
+        scalar fields as Python floats, window arrays as views of the rows,
+        and the row's demand matrix attached."""
+        requested = self.requested[row].tolist()
+        guaranteed = self.guaranteed[row].tolist()
+        demand = self.window_demand[row]
+        oversubscribed = self.window_oversubscribed[row]
+        plans = {resource: ResourcePlan(resource, requested[index],
+                                        guaranteed[index], demand[index],
+                                        oversubscribed[index])
+                 for index, resource in enumerate(ALL_RESOURCES)}
+        return VMResourcePlan(self.vm_ids[row], self.windows, plans,
+                              bool(self.oversubscribed[row]),
+                              demand_matrix=demand)
+
+
+def allocation_matrix(vms: Sequence[VMRecord]) -> np.ndarray:
+    """Each VM's requested allocation, shape ``(n_vms, n_resources)``."""
+    vectors = [vm.allocation_vector() for vm in vms]
+    return np.array([[vector[resource] for resource in ALL_RESOURCES]
+                     for vector in vectors]).reshape(len(vms), len(ALL_RESOURCES))
+
+
+#: Fungible resources, and the memory row, in ``ALL_RESOURCES`` order.
+_FUNGIBLE = np.array([is_fungible(resource) for resource in ALL_RESOURCES])
+_MEMORY_INDEX = ALL_RESOURCES.index(Resource.MEMORY)
+#: :meth:`ResourcePlan.validate`'s rules in its order, with their messages.
+_VALIDATION_MESSAGES = ("negative resource amounts",
+                        "guaranteed portion exceeds the requested allocation",
+                        "negative window demand",
+                        "negative oversubscribed demand")
+
+
+def plan_many(
+    vm_ids: Sequence[str],
+    allocations: np.ndarray,
+    prediction: WindowPredictionBatch,
+    oversubscribe: bool = True,
+    memory_granularity_gb: float = 1.0,
+) -> PlanBatch:
+    """:func:`plan_vm` of a stream of VMs in array passes.
+
+    *allocations* is :func:`allocation_matrix` of the VMs and *prediction*
+    their stacked predictions.  Each step is :func:`plan_resource`'s
+    elementwise arithmetic over all rows at once (clip and scale, Eq. 1-2
+    with memory rounded up to the granularity, the whole allocation for
+    rows planned without oversubscription), and
+    :meth:`ResourcePlan.validate`'s rules raise the same ``ValueError`` for
+    the first row and resource that breaks one.  So ``plan(i)`` of the
+    result equals ``plan_vm`` of VM ``i`` bit for bit.
+    """
+    allocated = np.array(allocations, dtype=np.float64).reshape(
+        len(vm_ids), len(ALL_RESOURCES))
+    effective = prediction.oversubscribable & bool(oversubscribe)
+    amount = allocated[:, :, None]
+    maximum = np.clip(prediction.maximum, 0.0, 1.0) * amount
+    percentile = np.clip(prediction.percentile, 0.0, 1.0) * amount
+    # Fungible resources guarantee their smallest window percentile; the
+    # non-fungible memory space guarantees its largest (Eq. 1), rounded up
+    # to the management granularity and capped at the allocation.
+    guaranteed = np.where(_FUNGIBLE, percentile.min(axis=2),
+                          percentile.max(axis=2))
+    if effective.any() and memory_granularity_gb <= 0:
+        raise ValueError("granularity must be positive")
+    pa_memory = guaranteed[:, _MEMORY_INDEX]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guaranteed[:, _MEMORY_INDEX] = np.where(
+            pa_memory <= 0, 0.0,
+            np.ceil(pa_memory / memory_granularity_gb - 1e-9)
+            * memory_granularity_gb)
+    guaranteed = np.where(_FUNGIBLE, guaranteed,
+                          np.minimum(guaranteed, allocated))
+    window_demand = np.minimum(maximum, amount)
+    window_oversubscribed = np.maximum(0.0, window_demand
+                                       - guaranteed[:, :, None])
+    # Rows planned without oversubscription guarantee their whole
+    # allocation in every window.
+    guaranteed = np.where(effective[:, None], guaranteed, allocated)
+    window_demand = np.where(effective[:, None, None], window_demand, amount)
+    window_oversubscribed = np.where(effective[:, None, None],
+                                     window_oversubscribed, 0.0)
+
+    broken = np.stack([(guaranteed < -1e-9) | (allocated < -1e-9),
+                       guaranteed > allocated + 1e-6,
+                       np.any(window_demand < -1e-9, axis=2),
+                       np.any(window_oversubscribed < -1e-9, axis=2)], axis=2)
+    if broken.any():
+        row, resource = np.argwhere(broken.any(axis=2))[0]
+        raise ValueError(
+            _VALIDATION_MESSAGES[int(np.argmax(broken[row, resource]))])
+    for array in (allocated, guaranteed, window_demand, window_oversubscribed):
+        array.setflags(write=False)
+    return PlanBatch(list(vm_ids), prediction.windows, allocated, guaranteed,
+                     window_demand, window_oversubscribed, effective)
 
 
 # --------------------------------------------------------------------------- #

@@ -28,7 +28,7 @@ from repro.characterization import (
 )
 from repro.core.policy import STANDARD_POLICIES, PolicyConfig
 from repro.core.resources import ALL_RESOURCES, Resource
-from repro.core.windows import plan_vm
+from repro.core.windows import allocation_matrix, plan_many
 from repro.prediction.buckets import bucketize
 from repro.prediction.utilization_model import (
     LongTermUtilizationModel,
@@ -204,23 +204,25 @@ def figure19_prediction_accuracy(trace: Trace,
         raise ValueError("trace too small for the prediction-accuracy experiment")
 
     results: List[PredictionAccuracy] = []
+    vm_ids = [vm.vm_id for vm in eval_vms]
+    allocations = allocation_matrix(eval_vms)
     for percentile in percentiles:
         windows = TimeWindowConfig(4)
         model = LongTermUtilizationModel(windows=windows, percentile=percentile,
                                          n_estimators=n_estimators)
         model.fit(history_vms)
         oracle = OracleUtilizationModel(windows, percentile)
+        # Every evaluation VM is predicted, oracle-predicted and planned once
+        # per percentile; both resources read the same plans.
+        planned = plan_many(vm_ids, allocations, model.predict_many(eval_vms), True)
+        ideal = plan_many(vm_ids, allocations, oracle.predict_many(eval_vms), True)
         for resource in (Resource.CPU, Resource.MEMORY):
+            column = ALL_RESOURCES.index(resource)
             over_errors: List[float] = []
             under_count = 0
-            for vm in eval_vms:
-                predicted = model.predict(vm)
-                ideal = oracle.predict(vm)
-                allocation = {r: vm.allocated(r) for r in ALL_RESOURCES}
-                planned = plan_vm(vm.vm_id, allocation, predicted, True)
-                ideal_plan = plan_vm(vm.vm_id, allocation, ideal, True)
-                planned_amount = planned.plans[resource].guaranteed
-                ideal_amount = ideal_plan.plans[resource].guaranteed
+            for planned_amount, ideal_amount in zip(
+                    planned.guaranteed[:, column].tolist(),
+                    ideal.guaranteed[:, column].tolist()):
                 if ideal_amount <= 1e-9:
                     continue
                 if planned_amount + 1e-9 < ideal_amount:

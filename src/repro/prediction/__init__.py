@@ -19,6 +19,7 @@ from repro.prediction.utilization_model import (
     NoOversubscriptionModel,
     OracleUtilizationModel,
     TrainingReport,
+    WindowPredictionBatch,
     WindowUtilizationPrediction,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "RandomForestRegressor",
     "TrainingReport",
     "TwoLevelContentionPredictor",
+    "WindowPredictionBatch",
     "WindowUtilizationPrediction",
     "bucket_centers",
     "bucketize",

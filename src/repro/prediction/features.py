@@ -24,6 +24,11 @@ from repro.trace.vm import Offering, SubscriptionType, VMRecord
 
 #: VM families given a stable ordinal encoding.
 _FAMILIES = ("general-purpose", "memory-optimized", "compute-optimized")
+#: Columns a VM's own attributes fill (:func:`_vm_columns`), and the scalar
+#: history columns after the three window columns
+#: (:meth:`FeatureEncoder._history_columns`).
+_N_OWN_COLUMNS = 9
+_N_HISTORY_SCALARS = 5
 
 
 @dataclass(frozen=True)
@@ -165,8 +170,41 @@ class HistoryIndex:
 
     def has_history(self, vm: VMRecord, min_vms: int = 1) -> bool:
         """Whether the VM has enough subscription history to be oversubscribed."""
-        history, level = self.lookup(vm)
-        return level >= 1 and history.n_vms >= min_vms
+        return _enough_history(*self.lookup(vm), min_vms)
+
+
+def _enough_history(group: GroupHistory, level: int, min_vms: int) -> bool:
+    """A VM may be oversubscribed: its history comes from its subscription
+    (level 1 or 2) and covers at least *min_vms* VMs."""
+    return level >= 1 and group.n_vms >= min_vms
+
+
+class HistoryLookups:
+    """Each VM of a stream looked up in a :class:`HistoryIndex` once.
+
+    ``groups`` lists the distinct ``(group, level)`` results in first-seen
+    order and ``index[i]`` is VM ``i``'s entry, so every resource's
+    :meth:`FeatureEncoder.encode_many` reads a group's columns once per
+    group instead of once per VM.
+    """
+
+    def __init__(self, vms: Sequence[VMRecord], history: HistoryIndex):
+        positions: Dict[int, int] = {}
+        self.groups: List[Tuple[GroupHistory, int]] = []
+        self.index = np.empty(len(vms), dtype=np.intp)
+        for row, vm in enumerate(vms):
+            group, level = history.lookup(vm)
+            position = positions.get(id(group))
+            if position is None:
+                position = positions[id(group)] = len(self.groups)
+                self.groups.append((group, level))
+            self.index[row] = position
+
+    def has_history(self, min_vms: int) -> np.ndarray:
+        """:meth:`HistoryIndex.has_history` of every VM, as a bool vector."""
+        enough = np.array([_enough_history(group, level, min_vms)
+                           for group, level in self.groups], dtype=bool)
+        return enough[self.index]
 
 
 class FeatureEncoder:
@@ -216,54 +254,97 @@ class FeatureEncoder:
         """Feature matrix with one row per window of the day."""
         return np.array(self._rows(vm, range(self.windows.windows_per_day), history))
 
-    def _rows(self, vm: VMRecord, window_indices: Sequence[int],
-              history: Optional[HistoryIndex]) -> List[List[float]]:
-        """One feature row per window in *window_indices*; the VM's own
-        features and its history lookup are shared by every row."""
-        config = vm.config
-        family_ordinal = float(_FAMILIES.index(config.family)) if config.family in _FAMILIES else -1.0
-        vm_features = [
-            float(config.cores),
-            float(config.memory_gb),
-            float(config.gb_per_core),
-            family_ordinal,
-            1.0 if vm.offering is Offering.PAAS else 0.0,
-            1.0 if vm.subscription_type in (SubscriptionType.INTERNAL_PRODUCTION,
-                                            SubscriptionType.INTERNAL_TEST) else 0.0,
-            1.0 if vm.subscription_type in (SubscriptionType.EXTERNAL_TEST,
-                                            SubscriptionType.INTERNAL_TEST) else 0.0,
-            float(vm.creation_weekday),
-            1.0 if vm.creation_weekday >= 5 else 0.0,
-        ]
+    def encode_many(self, vm_columns: np.ndarray,
+                    lookups: HistoryLookups) -> np.ndarray:
+        """The :meth:`encode_all_windows` rows of a stream of VMs, stacked.
 
-        if history is not None:
-            group, level = history.lookup(vm)
+        *vm_columns* is :func:`vm_feature_matrix` of the VMs and *lookups*
+        their :class:`HistoryLookups`.  Returns ``(n_vms * windows_per_day,
+        n_features)``: VM ``i``'s rows are ``i * windows_per_day`` onwards,
+        each equal to ``encode_all_windows(vm, history)`` bit for bit,
+        because every column is the same float the per-VM rows hold.
+        """
+        n_windows = self.windows.windows_per_day
+        n_vms = vm_columns.shape[0]
+        rows = np.empty((n_vms, n_windows, self.n_features))
+        history_start = _N_OWN_COLUMNS + 3
+        rows[:, :, :_N_OWN_COLUMNS] = vm_columns[:, None, :]
+        rows[:, :, _N_OWN_COLUMNS:history_start] = self._window_columns()
+        history = [self._history_columns(group, level)
+                   for group, level in lookups.groups]
+        scalars = np.array([columns for columns, _peaks in history]).reshape(
+            -1, _N_HISTORY_SCALARS)
+        peaks = np.array([peaks for _columns, peaks in history]).reshape(
+            -1, n_windows)
+        rows[:, :, history_start:-1] = scalars[lookups.index][:, None, :]
+        rows[:, :, -1] = peaks[lookups.index]
+        return rows.reshape(n_vms * n_windows, self.n_features)
+
+    def _window_columns(self) -> List[List[float]]:
+        """The window index and the sine and cosine of its centre hour, one
+        row per window of the day."""
+        columns = []
+        for window_index in range(self.windows.windows_per_day):
+            center_hour = (window_index + 0.5) * self.windows.window_hours
+            angle = 2.0 * np.pi * center_hour / 24.0
+            columns.append([float(window_index), float(np.sin(angle)),
+                            float(np.cos(angle))])
+        return columns
+
+    def _history_columns(self, group: Optional[GroupHistory],
+                         level: int) -> Tuple[List[float], List[float]]:
+        """The five history columns of a group (``None`` = no index) and
+        its per-window mean peak, falling back to the group's mean peak."""
+        if group is None:
+            n_vms, mean_peak, peak_range, mean_percentile = 0.0, 0.5, 1.0, 0.5
+            window_peaks = None
+        else:
             n_vms = float(group.n_vms)
             mean_peak = group.mean_peak.get(self.resource, 0.5)
             peak_range = group.peak_range.get(self.resource, 1.0)
             mean_percentile = group.mean_percentile.get(self.resource, 0.5)
             window_peaks = group.window_mean_peak.get(self.resource)
-        else:
-            level, n_vms = 0, 0.0
-            mean_peak, peak_range, mean_percentile, window_peaks = 0.5, 1.0, 0.5, None
+        peaks = [float(window_peaks[window_index])
+                 if window_peaks is not None and window_peaks.size > window_index
+                 else float(mean_peak)
+                 for window_index in range(self.windows.windows_per_day)]
+        return [float(level), n_vms, float(mean_peak), float(peak_range),
+                float(mean_percentile)], peaks
 
-        rows = []
-        for window_index in window_indices:
-            center_hour = (window_index + 0.5) * self.windows.window_hours
-            angle = 2.0 * np.pi * center_hour / 24.0
-            window_mean_peak = (float(window_peaks[window_index])
-                                if window_peaks is not None and window_peaks.size > window_index
-                                else mean_peak)
-            rows.append([
-                *vm_features,
-                float(window_index),
-                float(np.sin(angle)),
-                float(np.cos(angle)),
-                float(level),
-                n_vms,
-                float(mean_peak),
-                float(peak_range),
-                float(mean_percentile),
-                float(window_mean_peak),
-            ])
-        return rows
+    def _rows(self, vm: VMRecord, window_indices: Sequence[int],
+              history: Optional[HistoryIndex]) -> List[List[float]]:
+        """One feature row per window in *window_indices*; the VM's own
+        features and its history lookup are shared by every row."""
+        group, level = history.lookup(vm) if history is not None else (None, 0)
+        columns, peaks = self._history_columns(group, level)
+        own = _vm_columns(vm)
+        windows = self._window_columns()
+        return [[*own, *windows[window_index], *columns, peaks[window_index]]
+                for window_index in window_indices]
+
+
+def _vm_columns(vm: VMRecord) -> List[float]:
+    """The VM's own feature columns: configuration, offering, subscription
+    type and creation weekday."""
+    config = vm.config
+    family_ordinal = float(_FAMILIES.index(config.family)) if config.family in _FAMILIES else -1.0
+    return [
+        float(config.cores),
+        float(config.memory_gb),
+        float(config.gb_per_core),
+        family_ordinal,
+        1.0 if vm.offering is Offering.PAAS else 0.0,
+        1.0 if vm.subscription_type in (SubscriptionType.INTERNAL_PRODUCTION,
+                                        SubscriptionType.INTERNAL_TEST) else 0.0,
+        1.0 if vm.subscription_type in (SubscriptionType.EXTERNAL_TEST,
+                                        SubscriptionType.INTERNAL_TEST) else 0.0,
+        float(vm.creation_weekday),
+        1.0 if vm.creation_weekday >= 5 else 0.0,
+    ]
+
+
+def vm_feature_matrix(vms: Sequence[VMRecord]) -> np.ndarray:
+    """Every VM's own feature columns, shape ``(n_vms, 9)``, computed once
+    and shared by every resource's :meth:`FeatureEncoder.encode_many`."""
+    return np.array([_vm_columns(vm) for vm in vms]).reshape(
+        len(vms), _N_OWN_COLUMNS)

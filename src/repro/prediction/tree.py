@@ -129,9 +129,13 @@ class DecisionTreeRegressor:
         self._rng = (random_state if isinstance(random_state, np.random.Generator)
                      else np.random.default_rng(random_state))
         self._nodes: List[_Node] = []
-        #: ``(feature, threshold, left, right, value)`` per-node lists that
-        #: :meth:`predict` walks; rebuilt from ``_nodes`` at the end of fit.
-        self._flat: tuple[list, list, list, list, list] = ([], [], [], [], [])
+        #: ``(feature, threshold, children, value)`` per-node arrays that
+        #: :meth:`predict` walks: node ``i``'s left child is ``children[2 * i]``
+        #: and its right child ``children[2 * i + 1]``, and every leaf is its
+        #: own child.  Rebuilt from ``_nodes`` at the end of fit.
+        self._levels: tuple = ()
+        #: Number of levels :meth:`predict` walks (the fitted tree's depth).
+        self._depth: int = 0
         self.n_features_: int = 0
 
     # ------------------------------------------------------------------ #
@@ -201,10 +205,20 @@ class DecisionTreeRegressor:
             node.right = self._new_leaf(y[right_indices])
             stack.append((node.left, left_indices, depth + 1))
             stack.append((node.right, right_indices, depth + 1))
-        # predict() walks these per-node lists instead of the _Node objects:
-        # plain list reads are several times cheaper than attribute reads.
-        self._flat = tuple([getattr(node, name) for node in self._nodes]
-                           for name in ("feature", "threshold", "left", "right", "value"))
+        # predict() walks every row down one level per step, so a leaf
+        # points to itself (both children) and tests feature 0: a row that
+        # reached it stays there for the remaining steps.
+        feature = np.array([node.feature for node in self._nodes], dtype=np.intp)
+        children = np.array([(node.left, node.right) for node in self._nodes],
+                            dtype=np.intp)
+        leaves = np.flatnonzero(feature < 0)
+        children[leaves] = leaves[:, None]
+        feature[leaves] = 0
+        self._levels = (feature,
+                        np.array([node.threshold for node in self._nodes]),
+                        children.ravel(),
+                        np.array([node.value for node in self._nodes]))
+        self._depth = self.depth()
         return self
 
     def _new_leaf(self, targets: np.ndarray) -> int:
@@ -224,14 +238,19 @@ class DecisionTreeRegressor:
             raise ValueError(
                 f"expected {self.n_features_} features, got {x.shape[1]}")
 
-        feature, threshold, left, right, value = self._flat
-        out = []
-        for row in x.tolist():
-            index = 0
-            while feature[index] >= 0:
-                index = left[index] if row[feature[index]] <= threshold[index] else right[index]
-            out.append(value[index])
-        return np.array(out)
+        # A fixed-depth level walk: every row takes one step per level, in
+        # one gather and one comparison over all rows, and rows that reach a
+        # leaf early stay on it.  Each step makes the per-row walk's float64
+        # comparison, and a row goes right unless it holds (so a NaN goes
+        # right), so the leaf values equal the per-row walk's bit for bit.
+        feature, threshold, children, value = self._levels
+        flat = x.ravel()
+        row_starts = np.arange(0, flat.size, x.shape[1])
+        index = np.zeros(x.shape[0], dtype=np.intp)
+        for _ in range(self._depth):
+            go_right = ~(flat[row_starts + feature[index]] <= threshold[index])
+            index = children[2 * index + go_right]
+        return value[index]
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -11,6 +11,12 @@ predicts two quantities, quantized to 5% buckets:
 
 When a VM has insufficient history, Coach conservatively does not
 oversubscribe it; the model reports this via ``oversubscribable``.
+
+Every model answers for one VM (``predict``) and for a stream of VMs
+(``predict_many``, one :class:`WindowPredictionBatch`).  The cluster
+manager plans a cluster's whole arrival stream from one ``predict_many``
+call; each batch row equals ``predict`` of its VM bit for bit, and
+``predict`` stays as that oracle.
 """
 
 from __future__ import annotations
@@ -26,11 +32,17 @@ from repro.prediction.buckets import bucketize_array
 from repro.prediction.features import (
     FeatureEncoder,
     HistoryIndex,
+    HistoryLookups,
     lifetime_stats,
     training_vms,
+    vm_feature_matrix,
 )
 from repro.prediction.forest import RandomForestRegressor
-from repro.trace.timeseries import DEFAULT_WINDOWS, TimeWindowConfig
+from repro.trace.timeseries import (
+    DEFAULT_WINDOWS,
+    TimeWindowConfig,
+    window_percentiles,
+)
 from repro.trace.vm import VMRecord
 
 
@@ -52,6 +64,25 @@ class WindowUtilizationPrediction:
                    for r in self.maximum}
         return WindowUtilizationPrediction(self.windows, dict(self.percentile),
                                            maximum, self.oversubscribable)
+
+
+@dataclass
+class WindowPredictionBatch:
+    """Per-window predictions of a stream of VMs, stacked (row ``i`` is VM
+    ``i``; resources in ``ALL_RESOURCES`` order)."""
+
+    windows: TimeWindowConfig
+    #: ``(n_vms, n_resources, windows_per_day)`` predicted PX utilization.
+    percentile: np.ndarray
+    #: ``(n_vms, n_resources, windows_per_day)`` predicted maximum.
+    maximum: np.ndarray
+    #: ``(n_vms,)`` bool: whether each VM may be oversubscribed at all.
+    oversubscribable: np.ndarray
+
+
+#: One window covering the whole day: its window percentile is the
+#: lifetime percentile.
+_WHOLE_DAY = TimeWindowConfig(24)
 
 
 @dataclass
@@ -108,24 +139,26 @@ class LongTermUtilizationModel:
         if not vms:
             raise ValueError("no long-running VMs with utilization to train on")
 
-        n_windows = self.windows.windows_per_day
-        total_rows = len(vms) * n_windows
+        total_rows = len(vms) * self.windows.windows_per_day
+        lookups = HistoryLookups(vms, self._history)
+        vm_columns = vm_feature_matrix(vms)
 
         for resource in ALL_RESOURCES:
-            encoder = self._encoders[resource]
-            features = np.zeros((total_rows, encoder.n_features))
-            target_percentile = np.zeros(total_rows)
-            target_maximum = np.zeros(total_rows)
-            for i, (vm, vm_stats) in enumerate(zip(vms, stats)):
-                rows = slice(i * n_windows, (i + 1) * n_windows)
-                own = vm_stats[resource]
-                window_pct = vm.series(resource).lifetime_window_percentile(
-                    self.windows, self.percentile)
-                features[rows] = encoder.encode_all_windows(vm, self._history)
-                target_percentile[rows] = np.where(
-                    np.isnan(window_pct), own.percentile, window_pct)
-                target_maximum[rows] = np.where(
-                    np.isnan(own.window_peaks), own.peak, own.window_peaks)
+            features = self._encoders[resource].encode_many(vm_columns, lookups)
+            # Row i, window w: the VM's window percentile (its lifetime
+            # percentile where the window was never observed) and window
+            # peak (its lifetime peak likewise).
+            window_pct = window_percentiles(
+                [vm.series(resource) for vm in vms], self.windows,
+                self.percentile)
+            own_pct = np.array([vm_stats[resource].percentile for vm_stats in stats])
+            target_percentile = np.where(np.isnan(window_pct), own_pct[:, None],
+                                         window_pct).ravel()
+            window_peaks = np.array([vm_stats[resource].window_peaks
+                                     for vm_stats in stats])
+            own_peak = np.array([vm_stats[resource].peak for vm_stats in stats])
+            target_maximum = np.where(np.isnan(window_peaks), own_peak[:, None],
+                                      window_peaks).ravel()
 
             pct_model = RandomForestRegressor(**self._forest_params)
             max_model = RandomForestRegressor(**self._forest_params)
@@ -170,6 +203,35 @@ class LongTermUtilizationModel:
         return WindowUtilizationPrediction(
             self.windows, percentile, maximum, oversubscribable).clipped()
 
+    def predict_many(self, vms: Sequence[VMRecord]) -> WindowPredictionBatch:
+        """:meth:`predict` of a stream of VMs, each row bit for bit.
+
+        Each VM's history group is looked up once.  Each resource's feature
+        rows for every VM form one array (:meth:`FeatureEncoder.encode_many`),
+        which each forest walks once; clipping, bucketing and the maximum's
+        floor are the per-VM elementwise operations over the whole batch.
+        """
+        if not self.is_fitted or self._history is None:
+            raise RuntimeError("model must be fitted before prediction")
+        vms = list(vms)
+        n_windows = self.windows.windows_per_day
+        lookups = HistoryLookups(vms, self._history)
+        vm_columns = vm_feature_matrix(vms)
+        shape = (len(vms), len(ALL_RESOURCES), n_windows)
+        percentile = np.empty(shape)
+        maximum = np.empty(shape)
+        for index, resource in enumerate(ALL_RESOURCES):
+            features = self._encoders[resource].encode_many(vm_columns, lookups)
+            for out, models in ((percentile, self._percentile_models),
+                                (maximum, self._maximum_models)):
+                predicted = models[resource].predict(features)
+                out[:, index] = bucketize_array(
+                    np.clip(predicted, 0.0, 1.0)).reshape(len(vms), n_windows)
+        # WindowUtilizationPrediction.clipped: the maximum dominates.
+        np.maximum(maximum, percentile, out=maximum)
+        return WindowPredictionBatch(self.windows, percentile, maximum,
+                                     lookups.has_history(self.min_history_vms))
+
 
 class OracleUtilizationModel:
     """Perfect-knowledge predictor computed from the VM's actual future telemetry.
@@ -197,6 +259,32 @@ class OracleUtilizationModel:
             maximum[resource] = np.clip(mx, 0.0, 1.0)
         return WindowUtilizationPrediction(self.windows, percentile, maximum, True).clipped()
 
+    def predict_many(self, vms: Sequence[VMRecord]) -> WindowPredictionBatch:
+        """:meth:`predict` of a stream of VMs, each row bit for bit.
+
+        The window percentiles come from :func:`window_percentiles`, and
+        so does the lifetime percentile, as the one window of a 24-hour
+        configuration (the same samples, so the same ``np.percentile``).
+        """
+        vms = list(vms)
+        shape = (len(vms), len(ALL_RESOURCES), self.windows.windows_per_day)
+        percentile = np.empty(shape)
+        maximum = np.empty(shape)
+        for index, resource in enumerate(ALL_RESOURCES):
+            series = [vm.series(resource) for vm in vms]
+            pct = window_percentiles(series, self.windows, self.percentile)
+            overall_pct = window_percentiles(series, _WHOLE_DAY, self.percentile)
+            mx = np.array([s.lifetime_window_max(self.windows)
+                           for s in series]).reshape(shape[0], shape[2])
+            overall_max = np.array([s.maximum() for s in series])[:, None]
+            percentile[:, index] = np.clip(
+                np.where(np.isnan(pct), overall_pct, pct), 0.0, 1.0)
+            maximum[:, index] = np.clip(
+                np.where(np.isnan(mx), overall_max, mx), 0.0, 1.0)
+        np.maximum(maximum, percentile, out=maximum)
+        return WindowPredictionBatch(self.windows, percentile, maximum,
+                                     np.ones(len(vms), dtype=bool))
+
 
 class NoOversubscriptionModel:
     """Baseline "predictor" that always requests the full allocation.
@@ -216,3 +304,9 @@ class NoOversubscriptionModel:
             {r: ones.copy() for r in ALL_RESOURCES},
             oversubscribable=False,
         )
+
+    def predict_many(self, vms: Sequence[VMRecord]) -> WindowPredictionBatch:
+        """:meth:`predict` of a stream of VMs: all ones, none oversubscribable."""
+        shape = (len(vms), len(ALL_RESOURCES), self.windows.windows_per_day)
+        return WindowPredictionBatch(self.windows, np.ones(shape), np.ones(shape),
+                                     np.zeros(len(vms), dtype=bool))

@@ -25,9 +25,12 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro.core.cluster_manager import build_prediction_model
 from repro.core.policy import COACH_POLICY
+from repro.core.resources import ALL_RESOURCES
 from repro.core.scheduler import ServerAccount
-from repro.simulator.engine import SimulationConfig, simulate_policy
+from repro.core.windows import allocation_matrix, plan_many, plan_vm
+from repro.simulator.engine import HISTORY_END_SLOT, SimulationConfig, simulate_policy
 from repro.simulator.replay import VectorizedViolationMeter, chunk_slots_for_budget
 from repro.simulator.sweep import SweepTask, create_sweep_executor, sweep_policies
 from repro.trace.generator import TraceGenerator, TraceGeneratorConfig
@@ -219,6 +222,68 @@ def measure_scheduler_scaling(*, smoke: bool = False,
         "curve": curve,
         "largest_size": curve[-1]["n_servers"],
         "largest_speedup": curve[-1]["speedup"],
+    }
+
+
+def measure_prediction_batch(trace: Trace, *,
+                             n_estimators: int = 3) -> Dict[str, object]:
+    """Wall-clock of planning a trace's VMs: stream path vs per-VM oracle.
+
+    Trains the coach policy's model on the trace's history, as
+    ``simulate_policy`` does, then plans every VM of the trace twice: with
+    one ``predict_many`` call and one :func:`plan_many` pass (the stream
+    path a cluster's replay takes), and with ``predict`` plus
+    :func:`plan_vm` per VM.  Raises ``AssertionError`` unless every plan
+    is bitwise equal.  Each side runs three times, alternating, and the
+    minima are reported.
+    """
+    policy = COACH_POLICY
+    history, _future = trace.split_at(HISTORY_END_SLOT)
+    model = build_prediction_model(policy, history.long_running().vms,
+                                   n_estimators=n_estimators)
+    vms = list(trace.vms)
+    vm_ids = [vm.vm_id for vm in vms]
+
+    def stream():
+        return plan_many(vm_ids, allocation_matrix(vms), model.predict_many(vms),
+                         policy.oversubscribe, policy.memory_granularity_gb)
+
+    def per_vm():
+        return [plan_vm(vm.vm_id, vm.allocation_vector(), model.predict(vm),
+                        policy.oversubscribe, policy.memory_granularity_gb)
+                for vm in vms]
+
+    stream_seconds = per_vm_seconds = float("inf")
+    for _ in range(3):
+        begin = time.perf_counter()
+        batch = stream()
+        stream_seconds = min(stream_seconds, time.perf_counter() - begin)
+        begin = time.perf_counter()
+        plans = per_vm()
+        per_vm_seconds = min(per_vm_seconds, time.perf_counter() - begin)
+
+    for row, expected in enumerate(plans):
+        got = batch.plan(row)
+        if (got.vm_id, got.oversubscribed) != (expected.vm_id,
+                                               expected.oversubscribed):
+            raise AssertionError(f"stream plan {row} diverged from plan_vm")
+        for resource in ALL_RESOURCES:
+            for name in ("requested", "guaranteed", "window_demand",
+                         "window_oversubscribed"):
+                if (np.asarray(getattr(got.plans[resource], name)).tobytes()
+                        != np.asarray(getattr(expected.plans[resource],
+                                              name)).tobytes()):
+                    raise AssertionError(
+                        f"stream plan of {expected.vm_id} diverged from "
+                        f"plan_vm: {resource.value} {name}")
+    return {
+        "n_vms": len(vms),
+        "n_estimators": n_estimators,
+        "oversubscribed": int(batch.oversubscribed.sum()),
+        "stream_seconds": stream_seconds,
+        "per_vm_seconds": per_vm_seconds,
+        "speedup": per_vm_seconds / stream_seconds,
+        "bitwise_identical": True,
     }
 
 

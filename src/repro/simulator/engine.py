@@ -185,6 +185,11 @@ class ClusterSimulation:
         eval_vms = [vms[i] for i in self.trace.store.arrivals_for(
             self.cluster_id, self.config.placement_start_slot)]
         eval_vms.sort(key=lambda vm: (vm.start_slot, vm.vm_id))
+        # Plans depend on the VM and the read-only model alone, so the whole
+        # arrival stream is planned in one pass up front; request_batch
+        # then reads each arrival's row, and so does an evacuee's
+        # re-request after a drain.
+        self.manager.build_plans(eval_vms)
 
         # Event-driven replay: before each arrival batch, release VMs that
         # ended.  Departures sit in a min-heap keyed by end slot, so each
@@ -288,7 +293,11 @@ def simulate_policy(trace: Trace, policy: PolicyConfig,
 
     Clusters are replayed one after another on independent ledgers (the
     prediction model is shared read-only) and folded into the totals in
-    that order.
+    that order.  *prediction_model* replaces the model trained on the
+    history for *policy*; it must provide ``predict_many(vms)`` in the
+    policy's windows, as every model of
+    :mod:`repro.prediction.utilization_model` does (each cluster plans its
+    arrival stream with one call, see :class:`ClusterManager`).
     """
     config = config or SimulationConfig()
     check_fleet_references(trace.fleet, config)

@@ -84,7 +84,12 @@ import numpy as np
 
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.trace.hardware import ClusterConfig, Fleet
-from repro.trace.timeseries import SLOTS_PER_DAY, UtilizationSeries
+from repro.trace.timeseries import (
+    SLOTS_PER_DAY,
+    UtilizationSeries,
+    percentile_lerp,
+    percentile_ranks,
+)
 from repro.trace.trace import Trace
 from repro.trace.vm import (
     AllocationClass,
@@ -153,14 +158,13 @@ def segment_percentiles(buffer: np.ndarray, starts: np.ndarray,
                         pcts: Sequence[float]) -> Dict[float, np.ndarray]:
     """Per-segment percentiles without sorting whole segments.
 
-    Segments of equal length share their interpolation ranks, so they are
+    Segments of equal length share their interpolation ranks
+    (:func:`~repro.trace.timeseries.percentile_ranks`), so they are
     gathered into one matrix and *partitioned* (O(n) selection) at exactly
     the neighbour ranks every requested percentile reads; the values at
-    those ranks match a full sort.  The interpolation replicates
-    ``np.percentile(..., method="linear")`` step for step --
-    ``virtual = (n - 1) * (pct / 100)``, neighbour clamping, and the
-    two-branch lerp (``a + diff * t`` below ``t = 0.5``, ``b - diff * (1 - t)``
-    at or above) -- so float64 results are bitwise identical to calling
+    those ranks match a full sort.  The interpolation is
+    :func:`~repro.trace.timeseries.percentile_lerp`, numpy's step for
+    step, so float64 results are bitwise identical to calling
     ``np.percentile`` on every segment.
     """
     n = int(starts.size)
@@ -174,30 +178,13 @@ def segment_percentiles(buffer: np.ndarray, starts: np.ndarray,
         length = int(lengths[group[0]])
         matrix = buffer[starts[group][:, None]
                         + np.arange(length, dtype=np.int64)[None, :]]
-        plan = []
-        ranks = set()
-        for pct in pcts:
-            quantile = np.true_divide(pct, 100)
-            virtual = (length - 1) * quantile
-            if virtual >= length - 1:
-                previous = nxt = length - 1
-            elif virtual < 0:
-                previous = nxt = 0
-            else:
-                previous = int(np.floor(virtual))
-                nxt = previous + 1
-            gamma = virtual - previous
-            plan.append((pct, previous, nxt, gamma))
-            ranks.update((previous, nxt))
-        matrix.partition(sorted(ranks), axis=1)
+        plan = [(pct, *percentile_ranks(length, pct)) for pct in pcts]
+        matrix.partition(sorted({int(rank) for _pct, previous, nxt, _gamma
+                                 in plan for rank in (previous, nxt)}),
+                         axis=1)
         for pct, previous, nxt, gamma in plan:
-            left = matrix[:, previous]
-            right = matrix[:, nxt]
-            diff = right - left
-            if gamma >= 0.5:
-                out[pct][group] = right - diff * (1 - gamma)
-            else:
-                out[pct][group] = left + diff * gamma
+            out[pct][group] = percentile_lerp(matrix[:, previous],
+                                              matrix[:, nxt], gamma)
     return out
 
 

@@ -83,6 +83,38 @@ DEFAULT_WINDOWS = TimeWindowConfig(window_hours=4)
 SWEEP_WINDOW_HOURS: Tuple[int, ...] = (1, 2, 3, 4, 6, 12, 24)
 
 
+#: Most samples one pass of :func:`window_percentiles` sorts at once: 1 MiB
+#: of float64, 455 days of slots.  A pass holds at least one series, so a
+#: series that spans more days gets a pass of its own.
+WINDOW_PERCENTILE_PASS_SAMPLES = 1 << 17
+
+
+def percentile_ranks(counts, pct: float) -> tuple:
+    """``np.percentile``'s (method ``"linear"``) neighbour ranks and weight
+    for samples of *counts* values each (an int or an int array, >= 1).
+
+    Returns ``(previous, next, gamma)``: the 0-based sorted ranks around
+    the virtual rank ``(counts - 1) * pct / 100`` (``next`` clamped to the
+    last rank) and the weight ``virtual - previous``.  For *pct* in
+    ``[0, 100]`` these are the ranks and the weight numpy reads.
+    """
+    virtual = (counts - 1) * np.true_divide(pct, 100)
+    previous = np.floor(virtual)
+    nxt = np.minimum(previous + 1, counts - 1)
+    return previous.astype(np.intp), nxt.astype(np.intp), virtual - previous
+
+
+def percentile_lerp(left: np.ndarray, right: np.ndarray, gamma) -> np.ndarray:
+    """``np.percentile``'s interpolation between the order statistics at
+    the ranks :func:`percentile_ranks` returns, step for step:
+    ``left + diff * gamma`` below ``gamma = 0.5`` and
+    ``right - diff * (1 - gamma)`` at or above, so float64 results are
+    bitwise numpy's."""
+    diff = right - left
+    return np.where(gamma >= 0.5, right - diff * (1 - gamma),
+                    left + diff * gamma)
+
+
 def _check_unit_range(values: np.ndarray) -> None:
     """Raise unless every value lies in ``[0, 1]``, give or take 1e-9."""
     # min and max propagate NaN, which then fails both comparisons.
@@ -329,3 +361,63 @@ class UtilizationSeries:
             f"UtilizationSeries(n={len(self)}, start_slot={self.start_slot}, "
             f"mean={self.mean():.3f}, max={self.maximum():.3f})"
         )
+
+
+def window_percentiles(series: Sequence[UtilizationSeries],
+                       config: TimeWindowConfig, pct: float) -> np.ndarray:
+    """:meth:`UtilizationSeries.lifetime_window_percentile` of many series.
+
+    Returns ``(len(series), windows_per_day)``; row ``i`` equals
+    ``series[i].lifetime_window_percentile(config, pct)`` bit for bit
+    (``nan`` for a window without samples).  Series that span the same
+    number of days share one sort.  A pass lays each series on whole days
+    the way :meth:`UtilizationSeries._day_cube` does, padded with
+    ``-inf``, but window by window: row ``(i, w)`` holds every slot of
+    window ``w`` on every day.  One sort orders all rows, the padding
+    first, and each row's neighbour ranks are read past its padding.
+    ``np.percentile`` depends only on the multiset of its input, and a
+    sort puts the same values at those ranks as numpy's partition, so
+    :func:`percentile_lerp` returns numpy's values.  A pass holds at most
+    :data:`WINDOW_PERCENTILE_PASS_SAMPLES` samples, or one series.
+    """
+    if not 0 <= pct <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n_windows = config.windows_per_day
+    slots_per_window = config.slots_per_window
+    out = np.full((len(series), n_windows), np.nan)
+    first_days = [slot_to_day(s.start_slot) for s in series]
+    spans = np.array([slot_to_day(s.end_slot - 1) - first + 1
+                      for s, first in zip(series, first_days)], dtype=np.intp)
+    order = np.argsort(spans, kind="stable")
+    bounds = np.flatnonzero(np.diff(spans[order])) + 1
+    for group in np.split(order, bounds):
+        if group.size == 0:
+            continue
+        n_days = int(spans[group[0]])
+        day_slots = n_days * SLOTS_PER_DAY
+        row_width = n_days * slots_per_window
+        # Where each slot of the padded day layout lands in its window's row.
+        slot = np.arange(day_slots)
+        position = (((slot % SLOTS_PER_DAY) // slots_per_window) * row_width
+                    + (slot // SLOTS_PER_DAY) * slots_per_window
+                    + slot % slots_per_window)
+        per_pass = max(1, WINDOW_PERCENTILE_PASS_SAMPLES // day_slots)
+        for begin in range(0, group.size, per_pass):
+            members = group[begin:begin + per_pass]
+            cube = np.full((members.size, day_slots), -np.inf)
+            for row, index in enumerate(members):
+                values = series[index].values
+                offset = (series[index].start_slot
+                          - first_days[index] * SLOTS_PER_DAY)
+                cube[row, position[offset:offset + values.size]] = values
+            cube = cube.reshape(members.size, n_windows, row_width)
+            counts = np.count_nonzero(cube != -np.inf, axis=2)
+            cube.sort(axis=2)
+            rows, windows = np.nonzero(counts)
+            counts = counts[rows, windows]
+            padding = row_width - counts
+            previous, nxt, gamma = percentile_ranks(counts, pct)
+            out[members[rows], windows] = percentile_lerp(
+                cube[rows, windows, padding + previous],
+                cube[rows, windows, padding + nxt], gamma)
+    return out

@@ -104,8 +104,8 @@ def _reference_best_split(x, y, feature_indices, min_samples_leaf):
 
 
 def _reference_predict(tree, x):
-    """The per-row walk over the ``_Node`` objects that the flat per-node
-    lists replaced."""
+    """The per-row walk over the ``_Node`` objects that the level walk
+    replaced."""
     out = np.empty(x.shape[0])
     for row in range(x.shape[0]):
         node = tree._nodes[0]
@@ -117,7 +117,7 @@ def _reference_predict(tree, x):
 
 
 class TestTreeKernelsMatchLoops:
-    """The 2-D split search and the flat-list predict equal the loops they
+    """The 2-D split search and the level-walk predict equal the loops they
     replaced bit for bit (the references above are those loops)."""
 
     @pytest.mark.parametrize("seed", range(6))

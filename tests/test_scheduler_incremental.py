@@ -14,12 +14,17 @@ Contracts pinned here:
   :data:`_SCREENED_MIN_SERVERS`, 1,000 and 100,000 servers; unindexed
   fleets are pinned against :class:`ReferenceLoopScheduler` instead,
   including rejection ordering on saturated clusters;
+* both links keep the candidates within :data:`SCORE_TOLERANCE` of the
+  best surely-fitting approximate score: a pinned state in which the
+  approximation ranks the exact winner second fails either link narrowed
+  to ``approx >= best_sure``;
 * :meth:`ClusterManager.request_batch` admits exactly like sequential
   :meth:`ClusterManager.request_vm` calls (class-aware preemption
-  included) and like the reference loop fed the same plans, and it
-  builds every plan before placing any: an empty batch is a no-op, and a
-  batch whose plan building fails places nothing and counts nothing (a
-  failed single request counts nothing either);
+  included) and like the reference loop fed the plans of
+  :meth:`ClusterManager.build_plans`, and it builds every plan before
+  placing any: an empty batch is a no-op, and a batch whose plan building
+  fails places nothing and counts nothing (a failed single request counts
+  nothing either);
 * the over-release accounting fixes: :meth:`ClusterLedger.release_row`
   raises on genuinely negative residues (double release, never-committed
   plans) instead of clamping, and
@@ -45,6 +50,7 @@ from repro.core.scheduler import (
     _SCREENED_MIN_SERVERS,
     _TIERED_MIN_SERVERS,
     _TIERED_UNDECIDED,
+    SCORE_TOLERANCE,
     ClusterLedger,
     ClusterScheduler,
     ReferenceLoopScheduler,
@@ -58,7 +64,7 @@ from repro.simulator.synthetic import (
     SCHEDULER_SCALING_SIZES_SMOKE,
     build_scaled_bench_cluster,
 )
-from repro.core.windows import plan_vm
+from repro.core.windows import ResourcePlan, VMResourcePlan, plan_vm
 from repro.prediction.utilization_model import (
     NoOversubscriptionModel,
     OracleUtilizationModel,
@@ -244,16 +250,20 @@ class TestIncrementalCacheChurn:
 
 
 class _FailOnSecondVM:
-    """Prediction stub whose windows stop matching the policy after one VM."""
+    """Prediction stub whose windows stop matching the policy after one VM:
+    a ``predict_many`` call that includes the second VM it is ever asked
+    about answers in 8-hour windows.  ``calls`` counts batch calls."""
 
     def __init__(self, windows):
         self._models = [NoOversubscriptionModel(windows),
                         NoOversubscriptionModel(TimeWindowConfig(8))]
         self.calls = 0
+        self.vms_seen = 0
 
-    def predict(self, vm):
+    def predict_many(self, vms):
         self.calls += 1
-        return self._models[min(self.calls, 2) - 1].predict(vm)
+        self.vms_seen += len(vms)
+        return self._models[min(self.vms_seen, 2) - 1].predict_many(vms)
 
 
 def _oracle_manager(cluster):
@@ -288,7 +298,9 @@ class TestBatchedPlacement:
         manager = _oracle_manager(SMALL_CLUSTER)
         assert not manager.scheduler.ledger.indexed
         reference = ReferenceLoopScheduler(SMALL_CLUSTER, COACH_POLICY.windows)
-        expected = [reference.place(manager.build_plan(vm)) for vm in vms]
+        plans = manager.build_plans(vms)
+        expected = [reference.place(plans.plan(row))
+                    for row in range(len(plans))]
         actual = [result.decision for result in manager.request_batch(vms)]
         assert actual == expected
         assert np.array_equal(manager.scheduler.ledger.demand,
@@ -335,7 +347,7 @@ class TestBatchedPlacement:
         assert len(vms) == 4
         with pytest.raises(ValueError, match="different time window"):
             manager.request_batch(vms)
-        assert model.calls == 2
+        assert model.calls == 1
         # Plans are built before any placement: the good first VM was not
         # committed, and no request was counted without a decision.
         assert manager.placed_vms() == {}
@@ -358,6 +370,78 @@ class TestBatchedPlacement:
         assert stats.requests == stats.accepted + stats.rejected == 1
         assert list(manager.placed_vms()) == ([first.vm_id]
                                               if result.accepted else [])
+
+
+#: 256 gen6-amd servers: indexed, and memory capacity 256 GB, a power of two.
+BAND_CLUSTER = ClusterConfig("BAND", "test", (("gen6-amd", _SCREENED_MIN_SERVERS),))
+
+#: Committed memory demand per window of two servers, and a probe plan's,
+#: for which the server with the higher approximate score has the lower
+#: exact one.  Found by a seeded search over commit orders: four random
+#: memory-only plans committed to both servers in two different orders
+#: leave last-ulp differences between their window sums.  Only memory
+#: carries demand and its capacity is a power of two, so every score the
+#: ledger computes here is exact IEEE-754 arithmetic, the same on any
+#: platform and BLAS.
+_BAND_APPROX_WINNER = (
+    "0x1.2fb3139c6eedfp+4", "0x1.a2dc5147b26d4p+4", "0x1.b45b49e084fcap+4",
+    "0x1.b7597bce0ec6cp+4", "0x1.01560f7ddfabdp+5", "0x1.b5b98655e47c3p+4")
+_BAND_EXACT_WINNER = (
+    "0x1.2fb3139c6eee0p+4", "0x1.a2dc5147b26d4p+4", "0x1.b45b49e084fc9p+4",
+    "0x1.b7597bce0ec6dp+4", "0x1.01560f7ddfabcp+5", "0x1.b5b98655e47c4p+4")
+_BAND_PROBE = (
+    "0x1.91821cb9d0d38p+0", "0x1.69a79738d679cp+2", "0x1.3fd3ea74b3562p+1",
+    "0x1.14d74ffeb7501p+3", "0x1.395afa947719cp+3", "0x1.6ff6d86f2e112p+2")
+
+
+def _memory_only_plan(vm_id, memory_demand):
+    """A plan with per-window memory demand (hex floats) and nothing else."""
+    demand = np.array([float.fromhex(value) for value in memory_demand])
+    plans = {resource: ResourcePlan(
+        resource, 64.0, 0.0,
+        demand if resource is Resource.MEMORY else np.zeros(demand.size),
+        np.zeros(demand.size))
+        for resource in ALL_RESOURCES}
+    return VMResourcePlan(vm_id, WINDOWS, plans)
+
+
+class TestScreenedToleranceBand:
+    """The screened link and the tiered scan keep every candidate whose
+    approximate score lies within SCORE_TOLERANCE of the best
+    surely-fitting one; this state needs that band."""
+
+    def test_band_keeps_the_exact_winner_ranked_second_by_approximation(self):
+        ledger = ClusterLedger(BAND_CLUSTER.server_configs(), WINDOWS)
+        assert ledger.indexed
+        # The exact winner has the higher row index, so the first-max
+        # tie-break cannot be what picks it.
+        approx_winner, exact_winner = 3, 7
+        for row in range(ledger.n_servers):
+            if row not in (approx_winner, exact_winner):
+                ledger.disable_row(row)
+        ledger.commit_row(approx_winner,
+                          _memory_only_plan("a", _BAND_APPROX_WINNER))
+        ledger.commit_row(exact_winner,
+                          _memory_only_plan("b", _BAND_EXACT_WINNER))
+        probe = _memory_only_plan("probe", _BAND_PROBE)
+        plan_demand = plan_demand_matrix(probe)
+        memory = probe.plans[Resource.MEMORY]
+        stats = _plan_screen_stats(plan_demand, memory.window_oversubscribed)
+        fit_hi, _fail, approx = ledger._screen_rows(
+            slice(None), memory.guaranteed, stats)
+        # Both rows surely fit, and the approximation ranks them the other
+        # way round from the exact scores, by less than the tolerance.
+        assert fit_hi[approx_winner] and fit_hi[exact_winner]
+        assert 0 < approx[approx_winner] - approx[exact_winner] < SCORE_TOLERANCE
+        exact = [ServerAccount(str(row), BAND_CLUSTER.server_configs()[row],
+                               WINDOWS, ledger=ledger, row=row).packing_score(probe)
+                 for row in (approx_winner, exact_winner)]
+        assert exact[0] < exact[1]
+        dense, tiered_decided = check_links(ledger, probe)
+        assert dense == exact_winner
+        assert tiered_decided
+        assert ledger.best_fit_row(plan_demand, memory.guaranteed,
+                                   memory.window_oversubscribed) == exact_winner
 
 
 class TestTieredIndexDifferential:

@@ -191,24 +191,36 @@ def golden_trace():
 def _prediction_digest(trace, policy):
     """Train *policy*'s model as ``simulate_policy`` does for the golden
     config (7-day history, three trees) and hash its out-of-bag errors and
-    every VM's prediction."""
+    every VM's prediction: once from per-VM ``predict`` and once from the
+    rows of one ``predict_many`` call over the whole trace, in the same
+    byte layout.  Returns both digests."""
     history, _future = trace.split_at(7 * SLOTS_PER_DAY)
     model = build_prediction_model(policy, history.long_running().vms,
                                    n_estimators=3)
-    digest = hashlib.sha256()
-    for key, error in sorted(model.report.oob_error.items()):
-        digest.update(f"{key}={error!r};".encode())
-    for vm in trace.vms:
-        prediction = model.predict(vm)
-        digest.update(f"{vm.vm_id}:{prediction.oversubscribable};".encode())
-        for resource in ALL_RESOURCES:
-            for values in (prediction.percentile[resource],
-                           prediction.maximum[resource]):
+    batch = model.predict_many(trace.vms)
+    per_vm, batched = hashlib.sha256(), hashlib.sha256()
+
+    def feed(digest, vm, oversubscribable, pairs):
+        digest.update(f"{vm.vm_id}:{oversubscribable};".encode())
+        for pair in pairs:
+            for values in pair:
                 digest.update(np.asarray(values, dtype="<f8").tobytes())
-    return digest.hexdigest()
+
+    for digest in (per_vm, batched):
+        for key, error in sorted(model.report.oob_error.items()):
+            digest.update(f"{key}={error!r};".encode())
+    for row, vm in enumerate(trace.vms):
+        prediction = model.predict(vm)
+        feed(per_vm, vm, prediction.oversubscribable,
+             [(prediction.percentile[resource], prediction.maximum[resource])
+              for resource in ALL_RESOURCES])
+        feed(batched, vm, bool(batch.oversubscribable[row]),
+             zip(batch.percentile[row], batch.maximum[row]))
+    return per_vm.hexdigest(), batched.hexdigest()
 
 
 @pytest.mark.parametrize("policy", sorted(PREDICTION_DIGESTS))
 def test_learned_predictions_are_pinned_bitwise(golden_trace, policy):
-    assert _prediction_digest(golden_trace, STANDARD_POLICIES[policy]) == \
-        PREDICTION_DIGESTS[policy]
+    per_vm, batched = _prediction_digest(golden_trace, STANDARD_POLICIES[policy])
+    assert per_vm == PREDICTION_DIGESTS[policy]
+    assert batched == PREDICTION_DIGESTS[policy]
