@@ -377,7 +377,9 @@ def window_percentiles(series: Sequence[UtilizationSeries],
     first, and each row's neighbour ranks are read past its padding.
     ``np.percentile`` depends only on the multiset of its input, and a
     sort puts the same values at those ranks as numpy's partition, so
-    :func:`percentile_lerp` returns numpy's values.  A pass holds at most
+    :func:`percentile_lerp` returns numpy's values (a series holding both
+    ``0.0`` and ``-0.0`` may differ in the sign of a zero, which numpy
+    takes from the input order).  A pass holds at most
     :data:`WINDOW_PERCENTILE_PASS_SAMPLES` samples, or one series.
     """
     if not 0 <= pct <= 100:
