@@ -5,7 +5,14 @@ A cluster's replay plans its whole arrival stream with one
 that path against per-VM ``predict`` plus ``plan_vm`` on a trace of the
 policy-sweep workload's size (800 VMs over 21 days) with the workload's
 3-tree coach model.  The harness hard-asserts that every plan is bitwise
-equal; the >= 5x ratio goes through ``assert_perf``.
+equal; the ratio goes through ``assert_perf``.
+
+The reference walks each tree with the same fixed-depth level walk over
+one VM's few rows, which costs several times more per call than a
+per-row list walk would (53-60 us against 8.6 us on 6 rows), so the
+ratio overstates the stream path's gain over a list-walk baseline.  The
+bound, >= 25x, is half the lowest ratio measured on a 2-vCPU container
+(51.5-60.7x), so a several-fold regression of the stream path fails it.
 """
 
 from conftest import assert_perf, run_once
@@ -26,6 +33,6 @@ def test_bench_prediction_batch(benchmark):
     assert outcome["bitwise_identical"]
     assert outcome["n_vms"] == 800
     assert outcome["oversubscribed"] > 0
-    assert_perf(outcome["speedup"] >= 5.0,
-                "predict_many + plan_many should be >= 5x per-VM predict + "
+    assert_perf(outcome["speedup"] >= 25.0,
+                "predict_many + plan_many should be >= 25x per-VM predict + "
                 f"plan_vm, got {outcome['speedup']:.1f}x")

@@ -196,13 +196,7 @@ _MEMORY_INDEX = ALL_RESOURCES.index(Resource.MEMORY)
 
 
 def plan_demand_matrix(plan: VMResourcePlan) -> np.ndarray:
-    """A plan's per-resource window demands, shape ``(n_resources, n_windows)``.
-
-    A plan from a :class:`~repro.core.windows.PlanBatch` already carries
-    that matrix; any other plan's rows are stacked.
-    """
-    if plan.demand_matrix is not None:
-        return plan.demand_matrix
+    """Stack a plan's per-resource window demands, shape ``(n_resources, n_windows)``."""
     return np.stack([plan.plans[r].window_demand for r in ALL_RESOURCES])
 
 

@@ -19,7 +19,7 @@ from its predicted per-window utilization:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class VMResourcePlan:
     windows: TimeWindowConfig
     plans: Dict[Resource, ResourcePlan] = field(default_factory=dict)
     oversubscribed: bool = True
-    #: ``(n_resources, n_windows)`` window demands, resources in
-    #: ``ALL_RESOURCES`` order, when the plan came from a :class:`PlanBatch`
-    #: (its rows are these same arrays); ``None`` otherwise.
-    demand_matrix: Optional[np.ndarray] = field(default=None, repr=False,
-                                                compare=False)
 
     def plan(self, resource: Resource) -> ResourcePlan:
         return self.plans[resource]
@@ -186,8 +181,8 @@ class PlanBatch:
 
     def plan(self, row: int) -> VMResourcePlan:
         """Row *row* as the :class:`VMResourcePlan` :func:`plan_vm` builds:
-        scalar fields as Python floats, window arrays as views of the rows,
-        and the row's demand matrix attached."""
+        scalar fields as Python floats and window arrays as views of the
+        rows."""
         requested = self.requested[row].tolist()
         guaranteed = self.guaranteed[row].tolist()
         demand = self.window_demand[row]
@@ -197,8 +192,7 @@ class PlanBatch:
                                         oversubscribed[index])
                  for index, resource in enumerate(ALL_RESOURCES)}
         return VMResourcePlan(self.vm_ids[row], self.windows, plans,
-                              bool(self.oversubscribed[row]),
-                              demand_matrix=demand)
+                              bool(self.oversubscribed[row]))
 
 
 def allocation_matrix(vms: Sequence[VMRecord]) -> np.ndarray:
@@ -231,10 +225,12 @@ def plan_many(
     their stacked predictions.  Each step is :func:`plan_resource`'s
     elementwise arithmetic over all rows at once (clip and scale, Eq. 1-2
     with memory rounded up to the granularity, the whole allocation for
-    rows planned without oversubscription), and
-    :meth:`ResourcePlan.validate`'s rules raise the same ``ValueError`` for
-    the first row and resource that breaks one.  So ``plan(i)`` of the
-    result equals ``plan_vm`` of VM ``i`` bit for bit.
+    rows planned without oversubscription).  The first row that
+    ``plan_vm`` would fail on raises its error: the memory rounding's (a
+    non-positive granularity, a NaN percentile), else the first
+    :meth:`ResourcePlan.validate` rule its first failing resource breaks.
+    So ``plan(i)`` of the result equals ``plan_vm`` of VM ``i`` bit for
+    bit.
     """
     allocated = np.array(allocations, dtype=np.float64).reshape(
         len(vm_ids), len(ALL_RESOURCES))
@@ -247,9 +243,11 @@ def plan_many(
     # to the management granularity and capped at the allocation.
     guaranteed = np.where(_FUNGIBLE, percentile.min(axis=2),
                           percentile.max(axis=2))
-    if effective.any() and memory_granularity_gb <= 0:
-        raise ValueError("granularity must be positive")
-    pa_memory = guaranteed[:, _MEMORY_INDEX]
+    pa_memory = guaranteed[:, _MEMORY_INDEX].copy()
+    # Rows whose scalar rounding (round_memory_up) raises before any
+    # validation rule runs: math.ceil takes no NaN or infinity.
+    unroundable = effective & ((memory_granularity_gb <= 0)
+                               | ~((pa_memory <= 0) | np.isfinite(pa_memory)))
     with np.errstate(divide="ignore", invalid="ignore"):
         guaranteed[:, _MEMORY_INDEX] = np.where(
             pa_memory <= 0, 0.0,
@@ -271,8 +269,13 @@ def plan_many(
                        guaranteed > allocated + 1e-6,
                        np.any(window_demand < -1e-9, axis=2),
                        np.any(window_oversubscribed < -1e-9, axis=2)], axis=2)
-    if broken.any():
-        row, resource = np.argwhere(broken.any(axis=2))[0]
+    failing = unroundable | broken.any(axis=(1, 2))
+    if failing.any():
+        row = int(np.argmax(failing))
+        if unroundable[row]:
+            # The scalar rounding raises plan_vm's own error for this row.
+            round_memory_up(float(pa_memory[row]), memory_granularity_gb)
+        resource = int(np.argmax(broken[row].any(axis=1)))
         raise ValueError(
             _VALIDATION_MESSAGES[int(np.argmax(broken[row, resource]))])
     for array in (allocated, guaranteed, window_demand, window_oversubscribed):

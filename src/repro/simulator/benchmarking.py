@@ -233,8 +233,10 @@ def measure_prediction_batch(trace: Trace, *,
     ``simulate_policy`` does, then plans every VM of the trace twice: with
     one ``predict_many`` call and one :func:`plan_many` pass (the stream
     path a cluster's replay takes), and with ``predict`` plus
-    :func:`plan_vm` per VM.  Raises ``AssertionError`` unless every plan
-    is bitwise equal.  Each side runs three times, alternating, and the
+    :func:`plan_vm` per VM.  Both sides walk the trees with the same
+    fixed-depth level walk, so the per-VM side pays its per-call cost on
+    a few rows at a time.  Raises ``AssertionError`` unless every plan is
+    bitwise equal.  Each side runs three times, alternating, and the
     minima are reported.
     """
     policy = COACH_POLICY

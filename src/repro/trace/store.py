@@ -165,8 +165,11 @@ def segment_percentiles(buffer: np.ndarray, starts: np.ndarray,
     those ranks match a full sort.  The interpolation is
     :func:`~repro.trace.timeseries.percentile_lerp`, numpy's step for
     step, so float64 results are bitwise identical to calling
-    ``np.percentile`` on every segment.
+    ``np.percentile`` on every segment, which raises the same
+    ``ValueError`` for a percentile outside ``[0, 100]``.
     """
+    if not all(0 <= pct <= 100 for pct in pcts):
+        raise ValueError("Percentiles must be in the range [0, 100]")
     n = int(starts.size)
     out = {pct: np.empty(n, dtype=np.float64) for pct in pcts}
     if n == 0 or not pcts:

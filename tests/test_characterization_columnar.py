@@ -323,6 +323,18 @@ class TestKernels:
         assert segment_percentiles(buffer, empty, empty, (95.0,))[95.0].size == 0
         assert rowwise_mean(buffer, empty, empty).size == 0
 
+    @pytest.mark.parametrize("pct", [-1.0, 100.5, float("nan")])
+    def test_percentile_out_of_range(self, random_segments, pct):
+        # np.percentile's own error, on empty input too; the shared rank
+        # helper would otherwise read rank -1 or past the segment's end.
+        buffer, starts, lengths = random_segments
+        with pytest.raises(ValueError, match="range") as expected:
+            np.percentile(buffer[starts[0]:starts[0] + lengths[0]], pct)
+        for segments in ((starts, lengths), (starts[:0], lengths[:0])):
+            with pytest.raises(ValueError) as got:
+                segment_percentiles(buffer, *segments, (50.0, pct))
+            assert str(got.value) == str(expected.value)
+
 
 # --------------------------------------------------------------------------- #
 # vm_week_profile stays zero-copy on store rows

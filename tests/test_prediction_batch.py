@@ -348,6 +348,44 @@ class TestPlanMany:
                               oversubscribe)
                 assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("case", ["nan-first", "broken-first",
+                                      "granularity"])
+    def test_rounding_errors_match_plan_vm(self, case):
+        # plan_vm's memory rounding raises for a NaN memory percentile (a
+        # damaged store reaches the oracle model) and for a non-positive
+        # granularity, before any validation rule; so the first failing
+        # row decides which error plan_many raises.
+        windows = TimeWindowConfig(4)
+        shape = (3, len(ALL_RESOURCES), 6)
+        percentile = np.full(shape, 0.5)
+        nan_row, broken_row = (1, 2) if case == "nan-first" else (2, 1)
+        percentile[nan_row, ALL_RESOURCES.index(Resource.MEMORY), 3] = np.nan
+        batch = WindowPredictionBatch(windows, percentile, np.full(shape, 0.5),
+                                      np.ones(3, bool))
+        good = {r: 8.0 for r in ALL_RESOURCES}
+        allocations = [good, good, good]
+        if case != "granularity":
+            allocations[broken_row] = {**good, Resource.SSD: -1.0}
+        granularity = 0.0 if case == "granularity" else 1.0
+        vms = [_Vm(f"vm-{row}", a) for row, a in enumerate(allocations)]
+        with pytest.raises(ValueError) as expected:
+            for vm, prediction in zip(vms, _prediction_rows(batch)):
+                plan_vm(vm.vm_id, vm.allocation_vector(), prediction, True,
+                        granularity)
+        with pytest.raises(ValueError) as got:
+            plan_many([vm.vm_id for vm in vms], allocation_matrix(vms), batch,
+                      True, granularity)
+        assert str(got.value) == str(expected.value)
+        assert (str(got.value) == "negative resource amounts") == \
+            (case == "broken-first")
+        # Without oversubscription nothing is rounded, so the NaN row plans.
+        if case == "nan-first":
+            good_vms = [_Vm(f"vm-{row}", good) for row in range(3)]
+            assert_plan_rows_equal_plan_vm(
+                plan_many([vm.vm_id for vm in good_vms],
+                          allocation_matrix(good_vms), batch, False),
+                good_vms, _prediction_rows(batch), False, 1.0)
+
     def test_rows_are_read_only(self):
         windows = TimeWindowConfig(4)
         shape = (1, len(ALL_RESOURCES), 6)
