@@ -9,7 +9,9 @@ harness hard-asserts equality before the ratio is even considered).
 The harness (:mod:`repro.simulator.benchmarking`) times
 ``run_characterization_suite``, which ``perfbench/`` also times as its
 characterization stage, so this gate and the end-to-end stage time the
-same statistics.
+same statistics.  Every round of either side runs on a fresh ``Trace``
+over the same store, so no round reuses the per-store statistics an
+earlier round cached: the gate times a cold suite, as a pipeline runs it.
 """
 
 from conftest import assert_perf, bench_smoke_enabled, run_once

@@ -24,6 +24,9 @@ def main() -> None:
     manager = ClusterManager(trace.fleet.get(cluster_id), COACH_POLICY, model)
     arrivals = [vm for vm in trace.vms
                 if vm.cluster_id == cluster_id and vm.start_slot >= 7 * SLOTS_PER_DAY]
+    # Plan every arrival in one prediction pass; each request then reuses
+    # its planned row instead of predicting one VM at a time.
+    manager.build_plans(arrivals)
     for vm in arrivals:
         manager.request_vm(vm)
 

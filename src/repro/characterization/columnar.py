@@ -7,8 +7,10 @@ scheduler ledger (PR 1), the replay meter (PR 2), and the trace filters
 re-expressed as segment reductions over the store's flat telemetry buffer
 (per-VM maxima/percentiles/means via the kernels in
 :mod:`repro.trace.store`), windowed maxima as one ``maximum.reduceat`` over
-vectorized window boundaries, and stranding as per-VM scatter adds over the
-sampled slot axis.
+vectorized window boundaries, and stranding as one running sum down a
+cluster's (VM, resource, sampled slot) contributions.  Results that several
+statistics read (window maxima, Figure 6's per-VM means and ranges) are
+computed once per store and cached read-only beside it.
 
 Each public statistic in the figure modules calls its function here
 unconditionally; the seed per-VM loop stays beside it as
@@ -23,10 +25,13 @@ Every result is *bitwise* identical to the reference
 edge-case and empty traces).  The kernels earn that the same way the
 replay meter did: order-independent reductions (max/min) vectorize
 freely; order-dependent ones either preserve the reference's accumulation
-order exactly (stranding's sequential per-VM adds, which mirror the seed's
-``used[r] += ...`` loop) or reproduce numpy's own per-slice algorithm on
-identical inputs (length-bucketed ``mean(axis=1)``, the replicated
-``np.percentile`` linear interpolation).
+order exactly or reproduce numpy's own per-slice algorithm on identical
+inputs (length-bucketed ``mean(axis=1)``, the replicated ``np.percentile``
+linear interpolation).  Stranding keeps the order: a ``cumsum`` down the
+row axis adds each sampled slot's contributions one VM at a time in row
+order, starting from ``+0.0`` -- the seed's ``used[r] += ...`` loop.  A
+slot where the seed adds nothing gets ``+0.0``, which leaves a running sum
+that starts at ``+0.0`` bitwise unchanged.
 """
 
 # repro: hot-path  -- REP003: statistics reduce over the store's flat
@@ -34,7 +39,7 @@ identical inputs (length-bucketed ``mean(axis=1)``, the replicated
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -49,11 +54,27 @@ from repro.trace.vm import VMConfig
 # --------------------------------------------------------------------------- #
 # Windowed maxima: the shared kernel behind Figures 7-11
 # --------------------------------------------------------------------------- #
-#: store -> {(resource value, window_hours): cached window-entry tuple}.
-#: Keyed weakly so a discarded store (and its telemetry) is not pinned by
-#: its cached statistics; keyed per *object* because two stores over the
-#: same buffers may select different rows.
-_WINDOW_ENTRY_CACHE: "WeakKeyDictionary[TraceStore, Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]" = WeakKeyDictionary()
+#: store -> {key: cached read-only arrays}: the window entries of
+#: :func:`window_entries` under ``(resource value, window_hours)`` and
+#: Figure 6's per-VM statistics under ``"utilization_scatter"``.  Keyed
+#: weakly so a discarded store (and its telemetry) is not pinned by its
+#: cached statistics; keyed per *object* because two stores over the same
+#: buffers may select different rows.
+_STORE_CACHE: "WeakKeyDictionary[TraceStore, Dict[object, Tuple[np.ndarray, ...]]]" = WeakKeyDictionary()
+
+
+def _cached(store: TraceStore, key: object,
+            compute: Callable[[], Tuple[np.ndarray, ...]]
+            ) -> Tuple[np.ndarray, ...]:
+    """``compute()`` once per ``(store, key)``, its arrays made read-only."""
+    entries = _STORE_CACHE.setdefault(store, {})
+    cached = entries.get(key)
+    if cached is None:
+        cached = compute()
+        for array in cached:
+            array.setflags(write=False)
+        entries[key] = cached
+    return cached
 
 
 def window_entries(store: TraceStore, resource: Resource,
@@ -75,15 +96,8 @@ def window_entries(store: TraceStore, resource: Resource,
     store's rows and buffer.  Cached arrays are marked read-only; callers
     must treat them as immutable.
     """
-    entries = _WINDOW_ENTRY_CACHE.setdefault(store, {})
-    key = (resource.value, config.window_hours)
-    cached = entries.get(key)
-    if cached is None:
-        cached = _compute_window_entries(store, resource, config)
-        for array in cached:
-            array.setflags(write=False)
-        entries[key] = cached
-    return cached
+    return _cached(store, (resource.value, config.window_hours),
+                   lambda: _compute_window_entries(store, resource, config))
 
 
 def _compute_window_entries(store: TraceStore, resource: Resource,
@@ -167,26 +181,37 @@ def median_vm_shape(trace: Trace) -> Dict[str, float]:
 # --------------------------------------------------------------------------- #
 # Figure 6: per-VM means and percentile ranges
 # --------------------------------------------------------------------------- #
-_SCATTER_RESOURCES = (Resource.CPU, Resource.MEMORY, Resource.NETWORK, Resource.SSD)
+#: Figure 6's per-VM columns, in the order :func:`_scatter_statistics`
+#: returns them.
+_SCATTER_COLUMNS = ("cpu_mean", "memory_mean", "cpu_range", "memory_range",
+                    "network_mean", "ssd_mean")
+
+
+def _scatter_statistics(store: TraceStore) -> Tuple[np.ndarray, ...]:
+    """Per-VM means and P95-P5 ranges, in :data:`_SCATTER_COLUMNS` order.
+
+    Computed once per store and cached read-only, so Figure 6's summary
+    reuses the scatter's segment means and percentile passes.
+    """
+    def compute() -> Tuple[np.ndarray, ...]:
+        ranges = []
+        for resource in (Resource.CPU, Resource.MEMORY):
+            pcts = store.segment_percentiles(resource, (95.0, 5.0))
+            ranges.append(pcts[95.0] - pcts[5.0])
+        return (store.segment_mean(Resource.CPU),
+                store.segment_mean(Resource.MEMORY), ranges[0], ranges[1],
+                store.segment_mean(Resource.NETWORK),
+                store.segment_mean(Resource.SSD))
+    return _cached(store, "utilization_scatter", compute)
 
 
 def utilization_scatter(trace: Trace, min_days: float
                         ) -> Dict[str, List[float]]:
     store = trace.long_running(min_days).store
-    means = {r: store.segment_mean(r) for r in _SCATTER_RESOURCES}
-    ranges: Dict[Resource, np.ndarray] = {}
-    for resource in (Resource.CPU, Resource.MEMORY):
-        pcts = store.segment_percentiles(resource, (95.0, 5.0))
-        ranges[resource] = pcts[95.0] - pcts[5.0]
-    return {
-        "vm_id": list(store.vm_ids),
-        "cpu_mean": [float(x) for x in means[Resource.CPU]],
-        "memory_mean": [float(x) for x in means[Resource.MEMORY]],
-        "cpu_range": [float(x) for x in ranges[Resource.CPU]],
-        "memory_range": [float(x) for x in ranges[Resource.MEMORY]],
-        "network_mean": [float(x) for x in means[Resource.NETWORK]],
-        "ssd_mean": [float(x) for x in means[Resource.SSD]],
-    }
+    scatter: Dict[str, List[float]] = {"vm_id": list(store.vm_ids)}
+    for name, column in zip(_SCATTER_COLUMNS, _scatter_statistics(store)):
+        scatter[name] = [float(x) for x in column]
+    return scatter
 
 
 # --------------------------------------------------------------------------- #
@@ -360,8 +385,55 @@ def weekly_savings_profile(trace: Trace, cluster_id: Optional[str],
 
 
 # --------------------------------------------------------------------------- #
-# Figures 4-5: stranding (sequential per-VM adds over the sampled slot axis)
+# Figures 4-5: stranding (one ordered running sum per cluster)
 # --------------------------------------------------------------------------- #
+#: Most values one stranding block holds: 1 MiB of float64, as
+#: :data:`~repro.trace.timeseries.WINDOW_PERCENTILE_PASS_SAMPLES` bounds a
+#: percentile pass.  A block holds the carried running sum plus at least
+#: one VM.
+STRANDING_BLOCK_VALUES = 1 << 17
+
+
+def _cluster_usage(store: TraceStore, rows: np.ndarray, slots: np.ndarray,
+                   oversubscribed: Sequence[int]) -> np.ndarray:
+    """Summed demand of store *rows* at *slots*, ``(n_resources, n_samples)``.
+
+    *oversubscribed* indexes :data:`ALL_RESOURCES`.  Each block's first row
+    carries the running sum (``+0.0`` before the first block); row ``k + 1``
+    is VM ``k``'s contribution at every sampled slot: its allocation where
+    it is alive, ``value * alloc`` where an oversubscribed resource's
+    telemetry covers the slot, and ``+0.0`` everywhere else.  One
+    ``cumsum`` down the rows then adds the VMs one at a time in row order,
+    as the seed does, and its last row is the sum the next block carries.
+    """
+    n_resources = len(ALL_RESOURCES)
+    usage = np.zeros((n_resources, slots.size))
+    per_block = max(1, STRANDING_BLOCK_VALUES // usage.size - 1)
+    for begin in range(0, rows.size, per_block):
+        block_rows = rows[begin:begin + per_block]
+        alive = ((store.start_slot[block_rows, None] <= slots)
+                 & (slots < store.end_slot[block_rows, None]))
+        alloc = store.alloc[block_rows]
+        block = np.zeros((block_rows.size + 1, n_resources, slots.size))
+        block[0] = usage
+        np.copyto(block[1:], alloc[:, :, None], where=alive[:, None, :])
+        if oversubscribed:
+            series_start = store.series_start[block_rows]
+            series_end = series_start + store.row_length[block_rows]
+            vm, sample = np.nonzero(alive & (series_start[:, None] <= slots)
+                                    & (slots < series_end[:, None]))
+            position = (store.row_offset[block_rows][vm] + slots[sample]
+                        - series_start[vm])
+            for r_index in oversubscribed:
+                block[1:, r_index] = 0.0
+                if vm.size:
+                    values = store.util[ALL_RESOURCES[r_index]][position]
+                    block[vm + 1, r_index, sample] = values * alloc[vm, r_index]
+        np.cumsum(block, axis=0, out=block)
+        usage = block[-1]
+    return usage
+
+
 def stranding_inputs(trace: Trace, oversub: Dict[Resource, bool],
                      fill_vm: VMConfig, sample_every_slots: int,
                      cluster_ids: Sequence[str]
@@ -370,48 +442,26 @@ def stranding_inputs(trace: Trace, oversub: Dict[Resource, bool],
 
     ``free`` has shape ``(len(ALL_RESOURCES), n_samples)`` and holds the
     post-fill free vector for every sampled slot; ``bottleneck_index``
-    indexes :data:`ALL_RESOURCES`.  The caller (``measure_stranding``)
-    accumulates totals slot by slot in the reference's order, so the
-    sequential float additions -- and therefore every reported fraction --
-    are bitwise identical to the seed loop.  *fill_vm* must demand some
-    resource (``measure_stranding`` checks).
+    indexes :data:`ALL_RESOURCES`.  Each cluster's used vector is one
+    ordered running sum over its VMs (:func:`_cluster_usage`), and the
+    caller (``measure_stranding``) accumulates totals slot by slot in the
+    reference's order, so every reported fraction is bitwise the seed
+    loop's.  *fill_vm* must demand some resource (``measure_stranding``
+    checks).
     """
     store = trace.store
     demand = np.array([fill_vm.allocation_vector()[r] for r in ALL_RESOURCES])
     safe_demand = np.where(demand > 0, demand, 1.0)
     slots = np.arange(0, trace.n_slots, max(1, sample_every_slots))
-    n_resources = len(ALL_RESOURCES)
-    oversub_flags = np.array([oversub[r] for r in ALL_RESOURCES])
-    start = store.start_slot
-    end = store.end_slot
-    series_start = store.series_start
-    series_len = store.row_length
-    offset = store.row_offset
-    alloc = store.alloc
+    oversubscribed = [index for index, resource in enumerate(ALL_RESOURCES)
+                      if oversub[resource]]
 
     per_cluster: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     for cluster_id in cluster_ids:
         capacity = trace.fleet.get(cluster_id).total_capacity()
         cap = np.array([capacity[r] for r in ALL_RESOURCES])
-        used = np.zeros((n_resources, slots.size))
-        for i in store.in_cluster_indices(cluster_id):
-            i = int(i)
-            alive = (start[i] <= slots) & (slots < end[i])
-            if not alive.any():
-                continue
-            # Sequential adds in row (== trace) order: exactly the seed's
-            # ``used[r] += vm.demand_at(...)`` accumulation per slot.
-            for r_index in range(n_resources):
-                if oversub_flags[r_index]:
-                    covered = alive & (series_start[i] <= slots) \
-                        & (slots < series_start[i] + series_len[i])
-                    if covered.any():
-                        resource = ALL_RESOURCES[r_index]
-                        values = store.util[resource][
-                            offset[i] + slots[covered] - series_start[i]]
-                        used[r_index, covered] += values * alloc[i, r_index]
-                else:
-                    used[r_index, alive] += alloc[i, r_index]
+        used = _cluster_usage(store, store.in_cluster_indices(cluster_id),
+                              slots, oversubscribed)
         free = np.maximum(0.0, cap[:, None] - used)
         fits = np.where(demand[:, None] > 0, free / safe_demand[:, None], np.inf)
         n_fit = np.floor(np.maximum(0.0, fits.min(axis=0)))

@@ -16,7 +16,9 @@ def utilization_scatter(trace: Trace, min_days: float = 1.0) -> Dict[str, List[f
 
     Segment means plus one sorted-segment percentile pass over the store
     (:func:`repro.characterization.columnar.utilization_scatter`), bitwise
-    equal to :func:`reference_utilization_scatter`.
+    equal to :func:`reference_utilization_scatter`.  The per-VM columns are
+    computed once per long-running selection and cached with it, so
+    :func:`utilization_summary` after the scatter reuses them.
     """
     return columnar.utilization_scatter(trace, min_days)
 

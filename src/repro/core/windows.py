@@ -53,6 +53,12 @@ class ResourcePlan:
         return max(0.0, self.requested - self.guaranteed)
 
     def validate(self) -> None:
+        # Comparisons with NaN are false, so a NaN amount would pass every
+        # rule below.
+        if not (np.isfinite(self.requested) and np.isfinite(self.guaranteed)
+                and np.isfinite(self.window_demand).all()
+                and np.isfinite(self.window_oversubscribed).all()):
+            raise ValueError("non-finite resource amounts")
         if self.guaranteed < -1e-9 or self.requested < -1e-9:
             raise ValueError("negative resource amounts")
         if self.guaranteed > self.requested + 1e-6:
@@ -206,7 +212,8 @@ def allocation_matrix(vms: Sequence[VMRecord]) -> np.ndarray:
 _FUNGIBLE = np.array([is_fungible(resource) for resource in ALL_RESOURCES])
 _MEMORY_INDEX = ALL_RESOURCES.index(Resource.MEMORY)
 #: :meth:`ResourcePlan.validate`'s rules in its order, with their messages.
-_VALIDATION_MESSAGES = ("negative resource amounts",
+_VALIDATION_MESSAGES = ("non-finite resource amounts",
+                        "negative resource amounts",
                         "guaranteed portion exceeds the requested allocation",
                         "negative window demand",
                         "negative oversubscribed demand")
@@ -265,7 +272,11 @@ def plan_many(
     window_oversubscribed = np.where(effective[:, None, None],
                                      window_oversubscribed, 0.0)
 
-    broken = np.stack([(guaranteed < -1e-9) | (allocated < -1e-9),
+    finite = (np.isfinite(allocated) & np.isfinite(guaranteed)
+              & np.isfinite(window_demand).all(axis=2)
+              & np.isfinite(window_oversubscribed).all(axis=2))
+    broken = np.stack([~finite,
+                       (guaranteed < -1e-9) | (allocated < -1e-9),
                        guaranteed > allocated + 1e-6,
                        np.any(window_demand < -1e-9, axis=2),
                        np.any(window_oversubscribed < -1e-9, axis=2)], axis=2)

@@ -62,9 +62,9 @@ class Trace:
         # min_days -> the selected sub-trace.  Every characterization
         # statistic starts from ``trace.long_running(...)`` of the same
         # top-level trace; memoizing the selection means they all share
-        # one sub-store object, which is what lets the per-store
-        # window-entry cache in ``repro.characterization.columnar`` hit
-        # across statistics.
+        # one sub-store object, which is what lets the per-store cache in
+        # ``repro.characterization.columnar`` (window entries, Figure 6's
+        # per-VM statistics) hit across statistics.
         self._long_running_cache: Dict[float, "Trace"] = {}
 
     # ------------------------------------------------------------------ #

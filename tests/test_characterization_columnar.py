@@ -10,7 +10,14 @@ trace the kernels see:
 * **mmap** -- the same store round-tripped through ``save``/``open(mmap=True)``
   (read-only memory-mapped buffers);
 * **edge** -- single-sample VMs and VMs shorter than one time window;
-* **empty** -- no VMs at all, so a store without telemetry buffers.
+* **empty** -- no VMs at all, so a store without telemetry buffers;
+* **truncated** -- VMs whose telemetry stops before their lifetime ends,
+  beside a cluster without VMs, for stranding with its row blocks shrunk
+  so that one cluster spans several blocks.
+
+Figure 6's per-store statistics are checked for reuse (the summary after
+the scatter computes nothing again) and for isolation (another selection
+computes its own).
 
 Composite statistics without a reference of their own (``fraction_consistent``,
 ``savings_distribution``, ``predictability_summary``) are checked by running
@@ -178,9 +185,9 @@ _EDGE_FLEET = Fleet(clusters=[
 
 
 def _edge_vm(vm_id, cluster_id, start_slot, end_slot, *, config="D2_v5",
-             subscription="sub-a", seed=0):
+             subscription="sub-a", seed=0, telemetry_slots=None):
     rng = np.random.default_rng(seed)
-    length = end_slot - start_slot
+    length = end_slot - start_slot if telemetry_slots is None else telemetry_slots
     return VMRecord(
         vm_id=vm_id, subscription_id=subscription, config=VM_CATALOG[config],
         cluster_id=cluster_id, start_slot=start_slot, end_slot=end_slot,
@@ -269,6 +276,108 @@ class TestEdgeCases:
         # cluster with no long-running VMs at the default min_days.
         _check(cluster_savings, reference_cluster_savings, edge_trace,
                cluster_id="E2", window_hours_sweep=[4])
+
+
+# --------------------------------------------------------------------------- #
+# Stranding's blocked running sum
+# --------------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def truncated_trace():
+    """E1 VMs whose telemetry stops 1/8 to 7/8 into their lifetime (and one
+    full record); E2 holds no VM."""
+    vms = []
+    for k in range(8):
+        start = k * SLOTS_PER_DAY // 3
+        lifetime = (2 + k % 3) * SLOTS_PER_DAY
+        vms.append(_edge_vm(f"truncated-{k}", "E1", start, start + lifetime,
+                            seed=20 + k, telemetry_slots=lifetime * (k + 1) // 8))
+    return Trace(vms=vms, fleet=_EDGE_FLEET, n_slots=7 * SLOTS_PER_DAY)
+
+
+class TestStrandingBlocks:
+    """A cluster whose VMs span several blocks sums exactly as the seed."""
+
+    @staticmethod
+    def _blocks_of(monkeypatch, trace, sample_every_slots, vms_per_block):
+        n_samples = len(range(0, trace.n_slots, sample_every_slots))
+        monkeypatch.setattr(columnar, "STRANDING_BLOCK_VALUES",
+                            (vms_per_block + 1) * len(ALL_RESOURCES) * n_samples)
+
+    @pytest.mark.parametrize("vms_per_block", [1, 3])
+    @pytest.mark.parametrize("scenario", ["no-oversub", "cpu-only", "cpu+memory"])
+    def test_generated_trace(self, backend_trace, monkeypatch, scenario,
+                             vms_per_block):
+        trace = backend_trace
+        self._blocks_of(monkeypatch, trace, SLOTS_PER_DAY, vms_per_block)
+        assert all(trace.store.in_cluster_indices(cluster).size > vms_per_block
+                   for cluster in trace.cluster_ids())
+        _check(measure_stranding, reference_measure_stranding, trace, scenario,
+               sample_every_slots=SLOTS_PER_DAY)
+
+    @pytest.mark.parametrize("vms_per_block", [1, 3, 100])
+    @pytest.mark.parametrize("scenario", ["no-oversub", "cpu+memory"])
+    def test_truncated_telemetry_and_empty_cluster(self, truncated_trace,
+                                                   monkeypatch, scenario,
+                                                   vms_per_block):
+        trace = truncated_trace
+        store = trace.store
+        assert (store.row_length < store.end_slot - store.start_slot).sum() == 7
+        assert store.in_cluster_indices("E2").size == 0
+        self._blocks_of(monkeypatch, trace, SLOTS_PER_DAY // 8, vms_per_block)
+        result = _check(measure_stranding, reference_measure_stranding, trace,
+                        scenario, sample_every_slots=SLOTS_PER_DAY // 8)
+        # The empty cluster's servers are all free: memory (the fill VM's
+        # tightest resource) is its bottleneck at every sampled slot.
+        assert result.per_cluster_bottleneck["E2"][Resource.MEMORY] == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# Figure 6's per-store statistics
+# --------------------------------------------------------------------------- #
+class TestScatterCache:
+    def test_summary_reuses_the_scatter_statistics(self, backend_trace,
+                                                   monkeypatch):
+        trace = replace(backend_trace)  # fresh long_running selections
+        calls = []
+        percentiles = TraceStore.segment_percentiles
+
+        def counted(store, resource, pcts):
+            calls.append(resource)
+            return percentiles(store, resource, pcts)
+
+        monkeypatch.setattr(TraceStore, "segment_percentiles", counted)
+        scatter = utilization_scatter(trace)
+        summary = utilization_summary(trace)
+        assert calls == [Resource.CPU, Resource.MEMORY]
+        assert_results_identical(reference_utilization_scatter(trace), scatter)
+        assert_results_identical(reference_utilization_summary(trace), summary)
+
+    def test_cached_arrays_are_readonly(self, backend_trace):
+        store = backend_trace.long_running(1.0).store
+        statistics = columnar._scatter_statistics(store)
+        assert columnar._scatter_statistics(store) is statistics
+        for array in statistics:
+            assert array.size == len(store)
+            assert not array.flags.writeable
+
+    def test_other_selections_get_their_own_statistics(self, backend_trace):
+        trace = backend_trace
+        store = trace.long_running(1.0).store
+        default = columnar._scatter_statistics(store)
+        longer = columnar._scatter_statistics(trace.long_running(4.0).store)
+        assert longer[0] is not default[0]
+        assert longer[0].size == len(trace.long_running(4.0).store) < len(store)
+        _check(utilization_scatter, reference_utilization_scatter, trace,
+               min_days=4.0)
+        _check(utilization_summary, reference_utilization_summary, trace,
+               min_days=4.0)
+        # A selection over the same buffers is another store: per-VM
+        # statistics of its own rows, not its parent's cached arrays.
+        subset = columnar._scatter_statistics(
+            store.select(np.arange(0, len(store), 2)))
+        for mine, parents in zip(subset, default):
+            assert mine is not parents
+            assert mine.tobytes() == parents[::2].tobytes()
 
 
 # --------------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ replaced, which stays as its oracle:
 * :func:`plan_many` against :func:`plan_vm` for every golden-trace VM under
   the four standard policies, for rows planned without oversubscription,
   for memory demand exactly on a GB boundary, and for the validation
-  errors;
+  errors, non-finite inputs included;
 * a cluster's replay predicts its arrival stream with one call, and
   evacuees re-admitted after a drain reuse their rows.
 """
@@ -30,7 +30,12 @@ from repro.core.cluster_manager import ClusterManager, build_prediction_model
 from repro.core.policy import COACH_POLICY, STANDARD_POLICIES
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.core.scheduler import plan_demand_matrix
-from repro.core.windows import allocation_matrix, plan_many, plan_vm
+from repro.core.windows import (
+    ResourcePlan,
+    allocation_matrix,
+    plan_many,
+    plan_vm,
+)
 from repro.prediction.utilization_model import (
     LongTermUtilizationModel,
     NoOversubscriptionModel,
@@ -385,6 +390,89 @@ class TestPlanMany:
                 plan_many([vm.vm_id for vm in good_vms],
                           allocation_matrix(good_vms), batch, False),
                 good_vms, _prediction_rows(batch), False, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["requested", "guaranteed",
+                                       "window_demand", "window_oversubscribed"])
+    def test_validate_rejects_non_finite_fields(self, field, value):
+        # Every comparison with NaN is false, so a NaN amount once passed
+        # every rule.
+        plan = ResourcePlan(Resource.CPU, 4.0, 2.0, np.full(6, 3.0),
+                            np.full(6, 1.0))
+        plan.validate()
+        if field.startswith("window"):
+            getattr(plan, field)[2] = value
+        else:
+            setattr(plan, field, value)
+        with pytest.raises(ValueError, match="^non-finite resource amounts$"):
+            plan.validate()
+
+    @pytest.mark.parametrize("broken_after", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["allocation", "percentile", "maximum"])
+    def test_non_finite_inputs_match_plan_vm(self, field, value, broken_after):
+        # Row 1 carries the non-finite value; with broken_after, row 2
+        # breaks a later rule, so the first failing row decides the error.
+        # Arithmetic on infinities warns before the plan is rejected.
+        with np.errstate(invalid="ignore"):
+            self._check_non_finite_input(field, value, broken_after)
+
+    @staticmethod
+    def _check_non_finite_input(field, value, broken_after):
+        windows = TimeWindowConfig(4)
+        shape = (3, len(ALL_RESOURCES), 6)
+        good = {r: 8.0 for r in ALL_RESOURCES}
+        for index, resource in enumerate(ALL_RESOURCES):
+            for oversubscribe in (True, False):
+                percentile = np.full(shape, 0.5)
+                maximum = np.full(shape, 0.7)
+                allocations = [dict(good), dict(good), dict(good)]
+                if field == "allocation":
+                    allocations[1][resource] = value
+                else:
+                    {"percentile": percentile,
+                     "maximum": maximum}[field][1, index, 2] = value
+                if broken_after:
+                    allocations[2][Resource.SSD] = -1.0
+                batch = WindowPredictionBatch(windows, percentile, maximum,
+                                              np.ones(3, bool))
+                vms = [_Vm(f"vm-{row}", a) for row, a in enumerate(allocations)]
+                case = (resource, oversubscribe)
+                try:
+                    for vm, prediction in zip(vms, _prediction_rows(batch)):
+                        plan_vm(vm.vm_id, vm.allocation_vector(), prediction,
+                                oversubscribe)
+                    expected = None
+                except (ValueError, OverflowError) as error:
+                    expected = error
+                try:
+                    plans = plan_many([vm.vm_id for vm in vms],
+                                      allocation_matrix(vms), batch,
+                                      oversubscribe)
+                    got = None
+                except (ValueError, OverflowError) as error:
+                    got = error
+                # A non-finite allocation, and a NaN prediction that is
+                # used, fail on row 1; np.clip bounds an infinite
+                # prediction into [0, 1], so that row plans.
+                row_fails = field == "allocation" or (
+                    oversubscribe and np.isnan(value))
+                assert (expected is not None) == (row_fails or broken_after), case
+                assert type(got) is type(expected), case
+                if expected is None:
+                    assert_plan_rows_equal_plan_vm(
+                        plans, vms, _prediction_rows(batch), oversubscribe, 1.0)
+                    continue
+                assert str(got) == str(expected), case
+                # The memory rounding raises first for a memory row it
+                # cannot round; every other failing row breaks the
+                # finiteness rule.
+                rounded = (oversubscribe and resource is Resource.MEMORY
+                           and not value < 0)
+                if row_fails and not rounded:
+                    assert str(got) == "non-finite resource amounts", case
+                elif not row_fails:
+                    assert str(got) == "negative resource amounts", case
 
     def test_rows_are_read_only(self):
         windows = TimeWindowConfig(4)
